@@ -15,8 +15,8 @@ from .codeops import (BoundsReport, BoundStatus, LinearCode, LocalityReport,
 from .rscodes import (Codeword, LrcRsSpec, RsSpec, encode, interpolate,
                       lrcrs_make, rs_make, suggest_p_poly)
 from .localrepair import (PlanCache, RecoveryPlan, RepairOutcome, detect,
-                          mult_count, plan_linear, plan_lrcrs, plan_rs,
-                          recover, recovery_weight, repair)
+                          mult_count, plan_for, plan_linear, plan_lrcrs,
+                          plan_rs, recover, recovery_weight, repair)
 from .storagesim import (Bernoulli, ClusterConfig, ExactErrors, SimReport,
                          compare_policies, emit, ingest, run_sim)
 from .descriptor import CodeBundle, DescriptorError, build_code, descriptor_digest

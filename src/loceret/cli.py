@@ -43,21 +43,6 @@ def _base_report(command: str, digest: str | None = None) -> dict:
     return doc
 
 
-def _plan_for_bundle(bundle, target: int, t: int, helpers=None):
-    if bundle.kind == "rs":
-        return localrepair.plan_rs(bundle.spec, target, t, helpers=helpers)
-    if bundle.kind == "lrcrs":
-        if helpers is not None:
-            return localrepair.plan_linear(bundle.code, target, t, helpers=helpers)
-        plan = localrepair.plan_lrcrs(bundle.spec, target)
-        if t == plan.t:
-            return plan
-        if t < plan.t:
-            return localrepair.truncate_detection(plan, t)
-        return localrepair.plan_linear(bundle.code, target, t)
-    return localrepair.plan_linear(bundle.code, target, t, helpers=helpers)
-
-
 def _plan_record(plan) -> dict:
     return {"target": plan.target,
             "helpers": list(plan.helpers),
@@ -151,7 +136,7 @@ def cmd_plan(args) -> tuple[dict, int]:
     helpers = None
     if args.helpers:
         helpers = [int(tok) for tok in args.helpers.split(",") if tok.strip()]
-    plan = _plan_for_bundle(bundle, args.target, args.t, helpers=helpers)
+    plan = localrepair.plan_for(bundle, args.target, args.t, helpers=helpers)
     doc = _base_report("plan", bundle.digest)
     doc["plan"] = _plan_record(plan)
     print(f"target {plan.target}: helpers {list(plan.helpers)}, "
@@ -187,7 +172,7 @@ def cmd_repair(args) -> tuple[dict, int]:
     if word.erased != {args.target}:
         raise MissingErasureError(
             f"word must erase exactly the target coordinate {args.target}")
-    plan = _plan_for_bundle(bundle, args.target, args.t)
+    plan = localrepair.plan_for(bundle, args.target, args.t)
     values = [word.symbols[c] for c in plan.helpers]
     outcome = localrepair.repair(plan, values)
     doc = _base_report("repair", bundle.digest)
@@ -353,7 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="cluster config JSON file")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--csv", help="write the sweep table here")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; the report and the "
+                        "speed do not depend on it")
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 

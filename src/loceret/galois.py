@@ -5,10 +5,14 @@ fields the base-p digits of an encoding are the coefficients of the residue
 polynomial (digit j = coefficient of x^j), so 0 encodes the additive identity
 and 1 the multiplicative identity in every field.  Extension fields with at
 most 2**16 elements precompute log/antilog tables for O(1) products; prime
-fields use plain modular arithmetic.
+fields use plain modular arithmetic.  The array kernels (mul_array,
+add_array, dot_array) apply the same arithmetic elementwise to numpy int64
+arrays of canonical elements, with one path per field kind.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 DEFAULT_MAX_ORDER = 1 << 20
 TABLE_LIMIT = 1 << 16
@@ -235,6 +239,12 @@ class Field:
             x = self._raw_mul(x, g)
         self._exp = exp
         self._log = log
+        # Array form: two nonzero exponents sum below 2n, and log(0) = 2n
+        # sends any sum with a zero operand into the all-zero tail.
+        self._exp_arr = np.zeros(4 * n + 1, dtype=np.int64)
+        self._exp_arr[:2 * n] = exp + exp
+        self._log_arr = np.array(log, dtype=np.int64)
+        self._log_arr[0] = 2 * n
 
     # -- element validation --------------------------------------------------
 
@@ -328,6 +338,49 @@ class Field:
             base = self.mul(base, base)
             e >>= 1
         return acc
+
+    # -- array kernels ----------------------------------------------------------
+    # Operands are int64 arrays (or anything numpy broadcasts) of canonical
+    # elements; they are not validated.  Prime-field products stay exact in
+    # int64 for q up to DEFAULT_MAX_ORDER.
+
+    def mul_array(self, a, b) -> np.ndarray:
+        """Elementwise product."""
+        if self.m == 1:
+            return a * b % self.p
+        if self._exp is not None:
+            return self._exp_arr[self._log_arr[a] + self._log_arr[b]]
+        # no tables above TABLE_LIMIT: one Field.mul per element (frompyfunc
+        # passes Python ints, which is what Field.mul accepts)
+        return np.frompyfunc(self.mul, 2, 1)(a, b).astype(np.int64)
+
+    def add_array(self, a, b) -> np.ndarray:
+        """Elementwise sum."""
+        if self.m == 1:
+            return (a + b) % self.p
+        if self.p == 2:
+            return np.bitwise_xor(a, b)
+        return self._from_digits((self._to_digits(a) + self._to_digits(b)) % self.p)
+
+    def dot_array(self, a, b) -> np.ndarray:
+        """Inner products along the last axis, after broadcasting a and b."""
+        if self.m == 1:
+            return (a * b).sum(axis=-1) % self.p
+        prod = self.mul_array(a, b)
+        if self.p == 2:
+            return np.bitwise_xor.reduce(prod, axis=-1)
+        return self._from_digits(self._to_digits(prod).sum(axis=-2) % self.p)
+
+    def _to_digits(self, a) -> np.ndarray:
+        """Base-p digits on a new last axis (odd-p extension fields)."""
+        return np.asarray(a)[..., None] // self._powers % self.p
+
+    def _from_digits(self, digits) -> np.ndarray:
+        return digits @ self._powers
+
+    @property
+    def _powers(self) -> np.ndarray:
+        return self.p ** np.arange(self.m, dtype=np.int64)
 
     # -- iteration and evaluation ----------------------------------------------
 

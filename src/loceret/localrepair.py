@@ -230,6 +230,23 @@ def truncate_detection(plan: RecoveryPlan, t: int) -> RecoveryPlan:
     return replace(plan, check_rows=plan.check_rows[:t], t=t)
 
 
+def plan_for(bundle, target: int, t: int, helpers=None) -> RecoveryPlan:
+    """The plan for one coordinate of a descriptor's code (a CodeBundle).
+
+    RS codes use plan_rs.  Piecewise-RS codes use their fibre plan, with
+    detection truncated when t is below its capacity of one.  Everything
+    else (explicit helpers on a piecewise-RS code, t above the fibre's
+    capacity, generator codes) goes through the generic plan_linear.
+    """
+    if bundle.kind == "rs":
+        return plan_rs(bundle.spec, target, t, helpers=helpers)
+    if bundle.kind == "lrcrs" and helpers is None:
+        plan = plan_lrcrs(bundle.spec, target)
+        if t <= plan.t:
+            return truncate_detection(plan, t)
+    return plan_linear(bundle.code, target, t, helpers=helpers)
+
+
 def detect(plan: RecoveryPlan, helper_values) -> bool:
     """True when the helper symbols are provably corrupted (some detection
     row has a nonzero inner product with them)."""

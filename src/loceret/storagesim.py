@@ -5,7 +5,10 @@ silently corrupts helper symbols per the configured channel, then runs two
 repair arms against the ground truth: naive recovery (the fixed linear
 combination, no checking) and repair with detection.  Randomness is
 counter-based, every draw is a pure hash of (seed, trial, draw index), so
-reports are bit-identical regardless of how trials are scheduled.
+reports are bit-identical regardless of how trials are scheduled.  Trials
+run as numpy array operations over slices of trials: draw, encode the
+target and helper symbols, inject errors, then check and recover against
+every trial's padded plan vectors at once.
 
 Also hosts the byte ingestion pipeline: a byte stream is cut into m-bit
 symbols of GF(2^m) and grouped into k-symbol messages, with reversible
@@ -14,13 +17,12 @@ symbols of GF(2^m) and grouped into k-symbol messages, with reversible
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from . import descriptor, localrepair
 
@@ -29,7 +31,9 @@ _COUNT_CELLS = ("clean_correct", "naive_wrong", "naive_right_under_error",
 CSV_CELLS = ("clean_correct", "naive_wrong", "detected",
              "missed_wrong", "missed_right")
 
-_CHUNK_TRIALS = 4096
+# Trials per engine slice; keeps a slice's (trials x helpers x k) arrays
+# at about a megabyte on RS[256,16].
+_CHUNK_TRIALS = 512
 _SCALE = 1 << 64
 
 
@@ -115,19 +119,42 @@ def config_from_dict(obj: dict) -> ClusterConfig:
 
 
 # ---------------------------------------------------------------------------
-# Counter-based randomness: draw(seed, trial, index) is a pure function, so
-# any partitioning of the trial range reproduces the exact same stream.
+# Counter-based randomness: every draw is a pure function of (seed, trial,
+# index), so any partitioning of the trial range reproduces the same stream.
+#
+#   stream(seed, trial)      = mix(mix(seed + G) + (trial + 1) G)
+#   draw(seed, trial, index) = mix(stream(seed, trial) + (index + 1) G)
+#
+# all mod 2^64, with mix the SplitMix64 finaliser and G its golden-ratio
+# increment, so a trial's draws are the SplitMix64 sequence started at its
+# stream value.  Draws 0..k-1 give the message, draw k the uniform target,
+# draw k+1+j the corruption key of helper j and draw k+1+r+j the error value
+# of helper j, for a plan with r helpers.  A uniform value below `bound` is
+# the draw mod bound; the bias is below 2^-43 for the field sizes in scope.
 # ---------------------------------------------------------------------------
 
-def _draw(seed: int, trial: int, index: int) -> int:
-    data = struct.pack("<QQQ", seed & (_SCALE - 1), trial, index)
-    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
+RNG = "splitmix64-counter/1"
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _uniform(seed: int, trial: int, index: int, bound: int) -> int:
-    # 64-bit draw reduced by modulus; the bias is below 2^-43 for the field
-    # sizes in scope, far under Monte Carlo resolution.
-    return _draw(seed, trial, index) % bound
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finaliser on a uint64 array (wrapping arithmetic)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _streams(seed: int, trials: np.ndarray) -> np.ndarray:
+    """stream(seed, trial) for a uint64 array of trial indices."""
+    key = _mix64(np.array([seed % _SCALE], dtype=np.uint64) + _GAMMA)
+    return _mix64(key + (trials + np.uint64(1)) * _GAMMA)
+
+
+def _draws(streams: np.ndarray, index) -> np.ndarray:
+    """draw(seed, trial, index) with one row per trial; index is an integer
+    array broadcast against a column of the trials' streams."""
+    index = np.asarray(index, dtype=np.uint64)
+    return _mix64(streams[:, None] + (index + np.uint64(1)) * _GAMMA)
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -162,8 +189,8 @@ class SimReport:
         return out
 
     def to_dict(self) -> dict:
-        return {"schema_version": 1, "trials": self.trials, "seed": self.seed,
-                "config": self.config, "counts": dict(self.counts),
+        return {"schema_version": 2, "rng": RNG, "trials": self.trials,
+                "seed": self.seed, "config": self.config, "counts": dict(self.counts),
                 "corrupted_trials": self.corrupted_trials,
                 "rates": self.rates}
 
@@ -181,21 +208,13 @@ class TrialRecord(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Simulation core
+# Simulation core: a batch engine over slices of trials
 # ---------------------------------------------------------------------------
 
+# Memo for everything a campaign derives from its code: the CodeBundle (key
+# digest), each coordinate's plan (key (digest, coordinate, t)) and the
+# engine arrays (key (digest, t)).  Campaigns of a sweep share one build.
 _plan_cache = localrepair.PlanCache()
-
-
-def _plan_for(bundle: descriptor.CodeBundle, coord: int, t: int):
-    if bundle.kind == "rs":
-        return localrepair.plan_rs(bundle.spec, coord, t)
-    if bundle.kind == "lrcrs":
-        plan = localrepair.plan_lrcrs(bundle.spec, coord)
-        if t == plan.t:
-            return plan
-        return localrepair.truncate_detection(plan, t)
-    return localrepair.plan_linear(bundle.code, coord, t)
 
 
 def build_plans(bundle: descriptor.CodeBundle, t: int) -> list:
@@ -205,7 +224,7 @@ def build_plans(bundle: descriptor.CodeBundle, t: int) -> list:
         key = (bundle.digest, coord, t)
         try:
             plans.append(_plan_cache.get_or_build(
-                key, lambda c=coord: _plan_for(bundle, c, t)))
+                key, lambda c=coord: localrepair.plan_for(bundle, c, t)))
         except ValueError as exc:
             raise PlanUnavailableError(
                 f"no detection-capacity-{t} plan for coordinate {coord}: {exc}"
@@ -213,131 +232,165 @@ def build_plans(bundle: descriptor.CodeBundle, t: int) -> list:
     return plans
 
 
+class _CodeArrays:
+    """Per-(code, t) engine state: the encoding columns and every
+    coordinate's plan as rows of arrays padded to the widest plan.
+
+    Padding slots of a plan with fewer helpers point at coordinate 0 with
+    zero check and recovery coefficients, so they add nothing to any inner
+    product, and `live` keeps them out of the channel.
+    """
+
+    def __init__(self, bundle: descriptor.CodeBundle, t: int):
+        spec = bundle.spec
+        rows = spec.eval_rows if spec is not None else bundle.code.gen
+        if not rows:
+            raise PlanUnavailableError("cannot simulate the zero code")
+        plans = build_plans(bundle, t)
+        self.field = bundle.field
+        self.k = len(rows)
+        self.n = bundle.code.n
+        self.columns = np.array(rows, dtype=np.int64).T        # (n, k)
+        self.r = np.array([len(plan.helpers) for plan in plans], dtype=np.int64)
+        width = int(self.r.max())
+        depth = max(len(plan.check_rows) for plan in plans)
+        self.live = np.arange(width) < self.r[:, None]          # (n, width)
+        self.helpers = np.zeros((self.n, width), dtype=np.int64)
+        self.recovery = np.zeros((self.n, width), dtype=np.int64)
+        self.checks = np.zeros((self.n, depth, width), dtype=np.int64)
+        for coord, plan in enumerate(plans):
+            r = len(plan.helpers)
+            self.helpers[coord, :r] = plan.helpers
+            self.recovery[coord, :r] = plan.recovery_row
+            if plan.check_rows:
+                self.checks[coord, :len(plan.check_rows), :r] = plan.check_rows
+
+
 class _SimContext:
-    """Precomputed per-run state: plans and restricted encoding columns."""
+    """One campaign: its config plus the cached arrays of its code."""
 
     def __init__(self, config: ClusterConfig):
+        digest = descriptor.descriptor_digest(config.code)
+        bundle = _plan_cache.get_or_build(
+            digest, lambda: descriptor.build_code(config.code))
+        self.arrays = _plan_cache.get_or_build(
+            (digest, config.t), lambda: _CodeArrays(bundle, config.t))
         self.config = config
-        self.bundle = descriptor.build_code(config.code)
-        self.field = self.bundle.field
-        self.q = self.field.q
-        spec = self.bundle.spec
-        self.eval_rows = spec.eval_rows if spec is not None else self.bundle.code.gen
-        self.k = len(self.eval_rows)
-        if self.k == 0:
-            raise PlanUnavailableError("cannot simulate the zero code")
-        self.n = self.bundle.code.n
-        self.plans = build_plans(self.bundle, config.t)
-        # columns[c][b]: value of basis row b at coordinate c
-        self.columns = [tuple(row[c] for row in self.eval_rows)
-                        for c in range(self.n)]
-
-    def symbol_at(self, message, coord: int) -> int:
-        field = self.field
-        acc = 0
-        for m, g in zip(message, self.columns[coord]):
-            if m:
-                acc = field.add(acc, field.mul(m, g))
-        return acc
+        channel = config.channel
+        fewest = int(self.arrays.r.min())
+        if isinstance(channel, ExactErrors) and channel.errors > fewest:
+            raise ValueError(f"channel injects {channel.errors} errors but "
+                             f"only {fewest} helpers exist")
 
 
-def iterate_trials(context: _SimContext, start: int, stop: int):
-    """Yield one TrialRecord per trial index in [start, stop)."""
+class _Slice(NamedTuple):
+    """Outcomes of the trials [start, stop), one array row per trial."""
+    trials: np.ndarray             # trial indices
+    targets: np.ndarray
+    corrupted: np.ndarray          # (trials, width) bool per helper slot
+    truth: np.ndarray
+    naive: np.ndarray              # recovery value; repair's when undetected
+    detected: np.ndarray           # bool
+
+
+def _run_slice(context: _SimContext, start: int, stop: int) -> _Slice:
     cfg = context.config
-    seed = cfg.seed
-    field = context.field
-    q = context.q
-    k = context.k
-    n = context.n
-    uniform_target = cfg.target_policy == "uniform-random"
-    bernoulli = isinstance(cfg.channel, Bernoulli)
-    if bernoulli:
-        threshold = int(cfg.channel.epsilon * _SCALE)
+    arr = context.arrays
+    field = arr.field
+    k = arr.k
+    trials = np.arange(start, stop, dtype=np.uint64)
+    streams = _streams(cfg.seed, trials)
+
+    message = (_draws(streams, np.arange(k)) % np.uint64(field.q)).astype(np.int64)
+    if cfg.target_policy == "uniform-random":
+        targets = _draws(streams, [k])[:, 0] % np.uint64(arr.n)
     else:
-        exact = cfg.channel.errors
+        targets = trials % np.uint64(arr.n)
+    targets = targets.astype(np.int64)
 
-    for trial in range(start, stop):
-        message = [_uniform(seed, trial, j, q) for j in range(k)]
-        if uniform_target:
-            target = _uniform(seed, trial, k, n)
-        else:
-            target = trial % n
-        plan = context.plans[target]
-        r = len(plan.helpers)
-        truth = context.symbol_at(message, target)
-        values = [context.symbol_at(message, c) for c in plan.helpers]
+    live = arr.live[targets]
+    width = live.shape[1]
+    keys = _draws(streams, k + 1 + np.arange(width))
+    channel = cfg.channel
+    if isinstance(channel, ExactErrors):
+        # the e smallest keys, ties broken by helper position
+        keys[~live] = np.uint64(_SCALE - 1)
+        chosen = np.argsort(keys, axis=1, kind="stable")[:, :channel.errors]
+        corrupted = np.zeros_like(live)
+        np.put_along_axis(corrupted, chosen, True, axis=1)
+    elif channel.epsilon < 1.0:
+        corrupted = live & (keys < np.uint64(int(channel.epsilon * _SCALE)))
+    else:
+        corrupted = live           # the 2^64 threshold does not fit in uint64
+    error_index = k + 1 + arr.r[targets][:, None] + np.arange(width)
+    errors = 1 + (_draws(streams, error_index)
+                  % np.uint64(field.q - 1)).astype(np.int64)
 
-        if bernoulli:
-            corrupted = tuple(j for j in range(r)
-                              if _draw(seed, trial, k + 1 + j) < threshold)
-        else:
-            if exact > r:
-                raise ValueError(
-                    f"channel injects {exact} errors but only {r} helpers exist")
-            keys = sorted((_draw(seed, trial, k + 1 + j), j) for j in range(r))
-            corrupted = tuple(sorted(j for _, j in keys[:exact]))
-        for j in corrupted:
-            err = 1 + _uniform(seed, trial, k + 1 + r + j, q - 1)
-            values[j] = field.add(values[j], err)
+    truth = field.dot_array(message, arr.columns[targets])
+    values = field.dot_array(message[:, None, :], arr.columns[arr.helpers[targets]])
+    values = field.add_array(values, np.where(corrupted, errors, 0))
+    syndromes = field.dot_array(arr.checks[targets], values[:, None, :])
+    naive = field.dot_array(arr.recovery[targets], values)
+    return _Slice(trials, targets, corrupted, truth, naive,
+                  (syndromes != 0).any(axis=1))
 
-        naive_value = localrepair.recover(plan, values)
-        outcome = localrepair.repair(plan, values)
-        yield TrialRecord(trial, target, corrupted, truth, naive_value, outcome)
+
+def _spans(start: int, stop: int):
+    for lo in range(start, stop, _CHUNK_TRIALS):
+        yield lo, min(lo + _CHUNK_TRIALS, stop)
 
 
 def trial_records(config: ClusterConfig, start: int = 0, stop: int | None = None):
     """Trial-level view of a campaign, for paired-policy comparisons and
-    diagnostics; run_sim tallies exactly these records."""
+    diagnostics; run_sim tallies exactly these trials."""
     context = _SimContext(config)
-    yield from iterate_trials(context, start, config.trials if stop is None else stop)
+    for span in _spans(start, config.trials if stop is None else stop):
+        out = _run_slice(context, *span)
+        for trial, target, hit, truth, naive, detected in zip(
+                out.trials.tolist(), out.targets.tolist(), out.corrupted.tolist(),
+                out.truth.tolist(), out.naive.tolist(), out.detected.tolist()):
+            yield TrialRecord(
+                trial, target, tuple(j for j, h in enumerate(hit) if h), truth,
+                naive, localrepair.RepairOutcome(None if detected else naive))
 
 
 def _tally_range(context: _SimContext, start: int, stop: int) -> dict:
-    counts = dict.fromkeys(_COUNT_CELLS, 0)
-    counts["corrupted_trials"] = 0
-    for rec in iterate_trials(context, start, stop):
-        if not rec.corrupted:
-            if rec.naive_value != rec.truth or rec.outcome.value != rec.truth:
-                raise RuntimeError(
-                    f"repair returned a wrong value on a clean trial {rec.trial}; "
-                    "this indicates a bug, not a channel effect")
-            counts["clean_correct"] += 1
-            continue
-        counts["corrupted_trials"] += 1
-        if rec.naive_value == rec.truth:
-            counts["naive_right_under_error"] += 1
-        else:
-            counts["naive_wrong"] += 1
-        if rec.outcome.detected:
-            counts["detected"] += 1
-        elif rec.outcome.value == rec.truth:
-            counts["missed_right"] += 1
-        else:
-            counts["missed_wrong"] += 1
-    return counts
+    out = _run_slice(context, start, stop)
+    hit = out.corrupted.any(axis=1)
+    right = out.naive == out.truth
+    wrong_clean = ~hit & (out.detected | ~right)
+    if wrong_clean.any():
+        raise RuntimeError(
+            f"repair returned a wrong value on a clean trial "
+            f"{int(out.trials[wrong_clean][0])}; "
+            "this indicates a bug, not a channel effect")
+    missed = hit & ~out.detected
+    return {"clean_correct": int(np.count_nonzero(~hit)),
+            "corrupted_trials": int(np.count_nonzero(hit)),
+            "naive_wrong": int(np.count_nonzero(hit & ~right)),
+            "naive_right_under_error": int(np.count_nonzero(hit & right)),
+            "detected": int(np.count_nonzero(hit & out.detected)),
+            "missed_wrong": int(np.count_nonzero(missed & ~right)),
+            "missed_right": int(np.count_nonzero(missed & right))}
 
 
 def run_sim(config: ClusterConfig, workers: int = 1) -> SimReport:
-    """Run the campaign; identical (config, seed) gives a bit-identical report
-    for any worker count, because trial outcomes are pure in the trial index
-    and the tallies merge by commutative addition."""
+    """Run the campaign; identical (config, seed) gives a bit-identical
+    report, because trial outcomes are pure in the trial index and the
+    slice tallies merge by addition.
+
+    workers is accepted for compatibility only: the campaign runs on the
+    calling thread, so neither the report nor the speed depends on it.
+    """
     context = _SimContext(config)
-    n_trials = config.trials
-    chunks = [(s, min(s + _CHUNK_TRIALS, n_trials))
-              for s in range(0, n_trials, _CHUNK_TRIALS)]
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(
-                lambda span: _tally_range(context, *span), chunks))
-    else:
-        partials = [_tally_range(context, *span) for span in chunks]
     counts = dict.fromkeys(_COUNT_CELLS, 0)
     corrupted = 0
-    for part in partials:
+    for span in _spans(0, config.trials):
+        part = _tally_range(context, *span)
         corrupted += part["corrupted_trials"]
         for cell in _COUNT_CELLS:
             counts[cell] += part[cell]
-    return SimReport(trials=n_trials, seed=config.seed,
+    return SimReport(trials=config.trials, seed=config.seed,
                      config=config.to_dict(), counts=counts,
                      corrupted_trials=corrupted)
 
@@ -345,7 +398,8 @@ def run_sim(config: ClusterConfig, workers: int = 1) -> SimReport:
 def compare_policies(config: ClusterConfig, policies=None, sweep=None,
                      workers: int = 1) -> list[dict]:
     """One run per (policy, channel point), all with the same seed so aligned
-    draw streams see identical fault patterns.
+    draw streams see identical fault patterns.  The runs share one build of
+    the code and its plans through the plan cache.
 
     policies: list of {"name": str, ...config overrides...}; sweep: list of
     channel objects or dicts replacing the base channel per point.

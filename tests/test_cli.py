@@ -299,6 +299,23 @@ def test_simulate_code_file_reference(tmp_path):
     assert cli.main(["simulate", cfg]) == 0
 
 
+def test_plan_and_simulate_agree_on_t2_fibre_plans(tmp_path, capsys):
+    desc = {"field": {"p": 13}, "construction": "lrcrs",
+            "p_poly": [0, 0, 0, 1], "l": [1]}
+    code = write_json(tmp_path / "code.json", desc)
+    out = tmp_path / "plan.json"
+    assert cli.main(["plan", code, "--target", "0", "--t", "2",
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["plan"]["helpers"] == [1, 3, 4, 6, 7]
+    cfg = write_json(tmp_path / "sim.json",
+                     {"code": desc, "t": 2, "trials": 300, "seed": 4,
+                      "channel": {"kind": "exact", "errors": 2}})
+    report = tmp_path / "report.json"
+    assert cli.main(["simulate", cfg, "--out", str(report)]) == 0
+    assert json.loads(report.read_text())["report"]["counts"]["detected"] == 300
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # paper-example
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import random
 from functools import reduce
 
+import numpy as np
 import pytest
 
 from loceret.galois import (CountingField, DivisionByZeroError, Field,
@@ -217,3 +218,20 @@ def test_counting_field_tallies():
 
 def test_is_prime_small_values():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+@pytest.mark.parametrize("field", [Field(13), Field(2, 8), Field(3, 5),
+                                   Field(2, 17), Field(3, 11)], ids=repr)
+def test_array_kernels_match_the_scalar_operations(field):
+    # one field per kernel path: prime, GF(2^m) and odd-p tables, and the
+    # table-free characteristic-2 and odd-p fields above TABLE_LIMIT
+    rng = random.Random(field.q)
+    a = [rng.randrange(field.q) for _ in range(60)] + [0, 0, 1]
+    b = [rng.randrange(field.q) for _ in range(60)] + [0, 1, 0]
+    A, B = np.array(a), np.array(b)
+    assert field.mul_array(A, B).tolist() == [field.mul(x, y) for x, y in zip(a, b)]
+    assert field.add_array(A, B).tolist() == [field.add(x, y) for x, y in zip(a, b)]
+    dots = [reduce(field.add, map(field.mul, a[i:i + 7], b[i:i + 7]), 0)
+            for i in range(0, 63, 7)]
+    assert field.dot_array(A.reshape(9, 7), B.reshape(9, 7)).tolist() == dots
+    assert field.dot_array(A[:0], B[:0]) == 0

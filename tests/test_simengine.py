@@ -1,0 +1,138 @@
+"""The batch trial engine against a per-trial loop reference.
+
+The reference below simulates one trial at a time with Python integers: the
+scalar form of the counter-based draw, rscodes.encode (or the generator
+rows), and localrepair.recover / repair.  The engine must give identical
+TrialRecords on every case.
+"""
+
+import numpy as np
+import pytest
+
+from loceret import descriptor, localrepair, rscodes, storagesim
+from loceret.storagesim import (Bernoulli, ClusterConfig, ExactErrors,
+                                TrialRecord, trial_records)
+
+MASK = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+FIBRE = {"field": {"p": 13, "m": 1}, "construction": "lrcrs",
+         "p_poly": [0, 0, 0, 0, 1], "l": [2, 2]}
+CUBIC_FIBRE = {"field": {"p": 13}, "construction": "lrcrs",
+               "p_poly": [0, 0, 0, 1], "l": [1]}
+RS_GF256 = {"field": {"p": 2, "m": 8}, "construction": "rs",
+            "points": list(range(3, 256, 7)), "k": 8}
+RS_GF9 = {"field": {"p": 3, "m": 2}, "construction": "rs",
+          "points": "all", "k": 3}
+RS_GF2_17 = {"field": {"p": 2, "m": 17}, "construction": "rs",
+             "points": [0, 1, 2, 3, 1000, 4097, 65535, 65536, 70001,
+                        99999, 131070, 131071], "k": 4}
+# plans of 3 and 4 helpers, so the engine pads the narrower ones
+GENERATOR = {"field": {"p": 13, "m": 1}, "construction": "generator",
+             "rows": [[1, 0, 0, 1, 1, 1, 2], [0, 1, 0, 1, 2, 0, 1],
+                      [0, 0, 1, 0, 0, 1, 1]]}
+
+
+def mix(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
+
+
+def draw(seed: int, trial: int, index: int) -> int:
+    stream = mix((mix((seed + GAMMA) & MASK) + (trial + 1) * GAMMA) & MASK)
+    return mix((stream + (index + 1) * GAMMA) & MASK)
+
+
+def reference_records(config: ClusterConfig, start: int = 0, stop=None):
+    """The simulator as a loop over trials, one field operation at a time."""
+    bundle = descriptor.build_code(config.code)
+    field, n, k = bundle.field, bundle.code.n, bundle.code.k
+    plans = [localrepair.plan_for(bundle, c, config.t) for c in range(n)]
+    seed, channel = config.seed, config.channel
+
+    def encode(message):
+        if bundle.spec is not None:
+            return rscodes.encode(bundle.spec, message).symbols
+        word = [0] * n
+        for m, row in zip(message, bundle.code.gen):
+            word = [field.add(w, field.mul(m, g)) for w, g in zip(word, row)]
+        return word
+
+    for trial in range(start, config.trials if stop is None else stop):
+        message = [draw(seed, trial, j) % field.q for j in range(k)]
+        if config.target_policy == "uniform-random":
+            target = draw(seed, trial, k) % n
+        else:
+            target = trial % n
+        plan = plans[target]
+        r = len(plan.helpers)
+        word = encode(message)
+        values = [word[c] for c in plan.helpers]
+        if isinstance(channel, Bernoulli):
+            threshold = int(channel.epsilon * (1 << 64))
+            corrupted = tuple(j for j in range(r)
+                              if draw(seed, trial, k + 1 + j) < threshold)
+        else:
+            keys = sorted((draw(seed, trial, k + 1 + j), j) for j in range(r))
+            corrupted = tuple(sorted(j for _, j in keys[:channel.errors]))
+        for j in corrupted:
+            err = 1 + draw(seed, trial, k + 1 + r + j) % (field.q - 1)
+            values[j] = field.add(values[j], err)
+        yield TrialRecord(trial, target, corrupted, word[target],
+                          localrepair.recover(plan, values),
+                          localrepair.repair(plan, values))
+
+
+CASES = [
+    ("fibre-bernoulli", FIBRE, 1, Bernoulli(0.2), "round-robin", 1500),
+    ("fibre-exact1", FIBRE, 1, ExactErrors(1), "uniform-random", 600),
+    ("fibre-exact2", FIBRE, 1, ExactErrors(2), "round-robin", 1500),
+    ("fibre-exact3", FIBRE, 1, ExactErrors(3), "uniform-random", 600),
+    ("rs-gf256-exact2", RS_GF256, 1, ExactErrors(2), "uniform-random", 400),
+    ("rs-gf9-t2", RS_GF9, 2, Bernoulli(0.3), "round-robin", 800),
+    ("rs-gf2^17", RS_GF2_17, 1, Bernoulli(0.25), "uniform-random", 300),
+    ("generator-bernoulli", GENERATOR, 1, Bernoulli(0.3), "round-robin", 800),
+    ("generator-exact2", GENERATOR, 1, ExactErrors(2), "uniform-random", 800),
+    ("cubic-fibre-t2-exact2", CUBIC_FIBRE, 2, ExactErrors(2), "round-robin", 600),
+    ("cubic-fibre-t2-bernoulli", CUBIC_FIBRE, 2, Bernoulli(0.4), "uniform-random", 600),
+]
+
+
+@pytest.mark.parametrize("desc,t,channel,policy,trials",
+                         [case[1:] for case in CASES],
+                         ids=[case[0] for case in CASES])
+def test_engine_matches_the_loop_reference(desc, t, channel, policy, trials):
+    config = ClusterConfig(code=desc, t=t, channel=channel, trials=trials,
+                           seed=20181203, target_policy=policy)
+    engine = list(trial_records(config))
+    assert engine == list(reference_records(config))
+    # the slices cover the range exactly (trials is not a multiple of one)
+    assert [rec.trial for rec in engine] == list(range(trials))
+    assert any(rec.corrupted for rec in engine)
+
+
+def test_an_offset_range_matches_the_reference():
+    config = ClusterConfig(code=FIBRE, t=1, channel=Bernoulli(0.3),
+                           trials=3000, seed=-5, target_policy="uniform-random")
+    start, stop = 700, 700 + storagesim._CHUNK_TRIALS + 33
+    assert (list(trial_records(config, start, stop))
+            == list(reference_records(config, start, stop)))
+
+
+def test_array_draws_equal_the_scalar_draw():
+    trials = [0, 1, 2, 511, 512, 10**6, (1 << 40) + 3]
+    for seed in (0, 2, -1, 1 << 63, (1 << 64) + 9):
+        streams = storagesim._streams(seed, np.array(trials, dtype=np.uint64))
+        got = storagesim._draws(streams, np.arange(20)).tolist()
+        assert got == [[draw(seed, t, i) for i in range(20)] for t in trials]
+
+
+def test_uniform_draws_pass_a_13_bin_chi_square():
+    # 10^4 trials x 10 draw indices = 10^5 draws reduced mod 13
+    streams = storagesim._streams(2, np.arange(10_000, dtype=np.uint64))
+    values = storagesim._draws(streams, np.arange(10)) % np.uint64(13)
+    observed = np.bincount(values.ravel().astype(np.int64), minlength=13)
+    expected = values.size / 13
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    assert chi2 < 32.909          # 0.999 quantile of chi-square, 12 dof

@@ -1,9 +1,11 @@
+import json
 import random
 
 import pytest
 
+from loceret import descriptor, storagesim
 from loceret.galois import Field
-from loceret.storagesim import (Bernoulli, ClusterConfig, ExactErrors,
+from loceret.storagesim import (RNG, Bernoulli, ClusterConfig, ExactErrors,
                                 PlanUnavailableError, UnsupportedFieldError,
                                 compare_policies, emit, ingest, run_sim,
                                 sweep_csv, trial_records, wilson_interval)
@@ -205,6 +207,49 @@ def test_rs_codes_simulate_with_detection():
                         trials=400, seed=3)
     report = run_sim(cfg)
     assert report.counts["detected"] == 400
+
+
+def test_bernoulli_one_corrupts_every_helper():
+    cfg = example_config(channel=Bernoulli(1.0), trials=300)
+    assert all(rec.corrupted == (0, 1, 2) for rec in trial_records(cfg))
+    report = run_sim(cfg)
+    assert report.corrupted_trials == 300
+    assert report.counts["clean_correct"] == 0
+
+
+def test_more_exact_errors_than_helpers_fail_before_any_trial(monkeypatch):
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(storagesim, "_run_slice", no_trials)
+    cfg = example_config(channel=ExactErrors(4), trials=50)
+    with pytest.raises(ValueError, match="injects 4 errors but only 3 helpers"):
+        run_sim(cfg)
+    with pytest.raises(ValueError, match="injects 4 errors but only 3 helpers"):
+        next(trial_records(cfg))
+
+
+def test_campaigns_of_a_sweep_share_one_code_build(monkeypatch):
+    builds = []
+    real_build = descriptor.build_code
+
+    def counting_build(desc):
+        builds.append(desc)
+        return real_build(desc)
+    monkeypatch.setattr(descriptor, "build_code", counting_build)
+    desc = {"field": {"p": 11}, "construction": "rs",
+            "points": [0, 1, 2, 3, 4, 5, 6, 7, 8], "k": 3}
+    cfg = ClusterConfig(code=desc, t=1, channel=Bernoulli(0.1), trials=64, seed=3)
+    compare_policies(cfg, policies=[{"name": "t0", "t": 0}, {"name": "t1", "t": 1}],
+                     sweep=[{"kind": "exact", "errors": 1},
+                            {"kind": "bernoulli", "epsilon": 0.2}])
+    run_sim(cfg)
+    assert len(builds) == 1
+
+
+def test_report_declares_its_rng_and_schema():
+    doc = json.loads(run_sim(example_config(trials=10)).to_json())
+    assert doc["schema_version"] == 2
+    assert doc["rng"] == RNG
 
 
 def test_config_validation():
