@@ -32,10 +32,6 @@ def emit_report(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def parse_report(text: str) -> dict:
-    return json.loads(text)
-
-
 def _base_report(command: str, digest: str | None = None) -> dict:
     doc = {"schema_version": SCHEMA_VERSION, "command": command}
     if digest is not None:
@@ -78,25 +74,27 @@ def cmd_analyze(args) -> tuple[dict, int]:
         d_value, distance_kind = None, "zero_code"
     doc["distance"] = {"value": d_value, "kind": distance_kind}
 
+    # d_{t+1}(dual) is reported and is also the exhaustive search's floor;
+    # it does not exist when the dual has dimension at most t
+    dual_ghw = None
+    dual_code = codeops.dual(code)
+    if dual_code.k > args.t:
+        try:
+            dual_ghw = codeops.ghw(dual_code, args.t + 1)
+        except codeops.TooLargeToEnumerateError:
+            dual_ghw = None
+    doc["dual_ghw"] = dual_ghw
+
     mode = "greedy" if args.greedy else "exhaustive"
     downgraded = False
     try:
-        report = codeops.t_locality(code, args.t, mode=mode)
+        report = codeops.t_locality(code, args.t, mode=mode, dual_ghw=dual_ghw)
     except codeops.TooLargeToEnumerateError:
         report = codeops.t_locality(code, args.t, mode="greedy")
         downgraded = True
     doc.update(report.to_dict())
     doc["exact_search"] = report.mode == "exhaustive"
     doc["downgraded_to_greedy"] = downgraded
-
-    dual_ghw = None
-    dual_code = codeops.dual(code)
-    if dual_code.k > 0:
-        try:
-            dual_ghw = codeops.ghw(dual_code, args.t + 1)
-        except codeops.TooLargeToEnumerateError:
-            dual_ghw = None
-    doc["dual_ghw"] = dual_ghw
 
     violation = False
     r_t = report.r_t
@@ -311,10 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="distance, locality and bound report")
     p.add_argument("descriptor", help="code descriptor JSON file")
     p.add_argument("--t", type=int, default=0, help="detection capacity")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exhaustive", action="store_true", default=True)
-    mode.add_argument("--greedy", action="store_true",
-                      help="upper-bound search only (non-exact, labelled)")
+    p.add_argument("--greedy", action="store_true",
+                   help="upper-bound search only (non-exact, labelled)")
     p.add_argument("--out", help="write the machine report here")
     p.set_defaults(func=cmd_analyze)
 

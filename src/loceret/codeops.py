@@ -18,7 +18,7 @@ import numpy as np
 DEFAULT_ENUM_CAP = 1 << 26
 DEFAULT_EXHAUSTIVE_N = 20
 
-_CHUNK = 1 << 16
+_CHUNK_ELEMS = 1 << 18     # symbols per min_distance block
 
 
 class InconsistentLengthError(ValueError):
@@ -225,68 +225,58 @@ def dual(code: LinearCode) -> LinearCode:
 def min_distance(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Minimum Hamming weight over all nonzero codewords, by enumeration.
 
-    Messages are scanned in canonical field order, one representative per
-    projective class (weights are scale invariant), which saves a factor
-    q - 1 without changing the result.
+    Messages are scanned one representative per projective class (leading
+    coefficient 1), since weights are scale invariant; that saves a factor
+    q - 1 without changing the result.  For each lead row the span of the
+    lowest tail rows is built once as an array of at most _CHUNK_ELEMS
+    symbols, and each combination of the lead row and the remaining tail
+    rows is checked against all of it at once, so peak memory does not grow
+    with the code.
     """
     if code.k == 0:
         raise ZeroCodeError("the zero code has no nonzero codeword")
-    q = code.field.q
+    field = code.field
+    q = field.q
     if q ** code.k > cap:
         raise TooLargeToEnumerateError(
             f"q^k = {q ** code.k} exceeds the enumeration cap {cap}")
-    if code.field.m == 1:
-        return _min_distance_prime(code)
-    return _min_distance_generic(code)
-
-
-def _min_distance_prime(code: LinearCode) -> int:
-    p = code.field.p
     G = np.array(code.gen, dtype=np.int64)
     k, n = G.shape
+    minus_one = field.neg(1)
     best = n
     for lead in range(k):
-        rest = k - lead - 1
-        lead_row = G[lead]
         tail = G[lead + 1:]
-        total = p ** rest
-        for start in range(0, total, _CHUNK):
-            stop = min(start + _CHUNK, total)
-            idx = np.arange(start, stop, dtype=np.int64)
-            if rest:
-                suffix = np.empty((stop - start, rest), dtype=np.int64)
-                for j in range(rest):
-                    suffix[:, j] = (idx // (p ** j)) % p
-                words = (suffix @ tail + lead_row) % p
-            else:
-                words = lead_row[None, :] % p
-            w = np.count_nonzero(words, axis=1).min()
-            best = min(best, int(w))
-            if best == 1:
-                return 1
-    return best
-
-
-def _min_distance_generic(code: LinearCode) -> int:
-    field = code.field
-    q = field.q
-    k, n = code.k, code.n
-    best = n
-    for lead in range(k):
-        rest = k - lead - 1
-        for suffix in itertools.product(range(q), repeat=rest):
-            word = list(code.gen[lead])
-            for j, s in enumerate(suffix):
-                if s == 0:
-                    continue
-                row = code.gen[lead + 1 + j]
-                word = [field.add(x, field.mul(s, y)) for x, y in zip(word, row)]
-            w = sum(1 for x in word if x != 0)
+        # tail[split:] is as many of the lowest tail rows as fit in one block
+        split = len(tail)
+        while split and q ** (len(tail) - split + 1) * n <= _CHUNK_ELEMS:
+            split -= 1
+        low = _span(field, tail[split:])
+        # lead + head + x vanishes exactly where x equals -(lead + head); as
+        # the head coefficients run over the field, so do their negatives
+        minus_lead = field.mul_array(minus_one, G[lead])
+        for coeffs in itertools.product(range(q), repeat=split):
+            target = minus_lead
+            for c, row in zip(coeffs, tail):
+                if c:
+                    target = field.add_array(target, field.mul_array(c, row))
+            w = int(np.count_nonzero(low != target, axis=1).min())
             if w < best:
                 best = w
                 if best == 1:
                     return 1
     return best
+
+
+def _span(field, rows: np.ndarray) -> np.ndarray:
+    """Every linear combination of the rows, one per row of the result."""
+    n = rows.shape[1]
+    span = np.zeros((1, n), dtype=np.int64)
+    scalars = np.arange(field.q, dtype=np.int64)[:, None]
+    for row in rows:
+        multiples = field.mul_array(scalars, row)          # q x n table
+        span = field.add_array(multiples[:, None, :], span[None, :, :])
+        span = span.reshape(-1, n)
+    return span
 
 
 def _rank_cols(code: LinearCode, coords) -> int:
@@ -390,13 +380,15 @@ def is_recovery_set(code: LinearCode, i: int, helpers) -> bool:
 
 
 def is_edr_set(code: LinearCode, i: int, helpers, t: int,
-               cap: int = DEFAULT_ENUM_CAP) -> bool:
+               cap: int = DEFAULT_ENUM_CAP, *, ranks: dict | None = None) -> bool:
     """True when the punctured code on helpers + {i} has distance > t + 1.
 
     Equivalent formulation used here: no nonzero codeword of the punctured
     code is supported on t + 1 or fewer of its coordinates, checked by rank
     over every small support.  This stays polynomial in the set size where
-    codeword enumeration would blow up.
+    codeword enumeration would blow up.  ranks, when given, is a memo of
+    column ranks (keyed by sorted column tuple) shared by calls on the same
+    code.
     """
     if not isinstance(i, int) or not 0 <= i < code.n:
         raise IndexOutOfRangeError(f"coordinate {i!r} outside [0, {code.n})")
@@ -406,19 +398,25 @@ def is_edr_set(code: LinearCode, i: int, helpers, t: int,
     if i in R:
         raise ValueError(f"target {i} must not be among the helpers")
     barred = tuple(sorted(R + (i,)))
-    full = _rank_cols(code, barred)
+    full = _memo_rank(code, barred, ranks)
     if full == 0:
         return True
     w = min(t + 1, len(barred))
     if math.comb(len(barred), w) > cap:
         raise TooLargeToEnumerateError(
             f"C({len(barred)},{w}) supports exceed the cap {cap}")
-    for T in itertools.combinations(barred, w):
-        dropped = set(T)
-        kept = tuple(c for c in barred if c not in dropped)
-        if _rank_cols(code, kept) < full:
-            return False
-    return True
+    return all(_memo_rank(code, kept, ranks) == full
+               for kept in itertools.combinations(barred, len(barred) - w))
+
+
+def _memo_rank(code, cols, ranks):
+    """_rank_cols(code, cols), looked up in the memo ranks when one is given."""
+    if ranks is None:
+        return _rank_cols(code, cols)
+    rank = ranks.get(cols)
+    if rank is None:
+        rank = ranks[cols] = _rank_cols(code, cols)
+    return rank
 
 
 @dataclass(frozen=True)
@@ -485,54 +483,95 @@ class LocalityReport:
         }
 
 
-def _min_edr_for_coord(code, i, t, mode, cap):
+def _min_edr_for_coord(code, i, t, mode, cap, start=0, ranks=None):
+    """Smallest t-edr set for coordinate i, scanning sizes from start up; in
+    exhaustive mode the first witness in lexicographic order."""
+    if ranks is None:
+        ranks = {}
     others = [j for j in range(code.n) if j != i]
-    for size in range(0, code.n):
+    for size in range(start, code.n):
         if mode == "greedy":
             candidates = [tuple(others[:size])]
         else:
             candidates = itertools.combinations(others, size)
         for R in candidates:
-            if is_edr_set(code, i, R, t, cap=cap):
+            if is_edr_set(code, i, R, t, cap=cap, ranks=ranks):
                 return size, tuple(R)
     return None, None
 
 
+def _search_floor(code, t, cap, dual_ghw):
+    """Size below which no coordinate with a nonzero generator column has a
+    t-edr set, or None when no such coordinate has one at all.
+
+    If R is a t-edr set for i and S = R + {i} carries a nonzero column, then
+    d(C[S]) >= t + 2, so Singleton gives rank(S) <= |S| - t - 1: the dual
+    shortened on S has dimension at least t + 1, hence |S| >= d_{t+1}(dual)
+    (Wei's generalized Hamming weights).  A dual of dimension at most t rules
+    every such set out.
+    """
+    if dual_ghw is None:
+        dual_code = dual(code)
+        if dual_code.k <= t:
+            return None
+        try:
+            dual_ghw = ghw(dual_code, t + 1, cap)
+        except TooLargeToEnumerateError:
+            return 0
+    return max(0, dual_ghw - 1)
+
+
 def t_locality(code: LinearCode, t: int, mode: str = "exhaustive",
                cap: int = DEFAULT_ENUM_CAP,
-               max_exhaustive_n: int = DEFAULT_EXHAUSTIVE_N) -> LocalityReport:
+               max_exhaustive_n: int = DEFAULT_EXHAUSTIVE_N,
+               dual_ghw: int | None = None) -> LocalityReport:
     """Minimum t-edr set size per coordinate and the maximum over them.
 
     Exhaustive mode scans candidate sets by cardinality then lexicographically
     and keeps the first witness, so results are deterministic and minimal.
-    Greedy mode tests only the lowest-index candidate per size and yields
-    upper bounds, flagged through the report's mode field.
+    It starts at the dual-weight floor (see _search_floor), which rules out
+    only sizes that hold no t-edr set, so the first witness is unchanged;
+    dual_ghw = d_{t+1}(dual) saves recomputing it when the caller has it.
+    Column ranks are memoised for the duration of the call.  Greedy mode
+    tests only the lowest-index candidate per size and yields upper bounds,
+    flagged through the report's mode field.
     """
     if mode not in ("exhaustive", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
+    if t < 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
     if mode == "exhaustive" and code.n > max_exhaustive_n:
         raise TooLargeToEnumerateError(
             f"n = {code.n} exceeds the exhaustive-search limit {max_exhaustive_n}")
+    floor = _search_floor(code, t, cap, dual_ghw) if mode == "exhaustive" else 0
+    ranks = {}
     per = []
     for i in range(code.n):
-        size, witness = _min_edr_for_coord(code, i, t, mode, cap)
+        # the floor does not apply to a zero column: the empty set recovers it
+        start = floor if any(row[i] for row in code.gen) else 0
+        size = witness = None
+        if start is not None:
+            size, witness = _min_edr_for_coord(code, i, t, mode, cap, start, ranks)
         if witness is not None:
-            _assert_witness_consistency(code, i, witness, t, cap)
+            _assert_witness_consistency(code, i, witness, t, cap, ranks)
         per.append(CoordLocality(i, size, witness))
     return LocalityReport(t=t, per_coord=per, mode=mode)
 
 
-def _assert_witness_consistency(code, i, R, t, cap):
+def _assert_witness_consistency(code, i, R, t, cap, ranks):
     """Internal consistency checks every witness must satisfy; a failure here
     means a bug upstream, not bad input."""
     barred = tuple(sorted(R + (i,)))
     # rotating the target into the helper set preserves the property
     for j in R:
         rotated = tuple(c for c in barred if c != j)
-        if not is_edr_set(code, j, rotated, t, cap=cap):
+        if not is_edr_set(code, j, rotated, t, cap=cap, ranks=ranks):
             raise AssertionError(
                 f"witness {R} for coordinate {i} fails rotation at {j}")
-    if _rank_cols(code, barred) > len(R) - t:
+    # Singleton on the punctured code, which has distance >= t + 2 unless it
+    # is the zero code
+    full = _memo_rank(code, barred, ranks)
+    if full > 0 and full > len(R) - t:
         raise AssertionError(
             f"witness {R} for coordinate {i} violates the dimension cap")
 

@@ -10,7 +10,8 @@ rs:        "points": [ints] or "all", "k": int
 lrcrs:     "p_poly": [ints, lowest degree first], "l": [ints]
 generator: "rows": [[ints], ...]
 
-Integer symbols may be negative; they are normalized into the field.
+Integer symbols may be negative; they are normalized into the field.  JSON
+booleans are rejected wherever an integer is expected.
 """
 
 from __future__ import annotations
@@ -55,28 +56,49 @@ def load_descriptor(path) -> dict:
 
 
 def descriptor_digest(desc: dict) -> str:
+    """SHA-256 of the descriptor with default-valued field keys ("m": 1,
+    "modulus": null) dropped, so equal codes written with and without the
+    defaults share a digest, and minimal descriptors keep theirs."""
+    frag = desc.get("field")
+    if isinstance(frag, dict):
+        frag = {key: value for key, value in frag.items()
+                if not (key == "m" and _is_int(value) and value == 1)
+                and not (key == "modulus" and value is None)}
+        desc = {**desc, "field": frag}
     canonical = json.dumps(desc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _is_int(value) -> bool:
+    """JSON integers only: Python's bool is an int subclass, JSON's is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _require(desc: dict, key: str, kinds, where: str):
     if key not in desc:
         raise DescriptorError(f"{where}: missing field {key!r}")
     value = desc[key]
-    if kinds is not None and not isinstance(value, kinds):
+    if kinds is not None and (isinstance(value, bool) or not isinstance(value, kinds)):
         raise DescriptorError(f"{where}.{key}: unexpected type {type(value).__name__}")
     return value
+
+
+def _int_list(values: list, where: str) -> list:
+    for v in values:
+        if not _is_int(v):
+            raise DescriptorError(f"{where}: expected integers, got {json.dumps(v)}")
+    return values
 
 
 def build_field(desc: dict) -> Field:
     frag = _require(desc, "field", dict, "descriptor")
     p = _require(frag, "p", int, "field")
     m = frag.get("m", 1)
-    if not isinstance(m, int):
+    if not _is_int(m):
         raise DescriptorError("field.m: must be an integer")
     modulus = frag.get("modulus")
     if modulus is not None:
-        if not isinstance(modulus, list) or not all(isinstance(c, int) for c in modulus):
+        if not isinstance(modulus, list) or not all(_is_int(c) for c in modulus):
             raise DescriptorError("field.modulus: must be a list of integers")
         modulus = tuple(modulus)
     try:
@@ -97,6 +119,7 @@ def build_code(desc: dict) -> CodeBundle:
         elif isinstance(points, str):
             raise DescriptorError('rs.points: expected a list or "all"')
         else:
+            _int_list(points, "rs.points")
             try:
                 points = [field.normalize(v) for v in points]
             except ValueError as exc:
@@ -108,8 +131,8 @@ def build_code(desc: dict) -> CodeBundle:
             raise DescriptorError(f"rs: {exc}") from None
         return CodeBundle(desc, digest, field, kind, spec, spec.code)
     if kind == "lrcrs":
-        p_poly = _require(desc, "p_poly", list, "lrcrs")
-        l = _require(desc, "l", list, "lrcrs")
+        p_poly = _int_list(_require(desc, "p_poly", list, "lrcrs"), "lrcrs.p_poly")
+        l = _int_list(_require(desc, "l", list, "lrcrs"), "lrcrs.l")
         try:
             p_poly = [field.normalize(v) for v in p_poly]
             spec = rscodes.lrcrs_make(field, p_poly, l)
@@ -118,6 +141,10 @@ def build_code(desc: dict) -> CodeBundle:
         return CodeBundle(desc, digest, field, kind, spec, spec.code)
     if kind == "generator":
         rows = _require(desc, "rows", list, "generator")
+        for row in rows:
+            if not isinstance(row, list):
+                raise DescriptorError("generator.rows: each row must be a list")
+            _int_list(row, "generator.rows")
         try:
             rows = [[field.normalize(v) for v in row] for row in rows]
             code = codeops.code_from_rows(field, rows)

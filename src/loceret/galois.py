@@ -507,10 +507,6 @@ def poly_add(field, f, g) -> tuple[int, ...]:
     return poly_trim(out)
 
 
-def poly_scale(field, c, f) -> tuple[int, ...]:
-    return poly_trim([field.mul(c, a) for a in f])
-
-
 def poly_mul(field, f, g) -> tuple[int, ...]:
     f, g = poly_trim(f), poly_trim(g)
     if not f or not g:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -69,6 +70,46 @@ def test_descriptor_parse_errors_carry_diagnostics():
     assert "k" in str(err.value)
 
 
+BOOLEAN_AS_INTEGER = {  # field named in the error -> descriptor
+    "field.p": {"field": {"p": True}, "construction": "rs",
+                "points": "all", "k": 1},
+    "field.m": {"field": {"p": 13, "m": True}, "construction": "rs",
+                "points": "all", "k": 2},
+    "field.modulus": {"field": {"p": 2, "m": 2, "modulus": [1, True, 1]},
+                      "construction": "rs", "points": "all", "k": 2},
+    "rs.k": {"field": {"p": 13}, "construction": "rs",
+             "points": "all", "k": True},
+    "rs.points": {"field": {"p": 13}, "construction": "rs",
+                  "points": [0, True, 2], "k": 2},
+    "lrcrs.p_poly": {"field": {"p": 13}, "construction": "lrcrs",
+                     "p_poly": [0, 0, 0, 0, True], "l": [2, 2]},
+    "lrcrs.l": {"field": {"p": 13}, "construction": "lrcrs",
+                "p_poly": [0, 0, 0, 0, 1], "l": [2, True]},
+    "generator.rows": {"field": {"p": 13}, "construction": "generator",
+                       "rows": [[1, 0], [0, False]]},
+}
+
+
+@pytest.mark.parametrize("name", list(BOOLEAN_AS_INTEGER))
+def test_descriptor_rejects_json_booleans_as_integers(name):
+    with pytest.raises(DescriptorError) as err:
+        build_code(BOOLEAN_AS_INTEGER[name])
+    assert str(err.value).startswith(name)
+
+
+def test_descriptor_digest_ignores_default_valued_keys():
+    minimal = {"field": {"p": 13}, "construction": "rs", "points": "all", "k": 4}
+    spelled = {"field": {"p": 13, "m": 1, "modulus": None},
+               "construction": "rs", "points": "all", "k": 4}
+    assert descriptor_digest(minimal) == descriptor_digest(spelled)
+    assert build_code(minimal).digest == build_code(spelled).digest
+    # a minimal descriptor hashes its own JSON text, as before
+    text = json.dumps(minimal, sort_keys=True, separators=(",", ":"))
+    assert descriptor_digest(minimal) == hashlib.sha256(text.encode()).hexdigest()
+    assert descriptor_digest({**minimal, "field": {"p": 13, "m": 2}}) != \
+        descriptor_digest(minimal)
+
+
 def test_load_descriptor(tmp_path):
     path = write_json(tmp_path / "code.json", EXAMPLE_DESC)
     assert load_descriptor(path) == EXAMPLE_DESC
@@ -110,6 +151,34 @@ def test_analyze_identity_code_reports_unrecoverable_coordinates(tmp_path):
     assert doc["locality"] is None
     assert doc["not_t_lredc"] == [0, 1, 2]
     assert doc["bounds"] is None
+
+
+def test_analyze_zero_column_code_with_detection(tmp_path):
+    from test_codeops import oracle_locality
+    desc = {"field": {"p": 5}, "construction": "generator",
+            "rows": [[0, 1, 2, 3], [0, 1, 1, 1]]}
+    path = write_json(tmp_path / "code.json", desc)
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", path, "--t", "1", "--out", str(out)]) == 0
+    per = json.loads(out.read_text())["per_coordinate"]
+    assert per[0] == {"coordinate": 0, "locality": 0, "witness": []}
+    expected = oracle_locality(build_code(desc).code, 1)
+    assert [(c["locality"], c["witness"]) for c in per[1:]] == \
+        [(size, None if R is None else list(R)) for size, R in expected[1:]]
+
+
+def test_analyze_with_t_at_least_the_dual_dimension(tmp_path):
+    # RS[8,6] has a 2-dimensional dual: d_3 of the dual does not exist and no
+    # coordinate has a 2-error-detecting recovery set
+    desc = write_json(tmp_path / "code.json",
+                      {"field": {"p": 13}, "construction": "rs",
+                       "points": list(range(8)), "k": 6})
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", desc, "--t", "2", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["dual_ghw"] is None
+    assert doc["locality"] is None
+    assert doc["not_t_lredc"] == list(range(8))
 
 
 def test_analyze_downgrades_to_greedy_on_oversized_codes(tmp_path):
@@ -351,7 +420,7 @@ def test_report_round_trips_unchanged(tmp_path):
     out = tmp_path / "report.json"
     assert cli.main(["plan", desc, "--target", "0", "--out", str(out)]) == 0
     text = out.read_text()
-    doc = cli.parse_report(text)
+    doc = json.loads(text)
     assert cli.emit_report(doc) == text
 
 

@@ -11,8 +11,9 @@ from loceret.codeops import (BadRankError, EmptySetError,
                              puncture, shorten, t_locality)
 from loceret.galois import Field
 
-F2, F3, F5, F7, F13 = Field(2), Field(3), Field(5), Field(7), Field(13)
-GF4 = Field(2, 2)
+F2, F3, F5, F7, F13, F17 = (Field(2), Field(3), Field(5), Field(7), Field(13),
+                            Field(17))
+GF4, GF9, GF16, GF256 = Field(2, 2), Field(3, 2), Field(2, 4), Field(2, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +52,44 @@ def all_codewords(code):
 
 def oracle_min_distance(code):
     return min(sum(1 for x in w if x) for w in all_codewords(code) if any(w))
+
+
+def oracle_is_edr_set(code, i, R, t):
+    barred = tuple(sorted(R + (i,)))
+    full = codeops._rank_cols(code, barred)
+    if full == 0:
+        return True
+    w = min(t + 1, len(barred))
+    for T in itertools.combinations(barred, w):
+        kept = tuple(c for c in barred if c not in set(T))
+        if codeops._rank_cols(code, kept) < full:
+            return False
+    return True
+
+
+def oracle_locality(code, t):
+    """The exhaustive search without the dual-weight floor or the rank memo:
+    every coordinate scans helper sets from size 0, by size and then
+    lexicographically, and recomputes every rank.  Returns (locality,
+    witness) per coordinate, (None, None) where no set exists."""
+    out = []
+    for i in range(code.n):
+        others = [j for j in range(code.n) if j != i]
+        found = (None, None)
+        for size in range(code.n):
+            R = next((R for R in itertools.combinations(others, size)
+                      if oracle_is_edr_set(code, i, R, t)), None)
+            if R is not None:
+                found = (size, R)
+                break
+        out.append(found)
+    return out
+
+
+def assert_locality_matches_oracle(code, t):
+    report = t_locality(code, t)
+    got = [(c.locality, c.witness) for c in report.per_coord]
+    assert got == oracle_locality(code, t), (code, t)
 
 
 def random_code(rng, field, n, rows):
@@ -203,14 +242,32 @@ def test_min_distance_of_full_space_is_one():
     assert min_distance(code) == 1
 
 
-@pytest.mark.parametrize("field", [F2, F3, F13, GF4], ids=repr)
+# (generator rows, codes) for the larger extension fields: k <= 2 keeps the
+# oracle's q^k enumeration short
+NAIVE_SHAPES = {GF9: (2, 8), GF16: (2, 8), GF256: (2, 1)}
+
+
+@pytest.mark.parametrize("field", [F2, F3, F13, GF4, GF9, GF16, GF256], ids=repr)
 def test_min_distance_matches_naive_enumeration(field):
+    rows, cases = NAIVE_SHAPES.get(field, (3, 8))
     rng = random.Random(field.q)
-    for _ in range(8):
-        code = random_code(rng, field, 6, 3)
+    for _ in range(cases):
+        code = random_code(rng, field, 6, rows)
         if code.k == 0:
             continue
         assert min_distance(code) == oracle_min_distance(code)
+
+
+@pytest.mark.parametrize("chunk", [1, 40, 200])
+def test_min_distance_does_not_depend_on_the_block_size(chunk, monkeypatch):
+    # small blocks force the per-combination loop over the high tail rows
+    rng = random.Random(chunk)
+    cases = [(field, random_code(rng, field, rng.randrange(3, 8), 3))
+             for field in (F2, F3, F5, GF4, GF9) for _ in range(3)]
+    monkeypatch.setattr(codeops, "_CHUNK_ELEMS", chunk)
+    for field, code in cases:
+        if code.k:
+            assert min_distance(code) == oracle_min_distance(code), code
 
 
 def test_min_distance_errors():
@@ -401,6 +458,83 @@ def test_zero_detection_locality_matches_rank_only_search():
             if found is not None:
                 break
         assert report.per_coord[i].locality == found
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive search against the oracle search: localities and witnesses
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("t", [0, 1])
+def test_locality_matches_oracle_on_the_lemma_corpus(t):
+    from test_acceptance import lemma_corpus
+    for code, _ in lemma_corpus():
+        assert_locality_matches_oracle(code, t)
+
+
+# k = n - 1 gives a dual of dimension 1, so t = 1 leaves every coordinate
+# without a set; mid-range k at large n is left out because the oracle search
+# takes seconds there
+RS17_CASES = [(8, 3), (8, 4), (8, 7), (9, 2), (9, 8), (10, 3), (10, 5),
+              (10, 9), (11, 2), (11, 3), (12, 2), (12, 3), (13, 2), (14, 2),
+              (15, 2), (16, 2), (16, 3)]
+
+
+@pytest.mark.parametrize("t", [0, 1])
+@pytest.mark.parametrize("n, k", RS17_CASES, ids=str)
+def test_locality_matches_oracle_on_rs_codes_over_gf17(n, k, t):
+    points = random.Random(n * 100 + k).sample(range(17), n)
+    assert_locality_matches_oracle(rscodes.rs_make(F17, points, k).code, t)
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_locality_matches_oracle_on_the_example_code(t):
+    assert_locality_matches_oracle(example_code().code, t)
+
+
+@pytest.mark.parametrize("t", [0, 1, 2])
+@pytest.mark.parametrize("field", [F2, F3, GF4, GF9, F13], ids=repr)
+def test_locality_matches_oracle_with_zero_and_repeated_columns(field, t):
+    rng = random.Random(field.q * 10 + t)
+    for _ in range(12):
+        n = rng.randrange(3, 8)
+        code = random_code(rng, field, n, rng.randrange(1, n + 1))
+        cols = [tuple(row[c] for row in code.gen) for c in range(n)]
+        for c in rng.sample(range(n), rng.randrange(0, 2)):
+            cols[c] = (0,) * code.k                          # zero column
+        for _ in range(rng.randrange(0, 3)):
+            cols.append(cols[rng.randrange(n)])              # repeated column
+        rng.shuffle(cols)
+        rows = [[col[r] for col in cols] for r in range(code.k)]
+        assert_locality_matches_oracle(code_from_rows(field, rows, len(cols)), t)
+
+
+def test_small_dual_leaves_nonzero_columns_without_a_set():
+    # dim(dual) = 1 <= t = 1, so only the zero column has a t-edr set
+    code = code_from_rows(F5, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    report = t_locality(code, 1)
+    assert [(c.locality, c.witness) for c in report.per_coord] == \
+        [(0, ()), (None, None), (None, None), (None, None)]
+    assert_locality_matches_oracle(code, 1)
+
+
+def test_supplied_dual_ghw_gives_the_same_report():
+    code = rscodes.rs_make(F13, range(10), 4).code
+    floor = ghw(dual(code), 2)
+    assert t_locality(code, 1, dual_ghw=floor) == t_locality(code, 1)
+
+
+def test_search_computes_each_column_rank_once(monkeypatch):
+    seen = []
+    rank_cols = codeops._rank_cols
+
+    def counted(code, coords):
+        seen.append(tuple(coords))
+        return rank_cols(code, coords)
+
+    monkeypatch.setattr(codeops, "_rank_cols", counted)
+    report = t_locality(example_code().code, 1)
+    assert report.r_t == 3
+    assert seen and len(seen) == len(set(seen))
 
 
 # ---------------------------------------------------------------------------
