@@ -192,7 +192,11 @@ def cmd_repair(args) -> tuple[dict, int]:
 def cmd_simulate(args) -> tuple[dict, int]:
     with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("config: expected a JSON object")
     if "code_file" in raw and "code" not in raw:
+        if not isinstance(raw["code_file"], str):
+            raise ValueError("config.code_file: expected a file name")
         raw["code"] = load_descriptor(raw["code_file"])
     if args.seed is not None:
         raw["seed"] = args.seed

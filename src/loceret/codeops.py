@@ -59,6 +59,40 @@ def _coords(n: int, seq, allow_empty: bool = True) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _eliminate(field, mat, reduced: bool) -> list[int]:
+    """Gaussian elimination of mat (a list of row lists) in place; returns
+    the pivot columns.  Reduced mode scales each pivot to 1 and clears its
+    column above and below, leaving the reduced row echelon form in the
+    first len(pivots) rows; otherwise only the rows below are cleared, which
+    is all a rank needs.  Either way the scan stops once every row holds a
+    pivot."""
+    n_rows = len(mat)
+    clear_column = field._clear_column
+    pivots = []
+    rank = 0
+    for c in range(len(mat[0]) if mat else 0):
+        for piv in range(rank, n_rows):
+            if mat[piv][c]:
+                break
+        else:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        if reduced:
+            inv = field.inv(mat[rank][c])
+            if inv != 1:
+                mat[rank] = [field.mul(inv, x) for x in mat[rank]]
+            rows = mat[:rank] + mat[rank + 1:]
+        else:
+            rows = mat[rank + 1:]
+        if rows:
+            clear_column(mat[rank], c, rows)
+        pivots.append(c)
+        rank += 1
+        if rank == n_rows:
+            break
+    return pivots
+
+
 def rref(field, rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Reduced row echelon form over the field; returns (rows, pivot columns).
 
@@ -66,34 +100,21 @@ def rref(field, rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     space (empty for the zero space).
     """
     mat = [list(r) for r in rows]
-    if not mat:
-        return (), ()
-    n = len(mat[0])
-    pivots = []
-    rank = 0
-    for col in range(n):
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = field.inv(mat[rank][col])
-        if inv != 1:
-            mat[rank] = [field.mul(inv, x) for x in mat[rank]]
-        prow = mat[rank]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                row = mat[r]
-                mat[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(row, prow)]
-        pivots.append(col)
-        rank += 1
-        if rank == len(mat):
-            break
-    return tuple(tuple(r) for r in mat[:rank]), tuple(pivots)
+    pivots = _eliminate(field, mat, reduced=True)
+    return tuple(tuple(r) for r in mat[:len(pivots)]), tuple(pivots)
+
+
+def _kernel(field, red, pivots, width) -> list[tuple[int, ...]]:
+    """Basis of {x : red @ x = 0} for a matrix red in reduced row echelon
+    form with the given pivot columns: one vector per free column."""
+    basis = []
+    for j in sorted(set(range(width)) - set(pivots)):
+        v = [0] * width
+        v[j] = 1
+        for row, pc in zip(red, pivots):
+            v[pc] = field.neg(row[j])
+        basis.append(tuple(v))
+    return basis
 
 
 class LinearCode:
@@ -160,62 +181,28 @@ def puncture(code: LinearCode, coords) -> LinearCode:
     return code_from_rows(code.field, rows, len(S))
 
 
-def _nullspace(field, mat, width):
-    """Basis of {x : mat @ x = 0} for a matrix given as rows of length width."""
-    red, pivots = rref(field, mat)
-    pivot_set = set(pivots)
-    basis = []
-    for j in range(width):
-        if j in pivot_set:
-            continue
-        v = [0] * width
-        v[j] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = field.neg(red[r][j])
-        basis.append(tuple(v))
-    return basis
-
-
 def shorten(code: LinearCode, coords) -> LinearCode:
     """Restrictions of the codewords whose support lies inside the set."""
     S = _coords(code.n, coords, allow_empty=False)
     field = code.field
-    outside = [c for c in range(code.n) if c not in set(S)]
-    if not outside:
-        return code_from_rows(field, code.gen, code.n)
-    if code.k == 0:
-        return code_from_rows(field, [], len(S))
+    outside = sorted(set(range(code.n)) - set(S))
     # messages y with y . G zero outside S: left kernel of the outside columns
-    mt = [tuple(code.gen[r][c] for r in range(code.k)) for c in outside]
-    kernel = _nullspace(field, mt, code.k)
+    red, pivots = rref(field, [[row[c] for row in code.gen] for c in outside])
     rows = []
-    for y in kernel:
-        word = []
-        for c in S:
-            acc = 0
-            for r in range(code.k):
-                if y[r] != 0:
-                    acc = field.add(acc, field.mul(y[r], code.gen[r][c]))
-            word.append(acc)
-        rows.append(tuple(word))
+    for y in _kernel(field, red, pivots, code.k):
+        word = [0] * len(S)
+        for coeff, row in zip(y, code.gen):
+            if coeff:
+                word = [field.add(w, field.mul(coeff, row[c]))
+                        for w, c in zip(word, S)]
+        rows.append(word)
     return code_from_rows(field, rows, len(S))
 
 
 def dual(code: LinearCode) -> LinearCode:
     """The [n, n-k] code orthogonal to every codeword."""
-    field = code.field
-    n = code.n
-    pivot_set = set(code.pivots)
-    rows = []
-    for j in range(n):
-        if j in pivot_set:
-            continue
-        v = [0] * n
-        v[j] = 1
-        for r, pc in enumerate(code.pivots):
-            v[pc] = field.neg(code.gen[r][j])
-        rows.append(tuple(v))
-    return code_from_rows(field, rows, n)
+    return code_from_rows(
+        code.field, _kernel(code.field, code.gen, code.pivots, code.n), code.n)
 
 
 # ---------------------------------------------------------------------------
@@ -281,59 +268,8 @@ def _span(field, rows: np.ndarray) -> np.ndarray:
 
 def _rank_cols(code: LinearCode, coords) -> int:
     """Rank of the generator restricted to the given columns (dim of C[S])."""
-    if not coords or code.k == 0:
-        return 0
-    field = code.field
     mat = [[row[c] for c in coords] for row in code.gen]
-    n_rows, n_cols = len(mat), len(mat[0])
-    if field.m == 1:
-        p = field.p
-        rank = 0
-        for c in range(n_cols):
-            piv = None
-            for r in range(rank, n_rows):
-                if mat[r][c]:
-                    piv = r
-                    break
-            if piv is None:
-                continue
-            mat[rank], mat[piv] = mat[piv], mat[rank]
-            prow = mat[rank]
-            inv = pow(prow[c], p - 2, p)
-            for r in range(rank + 1, n_rows):
-                f = mat[r][c]
-                if f:
-                    g = (f * inv) % p
-                    row = mat[r]
-                    for j in range(c, n_cols):
-                        row[j] = (row[j] - g * prow[j]) % p
-            rank += 1
-            if rank == n_rows:
-                break
-        return rank
-    rank = 0
-    for c in range(n_cols):
-        piv = None
-        for r in range(rank, n_rows):
-            if mat[r][c]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
-        inv = field.inv(prow[c])
-        for r in range(rank + 1, n_rows):
-            f = mat[r][c]
-            if f:
-                g = field.mul(f, inv)
-                row = mat[r]
-                for j in range(c, n_cols):
-                    row[j] = field.sub(row[j], field.mul(g, prow[j]))
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    return len(_eliminate(code.field, mat, reduced=False))
 
 
 def ghw(code: LinearCode, s: int, cap: int = DEFAULT_ENUM_CAP) -> int:
@@ -352,11 +288,8 @@ def ghw(code: LinearCode, s: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     n = code.n
     if 2 ** n > cap:
         raise TooLargeToEnumerateError(f"2^{n} supports exceed the cap {cap}")
-    all_coords = range(n)
     for size in range(s, n + 1):
-        for S in itertools.combinations(all_coords, size):
-            inside = set(S)
-            outside = [c for c in all_coords if c not in inside]
+        for outside in itertools.combinations(range(n), n - size):
             if code.k - _rank_cols(code, outside) >= s:
                 return size
     raise AssertionError("full support always carries the code itself")

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 
 from . import codeops, rscodes
-from .galois import Field
+from .galois import DEFAULT_MAX_ORDER, Field, find_irreducible, is_prime
 
 
 class DescriptorError(ValueError):
@@ -56,17 +56,28 @@ def load_descriptor(path) -> dict:
 
 
 def descriptor_digest(desc: dict) -> str:
-    """SHA-256 of the descriptor with default-valued field keys ("m": 1,
-    "modulus": null) dropped, so equal codes written with and without the
-    defaults share a digest, and minimal descriptors keep theirs."""
+    """SHA-256 of the descriptor with default-valued field keys ("m": 1, a
+    null or default modulus) dropped, so equal codes written with and
+    without the defaults share a digest, and minimal ones keep theirs."""
     frag = desc.get("field")
     if isinstance(frag, dict):
         frag = {key: value for key, value in frag.items()
                 if not (key == "m" and _is_int(value) and value == 1)
-                and not (key == "modulus" and value is None)}
+                and not (key == "modulus"
+                         and (value is None or _is_default_modulus(frag)))}
         desc = {**desc, "field": frag}
     canonical = json.dumps(desc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _is_default_modulus(frag: dict) -> bool:
+    """True when the fragment's modulus, reduced mod p, is the irreducible
+    Field picks without one; False for any fragment Field would reject."""
+    p, m, modulus = frag.get("p"), frag.get("m"), frag["modulus"]
+    return (_is_int(p) and _is_int(m) and 1 < m < DEFAULT_MAX_ORDER.bit_length()
+            and 1 < p ** m <= DEFAULT_MAX_ORDER and is_prime(p)
+            and isinstance(modulus, list) and all(_is_int(c) for c in modulus)
+            and tuple(c % p for c in modulus) == find_irreducible(p, m))
 
 
 def _is_int(value) -> bool:
@@ -75,6 +86,8 @@ def _is_int(value) -> bool:
 
 
 def _require(desc: dict, key: str, kinds, where: str):
+    if not isinstance(desc, dict):
+        raise DescriptorError(f"{where}: expected an object")
     if key not in desc:
         raise DescriptorError(f"{where}: missing field {key!r}")
     value = desc[key]
@@ -100,7 +113,6 @@ def build_field(desc: dict) -> Field:
     if modulus is not None:
         if not isinstance(modulus, list) or not all(_is_int(c) for c in modulus):
             raise DescriptorError("field.modulus: must be a list of integers")
-        modulus = tuple(modulus)
     try:
         return Field(p, m, modulus)
     except ValueError as exc:

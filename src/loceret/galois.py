@@ -184,6 +184,7 @@ class Field:
         self._exp = self._log = None
         if m > 1 and q <= TABLE_LIMIT:
             self._build_tables()
+        self._clear_column = self._column_clearer()
 
     # -- construction helpers ------------------------------------------------
 
@@ -245,6 +246,47 @@ class Field:
         self._exp_arr[:2 * n] = exp + exp
         self._log_arr = np.array(log, dtype=np.int64)
         self._log_arr[0] = 2 * n
+
+    def _column_clearer(self):
+        """The row operation of Gaussian elimination, chosen once per field
+        kind: clear_column(prow, c, rows) subtracts from each row list in
+        rows, in place, the multiple of the pivot row prow (zero left of
+        column c) that zeroes its entry in column c.  Prime fields inline
+        the arithmetic mod p, GF(2^m) with tables uses log/exp lookups and
+        XOR, and other fields use the checked scalar operations."""
+        if self.m == 1:
+            p = self.p
+
+            def clear_column(prow, c, rows):
+                inv = pow(prow[c], p - 2, p)
+                cols = range(c, len(prow))
+                for row in rows:
+                    f = row[c]
+                    if f:
+                        g = f * inv % p
+                        for j in cols:
+                            row[j] = (row[j] - g * prow[j]) % p
+        elif self.p == 2 and self._exp is not None:
+            order, log = self.q - 1, self._log
+            exp2 = self._exp + self._exp     # indexed by sums of two logs
+
+            def clear_column(prow, c, rows):
+                log_pivot = log[prow[c]]
+                terms = [(j, log[prow[j]]) for j in range(c, len(prow)) if prow[j]]
+                for row in rows:
+                    if row[c]:
+                        log_g = (log[row[c]] - log_pivot) % order
+                        for j, log_y in terms:
+                            row[j] ^= exp2[log_g + log_y]
+        else:
+            def clear_column(prow, c, rows):
+                inv = self.inv(prow[c])
+                for row in rows:
+                    if row[c]:
+                        g = self.mul(row[c], inv)
+                        row[c:] = [self.sub(x, self.mul(g, y))
+                                   for x, y in zip(row[c:], prow[c:])]
+        return clear_column
 
     # -- element validation --------------------------------------------------
 
@@ -402,6 +444,10 @@ class Field:
 
     def __hash__(self):
         return hash((self.p, self.m, self.modulus))
+
+    def __reduce__(self):
+        # pickled by its parameters: the row operation is a closure
+        return Field, (self.p, self.m, self.modulus, self.q)
 
     def __repr__(self):
         if self.m == 1:

@@ -210,7 +210,8 @@ def encode(spec, message) -> Codeword:
 
 def interpolate(spec: RsSpec, positions, values) -> list[int]:
     """Recover the message through the unique degree < k polynomial passing
-    through the k given (point, value) pairs (Lagrange, in coefficient form)."""
+    through the k given (point, value) pairs: message . G[:, positions] =
+    values, solved by rref of the augmented k x (k + 1) system."""
     field = spec.field
     positions = list(positions)
     if len(positions) != spec.k:
@@ -225,25 +226,10 @@ def interpolate(spec: RsSpec, positions, values) -> list[int]:
     if len(values) != len(positions):
         raise WrongCountError("one value per position required")
 
-    xs = [spec.points[pos] for pos in positions]
-    coeffs = [0] * spec.k
-    for idx, (xi, yi) in enumerate(zip(xs, values)):
-        # basis polynomial with value 1 at xi and 0 at the other nodes
-        num = [1]
-        denom = 1
-        for jdx, xj in enumerate(xs):
-            if jdx == idx:
-                continue
-            new = [0] * (len(num) + 1)
-            for deg, c in enumerate(num):
-                new[deg] = field.sub(new[deg], field.mul(c, xj))
-                new[deg + 1] = field.add(new[deg + 1], c)
-            num = new
-            denom = field.mul(denom, field.sub(xi, xj))
-        scale = field.mul(yi, field.inv(denom))
-        for deg, c in enumerate(num):
-            coeffs[deg] = field.add(coeffs[deg], field.mul(scale, c))
-    return coeffs
+    system = [[row[pos] for row in spec.eval_rows] + [value]
+              for pos, value in zip(positions, values)]
+    red, _ = codeops.rref(field, system)
+    return [row[-1] for row in red]
 
 
 # ---------------------------------------------------------------------------

@@ -71,13 +71,21 @@ class ExactErrors:
         return {"kind": "exact", "errors": self.errors}
 
 
-def channel_from_dict(obj: dict):
-    kind = obj.get("kind")
+def _config_value(obj, key: str, where: str, kinds=int, default=None):
+    """obj[key], type-checked as descriptor fields are (JSON booleans never
+    pass), or the default, when one is given, for a missing key."""
+    if default is not None and isinstance(obj, dict) and key not in obj:
+        return default
+    return descriptor._require(obj, key, kinds, where)
+
+
+def channel_from_dict(obj: dict, where: str = "channel"):
+    kind = _config_value(obj, "kind", where, str)
     if kind == "bernoulli":
-        return Bernoulli(float(obj["epsilon"]))
+        return Bernoulli(float(_config_value(obj, "epsilon", where, (int, float))))
     if kind == "exact":
-        return ExactErrors(int(obj["errors"]))
-    raise ValueError(f"unknown channel kind {kind!r}")
+        return ExactErrors(_config_value(obj, "errors", where))
+    raise ValueError(f"{where}.kind: unknown channel kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -110,12 +118,18 @@ class ClusterConfig:
 
 
 def config_from_dict(obj: dict) -> ClusterConfig:
+    """A ClusterConfig from its JSON form, rejecting missing fields and
+    values of the wrong type with a ValueError that names the field."""
     return ClusterConfig(
-        code=obj["code"], t=int(obj.get("t", 1)),
-        channel=channel_from_dict(obj["channel"]),
-        trials=int(obj["trials"]), seed=int(obj["seed"]),
-        target_policy=obj.get("target_policy", "round-robin"),
-        error_value_model=obj.get("error_value_model", "uniform-nonzero"))
+        code=_config_value(obj, "code", "config", dict),
+        t=_config_value(obj, "t", "config", default=1),
+        channel=channel_from_dict(_config_value(obj, "channel", "config", dict)),
+        trials=_config_value(obj, "trials", "config"),
+        seed=_config_value(obj, "seed", "config"),
+        target_policy=_config_value(obj, "target_policy", "config", str,
+                                    "round-robin"),
+        error_value_model=_config_value(obj, "error_value_model", "config",
+                                        str, "uniform-nonzero"))
 
 
 # ---------------------------------------------------------------------------
@@ -404,26 +418,27 @@ def compare_policies(config: ClusterConfig, policies=None, sweep=None,
     policies: list of {"name": str, ...config overrides...}; sweep: list of
     channel objects or dicts replacing the base channel per point.
     """
-    if not policies:
-        policies = [{"name": "default"}]
-    channels = [config.channel]
-    if sweep:
-        channels = [ch if isinstance(ch, (Bernoulli, ExactErrors))
-                    else channel_from_dict(ch) for ch in sweep]
-    rows = []
-    for policy in policies:
-        overrides = {key: val for key, val in policy.items() if key != "name"}
-        name = policy.get("name", "default")
-        for channel in channels:
-            cfg = ClusterConfig(
-                code=config.code, t=overrides.get("t", config.t),
-                channel=channel, trials=overrides.get("trials", config.trials),
-                seed=config.seed,
-                target_policy=overrides.get("target_policy", config.target_policy))
-            report = run_sim(cfg, workers=workers)
-            rows.append({"policy": name, "channel": channel.to_dict(),
-                         "report": report})
-    return rows
+    policies, sweep = policies or [{"name": "default"}], sweep or []
+    for where, values in (("policies", policies), ("sweep", sweep)):
+        if not isinstance(values, (list, tuple)):
+            raise ValueError(f"{where}: expected a list")
+    channels = [ch if isinstance(ch, (Bernoulli, ExactErrors))
+                else channel_from_dict(ch, f"sweep[{idx}]")
+                for idx, ch in enumerate(sweep)] or [config.channel]
+    runs = []    # every policy is checked before the first run
+    for idx, policy in enumerate(policies):
+        where = f"policies[{idx}]"
+        name = _config_value(policy, "name", where, str, "default")
+        overrides = dict(
+            t=_config_value(policy, "t", where, default=config.t),
+            trials=_config_value(policy, "trials", where, default=config.trials),
+            target_policy=_config_value(policy, "target_policy", where, str,
+                                        config.target_policy))
+        runs += [(name, ClusterConfig(code=config.code, channel=channel,
+                                      seed=config.seed, **overrides))
+                 for channel in channels]
+    return [{"policy": name, "channel": cfg.channel.to_dict(),
+             "report": run_sim(cfg, workers=workers)} for name, cfg in runs]
 
 
 def sweep_csv(rows: list[dict]) -> str:

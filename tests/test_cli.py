@@ -4,8 +4,9 @@ import json
 import pytest
 
 from loceret import cli
-from loceret.descriptor import (DescriptorError, build_code, descriptor_digest,
-                                load_descriptor, parse_descriptor)
+from loceret.descriptor import (DescriptorError, build_code, build_field,
+                                descriptor_digest, load_descriptor,
+                                parse_descriptor)
 from loceret.galois import Field
 
 EXAMPLE_DESC = {"field": {"p": 13, "m": 1}, "construction": "lrcrs",
@@ -108,6 +109,38 @@ def test_descriptor_digest_ignores_default_valued_keys():
     assert descriptor_digest(minimal) == hashlib.sha256(text.encode()).hexdigest()
     assert descriptor_digest({**minimal, "field": {"p": 13, "m": 2}}) != \
         descriptor_digest(minimal)
+
+
+def test_descriptor_digest_ignores_the_default_modulus():
+    base = {"construction": "rs", "points": "all", "k": 4}
+    minimal = {**base, "field": {"p": 2, "m": 8}}
+    # the default irreducible as written, and the same after reducing mod 2
+    for modulus in ([1, 1, 0, 1, 1, 0, 0, 0, 1], [3, 1, 0, -1, 1, 0, 2, 0, 1]):
+        spelled = {**base, "field": {"p": 2, "m": 8, "modulus": modulus}}
+        assert build_field(spelled) == build_field(minimal)
+        assert descriptor_digest(spelled) == descriptor_digest(minimal)
+    other = {**base, "field": {"p": 2, "m": 8,
+                               "modulus": [1, 0, 1, 1, 1, 0, 0, 0, 1]}}
+    assert build_field(other) != build_field(minimal)
+    assert descriptor_digest(other) != descriptor_digest(minimal)
+
+
+@pytest.mark.parametrize("frag", [
+    {"p": 4, "m": 2, "modulus": [1, 1, 1]},
+    {"p": 2, "modulus": [1, 1, 0, 1, 1, 0, 0, 0, 1]},
+    {"p": 2, "m": 8, "modulus": "x^8+x^4+x^3+x+1"},
+    {"p": 2, "m": 2, "modulus": [1, True, 1]},
+    {"p": 2, "m": True, "modulus": [1, 1, 1]},
+    {"p": 2, "m": 2, "modulus": [1, 1]},
+    {"p": 2.0, "m": 2, "modulus": [1, 1, 1]},
+    {"m": 2, "modulus": [1, 1, 1]},
+    {"p": 2, "m": 30, "modulus": [1] * 31},
+], ids=["p-not-prime", "no-extension", "modulus-string", "modulus-bool",
+        "m-bool", "modulus-too-short", "p-float", "p-missing", "too-large"])
+def test_malformed_field_fragment_digest_hashes_it_as_written(frag):
+    desc = {"field": frag, "construction": "rs", "points": "all", "k": 2}
+    text = json.dumps(desc, sort_keys=True, separators=(",", ":"))
+    assert descriptor_digest(desc) == hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_load_descriptor(tmp_path):
@@ -366,6 +399,61 @@ def test_simulate_code_file_reference(tmp_path):
                       "channel": {"kind": "bernoulli", "epsilon": 0.0},
                       "trials": 50, "seed": 1})
     assert cli.main(["simulate", cfg]) == 0
+
+
+BAD_SIMULATE_CONFIGS = {  # id -> (config overrides, start of the message)
+    "missing-channel": ({"channel": None}, "config: missing field 'channel'"),
+    "missing-trials": ({"trials": None}, "config: missing field 'trials'"),
+    "missing-code": ({"code": None}, "config: missing field 'code'"),
+    "code-file-list": ({"code": None, "code_file": ["code.json"]},
+                       "config.code_file: expected a file name"),
+    "config-list": (None, "config: expected a JSON object"),
+    "missing-epsilon": ({"channel": {"kind": "bernoulli"}},
+                        "channel: missing field 'epsilon'"),
+    "missing-errors": ({"channel": {"kind": "exact"}},
+                       "channel: missing field 'errors'"),
+    "t-bool": ({"t": True}, "config.t: unexpected type bool"),
+    "trials-float": ({"trials": 10.9},
+                     "config.trials: unexpected type float"),
+    "seed-float": ({"seed": 9.0}, "config.seed: unexpected type float"),
+    "errors-float": ({"channel": {"kind": "exact", "errors": 1.5}},
+                     "channel.errors: unexpected type float"),
+    "epsilon-string": ({"channel": {"kind": "bernoulli", "epsilon": "0.1"}},
+                       "channel.epsilon: unexpected type str"),
+    "epsilon-bool": ({"channel": {"kind": "bernoulli", "epsilon": False}},
+                     "channel.epsilon: unexpected type bool"),
+    "policy-t-bool": (
+        {"policies": [{"name": "a", "t": 0}, {"name": "b", "t": True}]},
+        "policies[1].t: unexpected type bool"),
+    "policy-trials-float": ({"policies": [{"name": "a", "trials": 10.5}]},
+                            "policies[0].trials: unexpected type float"),
+    "policies-object": ({"policies": {"name": "a", "t": 0}},
+                        "policies: expected a list"),
+    "sweep-missing-errors": ({"sweep": [{"kind": "exact"}]},
+                             "sweep[0]: missing field 'errors'"),
+    "sweep-epsilon-bool": (
+        {"sweep": [{"kind": "exact", "errors": 1},
+                   {"kind": "bernoulli", "epsilon": True}]},
+        "sweep[1].epsilon: unexpected type bool"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SIMULATE_CONFIGS))
+def test_simulate_rejects_a_malformed_config_naming_the_field(
+        case, tmp_path, capsys):
+    overrides, message = BAD_SIMULATE_CONFIGS[case]
+    config = {"code": EXAMPLE_DESC, "t": 1,
+              "channel": {"kind": "bernoulli", "epsilon": 0.0},
+              "trials": 20, "seed": 9}
+    for key, value in (overrides or {}).items():
+        if value is None:
+            del config[key]
+        else:
+            config[key] = value
+    cfg = write_json(tmp_path / "sim.json",
+                     config if overrides is not None else [config])
+    assert cli.main(["simulate", cfg]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_plan_and_simulate_agree_on_t2_fibre_plans(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -35,6 +36,114 @@ def oracle_rank(field, rows):
                 mat[r] = [field.sub(x, field.mul(f, y))
                           for x, y in zip(mat[r], mat[rank])]
         rank += 1
+    return rank
+
+
+def oracle_rref(field, rows):
+    """Reduced row echelon form by an independent Gauss-Jordan loop on the
+    checked scalar operations."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return (), ()
+    n = len(mat[0])
+    pivots = []
+    rank = 0
+    for col in range(n):
+        piv = None
+        for r in range(rank, len(mat)):
+            if mat[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = field.inv(mat[rank][col])
+        if inv != 1:
+            mat[rank] = [field.mul(inv, x) for x in mat[rank]]
+        prow = mat[rank]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                f = mat[r][col]
+                row = mat[r]
+                mat[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(row, prow)]
+        pivots.append(col)
+        rank += 1
+        if rank == len(mat):
+            break
+    return tuple(tuple(r) for r in mat[:rank]), tuple(pivots)
+
+
+def oracle_rank_cols_prime(code, coords):
+    """Forward elimination of the chosen columns with inline arithmetic
+    mod p (prime fields only)."""
+    if not coords or code.k == 0:
+        return 0
+    p = code.field.p
+    mat = [[row[c] for c in coords] for row in code.gen]
+    n_rows, n_cols = len(mat), len(mat[0])
+    rank = 0
+    for c in range(n_cols):
+        piv = None
+        for r in range(rank, n_rows):
+            if mat[r][c]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        prow = mat[rank]
+        inv = pow(prow[c], p - 2, p)
+        for r in range(rank + 1, n_rows):
+            f = mat[r][c]
+            if f:
+                g = (f * inv) % p
+                row = mat[r]
+                for j in range(c, n_cols):
+                    row[j] = (row[j] - g * prow[j]) % p
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
+def oracle_rank_cols_generic(code, coords):
+    """Forward elimination of the chosen columns on the checked scalar
+    operations (every field)."""
+    if not coords or code.k == 0:
+        return 0
+    field = code.field
+    mat = [[row[c] for c in coords] for row in code.gen]
+    n_rows, n_cols = len(mat), len(mat[0])
+    rank = 0
+    for c in range(n_cols):
+        piv = None
+        for r in range(rank, n_rows):
+            if mat[r][c]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        prow = mat[rank]
+        inv = field.inv(prow[c])
+        for r in range(rank + 1, n_rows):
+            f = mat[r][c]
+            if f:
+                g = field.mul(f, inv)
+                row = mat[r]
+                for j in range(c, n_cols):
+                    row[j] = field.sub(row[j], field.mul(g, prow[j]))
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
+def oracle_rank_cols(code, coords):
+    """Both oracle branches, which must agree where both apply."""
+    rank = oracle_rank_cols_generic(code, coords)
+    if code.field.m == 1:
+        assert oracle_rank_cols_prime(code, coords) == rank
     return rank
 
 
@@ -100,6 +209,76 @@ def random_code(rng, field, n, rows):
 
 def example_code():
     return rscodes.lrcrs_make(F13, [0, 0, 0, 0, 1], [2, 2])
+
+
+# ---------------------------------------------------------------------------
+# elimination against the oracles
+# ---------------------------------------------------------------------------
+
+# prime fields, GF(2^m) with tables, odd-p extensions, and fields above
+# galois.TABLE_LIMIT that have no tables
+ORACLE_FIELDS = [F2, F13, F17, GF9, GF16, GF256, Field(3, 5), Field(2, 17),
+                 Field(3, 11)]
+ORACLE_SHAPES = [(1, 1), (1, 7), (7, 1), (3, 9), (9, 3), (6, 6), (5, 12),
+                 (12, 5)]
+
+
+def oracle_matrices(rng, field):
+    """Per shape: a random matrix, a low-rank one, and copies with zero rows,
+    a zero column and repeated (and scaled) rows."""
+    def rand_row(width):
+        return [rng.randrange(field.q) for _ in range(width)]
+
+    def combination(base, width):
+        row = [0] * width
+        for b in base:
+            a = rng.randrange(field.q)
+            row = [field.add(x, field.mul(a, y)) for x, y in zip(row, b)]
+        return row
+
+    for rows, cols in ORACLE_SHAPES:
+        dense = [rand_row(cols) for _ in range(rows)]
+        yield dense
+        base = [rand_row(cols) for _ in range(max(1, min(rows, cols) // 2))]
+        low = [combination(base, cols) for _ in range(rows)]
+        yield low
+        with_zero_rows = [list(r) for r in low]
+        for _ in range(2):
+            with_zero_rows.insert(rng.randrange(len(with_zero_rows) + 1),
+                                  [0] * cols)
+        yield with_zero_rows
+        zero_col = rng.randrange(cols)
+        yield [[0 if j == zero_col else x for j, x in enumerate(r)]
+               for r in dense]
+        scale = rng.randrange(1, field.q)
+        yield dense + [dense[0], [field.mul(scale, x) for x in dense[-1]]]
+    yield []
+    yield [[0] * 4 for _ in range(3)]
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_rref_matches_the_gauss_jordan_oracle(field):
+    rng = random.Random(field.q)
+    for mat in oracle_matrices(rng, field):
+        assert codeops.rref(field, mat) == oracle_rref(field, mat), mat
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_rank_cols_matches_both_oracle_branches(field):
+    rng = random.Random(field.q + 1)
+    for mat in oracle_matrices(rng, field):
+        if not mat:
+            continue
+        width = len(mat[0])
+        # the raw matrix, not only echelon generators, with the columns in
+        # order and then drawn with repeats (so some are dropped)
+        raw = SimpleNamespace(field=field, k=len(mat), gen=mat)
+        code = code_from_rows(field, mat)
+        drawn = rng.choices(range(width), k=rng.randrange(1, width + 3))
+        for cols in (tuple(range(width)), tuple(drawn)):
+            assert codeops._rank_cols(raw, cols) == oracle_rank_cols(raw, cols)
+            assert codeops._rank_cols(code, cols) == oracle_rank_cols(code, cols)
+        assert code.k == oracle_rank_cols(raw, tuple(range(width)))
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +377,15 @@ def test_shortened_dual_dimensions_for_rs_with_one_extra_helper():
     helpers = tuple(range(1, 6))
     assert shorten(dual_code, barred).k == 2
     assert shorten(dual_code, helpers).k == 1
+
+
+def test_shorten_and_dual_of_the_zero_code():
+    for field in (F5, GF16):
+        zero = code_from_rows(field, [], 5)
+        assert shorten(zero, [1, 3]) == code_from_rows(field, [], 2)
+        assert dual(zero) == code_from_rows(
+            field, [[int(i == j) for j in range(5)] for i in range(5)])
+        assert dual(dual(zero)) == zero
 
 
 def test_dual_is_an_involution():

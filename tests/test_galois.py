@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from functools import reduce
 
@@ -29,6 +31,13 @@ def test_f13_has_13_elements():
     f = Field(13)
     assert f.q == 13
     assert list(f.elements()) == list(range(13))
+
+
+def test_fields_survive_pickle_and_deepcopy():
+    for field in (Field(13), Field(2, 8), Field(3, 2), Field(2, 21, max_order=1 << 21)):
+        for copied in (pickle.loads(pickle.dumps(field)), copy.deepcopy(field)):
+            assert copied == field
+            assert copied.mul(5, 7) == field.mul(5, 7)
 
 
 def test_composite_characteristic_rejected():

@@ -184,15 +184,16 @@ def test_interpolate_single_point_constant():
 
 
 def test_interpolate_roundtrip_after_erasures():
-    spec = rs_make(F13, list(range(8)), 3)
     rng = random.Random(67)
-    for _ in range(20):
-        message = [rng.randrange(13) for _ in range(3)]
-        word = encode(spec, message)
-        keep = sorted(rng.sample(range(8), 3))
-        recovered = interpolate(spec, keep, [word.symbols[c] for c in keep])
-        assert recovered == message
-        assert encode(spec, recovered).symbols == word.symbols
+    for field, n, k in ((F13, 8, 3), (Field(2, 4), 12, 5), (Field(3, 2), 9, 4)):
+        spec = rs_make(field, list(range(n)), k)
+        for _ in range(20):
+            message = [rng.randrange(field.q) for _ in range(k)]
+            word = encode(spec, message)
+            keep = rng.sample(range(n), k)       # in any order
+            recovered = interpolate(spec, keep, [word.symbols[c] for c in keep])
+            assert recovered == message
+            assert encode(spec, recovered).symbols == word.symbols
 
 
 def test_interpolating_a_corrupted_word_is_wrong():

@@ -174,6 +174,19 @@ def test_compare_policies_shares_the_fault_stream_and_emits_csv():
     assert lines[1].split(",")[1] == "1"
 
 
+def test_compare_policies_checks_every_entry_before_the_first_run(monkeypatch):
+    runs = []
+    monkeypatch.setattr(storagesim, "run_sim",
+                        lambda cfg, workers=1: runs.append(cfg))
+    cfg = example_config(trials=20)
+    with pytest.raises(ValueError, match=r"policies\[1\]\.trials"):
+        compare_policies(cfg, policies=[{"name": "a"}, {"name": "b", "trials": "5"}])
+    with pytest.raises(ValueError, match=r"sweep\[1\]: missing field 'epsilon'"):
+        compare_policies(cfg, sweep=[{"kind": "exact", "errors": 1},
+                                     {"kind": "bernoulli"}])
+    assert runs == []
+
+
 def test_plans_unavailable_when_the_code_is_too_short():
     desc = {"field": {"p": 13, "m": 1}, "construction": "rs",
             "points": [0, 1, 2, 3], "k": 3}
