@@ -75,12 +75,13 @@ def cmd_analyze(args) -> tuple[dict, int]:
     doc["distance"] = {"value": d_value, "kind": distance_kind}
 
     # d_{t+1}(dual) is reported and is also the exhaustive search's floor;
-    # it does not exist when the dual has dimension at most t
+    # it does not exist when the dual has dimension at most t.  The distance
+    # (exact or a lower bound) settles it without a search where Wei's
+    # duality applies.
     dual_ghw = None
-    dual_code = codeops.dual(code)
-    if dual_code.k > args.t:
+    if code.n - code.k > args.t:
         try:
-            dual_ghw = codeops.ghw(dual_code, args.t + 1)
+            dual_ghw = codeops.dual_ghw(code, args.t + 1, d_value)
         except codeops.TooLargeToEnumerateError:
             dual_ghw = None
     doc["dual_ghw"] = dual_ghw

@@ -229,6 +229,8 @@ def min_distance(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> int:
             f"q^k = {q ** code.k} exceeds the enumeration cap {cap}")
     G = np.array(code.gen, dtype=np.int64)
     k, n = G.shape
+    symbol = np.min_scalar_type(q - 1)
+    weight = np.min_scalar_type(n)
     minus_one = field.neg(1)
     best = n
     for lead in range(k):
@@ -237,7 +239,9 @@ def min_distance(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> int:
         split = len(tail)
         while split and q ** (len(tail) - split + 1) * n <= _CHUNK_ELEMS:
             split -= 1
-        low = _span(field, tail[split:])
+        # coordinate-major: one contiguous row of span words per coordinate,
+        # so the weight count is n vector adds over the words
+        low = np.ascontiguousarray(_span(field, tail[split:]).T, dtype=symbol)
         # lead + head + x vanishes exactly where x equals -(lead + head); as
         # the head coefficients run over the field, so do their negatives
         minus_lead = field.mul_array(minus_one, G[lead])
@@ -246,7 +250,8 @@ def min_distance(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> int:
             for c, row in zip(coeffs, tail):
                 if c:
                     target = field.add_array(target, field.mul_array(c, row))
-            w = int(np.count_nonzero(low != target, axis=1).min())
+            differs = low != target.astype(symbol)[:, None]
+            w = int(differs.sum(axis=0, dtype=weight).min())
             if w < best:
                 best = w
                 if best == 1:
@@ -274,25 +279,42 @@ def _rank_cols(code: LinearCode, coords) -> int:
 
 def ghw(code: LinearCode, s: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     """s-th generalized Hamming weight: the minimum support size over all
-    s-dimensional subcodes.
-
-    A support set S carries an s-dimensional subcode exactly when the words
-    vanishing outside S form a space of dimension at least s, which is
-    k - rank(columns outside S).  Supports are scanned exhaustively by
-    cardinality, so the result is certified rather than bounded.
-    """
+    s-dimensional subcodes, computed as dual_ghw of the dual code."""
     if code.k == 0:
         raise ZeroCodeError("the zero code has no subcodes")
     if not isinstance(s, int) or not 1 <= s <= code.k:
         raise BadRankError(f"s must lie in [1, {code.k}], got {s}")
-    n = code.n
+    return dual_ghw(dual(code), s, cap=cap)
+
+
+def dual_ghw(code: LinearCode, s: int, d: int | None = None,
+             cap: int = DEFAULT_ENUM_CAP, *, ranks: dict | None = None) -> int:
+    """d_s(dual): the s-th generalized Hamming weight of the dual code, read
+    off the columns of the code itself.
+
+    The dual words supported inside a set S are the linear dependencies among
+    the generator columns in S, a space of dimension |S| - rank(S), so d_s is
+    the least |S| with that nullity at least s.  Supports are scanned by size
+    and then lexicographically from size s; any k + s columns have nullity at
+    least s (the generalized Singleton bound), so k + s is returned untested
+    when no smaller support qualifies.  d, when given, is the minimum distance
+    of the code or any lower bound on it; by Wei's duality theorem ({d_r(C)}
+    and {n + 1 - d_s(dual)} partition 1..n) every s >= n - k - d + 2 has
+    d_s(dual) = k + s, which is returned without a search.  ranks is an
+    optional column-rank memo, as in is_edr_set.
+    """
+    n, k = code.n, code.k
     if 2 ** n > cap:
         raise TooLargeToEnumerateError(f"2^{n} supports exceed the cap {cap}")
-    for size in range(s, n + 1):
-        for outside in itertools.combinations(range(n), n - size):
-            if code.k - _rank_cols(code, outside) >= s:
+    if not isinstance(s, int) or not 1 <= s <= n - k:
+        raise BadRankError(f"s must lie in [1, {n - k}], got {s}")
+    if d is not None and s >= n - k - d + 2:
+        return k + s
+    for size in range(s, k + s):
+        for support in itertools.combinations(range(n), size):
+            if size - _memo_rank(code, support, ranks) >= s:
                 return size
-    raise AssertionError("full support always carries the code itself")
+    return k + s
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +455,7 @@ def _min_edr_for_coord(code, i, t, mode, cap, start=0, ranks=None):
     return None, None
 
 
-def _search_floor(code, t, cap, dual_ghw):
+def _search_floor(code, t, cap, known, ranks):
     """Size below which no coordinate with a nonzero generator column has a
     t-edr set, or None when no such coordinate has one at all.
 
@@ -441,17 +463,16 @@ def _search_floor(code, t, cap, dual_ghw):
     d(C[S]) >= t + 2, so Singleton gives rank(S) <= |S| - t - 1: the dual
     shortened on S has dimension at least t + 1, hence |S| >= d_{t+1}(dual)
     (Wei's generalized Hamming weights).  A dual of dimension at most t rules
-    every such set out.
+    every such set out.  known is d_{t+1}(dual) when the caller has it.
     """
-    if dual_ghw is None:
-        dual_code = dual(code)
-        if dual_code.k <= t:
+    if known is None:
+        if code.n - code.k <= t:
             return None
         try:
-            dual_ghw = ghw(dual_code, t + 1, cap)
+            known = dual_ghw(code, t + 1, cap=cap, ranks=ranks)
         except TooLargeToEnumerateError:
             return 0
-    return max(0, dual_ghw - 1)
+    return max(0, known - 1)
 
 
 def t_locality(code: LinearCode, t: int, mode: str = "exhaustive",
@@ -465,9 +486,9 @@ def t_locality(code: LinearCode, t: int, mode: str = "exhaustive",
     It starts at the dual-weight floor (see _search_floor), which rules out
     only sizes that hold no t-edr set, so the first witness is unchanged;
     dual_ghw = d_{t+1}(dual) saves recomputing it when the caller has it.
-    Column ranks are memoised for the duration of the call.  Greedy mode
-    tests only the lowest-index candidate per size and yields upper bounds,
-    flagged through the report's mode field.
+    Column ranks are memoised for the duration of the call, the floor's
+    included.  Greedy mode tests only the lowest-index candidate per size
+    and yields upper bounds, flagged through the report's mode field.
     """
     if mode not in ("exhaustive", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -476,8 +497,9 @@ def t_locality(code: LinearCode, t: int, mode: str = "exhaustive",
     if mode == "exhaustive" and code.n > max_exhaustive_n:
         raise TooLargeToEnumerateError(
             f"n = {code.n} exceeds the exhaustive-search limit {max_exhaustive_n}")
-    floor = _search_floor(code, t, cap, dual_ghw) if mode == "exhaustive" else 0
     ranks = {}
+    floor = (_search_floor(code, t, cap, dual_ghw, ranks)
+             if mode == "exhaustive" else 0)
     per = []
     for i in range(code.n):
         # the floor does not apply to a zero column: the empty set recovers it

@@ -12,6 +12,8 @@ arrays of canonical elements, with one path per field kind.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 DEFAULT_MAX_ORDER = 1 << 20
@@ -135,9 +137,11 @@ def is_irreducible(p: int, coeffs) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=None)
 def find_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Smallest monic irreducible of degree m over GF(p), by counting the
-    non-leading coefficients upward as a base-p integer."""
+    non-leading coefficients upward as a base-p integer; memoised, as the
+    result depends on (p, m) alone."""
     if m == 1:
         return (0, 1)
     for low in range(p ** m):
@@ -258,11 +262,13 @@ class Field:
             p = self.p
 
             def clear_column(prow, c, rows):
-                inv = pow(prow[c], p - 2, p)
+                inv = None               # computed once a row needs it
                 cols = range(c, len(prow))
                 for row in rows:
                     f = row[c]
                     if f:
+                        if inv is None:
+                            inv = pow(prow[c], p - 2, p)
                         g = f * inv % p
                         for j in cols:
                             row[j] = (row[j] - g * prow[j]) % p
@@ -271,10 +277,13 @@ class Field:
             exp2 = self._exp + self._exp     # indexed by sums of two logs
 
             def clear_column(prow, c, rows):
-                log_pivot = log[prow[c]]
-                terms = [(j, log[prow[j]]) for j in range(c, len(prow)) if prow[j]]
+                terms = None             # built once a row needs them
                 for row in rows:
                     if row[c]:
+                        if terms is None:
+                            log_pivot = log[prow[c]]
+                            terms = [(j, log[prow[j]])
+                                     for j in range(c, len(prow)) if prow[j]]
                         log_g = (log[row[c]] - log_pivot) % order
                         for j, log_y in terms:
                             row[j] ^= exp2[log_g + log_y]

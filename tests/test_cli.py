@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from loceret import cli
+from loceret import cli, galois
 from loceret.descriptor import (DescriptorError, build_code, build_field,
                                 descriptor_digest, load_descriptor,
                                 parse_descriptor)
@@ -123,6 +123,32 @@ def test_descriptor_digest_ignores_the_default_modulus():
                                "modulus": [1, 0, 1, 1, 1, 0, 0, 0, 1]}}
     assert build_field(other) != build_field(minimal)
     assert descriptor_digest(other) != descriptor_digest(minimal)
+
+
+def test_descriptor_digest_searches_for_the_default_modulus_once(monkeypatch):
+    # 1 + x + x^3 + x^5 + x^16, the irreducible Field(2, 16) picks
+    modulus = [1, 1, 0, 1, 0, 1] + [0] * 10 + [1]
+    spelled = {"field": {"p": 2, "m": 16, "modulus": modulus},
+               "construction": "rs", "points": [1, 2, 3, 4], "k": 2}
+    minimal = {**spelled, "field": {"p": 2, "m": 16}}
+    text = json.dumps(minimal, sort_keys=True, separators=(",", ":"))
+    expected = hashlib.sha256(text.encode()).hexdigest()
+    tested = []
+    is_irreducible = galois.is_irreducible
+
+    def counted(p, coeffs):
+        tested.append(tuple(coeffs))
+        return is_irreducible(p, coeffs)
+
+    galois.find_irreducible.cache_clear()
+    monkeypatch.setattr(galois, "is_irreducible", counted)
+    assert descriptor_digest(spelled) == expected
+    searched = len(tested)
+    assert searched and tested[-1] == tuple(modulus)
+    assert descriptor_digest(spelled) == expected
+    assert len(tested) == searched
+    assert expected == \
+        "99f082434fbda27b5b19fc4fbe37e4a9117cee9f1c4c8db04c27a5802a1a8b12"
 
 
 @pytest.mark.parametrize("frag", [

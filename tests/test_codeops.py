@@ -8,8 +8,8 @@ from loceret import codeops, rscodes
 from loceret.codeops import (BadRankError, EmptySetError,
                              InconsistentLengthError, TooLargeToEnumerateError,
                              ZeroCodeError, check_bounds, code_from_rows, dual,
-                             ghw, is_edr_set, is_recovery_set, min_distance,
-                             puncture, shorten, t_locality)
+                             dual_ghw, ghw, is_edr_set, is_recovery_set,
+                             min_distance, puncture, shorten, t_locality)
 from loceret.galois import Field
 
 F2, F3, F5, F7, F13, F17 = (Field(2), Field(3), Field(5), Field(7), Field(13),
@@ -163,6 +163,18 @@ def oracle_min_distance(code):
     return min(sum(1 for x in w if x) for w in all_codewords(code) if any(w))
 
 
+def oracle_ghw(code, s):
+    """The outside-set search: the least |S| such that the codewords
+    vanishing outside S, a space of dimension k - rank(outside columns),
+    number at least q^s."""
+    n = code.n
+    for size in range(s, n + 1):
+        for outside in itertools.combinations(range(n), n - size):
+            if code.k - codeops._rank_cols(code, outside) >= s:
+                return size
+    raise AssertionError("full support always carries the code itself")
+
+
 def oracle_is_edr_set(code, i, R, t):
     barred = tuple(sorted(R + (i,)))
     full = codeops._rank_cols(code, barred)
@@ -205,6 +217,20 @@ def random_code(rng, field, n, rows):
     return code_from_rows(
         field, [[rng.randrange(field.q) for _ in range(n)] for _ in range(rows)],
         n)
+
+
+def with_zero_and_repeated_columns(rng, code):
+    """The code with up to one column zeroed and up to two columns repeated,
+    in shuffled column order."""
+    n = code.n
+    cols = [tuple(row[c] for row in code.gen) for c in range(n)]
+    for c in rng.sample(range(n), rng.randrange(0, 2)):
+        cols[c] = (0,) * code.k                          # zero column
+    for _ in range(rng.randrange(0, 3)):
+        cols.append(cols[rng.randrange(n)])              # repeated column
+    rng.shuffle(cols)
+    rows = [[col[r] for col in cols] for r in range(code.k)]
+    return code_from_rows(code.field, rows, len(cols))
 
 
 def example_code():
@@ -458,6 +484,37 @@ def test_min_distance_does_not_depend_on_the_block_size(chunk, monkeypatch):
             assert min_distance(code) == oracle_min_distance(code), code
 
 
+def test_min_distance_matches_naive_enumeration_on_random_codes():
+    rng = random.Random(2024)
+    fields = [F2, F3, F5, F7, GF4, GF9]
+    for _ in range(200):
+        field = rng.choice(fields)
+        n = rng.randrange(1, 9)
+        code = with_zero_and_repeated_columns(
+            rng, random_code(rng, field, n, rng.randrange(1, 4)))
+        if code.k:
+            assert min_distance(code) == oracle_min_distance(code), code
+
+
+def test_min_distance_weight_past_255_coordinates():
+    # weights up to 256 need more than 8 bits
+    code = rscodes.rs_make(GF256, range(256), 2).code
+    assert min_distance(code) == 255
+
+
+def test_min_distance_symbols_past_256():
+    # GF(257) has the element 256, which an 8-bit symbol would read as 0
+    code = rscodes.rs_make(Field(257), range(20), 3).code
+    assert min_distance(code) == 18
+    line = code_from_rows(Field(257), [[256, 0, 1, 256, 0]])
+    assert min_distance(line) == 3
+    # a table-free field whose elements 2^16 and 2^16 + 1 a 16-bit symbol
+    # would read as 0 and 1
+    gf2_17 = Field(2, 17)
+    line = code_from_rows(gf2_17, [[1, 1 << 16, 0, (1 << 16) + 1, 0, 1 << 16]])
+    assert min_distance(line) == 4
+
+
 def test_min_distance_errors():
     with pytest.raises(ZeroCodeError):
         min_distance(code_from_rows(F3, [], 4))
@@ -502,6 +559,104 @@ def test_ghw_argument_validation():
         ghw(code, 0)
     with pytest.raises(BadRankError):
         ghw(code, code.k + 1)
+
+
+def assert_dual_ghw_matches(code, dual_weights, d, search=True):
+    """dual_ghw at every s against dual_weights[s - 1] = d_s(dual): with the
+    distance d and with d - 1 as a lower bound, and, when search is set, also
+    without d and through ghw on the dual."""
+    dual_code = dual(code)
+    assert len(dual_weights) == code.n - code.k
+    for s, want in enumerate(dual_weights, 1):
+        for bound in ((d, d - 1) if d else ()):
+            assert dual_ghw(code, s, bound) == want, (code, s, bound)
+        if search:
+            assert dual_ghw(code, s) == want, (code, s)
+            assert ghw(dual_code, s) == want, (code, s)
+
+
+def assert_ghw_matches_oracle(code):
+    """ghw of the code and of its dual at every s against oracle_ghw."""
+    for s in range(1, code.k + 1):
+        assert ghw(code, s) == oracle_ghw(code, s), (code, s)
+    dual_code = dual(code)
+    assert_dual_ghw_matches(
+        code, [oracle_ghw(dual_code, s) for s in range(1, dual_code.k + 1)],
+        min_distance(code) if code.k else None)
+
+
+def test_ghw_matches_the_outside_set_oracle_on_the_lemma_corpus():
+    from test_acceptance import lemma_corpus
+    for code, _ in lemma_corpus():
+        assert_ghw_matches_oracle(code)
+
+
+# d_s(RS) = n - k + s and d_s(dual) = k + s (MDS); past n = 12 only the
+# searches that d leaves short are run, as the others scan ~2^n supports
+RS17_GHW_CASES = [(8, 3), (8, 6), (9, 2), (10, 4), (11, 9), (12, 10),
+                  (13, 2), (14, 3), (15, 2), (16, 2)]
+
+
+@pytest.mark.parametrize("n, k", RS17_GHW_CASES, ids=str)
+def test_ghw_matches_the_mds_weights_on_rs_codes_over_gf17(n, k):
+    points = random.Random(n * 100 + k).sample(range(17), n)
+    code = rscodes.rs_make(F17, points, k).code
+    search = n <= 12
+    if search:
+        assert [ghw(code, s) for s in range(1, k + 1)] == \
+            [n - k + s for s in range(1, k + 1)]
+    assert_dual_ghw_matches(code, [k + s for s in range(1, n - k + 1)],
+                            n - k + 1, search)
+    if n <= 10:
+        assert_ghw_matches_oracle(code)
+
+
+@pytest.mark.parametrize("field", [F2, F3, GF4, GF9, F13, GF256], ids=repr)
+def test_ghw_matches_the_oracle_with_zero_and_repeated_columns(field):
+    rng = random.Random(field.q * 7)
+    for _ in range(10):
+        n = rng.randrange(2, 7)
+        rows = min(n, 2) if field is GF256 else n    # q^k within the cap
+        code = with_zero_and_repeated_columns(
+            rng, random_code(rng, field, n, rng.randrange(0, rows + 1)))
+        if code.k < code.n:
+            assert_ghw_matches_oracle(code)
+
+
+def count_rank_calls(monkeypatch):
+    """The column sets of every later _rank_cols call, in call order."""
+    seen = []
+    rank_cols = codeops._rank_cols
+
+    def counted(code, coords):
+        seen.append(tuple(coords))
+        return rank_cols(code, coords)
+
+    monkeypatch.setattr(codeops, "_rank_cols", counted)
+    return seen
+
+
+def test_dual_ghw_from_the_distance_needs_no_rank(monkeypatch):
+    rs14_6 = rscodes.rs_make(F17, range(14), 6).code
+    seen = count_rank_calls(monkeypatch)
+    assert dual_ghw(rs14_6, 2, d=9) == 8 and not seen
+    # [12, 6] with d = 3: Wei's duality fixes d_s(dual) only for s >= 5
+    code = example_code().code
+    assert dual_ghw(code, 5, d=3) == 11 and not seen
+    assert dual_ghw(code, 4, d=3) == oracle_ghw(dual(code), 4) and seen
+
+
+def test_dual_ghw_argument_validation():
+    code = rscodes.rs_make(F13, range(8), 3).code
+    for s in (0, 6, 1.0):
+        with pytest.raises(BadRankError):
+            dual_ghw(code, s)
+    # the support cap is checked first, even where d would settle the value
+    with pytest.raises(TooLargeToEnumerateError):
+        dual_ghw(code, 0, cap=255)
+    with pytest.raises(TooLargeToEnumerateError):
+        dual_ghw(code, 2, d=6, cap=255)
+    assert dual_ghw(code, 2, d=6, cap=256) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -686,14 +841,8 @@ def test_locality_matches_oracle_with_zero_and_repeated_columns(field, t):
     for _ in range(12):
         n = rng.randrange(3, 8)
         code = random_code(rng, field, n, rng.randrange(1, n + 1))
-        cols = [tuple(row[c] for row in code.gen) for c in range(n)]
-        for c in rng.sample(range(n), rng.randrange(0, 2)):
-            cols[c] = (0,) * code.k                          # zero column
-        for _ in range(rng.randrange(0, 3)):
-            cols.append(cols[rng.randrange(n)])              # repeated column
-        rng.shuffle(cols)
-        rows = [[col[r] for col in cols] for r in range(code.k)]
-        assert_locality_matches_oracle(code_from_rows(field, rows, len(cols)), t)
+        assert_locality_matches_oracle(
+            with_zero_and_repeated_columns(rng, code), t)
 
 
 def test_small_dual_leaves_nonzero_columns_without_a_set():
@@ -712,14 +861,7 @@ def test_supplied_dual_ghw_gives_the_same_report():
 
 
 def test_search_computes_each_column_rank_once(monkeypatch):
-    seen = []
-    rank_cols = codeops._rank_cols
-
-    def counted(code, coords):
-        seen.append(tuple(coords))
-        return rank_cols(code, coords)
-
-    monkeypatch.setattr(codeops, "_rank_cols", counted)
+    seen = count_rank_calls(monkeypatch)
     report = t_locality(example_code().code, 1)
     assert report.r_t == 3
     assert seen and len(seen) == len(set(seen))
