@@ -10,6 +10,7 @@ bound violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -305,7 +306,9 @@ def cmd_paper_example(args) -> tuple[dict, int]:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; main looks cmd_* up at each call."""
     parser = argparse.ArgumentParser(
         prog="loceret",
         description="Locally recoverable codes with helper-error detection")
@@ -317,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--greedy", action="store_true",
                    help="upper-bound search only (non-exact, labelled)")
     p.add_argument("--out", help="write the machine report here")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("plan", help="export a recovery plan for one coordinate")
     p.add_argument("descriptor")
@@ -325,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=1)
     p.add_argument("--helpers", help="comma-separated helper coordinates")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("repair", help="repair one erased coordinate of a word")
     p.add_argument("descriptor")
@@ -333,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--t", type=int, default=1)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_repair)
 
     p = sub.add_parser("simulate", help="run a fault-injection campaign")
     p.add_argument("config", help="cluster config JSON file")
@@ -343,20 +343,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accepted for compatibility; the report and the "
                         "speed do not depend on it")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("paper-example",
                        help="verify the built-in worked example over GF(13)")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_paper_example)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        doc, status = args.func(args)
+        doc, status = handler(args)
     except (DescriptorError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

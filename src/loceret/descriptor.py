@@ -16,9 +16,17 @@ booleans are rejected wherever an integer is expected.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
+
+# The builtin SHA-256 where there is one: importing hashlib maps OpenSSL.
+try:
+    from _sha2 import sha256                       # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256                 # Python 3.10 and 3.11
+    except ImportError:                            # built without builtin hashes
+        from hashlib import sha256
 
 from . import codeops, rscodes
 from .galois import DEFAULT_MAX_ORDER, Field, find_irreducible, is_prime
@@ -67,7 +75,7 @@ def descriptor_digest(desc: dict) -> str:
                          and (value is None or _is_default_modulus(frag)))}
         desc = {**desc, "field": frag}
     canonical = json.dumps(desc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _is_default_modulus(frag: dict) -> bool:

@@ -193,9 +193,7 @@ class Field:
     # -- construction helpers ------------------------------------------------
 
     def _raw_mul(self, a: int, b: int) -> int:
-        """Table-free product, used to build the tables and for large fields."""
-        if self.m == 1:
-            return (a * b) % self.p
+        """Table-free extension-field product, for the tables and large fields."""
         if self.p == 2:
             acc = 0
             mod = self._mod_int

@@ -97,12 +97,12 @@ def _dot(field, xs, ys):
     return acc
 
 
-def _build_plan(field, barred_coords, barred_points, target, t) -> RecoveryPlan:
-    """Assemble the plan from the coordinate/point layout of the barred set."""
-    order = sorted(range(len(barred_coords)), key=lambda idx: barred_coords[idx])
-    coords = tuple(barred_coords[idx] for idx in order)
-    pts = tuple(barred_points[idx] for idx in order)
-    target_pos = coords.index(target)
+def _build_plan(spec, barred, target, t) -> RecoveryPlan:
+    """Assemble the plan on the sorted barred coordinates of an RS or
+    piecewise-RS spec."""
+    field = spec.field
+    pts = tuple(spec.points[c] for c in barred)
+    target_pos = barred.index(target)
     alpha_t = pts[target_pos]
 
     weights = tuple(recovery_weight(field, pts, a) for a in pts)
@@ -121,14 +121,17 @@ def _build_plan(field, barred_coords, barred_points, target, t) -> RecoveryPlan:
     scale = field.neg(field.inv(weights[target_pos]))
     recovery_row = tuple(field.mul(scale, w) for w in helper_w)
 
-    helpers = tuple(c for c in coords if c != target)
+    helpers = tuple(c for c in barred if c != target)
     return RecoveryPlan(field=field, target=target, helpers=helpers,
-                        barred=coords, target_pos=target_pos, weights=weights,
+                        barred=barred, target_pos=target_pos, weights=weights,
                         check_rows=tuple(check_rows),
                         recovery_row=recovery_row, t=t)
 
 
-def _rs_plan_inputs(spec: RsSpec, target, t, helpers):
+def plan_rs(spec: RsSpec, target: int, t: int,
+            helpers=None) -> RecoveryPlan:
+    """Plan for an RS code: default helpers are the k + t lowest coordinates
+    other than the target, which always form a t-edr set."""
     n = len(spec.points)
     if not isinstance(target, int) or not 0 <= target < n:
         raise codeops.IndexOutOfRangeError(f"target {target!r} outside [0, {n})")
@@ -139,13 +142,7 @@ def _rs_plan_inputs(spec: RsSpec, target, t, helpers):
         if n < need + 1:
             raise NotEnoughCoordinatesError(
                 f"need {need + 1} coordinates for t = {t}, code has {n}")
-        chosen = []
-        for c in range(n):
-            if c != target:
-                chosen.append(c)
-            if len(chosen) == need:
-                break
-        helpers = tuple(chosen)
+        helpers = tuple(c for c in range(n) if c != target)[:need]
     else:
         helpers = codeops._coords(n, helpers)
         if target in helpers:
@@ -158,24 +155,13 @@ def _rs_plan_inputs(spec: RsSpec, target, t, helpers):
             raise HelpersNotEdrError(
                 f"{list(helpers)} is not a {t}-error-detecting recovery set "
                 f"for coordinate {target}")
-    barred = tuple(sorted(helpers + (target,)))
-    return barred, tuple(spec.points[c] for c in barred)
-
-
-def plan_rs(spec: RsSpec, target: int, t: int,
-            helpers=None) -> RecoveryPlan:
-    """Plan for an RS code: default helpers are the k + t lowest coordinates
-    other than the target, which always form a t-edr set."""
-    barred, pts = _rs_plan_inputs(spec, target, t, helpers)
-    return _build_plan(spec.field, barred, pts, target, t)
+    return _build_plan(spec, tuple(sorted(helpers + (target,))), target, t)
 
 
 def plan_lrcrs(spec: LrcRsSpec, target: int) -> RecoveryPlan:
     """Plan for a piecewise-RS code: the helpers are the target's fibre mates
     and one helper error is detectable (the fibre restriction has distance 3)."""
-    barred = spec.fibre_coords(target)
-    pts = tuple(spec.points[c] for c in barred)
-    return _build_plan(spec.field, barred, pts, target, 1)
+    return _build_plan(spec, spec.fibre_coords(target), target, 1)
 
 
 def plan_linear(code: codeops.LinearCode, target: int, t: int,
@@ -293,14 +279,13 @@ def mult_count(spec, target: int, t: int = 1, helpers=None,
     and no inversions, since the inverse is folded into the stored rows.
     """
     counting = CountingField(spec.field)
+    counted = replace(spec, field=counting)
     if isinstance(spec, LrcRsSpec):
         if t != 1:
             raise ValueError("fibre plans detect exactly one error")
-        barred = spec.fibre_coords(target)
-        pts = tuple(spec.points[c] for c in barred)
+        plan = plan_lrcrs(counted, target)
     else:
-        barred, pts = _rs_plan_inputs(spec, target, t, helpers)
-    plan = _build_plan(counting, barred, pts, target, t)
+        plan = plan_rs(counted, target, t, helpers=helpers)
     tally = {"plan_build": counting.counts(), "helpers": len(plan.helpers),
              "t": t, "repair": None}
     if helper_values is not None:

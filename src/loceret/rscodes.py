@@ -12,7 +12,10 @@ error detection possible.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import codeops
 from .galois import poly_eval
@@ -50,8 +53,20 @@ class WrongCountError(ValueError):
     """Interpolation needs exactly k positions."""
 
 
+class _EvaluationCode:
+    """The generator of an evaluation-code spec, held once as an array."""
+
+    @functools.cached_property
+    def generator(self) -> np.ndarray:
+        """eval_rows as a read-only int64 (n, k) array for encode and the
+        simulator; not a field, so equality, hash and repr ignore it."""
+        columns = np.array(self.eval_rows, dtype=np.int64).T
+        columns.flags.writeable = False
+        return columns
+
+
 @dataclass(frozen=True)
-class RsSpec:
+class RsSpec(_EvaluationCode):
     """A Reed-Solomon code: evaluations of 1, x, ..., x^(k-1) at the points."""
     field: object
     points: tuple[int, ...]
@@ -65,7 +80,7 @@ class RsSpec:
 
 
 @dataclass(frozen=True)
-class LrcRsSpec:
+class LrcRsSpec(_EvaluationCode):
     """A piecewise-RS code on the curve y = p(x), kept fibre by fibre.
 
     points concatenates the full fibres, fibres sorted by their y value and
@@ -198,14 +213,9 @@ def encode(spec, message) -> Codeword:
     if len(message) != spec.k:
         raise BadMessageLengthError(
             f"message must have {spec.k} symbols, got {len(message)}")
-    msg = [field._check(x) for x in message]
-    n = len(spec.points)
-    out = [0] * n
-    for coeff, row in zip(msg, spec.eval_rows):
-        if coeff == 0:
-            continue
-        out = [field.add(o, field.mul(coeff, v)) for o, v in zip(out, row)]
-    return Codeword(symbols=tuple(out))
+    msg = np.array([field._check(x) for x in message], dtype=np.int64)
+    # tolist: symbols stay Python ints, which _check and json accept
+    return Codeword(symbols=tuple(field.dot_array(msg, spec.generator).tolist()))
 
 
 def interpolate(spec: RsSpec, positions, values) -> list[int]:

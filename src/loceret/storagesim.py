@@ -256,15 +256,13 @@ class _CodeArrays:
     """
 
     def __init__(self, bundle: descriptor.CodeBundle, t: int):
-        spec = bundle.spec
-        rows = spec.eval_rows if spec is not None else bundle.code.gen
-        if not rows:
+        if not bundle.code.gen:
             raise PlanUnavailableError("cannot simulate the zero code")
         plans = build_plans(bundle, t)
         self.field = bundle.field
-        self.k = len(rows)
-        self.n = bundle.code.n
-        self.columns = np.array(rows, dtype=np.int64).T        # (n, k)
+        self.columns = (bundle.spec.generator if bundle.spec is not None
+                        else np.array(bundle.code.gen, dtype=np.int64).T)
+        self.n, self.k = self.columns.shape                     # (n, k)
         self.r = np.array([len(plan.helpers) for plan in plans], dtype=np.int64)
         width = int(self.r.max())
         depth = max(len(plan.check_rows) for plan in plans)

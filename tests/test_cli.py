@@ -1,5 +1,9 @@
 import hashlib
+import importlib.util
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -96,6 +100,19 @@ def test_descriptor_rejects_json_booleans_as_integers(name):
     with pytest.raises(DescriptorError) as err:
         build_code(BOOLEAN_AS_INTEGER[name])
     assert str(err.value).startswith(name)
+
+
+@pytest.mark.skipif(not any(importlib.util.find_spec(name)
+                            for name in ("_sha2", "_sha256")),
+                    reason="this Python has no builtin SHA-256")
+def test_importing_the_package_does_not_load_openssl_hashes():
+    # hashlib maps OpenSSL's libcrypto, about 3.5 MB resident
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, loceret; print('_hashlib' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_descriptor_digest_ignores_default_valued_keys():
@@ -542,3 +559,30 @@ def test_unreadable_descriptor_is_a_clean_error(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert cli.main(["analyze", str(missing)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_commands_are_looked_up_per_call(
+        tmp_path, monkeypatch, capsys):
+    import argparse
+    builds = []
+    original = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, *args, **kwargs):
+        builds.append(self.prog)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    cli.build_parser.cache_clear()
+    desc = write_json(tmp_path / "code.json", EXAMPLE_DESC)
+    assert cli.main(["plan", desc, "--target", "0"]) == 0
+    seen = []
+
+    def fake_plan(args):
+        seen.append(args.target)
+        return {}, 0
+
+    monkeypatch.setattr(cli, "cmd_plan", fake_plan)
+    assert cli.main(["plan", desc, "--target", "3"]) == 0
+    assert seen == [3]
+    assert builds == ["loceret"]
+    capsys.readouterr()

@@ -1,9 +1,10 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
-from loceret import codeops
+from loceret import codeops, descriptor, storagesim
 from loceret.galois import Field, poly_eval, poly_mul
 from loceret.rscodes import (BadDimensionError, BadLVectorError,
                              BadMessageLengthError,
@@ -172,6 +173,76 @@ def test_encode_matches_expanded_polynomial_evaluation():
 def test_encode_message_length_checked():
     with pytest.raises(BadMessageLengthError):
         encode(example_code(), [1, 2, 3])
+
+
+def oracle_encode(spec, message):
+    """The scalar encoder that Field.dot_array replaced, kept as an oracle:
+    one checked field.mul/field.add per (message symbol, coordinate)."""
+    field = spec.field
+    out = [0] * len(spec.points)
+    for coeff, row in zip(message, spec.eval_rows):
+        if coeff == 0:
+            continue
+        out = [field.add(o, field.mul(coeff, v)) for o, v in zip(out, row)]
+    return tuple(out)
+
+
+GF256 = Field(2, 8)
+ENCODE_SPECS = (
+    ("GF(13) [12,6] fibre code", lambda: example_code()),
+    ("GF(2^8) [255,15] fibre code",
+     lambda: lrcrs_make(GF256, [0, 0, 0, 0, 0, 1], [4, 4, 4])),
+    ("RS[256,16]/GF(2^8)", lambda: rs_make(GF256, list(range(256)), 16)),
+    ("RS[40,7]/GF(3^5)", lambda: rs_make(Field(3, 5), list(range(40)), 7)),
+    ("RS[20,5]/GF(2^17), no tables",
+     lambda: rs_make(Field(2, 17), list(range(1, 21)), 5)),
+    ("RS[20,5]/GF(3^11), no tables",
+     lambda: rs_make(Field(3, 11), list(range(20)), 5)),
+)
+
+
+@pytest.mark.parametrize("make", [make for _, make in ENCODE_SPECS],
+                         ids=[name for name, _ in ENCODE_SPECS])
+def test_encode_matches_the_scalar_oracle(make):
+    spec = make()
+    q, k = spec.field.q, spec.k
+    rng = random.Random(71)
+    messages = [[0] * k, [1] + [0] * (k - 1), [0] * (k - 1) + [q - 1]]
+    for _ in range(6):
+        message = [rng.randrange(q) for _ in range(k)]
+        message[rng.randrange(k)] = 0              # a zero symbol somewhere
+        messages.append(message)
+    for message in messages:
+        symbols = encode(spec, message).symbols
+        assert symbols == oracle_encode(spec, message)
+        assert all(type(s) is int for s in symbols)
+
+
+def test_encode_rejects_a_non_canonical_symbol():
+    with pytest.raises(ValueError):
+        encode(example_code(), [13, 0, 0, 0, 0, 0])
+    with pytest.raises(ValueError):
+        encode(example_code(), [0, 0, -1, 0, 0, 0])
+
+
+def test_generator_is_one_read_only_array_outside_equality():
+    spec = example_code()
+    gen = spec.generator
+    assert gen is spec.generator                   # built once per spec
+    assert gen.dtype == np.int64 and gen.shape == (spec.n, spec.k)
+    assert gen.tolist() == [list(col) for col in zip(*spec.eval_rows)]
+    with pytest.raises(ValueError):
+        gen[0, 0] = 1
+    fresh = example_code()
+    assert spec == fresh and hash(spec) == hash(fresh)
+    assert repr(spec) == repr(fresh) and "generator" not in repr(spec)
+
+
+def test_simulator_encodes_with_the_spec_generator():
+    bundle = descriptor.build_code({
+        "field": {"p": 13, "m": 1}, "construction": "lrcrs",
+        "p_poly": [0, 0, 0, 0, 1], "l": [2, 2]})
+    assert storagesim._CodeArrays(bundle, 1).columns is bundle.spec.generator
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,14 @@ def test_plans_unavailable_for_the_identity_code():
         run_sim(cfg)
 
 
+def test_the_zero_code_is_not_simulated():
+    desc = {"field": {"p": 13, "m": 1}, "construction": "generator",
+            "rows": [[0, 0, 0], [0, 0, 0]]}
+    cfg = ClusterConfig(code=desc, t=0, channel=Bernoulli(0.0), trials=10, seed=0)
+    with pytest.raises(PlanUnavailableError, match="zero code"):
+        run_sim(cfg)
+
+
 def test_generator_codes_simulate_through_generic_plans():
     spec_desc = {"field": {"p": 13, "m": 1}, "construction": "generator",
                  "rows": [[1, 0, 1, 1, 1], [0, 1, 1, 2, 3]]}
