@@ -7,12 +7,15 @@ and 1 the multiplicative identity in every field.  Extension fields with at
 most 2**16 elements precompute log/antilog tables for O(1) products; prime
 fields use plain modular arithmetic.  The array kernels (mul_array,
 add_array, dot_array) apply the same arithmetic elementwise to numpy int64
-arrays of canonical elements, with one path per field kind.
+arrays of canonical elements, with one path per field kind; the scalar inner
+product _dot and the elimination step _clear_column are likewise chosen once
+per field kind, when the field is built.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -189,6 +192,7 @@ class Field:
         if m > 1 and q <= TABLE_LIMIT:
             self._build_tables()
         self._clear_column = self._column_clearer()
+        self._dot = self._scalar_dot()
 
     # -- construction helpers ------------------------------------------------
 
@@ -242,6 +246,7 @@ class Field:
             x = self._raw_mul(x, g)
         self._exp = exp
         self._log = log
+        self._exp2 = exp + exp           # indexed by sums of two logs
         # Array form: two nonzero exponents sum below 2n, and log(0) = 2n
         # sends any sum with a zero operand into the all-zero tail.
         self._exp_arr = np.zeros(4 * n + 1, dtype=np.int64)
@@ -271,8 +276,7 @@ class Field:
                         for j in cols:
                             row[j] = (row[j] - g * prow[j]) % p
         elif self.p == 2 and self._exp is not None:
-            order, log = self.q - 1, self._log
-            exp2 = self._exp + self._exp     # indexed by sums of two logs
+            order, log, exp2 = self.q - 1, self._log, self._exp2
 
             def clear_column(prow, c, rows):
                 terms = None             # built once a row needs them
@@ -294,6 +298,31 @@ class Field:
                         row[c:] = [self.sub(x, self.mul(g, y))
                                    for x, y in zip(row[c:], prow[c:])]
         return clear_column
+
+    def _scalar_dot(self):
+        """The inner product of two sequences of canonical elements, chosen
+        once per field kind like _clear_column: dot(xs, ys) sums x*y over
+        zip(xs, ys).  Operands are not validated; a caller checks them where
+        they enter.  Prime fields reduce one integer sum mod p, GF(2^m) with
+        tables XORs log/exp lookups and skips zero operands, and other fields
+        use the checked scalar operations."""
+        if self.m == 1:
+            p = self.p
+
+            def dot(xs, ys):
+                return sum(map(operator.mul, xs, ys)) % p
+        elif self.p == 2 and self._exp is not None:
+            log, exp2 = self._log, self._exp2
+
+            def dot(xs, ys):
+                acc = 0
+                for x, y in zip(xs, ys):
+                    if x and y:
+                        acc ^= exp2[log[x] + log[y]]
+                return acc
+        else:
+            dot = functools.partial(_checked_dot, self)
+        return dot
 
     # -- element validation --------------------------------------------------
 
@@ -462,6 +491,15 @@ class Field:
         return f"GF({self.p}^{self.m})"
 
 
+def _checked_dot(field, xs, ys) -> int:
+    """Inner product through field.add and field.mul, one call of each per
+    term: the kernel of fields without a faster one, and the counted one."""
+    acc = 0
+    for x, y in zip(xs, ys):
+        acc = field.add(acc, field.mul(x, y))
+    return acc
+
+
 class CountingField:
     """Wraps a Field, forwarding arithmetic while tallying operation counts.
 
@@ -517,6 +555,10 @@ class CountingField:
     def pow(self, a, e):
         self.pow_count += 1
         return self.field.pow(a, e)
+
+    def _dot(self, xs, ys):
+        # one counted mul and add per term, whatever kernel the field uses
+        return _checked_dot(self, xs, ys)
 
     def normalize(self, v):
         return self.field.normalize(v)

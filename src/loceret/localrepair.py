@@ -9,6 +9,11 @@ symbol is a fixed linear combination of the helpers.  With at most t
 corrupted helpers the verdict is guaranteed: either corruption is flagged or
 the returned value is correct.  No polynomial interpolation is involved.
 
+Every inner product of a read goes through Field._dot, the scalar kernel
+chosen once per field kind, on unchecked canonical ints; detect, recover and
+repair check the helper count and each helper symbol once, where the symbols
+enter, so no check runs inside the kernel.
+
 The dual words come from the polynomial that vanishes on the complement of
 the chosen point set: its value at a member point costs r multiplications and
 one inversion via the product of all nonzero field elements being -1.
@@ -88,13 +93,6 @@ def recovery_weight(field, support_points, alpha: int) -> int:
     if not seen:
         raise AlphaNotInSetError(f"{alpha} is not in the support set")
     return field.neg(field.inv(acc))
-
-
-def _dot(field, xs, ys):
-    acc = 0
-    for x, y in zip(xs, ys):
-        acc = field.add(acc, field.mul(x, y))
-    return acc
 
 
 def _build_plan(spec, barred, target, t) -> RecoveryPlan:
@@ -233,17 +231,27 @@ def plan_for(bundle, target: int, t: int, helpers=None) -> RecoveryPlan:
     return plan_linear(bundle.code, target, t, helpers=helpers)
 
 
-def detect(plan: RecoveryPlan, helper_values) -> bool:
-    """True when the helper symbols are provably corrupted (some detection
-    row has a nonzero inner product with them)."""
+def _checked(plan: RecoveryPlan, helper_values):
+    """The one check of a read's symbols, where they enter: one per helper,
+    each a canonical element of the plan's field (the Field._check rule).
+    The kernel after it indexes tables with them, so a negative symbol
+    would read a table from its end and give a wrong answer."""
     if len(helper_values) != len(plan.helpers):
         raise WrongLengthError(
             f"expected {len(plan.helpers)} helper symbols, got {len(helper_values)}")
-    field = plan.field
-    for row in plan.check_rows:
-        if _dot(field, row, helper_values) != 0:
-            return True
-    return False
+    q = plan.field.q
+    for v in helper_values:
+        if not isinstance(v, int) or not 0 <= v < q:
+            raise ValueError(f"{v!r} is not a canonical element of {plan.field!r}")
+    return helper_values
+
+
+def detect(plan: RecoveryPlan, helper_values) -> bool:
+    """True when the helper symbols are provably corrupted (some detection
+    row has a nonzero inner product with them)."""
+    values = _checked(plan, helper_values)
+    dot = plan.field._dot
+    return any(dot(row, values) for row in plan.check_rows)
 
 
 def recover(plan: RecoveryPlan, helper_values) -> int:
@@ -252,10 +260,7 @@ def recover(plan: RecoveryPlan, helper_values) -> int:
     Correct whenever the helpers are clean; performs no error checking (see
     repair for the safe path) and no interpolation.
     """
-    if len(helper_values) != len(plan.helpers):
-        raise WrongLengthError(
-            f"expected {len(plan.helpers)} helper symbols, got {len(helper_values)}")
-    return _dot(plan.field, plan.recovery_row, helper_values)
+    return plan.field._dot(plan.recovery_row, _checked(plan, helper_values))
 
 
 def repair(plan: RecoveryPlan, helper_values) -> RepairOutcome:
@@ -264,9 +269,12 @@ def repair(plan: RecoveryPlan, helper_values) -> RepairOutcome:
     With at most t corrupted helpers the outcome is guaranteed sound: either
     corruption is flagged or the recovered value is the true symbol.
     """
-    if detect(plan, helper_values):
-        return RepairOutcome(value=None)
-    return RepairOutcome(value=recover(plan, helper_values))
+    values = _checked(plan, helper_values)
+    dot = plan.field._dot
+    for row in plan.check_rows:
+        if dot(row, values):
+            return RepairOutcome(value=None)
+    return RepairOutcome(value=dot(plan.recovery_row, values))
 
 
 def mult_count(spec, target: int, t: int = 1, helpers=None,

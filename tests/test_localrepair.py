@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import threading
 
 import pytest
@@ -21,11 +22,22 @@ def example_code():
     return lrcrs_make(F13, [0, 0, 0, 0, 1], [2, 2])
 
 
-def plan_dot(field, xs, ys):
+def oracle_dot(field, xs, ys):
+    """The checked scalar loop that Field._dot replaces: one validated mul
+    and add per term."""
     acc = 0
     for x, y in zip(xs, ys):
         acc = field.add(acc, field.mul(x, y))
     return acc
+
+
+def oracle_repair(plan, values):
+    """repair's value through oracle_dot: None when a detection row flags
+    the symbols, else the recovery row's inner product."""
+    for row in plan.check_rows:
+        if oracle_dot(plan.field, row, values) != 0:
+            return None
+    return oracle_dot(plan.field, plan.recovery_row, values)
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +134,13 @@ def test_fibre_plans_for_every_coordinate_lie_in_the_dual():
         for coord, w in zip(plan.barred, plan.weights):
             extended_w[coord] = w
         for row in code.gen:
-            assert plan_dot(F13, extended_w, row) == 0
+            assert oracle_dot(F13, extended_w, row) == 0
         for zrow in plan.check_rows:
             extended_z = [0] * 12
             for coord, z in zip(plan.helpers, zrow):
                 extended_z[coord] = z
             for row in code.gen:
-                assert plan_dot(F13, extended_z, row) == 0
+                assert oracle_dot(F13, extended_z, row) == 0
 
 
 def test_every_constructed_plan_uses_an_error_detecting_set():
@@ -209,7 +221,7 @@ def test_recover_matches_the_dual_word_formula():
         w_i = plan.weights[plan.target_pos]
         helper_w = [w for idx, w in enumerate(plan.weights)
                     if idx != plan.target_pos]
-        formula = F13.mul(F13.neg(F13.inv(w_i)), plan_dot(F13, helper_w, values))
+        formula = F13.mul(F13.neg(F13.inv(w_i)), oracle_dot(F13, helper_w, values))
         assert recover(plan, values) == formula
 
 
@@ -321,6 +333,135 @@ def test_plain_recovery_costs_r_multiplications():
     tally = mult_count(spec, 0, t=0, helper_values=(1, 2, 3))
     assert tally["repair"]["mul"] == tally["helpers"]
     assert tally["repair"]["inv"] == 0
+
+
+GF256 = Field(2, 8)
+
+
+def codeword_values(spec, plan, seed):
+    """Helper symbols of one seeded codeword of spec, and its target symbol."""
+    rng = random.Random(seed)
+    word = encode(spec, [rng.randrange(spec.field.q) for _ in range(spec.k)]).symbols
+    return [word[c] for c in plan.helpers], word[plan.target]
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_repair_cost_on_rs256_is_t_plus_one_times_r_multiplications(t):
+    spec = rs_make(GF256, list(range(256)), 16)
+    for target in (0, 200, 255):
+        values, symbol = codeword_values(spec, plan_rs(spec, target, t), target)
+        tally = mult_count(spec, target, t=t, helper_values=values)
+        r = tally["helpers"]
+        assert r == 16 + t
+        assert tally["repair"]["mul"] == tally["repair"]["add"] == (t + 1) * r
+        assert tally["repair"]["inv"] == 0
+        assert tally["outcome"].value == symbol
+
+
+def test_repair_cost_on_the_gf256_fibre_code():
+    spec = lrcrs_make(GF256, [0, 0, 0, 0, 0, 1], [4, 4, 4])
+    for target in (0, 7, 254):
+        values, symbol = codeword_values(spec, plan_lrcrs(spec, target), target)
+        tally = mult_count(spec, target, t=1, helper_values=values)
+        r = tally["helpers"]
+        assert r == 4
+        assert tally["repair"]["mul"] == tally["repair"]["add"] == 2 * r
+        assert tally["repair"]["inv"] == 0
+        assert tally["outcome"].value == symbol
+
+
+# ---------------------------------------------------------------------------
+# the scalar kernel and the read boundary
+# ---------------------------------------------------------------------------
+
+KERNEL_FIELDS = [Field(13), Field(17), Field(2, 4), GF256, Field(3, 5),
+                 Field(2, 17)]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_field_dot_matches_the_checked_oracle(field):
+    rng = random.Random(field.q)
+    edges = [0, 1, field.q - 1]
+    for length in range(21):
+        for _ in range(6):
+            xs = [rng.choice(edges) if rng.random() < 0.3 else rng.randrange(field.q)
+                  for _ in range(length)]
+            ys = [rng.choice(edges) if rng.random() < 0.3 else rng.randrange(field.q)
+                  for _ in range(length)]
+            got = field._dot(xs, ys)
+            assert got == oracle_dot(field, xs, ys)
+            assert type(got) is int
+
+
+def generator_code_with_zeros():
+    """A [8,3] code over GF(2^4) whose plans carry zero entries."""
+    rows = [[1, 0, 0, 1, 3, 0, 5, 7],
+            [0, 1, 0, 1, 0, 9, 2, 0],
+            [0, 0, 1, 0, 1, 4, 0, 11]]
+    return codeops.code_from_rows(Field(2, 4), rows)
+
+
+def oracle_cases():
+    """(plans for every coordinate, codeword sampler) for each code."""
+    gf17, gf16, gf243 = Field(17), Field(2, 4), Field(3, 5)
+    fibre = example_code()
+    specs = [([plan_lrcrs(fibre, c) for c in range(fibre.n)], fibre)]
+    for spec, t in ((rs_make(GF256, list(range(256)), 16), 1),
+                    (rs_make(gf17, list(range(14)), 6), 2),
+                    (rs_make(gf16, list(range(12)), 5), 1),
+                    (rs_make(gf243, list(range(0, 200, 5)), 7), 2)):
+        specs.append(([plan_rs(spec, c, t) for c in range(spec.n)], spec))
+    for plans, spec in specs:
+        yield plans, lambda rng, spec=spec: encode(
+            spec, [rng.randrange(spec.field.q) for _ in range(spec.k)]).symbols
+
+    code = generator_code_with_zeros()
+    plans = [plan_linear(code, c, 1) for c in range(code.n)]
+    assert any(0 in plan.recovery_row or any(0 in row for row in plan.check_rows)
+               for plan in plans)
+
+    def sample(rng):
+        message = [rng.randrange(16) for _ in range(code.k)]
+        return [oracle_dot(code.field, message, col) for col in zip(*code.gen)]
+    yield plans, sample
+
+
+def test_reads_match_the_checked_oracle_on_every_plan():
+    rng = random.Random(97)
+    for plans, sample in oracle_cases():
+        for plan in plans:
+            field = plan.field
+            word = sample(rng)
+            clean = [word[c] for c in plan.helpers]
+            variants = [clean]
+            for bad in range(1, plan.t + 2):
+                values = list(clean)
+                for pos in rng.sample(range(len(values)), bad):
+                    values[pos] = field.add(values[pos], rng.randrange(1, field.q))
+                variants.append(values)
+            for values in variants:
+                expected = oracle_repair(plan, values)
+                assert repair(plan, values).value == expected
+                assert detect(plan, values) == any(
+                    oracle_dot(field, row, values) for row in plan.check_rows)
+                assert recover(plan, values) == oracle_dot(
+                    field, plan.recovery_row, values)
+            assert repair(plan, clean).value == word[plan.target]
+
+
+@pytest.mark.parametrize("field", [F13, GF256, Field(3, 5), Field(2, 17)],
+                         ids=repr)
+def test_reads_reject_non_canonical_helper_symbols(field):
+    spec = rs_make(field, list(range(8)), 3)
+    plan = plan_rs(spec, 0, 1)
+    clean, _ = codeword_values(spec, plan, 5)
+    for bad in (field.q, -1, 2.5, None):
+        for pos in (0, len(clean) - 1):
+            values = list(clean)
+            values[pos] = bad
+            for read in (detect, recover, repair):
+                with pytest.raises(ValueError, match=rf"^{re.escape(repr(bad))} is not"):
+                    read(plan, values)
 
 
 # ---------------------------------------------------------------------------
