@@ -244,9 +244,8 @@ class Field:
             exp[i] = x
             log[x] = i
             x = self._raw_mul(x, g)
-        self._exp = exp
+        self._exp = exp + exp            # doubled: a sum of two logs indexes it
         self._log = log
-        self._exp2 = exp + exp           # indexed by sums of two logs
         # Array form: two nonzero exponents sum below 2n, and log(0) = 2n
         # sends any sum with a zero operand into the all-zero tail.
         self._exp_arr = np.zeros(4 * n + 1, dtype=np.int64)
@@ -276,7 +275,7 @@ class Field:
                         for j in cols:
                             row[j] = (row[j] - g * prow[j]) % p
         elif self.p == 2 and self._exp is not None:
-            order, log, exp2 = self.q - 1, self._log, self._exp2
+            order, log, exp = self.q - 1, self._log, self._exp
 
             def clear_column(prow, c, rows):
                 terms = None             # built once a row needs them
@@ -288,7 +287,7 @@ class Field:
                                      for j in range(c, len(prow)) if prow[j]]
                         log_g = (log[row[c]] - log_pivot) % order
                         for j, log_y in terms:
-                            row[j] ^= exp2[log_g + log_y]
+                            row[j] ^= exp[log_g + log_y]
         else:
             def clear_column(prow, c, rows):
                 inv = self.inv(prow[c])
@@ -312,13 +311,13 @@ class Field:
             def dot(xs, ys):
                 return sum(map(operator.mul, xs, ys)) % p
         elif self.p == 2 and self._exp is not None:
-            log, exp2 = self._log, self._exp2
+            log, exp = self._log, self._exp
 
             def dot(xs, ys):
                 acc = 0
                 for x, y in zip(xs, ys):
                     if x and y:
-                        acc ^= exp2[log[x] + log[y]]
+                        acc ^= exp[log[x] + log[y]]
                 return acc
         else:
             dot = functools.partial(_checked_dot, self)
