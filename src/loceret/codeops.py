@@ -136,6 +136,11 @@ class LinearCode:
     def __setattr__(self, name, value):
         raise AttributeError("LinearCode is immutable")
 
+    def __reduce__(self):
+        # rebuilt through __init__: the default slot restore would go
+        # through the blocked __setattr__
+        return LinearCode, (self.field, self.n, self.gen, self.pivots)
+
     def __eq__(self, other):
         return (isinstance(other, LinearCode)
                 and self.field == other.field

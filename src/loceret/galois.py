@@ -6,10 +6,13 @@ polynomial (digit j = coefficient of x^j), so 0 encodes the additive identity
 and 1 the multiplicative identity in every field.  Extension fields with at
 most 2**16 elements precompute log/antilog tables for O(1) products; prime
 fields use plain modular arithmetic.  The array kernels (mul_array,
-add_array, dot_array) apply the same arithmetic elementwise to numpy int64
-arrays of canonical elements, with one path per field kind; the scalar inner
-product _dot and the elimination step _clear_column are likewise chosen once
-per field kind, when the field is built.
+add_array, sum_array, dot_array) apply the same arithmetic elementwise to
+numpy arrays of canonical elements, with one path per field kind; the scalar
+inner product _dot and the elimination step _clear_column are likewise
+chosen once per field kind, when the field is built.  So is the encode
+kernel (encoding, encode_word, encode_at): extension fields of at most 256
+elements look message-symbol products up in a per-code uint8 table and sum
+the rows, every other field multiplies through dot_array.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ import numpy as np
 
 DEFAULT_MAX_ORDER = 1 << 20
 TABLE_LIMIT = 1 << 16
+# Largest extension field that encodes by product table: its symbols fit
+# in uint8, and the table (q bytes per generator entry) stays small.
+ENCODE_TABLE_LIMIT = 1 << 8
 
 NEG_INF = float("-inf")
 
@@ -193,6 +199,7 @@ class Field:
             self._build_tables()
         self._clear_column = self._column_clearer()
         self._dot = self._scalar_dot()
+        self._encodes_by_table = m > 1 and q <= ENCODE_TABLE_LIMIT
 
     # -- construction helpers ------------------------------------------------
 
@@ -442,11 +449,62 @@ class Field:
     def dot_array(self, a, b) -> np.ndarray:
         """Inner products along the last axis, after broadcasting a and b."""
         if self.m == 1:
-            return (a * b).sum(axis=-1) % self.p
-        prod = self.mul_array(a, b)
+            return self.sum_array(a * b, axis=-1)   # reduced once, after the sum
+        return self.sum_array(self.mul_array(a, b), axis=-1)
+
+    def sum_array(self, a, axis: int) -> np.ndarray:
+        """Field sum along one axis: an integer sum mod p in prime fields, an
+        XOR reduction when p = 2 and a base-p digit sum otherwise.  Prime
+        fields take any nonnegative integers, extension fields canonical
+        elements of any integer dtype."""
+        if self.m == 1:
+            return a.sum(axis=axis) % self.p
         if self.p == 2:
-            return np.bitwise_xor.reduce(prod, axis=-1)
-        return self._from_digits(self._to_digits(prod).sum(axis=-2) % self.p)
+            return np.bitwise_xor.reduce(a, axis=axis)
+        digit_axis = axis if axis >= 0 else axis - 1    # digits sit last
+        return self._from_digits(self._to_digits(a).sum(axis=digit_axis) % self.p)
+
+    # -- encoding ---------------------------------------------------------------
+    # One kernel per field kind, chosen by _encodes_by_table: extension
+    # fields of at most ENCODE_TABLE_LIMIT elements look products up in a
+    # per-code table, every other field multiplies through dot_array.
+
+    def encoding(self, generator) -> np.ndarray:
+        """The array encode_word and encode_at take for a code with the
+        (n, k) generator (one row per coordinate), built once per code.
+
+        With a table it is the read-only uint8 (k*q, n) product table,
+        table[j*q + s, c] = s * generator[c, j], gathered from the field's
+        q x q multiplication table so that no int64 block larger than q x q
+        exists while it is built; otherwise it is the generator itself."""
+        if not self._encodes_by_table:
+            return generator
+        symbols = np.arange(self.q, dtype=np.int64)
+        products = self.mul_array(symbols[:, None], symbols).astype(np.uint8)
+        table = products[generator.T[:, None, :], symbols[:, None]]
+        table = table.reshape(-1, generator.shape[0])       # (k*q, n), a view
+        table.flags.writeable = False
+        return table
+
+    def encode_word(self, message, encoding) -> np.ndarray:
+        """The codeword of one int64 message of canonical elements: with a
+        table, a sum of the k rows j*q + message[j]."""
+        if not self._encodes_by_table:
+            return self.dot_array(message, encoding)
+        rows = np.arange(0, message.size * self.q, self.q) + message
+        return self.sum_array(encoding[rows], axis=0)
+
+    def encode_at(self, messages, encoding, coords) -> np.ndarray:
+        """Codeword symbols at the coordinates coords of int64 messages of
+        shape (..., k), broadcast against coords: with a table, a sum of the
+        flat entries (j*q + messages[..., j]) * n + coords."""
+        if not self._encodes_by_table:
+            return self.dot_array(messages, encoding[coords])
+        n = encoding.shape[1]
+        k = messages.shape[-1]
+        rows = np.arange(0, k * self.q, self.q) + messages
+        flat = rows * n + coords[..., None]
+        return self.sum_array(encoding.ravel()[flat], axis=-1)
 
     def _to_digits(self, a) -> np.ndarray:
         """Base-p digits on a new last axis (odd-p extension fields)."""

@@ -8,6 +8,10 @@ evaluated function space is spanned by the monomials x^i y^j with j bounded
 per i.  Restricted to any one fibre, y is constant, so every codeword looks
 like a short RS codeword there; that is what makes cheap local repair with
 error detection possible.
+
+Every spec caches its generator and the array its field encodes with
+(Field.encoding: a product table on extension fields of at most 256
+elements), which encode and the simulator share.
 """
 
 from __future__ import annotations
@@ -54,15 +58,29 @@ class WrongCountError(ValueError):
 
 
 class _EvaluationCode:
-    """The generator of an evaluation-code spec, held once as an array."""
+    """The generator of an evaluation-code spec and the array its field
+    encodes with, each held once; neither is a field, so equality, hash and
+    repr ignore them."""
 
     @functools.cached_property
     def generator(self) -> np.ndarray:
-        """eval_rows as a read-only int64 (n, k) array for encode and the
-        simulator; not a field, so equality, hash and repr ignore it."""
+        """eval_rows as a read-only int64 (n, k) array."""
         columns = np.array(self.eval_rows, dtype=np.int64).T
         columns.flags.writeable = False
         return columns
+
+    @functools.cached_property
+    def encoding(self) -> np.ndarray:
+        """Field.encoding of the generator, for encode and the simulator:
+        the product table on extension fields of at most 256 elements, the
+        generator itself elsewhere."""
+        return self.field.encoding(self.generator)
+
+    def __getstate__(self):
+        # copies and unpickled specs rebuild the cached arrays, read-only,
+        # on first use (numpy restores arrays writeable)
+        return {key: value for key, value in self.__dict__.items()
+                if key not in ("generator", "encoding")}
 
 
 @dataclass(frozen=True)
@@ -215,7 +233,7 @@ def encode(spec, message) -> Codeword:
             f"message must have {spec.k} symbols, got {len(message)}")
     msg = np.array([field._check(x) for x in message], dtype=np.int64)
     # tolist: symbols stay Python ints, which _check and json accept
-    return Codeword(symbols=tuple(field.dot_array(msg, spec.generator).tolist()))
+    return Codeword(symbols=tuple(field.encode_word(msg, spec.encoding).tolist()))
 
 
 def interpolate(spec: RsSpec, positions, values) -> list[int]:

@@ -7,12 +7,13 @@ combination, no checking) and repair with detection.  Randomness is
 counter-based, every draw is a pure hash of (seed, trial, draw index), so
 reports are bit-identical regardless of how trials are scheduled.  Trials
 run as numpy array operations over slices of trials: draw, encode the
-target and helper symbols, inject errors, then check and recover against
-every trial's padded plan vectors at once.
+target and helper symbols (Field.encode_at on the code's encoding, the
+same array rscodes.encode uses), inject errors, then check and recover
+against every trial's padded plan vectors at once.
 
 Also hosts the byte ingestion pipeline: a byte stream is cut into m-bit
 symbols of GF(2^m) and grouped into k-symbol messages, with reversible
-0x80-then-zeros padding.
+0x80-then-zeros padding, by numpy bit unpacking and packing for every m.
 """
 
 from __future__ import annotations
@@ -247,8 +248,9 @@ def build_plans(bundle: descriptor.CodeBundle, t: int) -> list:
 
 
 class _CodeArrays:
-    """Per-(code, t) engine state: the encoding columns and every
-    coordinate's plan as rows of arrays padded to the widest plan.
+    """Per-(code, t) engine state: the generator columns, the field's
+    encoding of them (a spec's own cached one) and every coordinate's plan
+    as rows of arrays padded to the widest plan.
 
     Padding slots of a plan with fewer helpers point at coordinate 0 with
     zero check and recovery coefficients, so they add nothing to any inner
@@ -260,8 +262,12 @@ class _CodeArrays:
             raise PlanUnavailableError("cannot simulate the zero code")
         plans = build_plans(bundle, t)
         self.field = bundle.field
-        self.columns = (bundle.spec.generator if bundle.spec is not None
-                        else np.array(bundle.code.gen, dtype=np.int64).T)
+        if bundle.spec is not None:
+            self.columns = bundle.spec.generator
+            self.encoding = bundle.spec.encoding
+        else:
+            self.columns = np.array(bundle.code.gen, dtype=np.int64).T
+            self.encoding = self.field.encoding(self.columns)
         self.n, self.k = self.columns.shape                     # (n, k)
         self.r = np.array([len(plan.helpers) for plan in plans], dtype=np.int64)
         width = int(self.r.max())
@@ -338,8 +344,8 @@ def _run_slice(context: _SimContext, start: int, stop: int) -> _Slice:
     errors = 1 + (_draws(streams, error_index)
                   % np.uint64(field.q - 1)).astype(np.int64)
 
-    truth = field.dot_array(message, arr.columns[targets])
-    values = field.dot_array(message[:, None, :], arr.columns[arr.helpers[targets]])
+    truth = field.encode_at(message, arr.encoding, targets)
+    values = field.encode_at(message[:, None, :], arr.encoding, arr.helpers[targets])
     values = field.add_array(values, np.where(corrupted, errors, 0))
     syndromes = field.dot_array(arr.checks[targets], values[:, None, :])
     naive = field.dot_array(arr.recovery[targets], values)
@@ -469,6 +475,11 @@ def _block_bytes(m: int, k: int) -> int:
     return math.lcm(m * k, 8) // 8
 
 
+def _bit_weights(m: int) -> np.ndarray:
+    """Place values of a symbol's m bits, most significant first."""
+    return 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
+
+
 def ingest(data: bytes, field, k: int) -> list[list[int]]:
     """Cut a byte stream into k-symbol messages of m-bit symbols (big-endian
     within each symbol).  A 0x80 byte plus zeros pads to a whole number of
@@ -480,23 +491,10 @@ def ingest(data: bytes, field, k: int) -> list[list[int]]:
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     m = field.m
-    block = _block_bytes(m, k)
-    padded = bytearray(data)
-    padded.append(0x80)
-    while len(padded) % block:
-        padded.append(0x00)
-
-    symbols = []
-    acc = 0
-    bits = 0
-    for byte in padded:
-        acc = (acc << 8) | byte
-        bits += 8
-        while bits >= m:
-            bits -= m
-            symbols.append((acc >> bits) & ((1 << m) - 1))
-            acc &= (1 << bits) - 1
-    return [symbols[i:i + k] for i in range(0, len(symbols), k)]
+    padded = bytes(data) + b"\x80"
+    padded += bytes(-len(padded) % _block_bytes(m, k))
+    bits = np.unpackbits(np.frombuffer(padded, dtype=np.uint8)).reshape(-1, m)
+    return (bits @ _bit_weights(m)).reshape(-1, k).tolist()
 
 
 def emit(messages, field) -> bytes:
@@ -505,22 +503,16 @@ def emit(messages, field) -> bytes:
         raise UnsupportedFieldError(
             f"byte ingestion needs characteristic 2, got {field!r}")
     m = field.m
-    acc = 0
-    bits = 0
-    out = bytearray()
-    for message in messages:
-        for sym in message:
-            acc = (acc << m) | field._check(sym)
-            bits += m
-            while bits >= 8:
-                bits -= 8
-                out.append((acc >> bits) & 0xFF)
-                acc &= (1 << bits) - 1
-    if bits:
+    symbols = [sym for message in messages for sym in message]
+    if symbols and not ({type(sym) for sym in symbols} == {int}
+                        and 0 <= min(symbols) and max(symbols) < field.q):
+        for sym in symbols:
+            field._check(sym)       # raises on the first non-canonical symbol
+    if len(symbols) * m % 8:
         raise ValueError("symbol stream does not fill whole bytes")
-    while out and out[-1] == 0x00:
-        out.pop()
+    values = np.array(symbols, dtype=np.int64)[:, None]
+    bits = ((values & _bit_weights(m)) != 0).astype(np.uint8)
+    out = np.packbits(bits.ravel()).tobytes().rstrip(b"\x00")
     if not out or out[-1] != 0x80:
         raise ValueError("padding marker missing; not an ingest() output")
-    out.pop()
-    return bytes(out)
+    return out[:-1]

@@ -244,3 +244,29 @@ def test_array_kernels_match_the_scalar_operations(field):
             for i in range(0, 63, 7)]
     assert field.dot_array(A.reshape(9, 7), B.reshape(9, 7)).tolist() == dots
     assert field.dot_array(A[:0], B[:0]) == 0
+
+
+@pytest.mark.parametrize("field", [Field(13), Field(2, 2), Field(2, 8), Field(3, 2),
+                                   Field(3, 5), Field(2, 9), Field(2, 17)],
+                         ids=repr)
+def test_encode_kernels_match_scalar_inner_products(field):
+    # prime, table (q <= 256, p = 2 and odd p) and dot_array (q > 256) paths
+    rng = random.Random(field.q + 1)
+    n, k = 9, 4
+    gen = np.array([[rng.randrange(field.q) for _ in range(k)] for _ in range(n)])
+    gen[2] = 0                                     # an all-zero coordinate
+    messages = np.array([[rng.randrange(field.q) for _ in range(k)]
+                         for _ in range(6)] + [[0] * k, [field.q - 1] * k])
+    words = [[reduce(field.add, map(field.mul, msg, col), 0) for col in gen.tolist()]
+             for msg in messages.tolist()]
+    encoding = field.encoding(gen)
+    assert (encoding.dtype == np.uint8) == (field.m > 1 and field.q <= 256)
+    assert not encoding.flags.writeable or encoding is gen
+    for msg, word in zip(messages, words):
+        assert field.encode_word(msg, encoding).tolist() == word
+    targets = np.array([0, 2, 8, 5, 1, 3, 7, 4])
+    assert field.encode_at(messages, encoding, targets).tolist() == [
+        word[c] for word, c in zip(words, targets.tolist())]
+    helpers = np.array([[(c + j) % n for j in range(3)] for c in range(8)])
+    assert field.encode_at(messages[:, None, :], encoding, helpers).tolist() == [
+        [word[c] for c in row] for word, row in zip(words, helpers.tolist())]

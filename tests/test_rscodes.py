@@ -1,5 +1,8 @@
+import copy
 import itertools
+import pickle
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +193,8 @@ def oracle_encode(spec, message):
 GF256 = Field(2, 8)
 ENCODE_SPECS = (
     ("GF(13) [12,6] fibre code", lambda: example_code()),
+    ("RS[4,2]/GF(4)", lambda: rs_make(Field(2, 2), list(range(4)), 2)),
+    ("RS[16,7]/GF(16)", lambda: rs_make(Field(2, 4), list(range(16)), 7)),
     ("GF(2^8) [255,15] fibre code",
      lambda: lrcrs_make(GF256, [0, 0, 0, 0, 0, 1], [4, 4, 4])),
     ("RS[256,16]/GF(2^8)", lambda: rs_make(GF256, list(range(256)), 16)),
@@ -243,6 +248,69 @@ def test_simulator_encodes_with_the_spec_generator():
         "field": {"p": 13, "m": 1}, "construction": "lrcrs",
         "p_poly": [0, 0, 0, 0, 1], "l": [2, 2]})
     assert storagesim._CodeArrays(bundle, 1).columns is bundle.spec.generator
+
+
+@pytest.mark.parametrize("desc", [
+    {"field": {"p": 2, "m": 8}, "construction": "lrcrs",
+     "p_poly": [0, 0, 0, 0, 0, 1], "l": [4, 4, 4]},
+    {"field": {"p": 3, "m": 2}, "construction": "rs", "points": "all", "k": 3},
+], ids=["GF(2^8) fibre code", "RS[9,3]/GF(9)"])
+def test_encode_and_the_simulator_share_one_product_table(desc):
+    bundle = descriptor.build_code(desc)
+    spec, q = bundle.spec, bundle.field.q
+    table = spec.encoding
+    assert table is spec.encoding                  # built once per spec
+    assert table.dtype == np.uint8 and table.shape == (spec.k * q, spec.n)
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    assert storagesim._CodeArrays(bundle, 1).encoding is table
+    encode(spec, [1] * spec.k)
+    assert spec.encoding is table
+    # table[j*q + s, c] = s * G[c, j]
+    for j, c, s in ((0, 0, 0), (spec.k - 1, spec.n - 1, q - 1), (1, 2, 5)):
+        assert table[j * q + s, c] == bundle.field.mul(s, spec.eval_rows[j][c])
+
+
+def test_prime_and_large_fields_encode_with_the_generator_itself():
+    for spec in (example_code(),
+                 rs_make(Field(2, 9), list(range(20)), 4)):
+        assert spec.encoding is spec.generator
+
+
+def test_building_the_rs256_table_peaks_below_twice_its_size():
+    spec = rs_make(GF256, list(range(256)), 16)
+    spec.generator
+    tracemalloc.start()
+    try:
+        table = spec.encoding
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == 1 << 20
+    assert peak < 2 * table.nbytes
+
+
+@pytest.mark.parametrize("desc", [
+    {"field": {"p": 13}, "construction": "lrcrs",
+     "p_poly": [0, 0, 0, 0, 1], "l": [2, 2]},
+    {"field": {"p": 2, "m": 4}, "construction": "rs", "points": "all", "k": 5},
+], ids=["LrcRsSpec/GF(13)", "RsSpec/GF(16)"])
+def test_codes_specs_and_bundles_survive_pickle_and_copies(desc):
+    bundle = descriptor.build_code(desc)
+    message = list(range(1, bundle.spec.k + 1))
+    for encoded_first in (False, True):
+        if encoded_first:
+            word = encode(bundle.spec, message)
+        for obj in (bundle.code, bundle.spec, bundle):
+            for copied in (pickle.loads(pickle.dumps(obj)), copy.copy(obj),
+                           copy.deepcopy(obj)):
+                assert copied == obj
+        spec = pickle.loads(pickle.dumps(bundle)).spec
+        assert encode(spec, message) == encode(bundle.spec, message)
+        # the copy builds its own cached arrays, read-only like the original's
+        assert not spec.generator.flags.writeable
+        assert not spec.encoding.flags.writeable
+    assert encode(copy.deepcopy(bundle.spec), message) == word
 
 
 # ---------------------------------------------------------------------------

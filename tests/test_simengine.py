@@ -32,6 +32,12 @@ GENERATOR = {"field": {"p": 13, "m": 1}, "construction": "generator",
              "rows": [[1, 0, 0, 1, 1, 1, 2], [0, 1, 0, 1, 2, 0, 1],
                       [0, 0, 1, 0, 0, 1, 1]]}
 
+# a generator code over a field that encodes by product table
+GENERATOR_GF16 = {"field": {"p": 2, "m": 4}, "construction": "generator",
+                  "rows": [[1, 0, 0, 1, 7, 3, 9, 12, 5, 1],
+                           [0, 1, 0, 5, 2, 11, 1, 4, 8, 15],
+                           [0, 0, 1, 6, 13, 1, 10, 2, 3, 9]]}
+
 
 def mix(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
@@ -94,6 +100,8 @@ CASES = [
     ("rs-gf2^17", RS_GF2_17, 1, Bernoulli(0.25), "uniform-random", 300),
     ("generator-bernoulli", GENERATOR, 1, Bernoulli(0.3), "round-robin", 800),
     ("generator-exact2", GENERATOR, 1, ExactErrors(2), "uniform-random", 800),
+    ("generator-gf16-bernoulli", GENERATOR_GF16, 1, Bernoulli(0.3),
+     "uniform-random", 800),
     ("cubic-fibre-t2-exact2", CUBIC_FIBRE, 2, ExactErrors(2), "round-robin", 600),
     ("cubic-fibre-t2-bernoulli", CUBIC_FIBRE, 2, Bernoulli(0.4), "uniform-random", 600),
 ]

@@ -70,6 +70,90 @@ def test_ingest_needs_characteristic_two():
         emit([[1, 2]], Field(13))
 
 
+def oracle_ingest(data, field, k):
+    """The bit loop that the numpy ingest replaced, kept as an oracle."""
+    m = field.m
+    block = storagesim._block_bytes(m, k)
+    padded = bytearray(data)
+    padded.append(0x80)
+    while len(padded) % block:
+        padded.append(0x00)
+    symbols = []
+    acc = 0
+    bits = 0
+    for byte in padded:
+        acc = (acc << 8) | byte
+        bits += 8
+        while bits >= m:
+            bits -= m
+            symbols.append((acc >> bits) & ((1 << m) - 1))
+            acc &= (1 << bits) - 1
+    return [symbols[i:i + k] for i in range(0, len(symbols), k)]
+
+
+def oracle_emit(messages, field):
+    """The bit loop that the numpy emit replaced, kept as an oracle."""
+    m = field.m
+    acc = 0
+    bits = 0
+    out = bytearray()
+    for message in messages:
+        for sym in message:
+            acc = (acc << m) | field._check(sym)
+            bits += m
+            while bits >= 8:
+                bits -= 8
+                out.append((acc >> bits) & 0xFF)
+                acc &= (1 << bits) - 1
+    if bits:
+        raise ValueError("symbol stream does not fill whole bytes")
+    while out and out[-1] == 0x00:
+        out.pop()
+    if not out or out[-1] != 0x80:
+        raise ValueError("padding marker missing; not an ingest() output")
+    out.pop()
+    return bytes(out)
+
+
+def test_ingest_and_emit_match_the_bit_loops():
+    rng = random.Random(113)
+    for m in (1, 2, 3, 4, 5, 7, 8, 16):
+        field = Field(2, m)
+        for k in (1, 3, 15):
+            for length in range(51):
+                data = rng.randbytes(length)
+                messages = ingest(data, field, k)
+                assert messages == oracle_ingest(data, field, k)
+                assert all(type(s) is int for block in messages for s in block)
+                assert emit(messages, field) == oracle_emit(messages, field) == data
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_emit_rejects_bad_streams_as_the_bit_loop_did():
+    # non-canonical symbols (the first bad one is named), a stream that
+    # does not fill whole bytes, a missing marker, and ragged messages
+    cases = [(GF256, [[1, 256, -1]]), (GF256, [[1, 2.0]]), (GF256, [[-3]]),
+             (GF256, [[True, 0x80]]), (GF256, [[1, 2 ** 70]]),
+             (GF16, [[0x8, 0x0, 0x1]]), (GF16, [[0x8]]), (GF256, []),
+             (GF256, [[0, 0]]), (GF256, [[0x41], [0x80, 0], []]),
+             (Field(2, 3), [[4, 0, 0, 0, 0, 0, 0, 0]])]
+    for field, messages in cases:
+        assert outcome(emit, messages, field) == outcome(oracle_emit, messages, field)
+    assert outcome(emit, [[1, 256]], GF256) == (
+        ValueError, "256 is not a canonical element of GF(2^8)")
+
+
+def test_ingest_rejects_a_non_positive_k():
+    with pytest.raises(ValueError, match="k must be positive, got 0"):
+        ingest(b"x", GF256, 0)
+
+
 # ---------------------------------------------------------------------------
 # simulation
 # ---------------------------------------------------------------------------
