@@ -54,6 +54,8 @@ def _plan_record(plan) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args) -> tuple[dict, int]:
+    if args.t < 0:
+        raise ValueError(f"--t must be nonnegative, got {args.t}")
     desc = load_descriptor(args.descriptor)
     bundle = build_code(desc)
     code = bundle.code
@@ -135,7 +137,11 @@ def cmd_plan(args) -> tuple[dict, int]:
     bundle = build_code(desc)
     helpers = None
     if args.helpers:
-        helpers = [int(tok) for tok in args.helpers.split(",") if tok.strip()]
+        try:
+            helpers = [int(tok) for tok in args.helpers.split(",") if tok.strip()]
+        except ValueError:
+            raise ValueError("--helpers: expected comma-separated coordinates, "
+                             f"got {args.helpers!r}") from None
     plan = localrepair.plan_for(bundle, args.target, args.t, helpers=helpers)
     doc = _base_report("plan", bundle.digest)
     doc["plan"] = _plan_record(plan)

@@ -306,7 +306,7 @@ def dual_ghw(code: LinearCode, s: int, d: int | None = None,
     of the code or any lower bound on it; by Wei's duality theorem ({d_r(C)}
     and {n + 1 - d_s(dual)} partition 1..n) every s >= n - k - d + 2 has
     d_s(dual) = k + s, which is returned without a search.  ranks is an
-    optional column-rank memo, as in is_edr_set.
+    optional column-rank memo keyed by sorted column tuple.
     """
     n, k = code.n, code.k
     if 2 ** n > cap:
@@ -326,47 +326,54 @@ def dual_ghw(code: LinearCode, s: int, d: int | None = None,
 # Recovery sets, error-detecting recovery sets, locality
 # ---------------------------------------------------------------------------
 
+def _checked_helpers(n: int, i, helpers=(), t: int = 0) -> tuple[int, ...]:
+    """The one check of a target i in [0, n), t >= 0 and helpers distinct
+    from each other and from i, where they enter; returns the helpers sorted."""
+    if not isinstance(i, int) or not 0 <= i < n:
+        raise IndexOutOfRangeError(f"target {i!r} outside [0, {n})")
+    if t < 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
+    R = _coords(n, helpers)
+    if i in R:
+        raise ValueError(f"target {i} must not be among the helpers")
+    return R
+
+
 def is_recovery_set(code: LinearCode, i: int, helpers) -> bool:
     """True when column i lies in the span of the helper columns.
 
     The empty set recovers i exactly when column i is zero.
     """
-    if not isinstance(i, int) or not 0 <= i < code.n:
-        raise IndexOutOfRangeError(f"coordinate {i!r} outside [0, {code.n})")
-    R = _coords(code.n, helpers)
-    if i in R:
-        raise ValueError(f"target {i} must not be among the helpers")
+    R = _checked_helpers(code.n, i, helpers)
     return _rank_cols(code, R) == _rank_cols(code, R + (i,))
 
 
 def is_edr_set(code: LinearCode, i: int, helpers, t: int,
-               cap: int = DEFAULT_ENUM_CAP, *, ranks: dict | None = None) -> bool:
+               cap: int = DEFAULT_ENUM_CAP) -> bool:
     """True when the punctured code on helpers + {i} has distance > t + 1.
 
     Equivalent formulation used here: no nonzero codeword of the punctured
     code is supported on t + 1 or fewer of its coordinates, checked by rank
     over every small support.  This stays polynomial in the set size where
-    codeword enumeration would blow up.  ranks, when given, is a memo of
-    column ranks (keyed by sorted column tuple) shared by calls on the same
-    code.
+    codeword enumeration would blow up.
     """
-    if not isinstance(i, int) or not 0 <= i < code.n:
-        raise IndexOutOfRangeError(f"coordinate {i!r} outside [0, {code.n})")
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    R = _coords(code.n, helpers)
-    if i in R:
-        raise ValueError(f"target {i} must not be among the helpers")
-    barred = tuple(sorted(R + (i,)))
-    full = _memo_rank(code, barred, ranks)
+    R = _checked_helpers(code.n, i, helpers, t)
+    return _detects(code, tuple(sorted(R + (i,))), t, cap)
+
+
+def _detects(code, support, t, cap=DEFAULT_ENUM_CAP, ranks=None) -> bool:
+    """is_edr_set on the sorted support R + {i}, unvalidated: its columns keep
+    their rank without any t + 1 of them (or all, when fewer), unless that
+    rank is 0.  ranks, when given, is a column-rank memo keyed by column tuple."""
+    full = _memo_rank(code, support, ranks)
     if full == 0:
         return True
-    w = min(t + 1, len(barred))
-    if math.comb(len(barred), w) > cap:
+    w = min(t + 1, len(support))
+    if math.comb(len(support), w) > cap:
         raise TooLargeToEnumerateError(
-            f"C({len(barred)},{w}) supports exceed the cap {cap}")
+            f"C({len(support)},{w}) supports exceed the cap {cap}")
     return all(_memo_rank(code, kept, ranks) == full
-               for kept in itertools.combinations(barred, len(barred) - w))
+               for kept in itertools.combinations(support, len(support) - w))
 
 
 def _memo_rank(code, cols, ranks):
@@ -445,7 +452,8 @@ class LocalityReport:
 
 def _min_edr_for_coord(code, i, t, mode, cap, start=0, ranks=None):
     """Smallest t-edr set for coordinate i, scanning sizes from start up; in
-    exhaustive mode the first witness in lexicographic order."""
+    exhaustive mode the first witness in lexicographic order.  Callers check
+    i and t; each candidate goes straight to _detects."""
     if ranks is None:
         ranks = {}
     others = [j for j in range(code.n) if j != i]
@@ -455,8 +463,8 @@ def _min_edr_for_coord(code, i, t, mode, cap, start=0, ranks=None):
         else:
             candidates = itertools.combinations(others, size)
         for R in candidates:
-            if is_edr_set(code, i, R, t, cap=cap, ranks=ranks):
-                return size, tuple(R)
+            if _detects(code, tuple(sorted(R + (i,))), t, cap, ranks):
+                return size, R
     return None, None
 
 
@@ -512,28 +520,8 @@ def t_locality(code: LinearCode, t: int, mode: str = "exhaustive",
         size = witness = None
         if start is not None:
             size, witness = _min_edr_for_coord(code, i, t, mode, cap, start, ranks)
-        if witness is not None:
-            _assert_witness_consistency(code, i, witness, t, cap, ranks)
         per.append(CoordLocality(i, size, witness))
     return LocalityReport(t=t, per_coord=per, mode=mode)
-
-
-def _assert_witness_consistency(code, i, R, t, cap, ranks):
-    """Internal consistency checks every witness must satisfy; a failure here
-    means a bug upstream, not bad input."""
-    barred = tuple(sorted(R + (i,)))
-    # rotating the target into the helper set preserves the property
-    for j in R:
-        rotated = tuple(c for c in barred if c != j)
-        if not is_edr_set(code, j, rotated, t, cap=cap, ranks=ranks):
-            raise AssertionError(
-                f"witness {R} for coordinate {i} fails rotation at {j}")
-    # Singleton on the punctured code, which has distance >= t + 2 unless it
-    # is the zero code
-    full = _memo_rank(code, barred, ranks)
-    if full > 0 and full > len(R) - t:
-        raise AssertionError(
-            f"witness {R} for coordinate {i} violates the dimension cap")
 
 
 # ---------------------------------------------------------------------------

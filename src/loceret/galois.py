@@ -169,13 +169,17 @@ class Field:
 
     def __init__(self, p: int, m: int = 1, modulus=None,
                  max_order: int = DEFAULT_MAX_ORDER):
+        # before is_prime and p ** m, which run for too long on a large p or m
+        if isinstance(p, int) and p > max_order:
+            raise FieldTooLargeError(f"p = {p} exceeds the cap {max_order}")
         if not is_prime(p):
             raise NotPrimeError(f"p = {p} is not prime")
         if not isinstance(m, int) or m < 1:
             raise ValueError(f"extension degree must be a positive integer, got {m}")
+        # p^m >= 2^m > max_order once m reaches the cap's bit length
+        if m >= max_order.bit_length() or p ** m > max_order:
+            raise FieldTooLargeError(f"p^m = {p}^{m} exceeds the cap {max_order}")
         q = p ** m
-        if q > max_order:
-            raise FieldTooLargeError(f"p^m = {q} exceeds the cap {max_order}")
         self.p = p
         self.m = m
         self.q = q

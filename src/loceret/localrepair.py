@@ -131,25 +131,20 @@ def plan_rs(spec: RsSpec, target: int, t: int,
     """Plan for an RS code: default helpers are the k + t lowest coordinates
     other than the target, which always form a t-edr set."""
     n = len(spec.points)
-    if not isinstance(target, int) or not 0 <= target < n:
-        raise codeops.IndexOutOfRangeError(f"target {target!r} outside [0, {n})")
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
     need = spec.k + t
     if helpers is None:
+        codeops._checked_helpers(n, target, t=t)
         if n < need + 1:
             raise NotEnoughCoordinatesError(
                 f"need {need + 1} coordinates for t = {t}, code has {n}")
         helpers = tuple(c for c in range(n) if c != target)[:need]
     else:
-        helpers = codeops._coords(n, helpers)
-        if target in helpers:
-            raise ValueError(f"target {target} must not be among the helpers")
+        helpers = codeops._checked_helpers(n, target, helpers, t)
         if len(helpers) != need:
             raise HelpersNotEdrError(
                 f"detecting t = {t} errors takes exactly k + t = {need} helpers, "
                 f"got {len(helpers)}")
-        if not codeops.is_edr_set(spec.code, target, helpers, t):
+        if not codeops._detects(spec.code, tuple(sorted(helpers + (target,))), t):
             raise HelpersNotEdrError(
                 f"{list(helpers)} is not a {t}-error-detecting recovery set "
                 f"for coordinate {target}")
@@ -173,14 +168,15 @@ def plan_linear(code: codeops.LinearCode, target: int, t: int,
     """
     field = code.field
     if helpers is None:
+        codeops._checked_helpers(code.n, target, t=t)
         size, helpers = codeops._min_edr_for_coord(
             code, target, t, "exhaustive", codeops.DEFAULT_ENUM_CAP)
         if helpers is None:
             raise HelpersNotEdrError(
                 f"coordinate {target} admits no {t}-error-detecting recovery set")
     else:
-        helpers = codeops._coords(code.n, helpers)
-        if not codeops.is_edr_set(code, target, helpers, t):
+        helpers = codeops._checked_helpers(code.n, target, helpers, t)
+        if not codeops._detects(code, tuple(sorted(helpers + (target,))), t):
             raise HelpersNotEdrError(
                 f"{list(helpers)} is not a {t}-error-detecting recovery set "
                 f"for coordinate {target}")
@@ -220,8 +216,10 @@ def plan_for(bundle, target: int, t: int, helpers=None) -> RecoveryPlan:
     RS codes use plan_rs.  Piecewise-RS codes use their fibre plan, with
     detection truncated when t is below its capacity of one.  Everything
     else (explicit helpers on a piecewise-RS code, t above the fibre's
-    capacity, generator codes) goes through the generic plan_linear.
+    capacity, generator codes) goes through the generic plan_linear.  The
+    target and t are checked first.
     """
+    codeops._checked_helpers(bundle.code.n, target, t=t)
     if bundle.kind == "rs":
         return plan_rs(bundle.spec, target, t, helpers=helpers)
     if bundle.kind == "lrcrs" and helpers is None:

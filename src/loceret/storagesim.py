@@ -227,8 +227,9 @@ class TrialRecord(NamedTuple):
 # ---------------------------------------------------------------------------
 
 # Memo for everything a campaign derives from its code: the CodeBundle (key
-# digest), each coordinate's plan (key (digest, coordinate, t)) and the
-# engine arrays (key (digest, t)).  Campaigns of a sweep share one build.
+# digest), a generator code's encoding (key (digest, "encoding")), each
+# coordinate's plan (key (digest, coordinate, t)) and the engine arrays (key
+# (digest, t)).  Campaigns of a sweep share one build.
 _plan_cache = localrepair.PlanCache()
 
 
@@ -249,8 +250,8 @@ def build_plans(bundle: descriptor.CodeBundle, t: int) -> list:
 
 class _CodeArrays:
     """Per-(code, t) engine state: the generator columns, the field's
-    encoding of them (a spec's own cached one) and every coordinate's plan
-    as rows of arrays padded to the widest plan.
+    encoding of them (one per code, shared across t) and every coordinate's
+    plan as rows of arrays padded to the widest plan.
 
     Padding slots of a plan with fewer helpers point at coordinate 0 with
     zero check and recovery coefficients, so they add nothing to any inner
@@ -267,7 +268,8 @@ class _CodeArrays:
             self.encoding = bundle.spec.encoding
         else:
             self.columns = np.array(bundle.code.gen, dtype=np.int64).T
-            self.encoding = self.field.encoding(self.columns)
+            self.encoding = _plan_cache.get_or_build(
+                (bundle.digest, "encoding"), lambda: self.field.encoding(self.columns))
         self.n, self.k = self.columns.shape                     # (n, k)
         self.r = np.array([len(plan.helpers) for plan in plans], dtype=np.int64)
         width = int(self.r.max())

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -73,6 +74,19 @@ def test_descriptor_parse_errors_carry_diagnostics():
     with pytest.raises(DescriptorError) as err:
         build_code({"field": {"p": 13}, "construction": "rs", "points": "all"})
     assert "k" in str(err.value)
+
+
+@pytest.mark.parametrize("field", [{"p": 2305843009213693951},
+                                   {"p": 3, "m": 20000000}], ids=["p", "m"])
+def test_oversized_field_descriptors_fail_fast(field, tmp_path, capsys):
+    desc = write_json(tmp_path / "code.json", {
+        "field": field, "construction": "rs", "points": [0, 1, 2], "k": 2})
+    start = time.perf_counter()
+    with pytest.raises(DescriptorError, match=r"^field: .*exceeds the cap"):
+        build_code(load_descriptor(desc))
+    assert cli.main(["analyze", desc]) == 1
+    assert capsys.readouterr().err.startswith("error: field: ")
+    assert time.perf_counter() - start < 1.0
 
 
 BOOLEAN_AS_INTEGER = {  # field named in the error -> descriptor
@@ -310,6 +324,31 @@ def test_plan_rejects_an_undersized_helper_set(tmp_path, capsys):
     assert cli.main(["plan", desc, "--target", "0", "--t", "1",
                      "--helpers", "1,2"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+BAD_T_OR_HELPERS = {  # case -> (argv after the descriptor, message start)
+    "plan-negative-t": (["plan", "--target", "0", "--t", "-1"],
+                        "error: t must be nonnegative, got -1"),
+    "repair-negative-t": (["repair", "--word", "WORD", "--target", "0",
+                           "--t", "-1"], "error: t must be nonnegative, got -1"),
+    "analyze-negative-t": (["analyze", "--t", "-1"],
+                           "error: --t must be nonnegative, got -1"),
+    "plan-bad-helpers": (["plan", "--target", "0", "--helpers", "1,2,x"],
+                         "error: --helpers: expected comma-separated"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_T_OR_HELPERS))
+def test_bad_t_or_helpers_name_the_flag(case, tmp_path, capsys):
+    argv, message = BAD_T_OR_HELPERS[case]
+    desc = write_json(tmp_path / "code.json", EXAMPLE_DESC)
+    word = tmp_path / "word.txt"
+    word.write_text(EXAMPLE_WORD)
+    argv = [argv[0], desc] + [str(word) if a == "WORD" else a for a in argv[1:]]
+    out = tmp_path / "out.json"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

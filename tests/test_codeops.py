@@ -233,6 +233,16 @@ def with_zero_and_repeated_columns(rng, code):
     return code_from_rows(code.field, rows, len(cols))
 
 
+def random_codes_with_zero_and_repeated_columns(field, seed, count):
+    """count seeded random codes of length 3..7 (before the column changes)
+    over the field, each yielded with the generator that made it."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(3, 8)
+        code = random_code(rng, field, n, rng.randrange(1, n + 1))
+        yield rng, with_zero_and_repeated_columns(rng, code)
+
+
 def example_code():
     return rscodes.lrcrs_make(F13, [0, 0, 0, 0, 1], [2, 2])
 
@@ -837,12 +847,42 @@ def test_locality_matches_oracle_on_the_example_code(t):
 @pytest.mark.parametrize("t", [0, 1, 2])
 @pytest.mark.parametrize("field", [F2, F3, GF4, GF9, F13], ids=repr)
 def test_locality_matches_oracle_with_zero_and_repeated_columns(field, t):
-    rng = random.Random(field.q * 10 + t)
-    for _ in range(12):
-        n = rng.randrange(3, 8)
-        code = random_code(rng, field, n, rng.randrange(1, n + 1))
-        assert_locality_matches_oracle(
-            with_zero_and_repeated_columns(rng, code), t)
+    for _, code in random_codes_with_zero_and_repeated_columns(
+            field, field.q * 10 + t, 12):
+        assert_locality_matches_oracle(code, t)
+
+
+@pytest.mark.parametrize("t", [0, 1, 2])
+@pytest.mark.parametrize("field", [F3, GF4, GF9, F13], ids=repr)
+def test_edr_verdict_depends_on_the_support_alone(field, t):
+    # R + {i} detects as a whole: every member of it may be the target
+    verdicts = set()
+    for rng, code in random_codes_with_zero_and_repeated_columns(
+            field, field.q * 20 + t, 12):
+        for size in range(1, code.n + 1):
+            S = rng.sample(range(code.n), size)
+            got = {is_edr_set(code, i, [c for c in S if c != i], t) for i in S}
+            assert len(got) == 1, (code, sorted(S), t)
+            verdicts |= got
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("t", [0, 1, 2])
+@pytest.mark.parametrize("field", [F3, GF4, GF9, F13], ids=repr)
+def test_witnesses_meet_the_singleton_dimension_cap(field, t):
+    # the punctured code on R + {i} has distance >= t + 2 unless it is the
+    # zero code, so Singleton caps its dimension at |R| - t
+    witnesses = 0
+    for _, code in random_codes_with_zero_and_repeated_columns(
+            field, field.q * 30 + t, 8):
+        for entry in t_locality(code, t).per_coord:
+            if entry.witness is None:
+                continue
+            R = entry.witness
+            full = codeops._rank_cols(code, tuple(sorted(R + (entry.coord,))))
+            assert full == 0 or full <= len(R) - t, (code, entry)
+            witnesses += 1
+    assert witnesses
 
 
 def test_small_dual_leaves_nonzero_columns_without_a_set():

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import time
 from functools import reduce
 
 import numpy as np
@@ -69,6 +70,25 @@ def test_reducible_modulus_rejected():
 def test_field_too_large():
     with pytest.raises(FieldTooLargeError):
         Field(2, 21)
+
+
+@pytest.mark.parametrize("p, m", [(2305843009213693951, 1), (3, 20000000)])
+def test_oversized_fields_fail_fast_naming_the_cap(p, m):
+    # trial division of the prime 2^61 - 1 and the millions of digits of
+    # 3^20000000 would each take far longer than the bound
+    start = time.perf_counter()
+    with pytest.raises(FieldTooLargeError, match=r"exceeds the cap 1048576$") as err:
+        Field(p, m)
+    assert time.perf_counter() - start < 0.5
+    assert len(str(err.value)) < 80
+
+
+def test_the_order_cap_is_inclusive_and_checked_after_primality():
+    assert Field(2, 21, max_order=1 << 21).q == 1 << 21
+    with pytest.raises(FieldTooLargeError):
+        Field(2, 22, max_order=1 << 21)
+    with pytest.raises(NotPrimeError):
+        Field(4)
 
 
 def test_inverse_of_three_mod_13():

@@ -194,6 +194,35 @@ def test_generic_plan_refuses_unrecoverable_coordinates():
         plan_linear(spec.code, 0, 1, helpers=[1, 2, 3])
 
 
+# fault -> (exception type, target, helpers, t): every entry point raises
+# the same type for the same fault
+BAD_RECOVERY_ARGUMENTS = {
+    "target-out-of-range": (codeops.IndexOutOfRangeError, 8, [1, 2, 3, 4], 1),
+    "duplicate-helper": (ValueError, 0, [1, 1, 2, 3], 1),
+    "target-among-helpers": (ValueError, 0, [0, 1, 2, 3], 1),
+    "negative-t": (ValueError, 0, [1, 2, 3], -1),
+}
+
+
+@pytest.mark.parametrize("fault", BAD_RECOVERY_ARGUMENTS)
+def test_every_recovery_call_rejects_bad_arguments_alike(fault):
+    expected, target, helpers, t = BAD_RECOVERY_ARGUMENTS[fault]
+    spec = rs_make(F13, list(range(8)), 3)
+    calls = [lambda: codeops.is_edr_set(spec.code, target, helpers, t),
+             lambda: plan_rs(spec, target, t, helpers=helpers),
+             lambda: plan_linear(spec.code, target, t, helpers=helpers)]
+    if t >= 0:
+        calls.append(lambda: codeops.is_recovery_set(spec.code, target, helpers))
+    if fault in ("target-out-of-range", "negative-t"):
+        # default helpers: the plans check target and t before any search
+        calls += [lambda: plan_rs(spec, target, t),
+                  lambda: plan_linear(spec.code, target, t)]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert info.type is expected
+
+
 # ---------------------------------------------------------------------------
 # detect / recover / repair on the worked example
 # ---------------------------------------------------------------------------

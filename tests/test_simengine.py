@@ -120,6 +120,15 @@ def test_engine_matches_the_loop_reference(desc, t, channel, policy, trials):
     assert any(rec.corrupted for rec in engine)
 
 
+def test_a_generator_code_encodes_through_one_table_per_code():
+    # a sweep over t builds one encoding per code, not one per (code, t)
+    contexts = [storagesim._SimContext(ClusterConfig(
+        code=GENERATOR_GF16, t=t, channel=Bernoulli(0.1), trials=10, seed=1))
+        for t in (0, 1)]
+    assert contexts[0].arrays is not contexts[1].arrays
+    assert contexts[0].arrays.encoding is contexts[1].arrays.encoding
+
+
 def test_an_offset_range_matches_the_reference():
     config = ClusterConfig(code=FIBRE, t=1, channel=Bernoulli(0.3),
                            trials=3000, seed=-5, target_policy="uniform-random")
