@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import codeops
 from .galois import CountingField
@@ -65,14 +66,17 @@ class RecoveryPlan:
     t: int
 
 
-@dataclass(frozen=True)
-class RepairOutcome:
-    """Either a recovered symbol or a detection verdict, never both."""
+class RepairOutcome(NamedTuple):
+    """Either a recovered symbol or a detection verdict, never both.  A
+    named tuple, because every degraded read builds one."""
     value: int | None
 
     @property
     def detected(self) -> bool:
         return self.value is None
+
+
+_DETECTED = RepairOutcome(None)
 
 
 def recovery_weight(field, support_points, alpha: int) -> int:
@@ -271,8 +275,8 @@ def repair(plan: RecoveryPlan, helper_values) -> RepairOutcome:
     dot = plan.field._dot
     for row in plan.check_rows:
         if dot(row, values):
-            return RepairOutcome(value=None)
-    return RepairOutcome(value=dot(plan.recovery_row, values))
+            return _DETECTED
+    return RepairOutcome(dot(plan.recovery_row, values))
 
 
 def mult_count(spec, target: int, t: int = 1, helpers=None,

@@ -1,15 +1,15 @@
 """Seeded fault-injection simulator for an erasure-coded storage cluster.
 
 One codeword symbol lives on each node.  A trial erases one target node and
-silently corrupts helper symbols per the configured channel, then runs two
-repair arms against the ground truth: naive recovery (the fixed linear
-combination, no checking) and repair with detection.  Randomness is
-counter-based, every draw is a pure hash of (seed, trial, draw index), so
-reports are bit-identical regardless of how trials are scheduled.  Trials
-run as numpy array operations over slices of trials: draw, encode the
-target and helper symbols (Field.encode_at on the code's encoding, the
-same array rscodes.encode uses), inject errors, then check and recover
-against every trial's padded plan vectors at once.
+silently corrupts helper symbols per the configured channel, then judges two
+repair arms: naive recovery (the fixed linear combination, no checking) and
+repair with detection.  The recovery and detection rows are dual codewords,
+so on stored helpers c + e they give the true symbol plus recovery . e and
+the syndromes check . e, whatever the message: once every plan is proven on
+the generator, a trial needs its error pattern e alone and encodes nothing.
+Every draw is a pure hash of (seed, trial, draw index), so reports are
+bit-identical however trials are sliced.  Slices of trials run as numpy
+array operations against every trial's padded plan rows at once.
 
 Also hosts the byte ingestion pipeline: a byte stream is cut into m-bit
 symbols of GF(2^m) and grouped into k-symbol messages, with reversible
@@ -32,9 +32,11 @@ _COUNT_CELLS = ("clean_correct", "naive_wrong", "naive_right_under_error",
 CSV_CELLS = ("clean_correct", "naive_wrong", "detected",
              "missed_wrong", "missed_right")
 
-# Trials per engine slice; keeps a slice's (trials x helpers x k) arrays
-# at about a megabyte on RS[256,16].
-_CHUNK_TRIALS = 512
+# Trials per engine slice, at most; a slice is also cut so that its
+# (trials x rows x width) plan-row arrays hold _SLICE_ENTRIES entries at
+# most: RS[256,16] slices of 2048 trials took 512 fresh-page faults each.
+_CHUNK_TRIALS = 2048
+_SLICE_ENTRIES = 1 << 15
 _SCALE = 1 << 64
 
 
@@ -110,8 +112,9 @@ class ClusterConfig:
             raise ValueError(
                 f"unsupported error value model {self.error_value_model!r}")
 
-    def to_dict(self):
-        return {"code_digest": descriptor.descriptor_digest(self.code),
+    def to_dict(self, code_digest: str | None = None):
+        """The report's config record; pass code_digest if already known."""
+        return {"code_digest": code_digest or descriptor.descriptor_digest(self.code),
                 "t": self.t, "channel": self.channel.to_dict(),
                 "trials": self.trials, "seed": self.seed,
                 "target_policy": self.target_policy,
@@ -142,7 +145,8 @@ def config_from_dict(obj: dict) -> ClusterConfig:
 #
 # all mod 2^64, with mix the SplitMix64 finaliser and G its golden-ratio
 # increment, so a trial's draws are the SplitMix64 sequence started at its
-# stream value.  Draws 0..k-1 give the message, draw k the uniform target,
+# stream value.  Draws 0..k-1 give the message (only trial_records needs
+# it), draw k the uniform target,
 # draw k+1+j the corruption key of helper j and draw k+1+r+j the error value
 # of helper j, for a plan with r helpers.  A uniform value below `bound` is
 # the draw mod bound; the bias is below 2^-43 for the field sizes in scope.
@@ -249,54 +253,82 @@ def build_plans(bundle: descriptor.CodeBundle, t: int) -> list:
 
 
 class _CodeArrays:
-    """Per-(code, t) engine state: the generator columns, the field's
-    encoding of them (one per code, shared across t) and every coordinate's
-    plan as rows of arrays padded to the widest plan.
+    """Per-(code, t) engine state: the generator columns and every
+    coordinate's plan as rows of arrays padded to the widest plan, with
+    rows[c, 0] the recovery row and rows[c, 1:] the detection rows.
 
     Padding slots of a plan with fewer helpers point at coordinate 0 with
     zero check and recovery coefficients, so they add nothing to any inner
-    product, and `live` keeps them out of the channel.
+    product, and `live` keeps them out of the channel.  Building proves
+    every plan on the generator, so no plan reaches a trial unproven.
     """
 
     def __init__(self, bundle: descriptor.CodeBundle, t: int):
         if not bundle.code.gen:
             raise PlanUnavailableError("cannot simulate the zero code")
         plans = build_plans(bundle, t)
+        self._bundle = bundle
         self.field = bundle.field
         if bundle.spec is not None:
             self.columns = bundle.spec.generator
-            self.encoding = bundle.spec.encoding
         else:
             self.columns = np.array(bundle.code.gen, dtype=np.int64).T
-            self.encoding = _plan_cache.get_or_build(
-                (bundle.digest, "encoding"), lambda: self.field.encoding(self.columns))
         self.n, self.k = self.columns.shape                     # (n, k)
         self.r = np.array([len(plan.helpers) for plan in plans], dtype=np.int64)
         width = int(self.r.max())
         depth = max(len(plan.check_rows) for plan in plans)
         self.live = np.arange(width) < self.r[:, None]          # (n, width)
-        self.helpers = np.zeros((self.n, width), dtype=np.int64)
-        self.recovery = np.zeros((self.n, width), dtype=np.int64)
-        self.checks = np.zeros((self.n, depth, width), dtype=np.int64)
+        helpers = np.zeros((self.n, width), dtype=np.int64)
+        self.rows = np.zeros((self.n, 1 + depth, width), dtype=np.int64)
         for coord, plan in enumerate(plans):
             r = len(plan.helpers)
-            self.helpers[coord, :r] = plan.helpers
-            self.recovery[coord, :r] = plan.recovery_row
+            helpers[coord, :r] = plan.helpers
+            self.rows[coord, 0, :r] = plan.recovery_row
             if plan.check_rows:
-                self.checks[coord, :len(plan.check_rows), :r] = plan.check_rows
+                self.rows[coord, 1:1 + len(plan.check_rows), :r] = plan.check_rows
+        self._prove(helpers)
+
+    def _prove(self, helpers: np.ndarray):
+        """Raise unless every recovery row maps the helpers' generator rows
+        to the target's and every detection row maps them to zero: then, by
+        linearity, every plan recovers every clean codeword and flags none."""
+        basis = self.columns[helpers].transpose(0, 2, 1)        # (n, k, width)
+        images = self.field.dot_array(self.rows[:, :, None, :],
+                                      basis[:, None, :, :])     # (n, 1+depth, k)
+        wrong = images != 0
+        wrong[:, 0] = images[:, 0] != self.columns
+        if wrong.any():
+            coord, row, _ = np.argwhere(wrong)[0]
+            what = "recovery row" if row == 0 else f"detection row {row - 1}"
+            raise RuntimeError(
+                f"the {what} of coordinate {coord}'s plan is wrong on clean "
+                "helpers; this indicates a bug, not a channel effect")
+
+    @property
+    def encoding(self) -> np.ndarray:
+        """The field's encoding of the columns, for trial_records: a spec's
+        own, otherwise one per code shared across t."""
+        if self._bundle.spec is not None:
+            return self._bundle.spec.encoding
+        return _plan_cache.get_or_build(
+            (self._bundle.digest, "encoding"),
+            lambda: self.field.encoding(self.columns))
 
 
 class _SimContext:
-    """One campaign: its config plus the cached arrays of its code."""
+    """One campaign: its config, its descriptor's digest (computed once per
+    campaign) and the cached arrays of its code."""
 
     def __init__(self, config: ClusterConfig):
-        digest = descriptor.descriptor_digest(config.code)
+        self.digest = digest = descriptor.descriptor_digest(config.code)
         bundle = _plan_cache.get_or_build(
             digest, lambda: descriptor.build_code(config.code))
         self.arrays = _plan_cache.get_or_build(
             (digest, config.t), lambda: _CodeArrays(bundle, config.t))
         self.config = config
         channel = config.channel
+        self.slice_trials = max(1, min(_CHUNK_TRIALS,
+                                       _SLICE_ENTRIES // self.arrays.rows[0].size))
         fewest = int(self.arrays.r.min())
         if isinstance(channel, ExactErrors) and channel.errors > fewest:
             raise ValueError(f"channel injects {channel.errors} errors but "
@@ -308,20 +340,17 @@ class _Slice(NamedTuple):
     trials: np.ndarray             # trial indices
     targets: np.ndarray
     corrupted: np.ndarray          # (trials, width) bool per helper slot
-    truth: np.ndarray
-    naive: np.ndarray              # recovery value; repair's when undetected
+    shift: np.ndarray              # naive value minus the true symbol
     detected: np.ndarray           # bool
 
 
 def _run_slice(context: _SimContext, start: int, stop: int) -> _Slice:
     cfg = context.config
     arr = context.arrays
-    field = arr.field
     k = arr.k
     trials = np.arange(start, stop, dtype=np.uint64)
     streams = _streams(cfg.seed, trials)
 
-    message = (_draws(streams, np.arange(k)) % np.uint64(field.q)).astype(np.int64)
     if cfg.target_policy == "uniform-random":
         targets = _draws(streams, [k])[:, 0] % np.uint64(arr.n)
     else:
@@ -344,31 +373,36 @@ def _run_slice(context: _SimContext, start: int, stop: int) -> _Slice:
         corrupted = live           # the 2^64 threshold does not fit in uint64
     error_index = k + 1 + arr.r[targets][:, None] + np.arange(width)
     errors = 1 + (_draws(streams, error_index)
-                  % np.uint64(field.q - 1)).astype(np.int64)
+                  % np.uint64(arr.field.q - 1)).astype(np.int64)
 
-    truth = field.encode_at(message, arr.encoding, targets)
-    values = field.encode_at(message[:, None, :], arr.encoding, arr.helpers[targets])
-    values = field.add_array(values, np.where(corrupted, errors, 0))
-    syndromes = field.dot_array(arr.checks[targets], values[:, None, :])
-    naive = field.dot_array(arr.recovery[targets], values)
-    return _Slice(trials, targets, corrupted, truth, naive,
-                  (syndromes != 0).any(axis=1))
+    # the plans are proven on clean words, so only the error pattern counts
+    pattern = np.where(corrupted, errors, 0)
+    images = arr.field.dot_array(arr.rows[targets], pattern[:, None, :])
+    return _Slice(trials, targets, corrupted, images[:, 0],
+                  (images[:, 1:] != 0).any(axis=1))
 
 
-def _spans(start: int, stop: int):
-    for lo in range(start, stop, _CHUNK_TRIALS):
-        yield lo, min(lo + _CHUNK_TRIALS, stop)
+def _spans(context: _SimContext, start: int, stop: int):
+    step = context.slice_trials
+    for lo in range(start, stop, step):
+        yield lo, min(lo + step, stop)
 
 
 def trial_records(config: ClusterConfig, start: int = 0, stop: int | None = None):
     """Trial-level view of a campaign, for paired-policy comparisons and
     diagnostics; run_sim tallies exactly these trials."""
     context = _SimContext(config)
-    for span in _spans(start, config.trials if stop is None else stop):
+    arr = context.arrays
+    field = arr.field
+    for span in _spans(context, start, config.trials if stop is None else stop):
         out = _run_slice(context, *span)
+        message = (_draws(_streams(config.seed, out.trials), np.arange(arr.k))
+                   % np.uint64(field.q)).astype(np.int64)
+        truths = field.encode_at(message, arr.encoding, out.targets)
         for trial, target, hit, truth, naive, detected in zip(
                 out.trials.tolist(), out.targets.tolist(), out.corrupted.tolist(),
-                out.truth.tolist(), out.naive.tolist(), out.detected.tolist()):
+                truths.tolist(), field.add_array(truths, out.shift).tolist(),
+                out.detected.tolist()):
             yield TrialRecord(
                 trial, target, tuple(j for j, h in enumerate(hit) if h), truth,
                 naive, localrepair.RepairOutcome(None if detected else naive))
@@ -377,13 +411,7 @@ def trial_records(config: ClusterConfig, start: int = 0, stop: int | None = None
 def _tally_range(context: _SimContext, start: int, stop: int) -> dict:
     out = _run_slice(context, start, stop)
     hit = out.corrupted.any(axis=1)
-    right = out.naive == out.truth
-    wrong_clean = ~hit & (out.detected | ~right)
-    if wrong_clean.any():
-        raise RuntimeError(
-            f"repair returned a wrong value on a clean trial "
-            f"{int(out.trials[wrong_clean][0])}; "
-            "this indicates a bug, not a channel effect")
+    right = out.shift == 0
     missed = hit & ~out.detected
     return {"clean_correct": int(np.count_nonzero(~hit)),
             "corrupted_trials": int(np.count_nonzero(hit)),
@@ -405,13 +433,13 @@ def run_sim(config: ClusterConfig, workers: int = 1) -> SimReport:
     context = _SimContext(config)
     counts = dict.fromkeys(_COUNT_CELLS, 0)
     corrupted = 0
-    for span in _spans(0, config.trials):
+    for span in _spans(context, 0, config.trials):
         part = _tally_range(context, *span)
         corrupted += part["corrupted_trials"]
         for cell in _COUNT_CELLS:
             counts[cell] += part[cell]
     return SimReport(trials=config.trials, seed=config.seed,
-                     config=config.to_dict(), counts=counts,
+                     config=config.to_dict(context.digest), counts=counts,
                      corrupted_trials=corrupted)
 
 

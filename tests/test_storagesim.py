@@ -1,9 +1,11 @@
+import dataclasses
+import hashlib
 import json
 import random
 
 import pytest
 
-from loceret import descriptor, storagesim
+from loceret import descriptor, localrepair, storagesim
 from loceret.galois import Field
 from loceret.storagesim import (RNG, Bernoulli, ClusterConfig, ExactErrors,
                                 PlanUnavailableError, UnsupportedFieldError,
@@ -349,6 +351,117 @@ def test_campaigns_of_a_sweep_share_one_code_build(monkeypatch):
                             {"kind": "bernoulli", "epsilon": 0.2}])
     run_sim(cfg)
     assert len(builds) == 1
+
+
+# ---------------------------------------------------------------------------
+# the error-domain engine: plan proof, no encoding, slicing, pinned reports
+# ---------------------------------------------------------------------------
+
+def _mangled_plans(monkeypatch, coord, mangle):
+    """Serve plans from a fresh cache, with coordinate coord's plan
+    replaced by mangle(plan)."""
+    monkeypatch.setattr(storagesim, "_plan_cache", localrepair.PlanCache())
+    real_plan_for = localrepair.plan_for
+
+    def plan_for(bundle, target, t):
+        plan = real_plan_for(bundle, target, t)
+        return mangle(plan) if target == coord else plan
+    monkeypatch.setattr(localrepair, "plan_for", plan_for)
+
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(storagesim, "_run_slice", no_trials)
+
+
+def _bumped(row, field):
+    return (field.add(row[0], 1),) + tuple(row[1:])
+
+
+def test_a_wrong_recovery_row_fails_the_plan_proof(monkeypatch):
+    field = Field(13)
+    _mangled_plans(monkeypatch, 5, lambda plan: dataclasses.replace(
+        plan, recovery_row=_bumped(plan.recovery_row, field)))
+    with pytest.raises(RuntimeError, match="recovery row of coordinate 5's"):
+        run_sim(example_config(channel=Bernoulli(0.1), trials=50))
+
+
+def test_a_wrong_detection_row_fails_the_plan_proof(monkeypatch):
+    field = Field(13)
+    _mangled_plans(monkeypatch, 7, lambda plan: dataclasses.replace(
+        plan, check_rows=(_bumped(plan.check_rows[0], field),)))
+    with pytest.raises(RuntimeError, match="detection row 0 of coordinate 7's"):
+        run_sim(example_config(channel=ExactErrors(1), trials=50))
+
+
+RS256 = {"field": {"p": 2, "m": 8}, "construction": "rs",
+         "points": "all", "k": 16}
+RS40_GF243 = {"field": {"p": 3, "m": 5}, "construction": "rs",
+              "points": list(range(40)), "k": 7}
+GENERATOR_GF5 = {"field": {"p": 5}, "construction": "generator",
+                 "rows": [[1, 0, 0, 1, 1, 2, 3, 1], [0, 1, 0, 1, 2, 4, 1, 3],
+                          [0, 0, 1, 1, 3, 3, 4, 2]]}
+
+
+def test_run_sim_encodes_nothing(monkeypatch):
+    def no_encoding(*args):
+        raise AssertionError("run_sim encoded a word")
+    monkeypatch.setattr(Field, "encode_at", no_encoding)
+    monkeypatch.setattr(Field, "encode_word", no_encoding)
+    for desc, channel in ((EXAMPLE_DESC, Bernoulli(0.2)), (RS256, ExactErrors(2))):
+        report = run_sim(ClusterConfig(code=desc, t=1, channel=channel,
+                                       trials=300, seed=4))
+        assert report.corrupted_trials > 0
+
+
+@pytest.mark.parametrize("channel", [Bernoulli(0.15), ExactErrors(2)],
+                         ids=["bernoulli", "exact2"])
+@pytest.mark.parametrize("policy", ["round-robin", "uniform-random"])
+def test_reports_do_not_depend_on_the_slice_size(monkeypatch, channel, policy):
+    # the padded generator code has plans of 3 and 4 helpers
+    desc = {"field": {"p": 13}, "construction": "generator",
+            "rows": [[1, 0, 0, 1, 1, 1, 2], [0, 1, 0, 1, 2, 0, 1],
+                     [0, 0, 1, 0, 0, 1, 1]]}
+    configs = [ClusterConfig(code=code, t=1, channel=channel, trials=2100,
+                             seed=17, target_policy=policy)
+               for code in (EXAMPLE_DESC, desc)]
+    reports = set()
+    # the last pair cuts slices by plan-row entries: 10 and 8 trials
+    for size, entries in ((1, 1 << 15), (7, 1 << 15), (512, 1 << 15),
+                          (2048, 1 << 15), (2048, 64)):
+        monkeypatch.setattr(storagesim, "_CHUNK_TRIALS", size)
+        monkeypatch.setattr(storagesim, "_SLICE_ENTRIES", entries)
+        reports.add(tuple(run_sim(cfg).to_json() for cfg in configs))
+    assert len(reports) == 1
+
+
+# SHA-256 of run_sim(...).to_json(), computed with the engine that encoded
+# every trial's target and helper symbols and compared the naive value with
+# the retained truth
+PINNED_REPORTS = [
+    (EXAMPLE_DESC, 1, Bernoulli(0.1), 5000, 11, "round-robin",
+     "c3221a6a2a03fed64e30aa273a376adfab6092b30a7d371f267e2a3c4a18ddd0"),
+    (EXAMPLE_DESC, 0, ExactErrors(2), 3000, -3, "uniform-random",
+     "dd1f0d5a9014346e5f3508592d82bc3d599da9aab6573cb22745649bd6e190c0"),
+    (RS256, 1, ExactErrors(2), 3000, 3, "uniform-random",
+     "0a995f4d1b89f8f0a4a6cebc7babe795c68aa247f5235afc366cd96246bbeeaa"),
+    (RS40_GF243, 2, Bernoulli(0.2), 3000, 9, "round-robin",
+     "3758fc3fd6f74ec1d81a957fdea6f42f25bda44767fad05fff25a7aea4882190"),
+    (RS40_GF243, 2, ExactErrors(3), 2500, 10, "uniform-random",
+     "6cb9adb02131ecc4d67bcf688763194005d65a596727f870217abc16585338c7"),
+    (GENERATOR_GF5, 1, Bernoulli(0.25), 4000, -7, "uniform-random",
+     "68d92c931c906de2cf6355fd1a95a5720afef89d3bbb3d8e9851e037310c6365"),
+]
+
+
+@pytest.mark.parametrize(
+    "desc,t,channel,trials,seed,policy,digest", PINNED_REPORTS,
+    ids=["fibre-bernoulli", "fibre-t0-exact2", "rs256-exact2",
+         "rs40-gf243-t2-bernoulli", "rs40-gf243-t2-exact3", "generator-gf5"])
+def test_seeded_reports_match_their_pinned_digests(desc, t, channel, trials,
+                                                   seed, policy, digest):
+    report = run_sim(ClusterConfig(code=desc, t=t, channel=channel, trials=trials,
+                                   seed=seed, target_policy=policy))
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
 
 def test_report_declares_its_rng_and_schema():
