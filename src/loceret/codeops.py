@@ -19,6 +19,7 @@ DEFAULT_ENUM_CAP = 1 << 26
 DEFAULT_EXHAUSTIVE_N = 20
 
 _CHUNK_ELEMS = 1 << 18     # symbols per min_distance block
+_SET_COST = 1 << 12       # words one more information set costs, in min_distance
 
 
 class InconsistentLengthError(ValueError):
@@ -215,15 +216,24 @@ def dual(code: LinearCode) -> LinearCode:
 # ---------------------------------------------------------------------------
 
 def min_distance(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Minimum Hamming weight over all nonzero codewords, by enumeration.
+    """Minimum Hamming weight over all nonzero codewords, by the
+    Brouwer-Zimmermann search.
 
-    Messages are scanned one representative per projective class (leading
-    coefficient 1), since weights are scale invariant; that saves a factor
-    q - 1 without changing the result.  For each lead row the span of the
-    lowest tail rows is built once as an array of at most _CHUNK_ELEMS
-    symbols, and each combination of the lead row and the remaining tail
-    rows is checked against all of it at once, so peak memory does not grow
-    with the code.
+    The generator is brought into systematic form on m pairwise disjoint
+    information sets (_information_sets; columns left over count toward
+    weights, never toward the bound).  A codeword's message in the form on
+    set I is its restriction to I, so it weighs at least as many symbols as
+    that message has nonzeros.  Messages are enumerated by weight w = 1, 2,
+    ... in turn on each set, one per projective class, since weights are
+    scale invariant.  Once weight w is done on sets 0..j - 1 and weight
+    w - 1 on the rest, every codeword not yet seen has weight at least
+    j (w + 1) + (m - j) w on the sets alone, and the search stops when that
+    reaches the least weight found.  Weight k on one set covers every
+    message.  m is chosen from the least row weight by _set_count; m = 1 is
+    the full projective enumeration.  The cap still bounds q^k, the size of
+    the full enumeration.  Words are built and counted in blocks of about
+    _CHUNK_ELEMS symbols, one block per weight at a time, so peak memory
+    does not grow with the number of words.
     """
     if code.k == 0:
         raise ZeroCodeError("the zero code has no nonzero codeword")
@@ -232,48 +242,134 @@ def min_distance(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> int:
     if q ** code.k > cap:
         raise TooLargeToEnumerateError(
             f"q^k = {q ** code.k} exceeds the enumeration cap {cap}")
+    k, n = code.k, code.n
     G = np.array(code.gen, dtype=np.int64)
-    k, n = G.shape
-    symbol = np.min_scalar_type(q - 1)
-    weight = np.min_scalar_type(n)
-    minus_one = field.neg(1)
-    best = n
-    for lead in range(k):
-        tail = G[lead + 1:]
-        # tail[split:] is as many of the lowest tail rows as fit in one block
-        split = len(tail)
-        while split and q ** (len(tail) - split + 1) * n <= _CHUNK_ELEMS:
-            split -= 1
-        # coordinate-major: one contiguous row of span words per coordinate,
-        # so the weight count is n vector adds over the words
-        low = np.ascontiguousarray(_span(field, tail[split:]).T, dtype=symbol)
-        # lead + head + x vanishes exactly where x equals -(lead + head); as
-        # the head coefficients run over the field, so do their negatives
-        minus_lead = field.mul_array(minus_one, G[lead])
-        for coeffs in itertools.product(range(q), repeat=split):
-            target = minus_lead
-            for c, row in zip(coeffs, tail):
-                if c:
-                    target = field.add_array(target, field.mul_array(c, row))
-            differs = low != target.astype(symbol)[:, None]
-            w = int(differs.sum(axis=0, dtype=weight).min())
-            if w < best:
-                best = w
-                if best == 1:
-                    return 1
+    best = int(np.count_nonzero(G, axis=1).min())
+    gens = _information_sets(code, G, _set_count(q, k, n, best))
+    for w in range(1, k + 1):
+        for j, gen in enumerate(gens):
+            if j * (w + 1) + (len(gens) - j) * w >= best:
+                return best
+            best = min(best, _least_weight(field, gen, w))
+            if w == k:
+                return best
     return best
 
 
-def _span(field, rows: np.ndarray) -> np.ndarray:
-    """Every linear combination of the rows, one per row of the result."""
-    n = rows.shape[1]
-    span = np.zeros((1, n), dtype=np.int64)
-    scalars = np.arange(field.q, dtype=np.int64)[:, None]
-    for row in rows:
-        multiples = field.mul_array(scalars, row)          # q x n table
-        span = field.add_array(multiples[:, None, :], span[None, :, :])
-        span = span.reshape(-1, n)
-    return span
+def _set_count(q: int, k: int, n: int, least_row: int) -> int:
+    """The number m of information sets to search on, at most n // k.
+
+    With m sets the search stops by weight W(m) = min(k, ceil(U/m) - 1) at
+    the latest, U the least row weight, since m (W + 1) >= U; m minimises
+    m (words of weight at most W(m) + _SET_COST).  Only 1 and the fewest
+    sets that stop by each weight need comparing: any other m costs at
+    least as much as one of them."""
+    words = list(itertools.accumulate(
+        (math.comb(k, w) * (q - 1) ** (w - 1) for w in range(1, k + 1)),
+        initial=0))
+
+    def cost(m):
+        return m * (words[min(k, -(-least_row // m) - 1)] + _SET_COST)
+    counts = {1} | {-(-least_row // (top + 1)) for top in range(k + 1)}
+    return min(sorted(m for m in counts if m <= n // k), key=cost)
+
+
+def _information_sets(code: LinearCode, G: np.ndarray, m: int) -> list:
+    """Up to m generators of the code, each systematic on its own
+    information set, the sets pairwise disjoint: G = code.gen on
+    code.pivots, then the rref of the columns no earlier set holds, moved
+    to the front.  Stops early when those columns have rank below k."""
+    k, n = G.shape
+    gens = [G]
+    used = set(code.pivots)
+    while len(gens) < m:
+        order = ([c for c in range(n) if c not in used]
+                 + [c for c in range(n) if c in used])
+        red, pivots = rref(code.field, [[row[c] for c in order]
+                                        for row in code.gen])
+        if pivots[-1] >= n - len(used):
+            break
+        gen = np.empty_like(G)
+        gen[:, order] = red
+        gens.append(gen)
+        used.update(order[c] for c in pivots)
+    return gens
+
+
+def _least_weight(field, G: np.ndarray, w: int) -> int:
+    """Least weight of the codewords x G over the messages x of weight w.
+
+    prev + c row_j vanishes exactly where prev equals -c row_j; as c runs
+    over the nonzero elements so does -c, so each weight is counted as the
+    coordinates where prev differs from a multiple of row j, over the n
+    coordinates at once (coordinate-major, in the narrowest types)."""
+    n = G.shape[1]
+    if w == 1:
+        return int(np.count_nonzero(G, axis=1).min())
+    weight = np.min_scalar_type(n)
+    best = n
+    for prev, multiples, _ in _extensions(field, G, w):
+        differs = prev[:, None, :] != multiples.astype(prev.dtype)[:, :, None]
+        weights = differs.view(np.uint8).sum(axis=0, dtype=weight)
+        best = min(best, int(weights.min()))
+    return best
+
+
+def _extensions(field, G: np.ndarray, w: int):
+    """The messages of weight w >= 2 of G, one per projective class (first
+    nonzero coefficient 1), as steps (prev, multiples, j): the words prev
+    (n x p) of the weight-(w - 1) messages whose last support index is
+    below j, and the multiples (n x c) of row j by a run of nonzero
+    scalars.  Each prev word plus each multiple is one weight-w codeword,
+    and a step makes at most _CHUNK_ELEMS symbols of them unless prev alone
+    holds more."""
+    k = G.shape[0]
+    for words, below in _level(field, G, w - 1):
+        for j in range(1, k):
+            prev = words[:, :below[j]]
+            if not prev.size:
+                continue
+            step = max(1, _CHUNK_ELEMS // prev.size)
+            for lo in range(1, field.q, step):
+                scalars = np.arange(lo, min(lo + step, field.q))
+                yield prev, field.mul_array(G[j][:, None], scalars), j
+
+
+def _level(field, G: np.ndarray, w: int):
+    """The codewords of the weight-w messages of G, one per projective
+    class, built from level w - 1 only when asked for, in blocks (words,
+    below) of at most _CHUNK_ELEMS symbols (or one step of _extensions):
+    words is coordinate-major (n x b) in the narrowest unsigned type that
+    holds q - 1, sorted by last support index, and below[j] counts the
+    words whose last index is below j."""
+    k, n = G.shape
+    symbol = np.min_scalar_type(field.q - 1)
+    if w == 1:
+        yield G.T.astype(symbol), np.arange(k + 1)
+        return
+    total = np.min_scalar_type(2 * (field.q - 1))     # holds a sum of two
+    pieces, size = [], 0
+    for prev, multiples, j in _extensions(field, G, w):
+        piece = field.add_array(prev[:, None, :],
+                                multiples.astype(total)[:, :, None])
+        piece = piece.astype(symbol, copy=False).reshape(n, -1)
+        if pieces and size + piece.size > _CHUNK_ELEMS:
+            yield _block(pieces, k)
+            pieces, size = [], 0
+        pieces.append((j, piece))
+        size += piece.size
+    if pieces:
+        yield _block(pieces, k)
+
+
+def _block(pieces: list, k: int):
+    """One _level block from its (last index, words) pieces."""
+    pieces.sort(key=lambda piece: piece[0])
+    below = np.zeros(k + 1, dtype=np.int64)
+    for j, piece in pieces:
+        below[j + 1] += piece.shape[1]
+    return (np.concatenate([piece for _, piece in pieces], axis=1),
+            np.cumsum(below))
 
 
 def _rank_cols(code: LinearCode, coords) -> int:
@@ -364,10 +460,15 @@ def is_edr_set(code: LinearCode, i: int, helpers, t: int,
 def _detects(code, support, t, cap=DEFAULT_ENUM_CAP, ranks=None) -> bool:
     """is_edr_set on the sorted support R + {i}, unvalidated: its columns keep
     their rank without any t + 1 of them (or all, when fewer), unless that
-    rank is 0.  ranks, when given, is a column-rank memo keyed by column tuple."""
+    rank is 0.  ranks, when given, is a column-rank memo keyed by column tuple.
+
+    Singleton prefilter: a support that detects has d(C[S]) >= t + 2, so
+    rank(S) <= |S| - t - 1; a larger rank fails before any subset rank."""
     full = _memo_rank(code, support, ranks)
     if full == 0:
         return True
+    if full > len(support) - t - 1:
+        return False
     w = min(t + 1, len(support))
     if math.comb(len(support), w) > cap:
         raise TooLargeToEnumerateError(

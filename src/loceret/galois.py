@@ -28,8 +28,6 @@ TABLE_LIMIT = 1 << 16
 # in uint8, and the table (q bytes per generator entry) stays small.
 ENCODE_TABLE_LIMIT = 1 << 8
 
-NEG_INF = float("-inf")
-
 
 class NotPrimeError(ValueError):
     """Field characteristic is not prime."""
@@ -443,9 +441,12 @@ class Field:
         return np.frompyfunc(self.mul, 2, 1)(a, b).astype(np.int64)
 
     def add_array(self, a, b) -> np.ndarray:
-        """Elementwise sum."""
+        """Elementwise sum, in the operands' common dtype, which must hold
+        2(q - 1): prime fields subtract p where the integer sum reaches it."""
         if self.m == 1:
-            return (a + b) % self.p
+            total = np.add(a, b)
+            total -= np.multiply(total >= self.p, self.p, dtype=total.dtype)
+            return total
         if self.p == 2:
             return np.bitwise_xor(a, b)
         return self._from_digits((self._to_digits(a) + self._to_digits(b)) % self.p)
@@ -638,43 +639,8 @@ class CountingField:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over a field, as coefficient sequences (lowest degree first,
-# no trailing zeros; the zero polynomial is the empty tuple with degree -inf).
+# Polynomials over a field, as coefficient sequences (lowest degree first).
 # ---------------------------------------------------------------------------
-
-def poly_trim(coeffs) -> tuple[int, ...]:
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def poly_degree(coeffs):
-    c = poly_trim(coeffs)
-    return len(c) - 1 if c else NEG_INF
-
-
-def poly_add(field, f, g) -> tuple[int, ...]:
-    out = []
-    for i in range(max(len(f), len(g))):
-        a = f[i] if i < len(f) else 0
-        b = g[i] if i < len(g) else 0
-        out.append(field.add(a, b))
-    return poly_trim(out)
-
-
-def poly_mul(field, f, g) -> tuple[int, ...]:
-    f, g = poly_trim(f), poly_trim(g)
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = field.add(out[i + j], field.mul(a, b))
-    return poly_trim(out)
-
 
 def poly_eval(field, coeffs, x: int) -> int:
     """Horner evaluation of a coefficient sequence at x."""

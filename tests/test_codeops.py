@@ -2,6 +2,7 @@ import itertools
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from loceret import codeops, rscodes
@@ -161,6 +162,15 @@ def all_codewords(code):
 
 def oracle_min_distance(code):
     return min(sum(1 for x in w if x) for w in all_codewords(code) if any(w))
+
+
+def oracle_min_distance_prime(code):
+    """oracle_min_distance over a prime field, by one matrix product mod p of
+    every nonzero message, for codes too large for the scalar loop."""
+    p = code.field.p
+    messages = np.array(list(itertools.product(range(p), repeat=code.k))[1:])
+    words = messages @ np.array(code.gen) % p
+    return int(np.count_nonzero(words, axis=1).min())
 
 
 def oracle_ghw(code, s):
@@ -504,6 +514,54 @@ def test_min_distance_matches_naive_enumeration_on_random_codes():
             rng, random_code(rng, field, n, rng.randrange(1, 4)))
         if code.k:
             assert min_distance(code) == oracle_min_distance(code), code
+
+
+def record_information_sets(monkeypatch):
+    """The number of information sets each later min_distance call
+    searches on, in call order."""
+    found = []
+    information_sets = codeops._information_sets
+
+    def recorded(code, G, m):
+        gens = information_sets(code, G, m)
+        found.append(len(gens))
+        return gens
+
+    monkeypatch.setattr(codeops, "_information_sets", recorded)
+    return found
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, GF4, GF9], ids=repr)
+def test_min_distance_matches_the_oracle_on_every_set_count(field, monkeypatch):
+    # every m from 1 to n // k, so the bound j(w + 1) + (m - j)w stops the
+    # search at every place; zero and repeated columns leave a partial set
+    found = record_information_sets(monkeypatch)
+    rng = random.Random(field.q * 7)
+    for _ in range(40):
+        k = rng.randrange(1, 4)
+        code = with_zero_and_repeated_columns(
+            rng, random_code(rng, field, rng.randrange(2 * k, 4 * k + 3), k))
+        if code.k == 0:
+            continue
+        want = oracle_min_distance(code)
+        for m in range(1, code.n // code.k + 1):
+            monkeypatch.setattr(codeops, "_set_count", lambda *_, m=m: m)
+            assert min_distance(code) == want, (code, m)
+    assert {1, 2, 3, 4} <= set(found)
+
+
+def test_min_distance_on_codes_that_choose_several_information_sets(
+        monkeypatch):
+    # large enough for _set_count to pick m >= 2 itself; n is no multiple
+    # of k, so columns are left over outside every set
+    found = record_information_sets(monkeypatch)
+    rng = random.Random(101)
+    for field, n, k in ((F2, 35, 14), (F2, 41, 15), (F2, 45, 16),
+                        (F3, 25, 10), (F5, 17, 7)):
+        code = with_zero_and_repeated_columns(rng, random_code(rng, field, n, k))
+        found.clear()
+        assert min_distance(code) == oracle_min_distance_prime(code), code
+        assert found[0] >= 2 and code.n % code.k, (code, found)
 
 
 def test_min_distance_weight_past_255_coordinates():
@@ -883,6 +941,32 @@ def test_witnesses_meet_the_singleton_dimension_cap(field, t):
             assert full == 0 or full <= len(R) - t, (code, entry)
             witnesses += 1
     assert witnesses
+
+
+def test_singleton_prefilter_keeps_the_mds_equality_case(monkeypatch):
+    # RS[10,4] at t = 1: k + 2 columns have rank k = |S| - t - 1 and detect,
+    # while k + 1 columns have rank k > |S| - t - 1 and fail on that rank
+    code = rscodes.rs_make(F13, range(10), 4).code
+    seen = count_rank_calls(monkeypatch)
+    assert codeops._detects(code, tuple(range(6)), 1)
+    assert is_edr_set(code, 9, range(3, 8), 1)
+    seen.clear()
+    assert not codeops._detects(code, tuple(range(5)), 1)
+    assert seen == [tuple(range(5))]
+
+
+@pytest.mark.parametrize("t", [0, 1, 2])
+@pytest.mark.parametrize("field", [F3, GF4, F5], ids=repr)
+def test_detects_matches_the_oracle_with_zero_and_repeated_columns(field, t):
+    verdicts = set()
+    for rng, code in random_codes_with_zero_and_repeated_columns(
+            field, field.q * 40 + t, 12):
+        for size in range(1, code.n + 1):
+            S = tuple(sorted(rng.sample(range(code.n), size)))
+            got = codeops._detects(code, S, t)
+            assert got == oracle_is_edr_set(code, S[0], S[1:], t), (code, S, t)
+            verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_small_dual_leaves_nonzero_columns_without_a_set():

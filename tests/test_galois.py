@@ -10,13 +10,49 @@ import pytest
 from loceret.galois import (CountingField, DivisionByZeroError, Field,
                             FieldTooLargeError, NotIrreducibleError,
                             NotPrimeError, find_irreducible, is_prime,
-                            poly_add, poly_degree, poly_eval, poly_mul,
-                            poly_trim)
+                            poly_eval)
 
 AES_MODULUS = (1, 1, 0, 1, 1, 0, 0, 0, 1)     # 1 + x + x^3 + x^4 + x^8
 
 SMALL_FIELDS = [Field(2), Field(3), Field(13), Field(2, 2), Field(2, 3),
                 Field(3, 2), Field(5, 2), Field(2, 8)]
+
+
+# Polynomials over a field as coefficient tuples (lowest degree first, no
+# trailing zeros; the zero polynomial is () with degree -inf): test-only
+# oracles for poly_eval, which must map sums and products to sums and
+# products of values.
+
+def poly_trim(coeffs):
+    c = list(coeffs)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def poly_degree(coeffs):
+    c = poly_trim(coeffs)
+    return len(c) - 1 if c else float("-inf")
+
+
+def poly_add(field, f, g):
+    out = []
+    for i in range(max(len(f), len(g))):
+        a = f[i] if i < len(f) else 0
+        b = g[i] if i < len(g) else 0
+        out.append(field.add(a, b))
+    return poly_trim(out)
+
+
+def poly_mul(field, f, g):
+    f, g = poly_trim(f), poly_trim(g)
+    if not f or not g:
+        return ()
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = field.add(out[i + j], field.mul(a, b))
+    return poly_trim(out)
 
 
 def gf2_poly_mul(a, b):
@@ -175,6 +211,17 @@ def test_poly_arithmetic_and_degree():
     assert poly_add(f, (1, 2), (12, 11)) == ()
     prod = poly_mul(f, (1, 1), (12, 1))          # (1+x)(−1+x) = −1 + x^2
     assert prod == (12, 0, 1)
+    rng = random.Random(8)
+    for field in (f, Field(2, 4), Field(3, 2)):
+        for _ in range(30):
+            a, b = ([rng.randrange(field.q) for _ in range(rng.randrange(5))]
+                    for _ in range(2))
+            x = rng.randrange(field.q)
+            fa, fb = poly_eval(field, a, x), poly_eval(field, b, x)
+            assert poly_eval(field, poly_add(field, a, b), x) == field.add(fa, fb)
+            assert poly_eval(field, poly_mul(field, a, b), x) == field.mul(fa, fb)
+            assert poly_degree(poly_mul(field, a, b)) == \
+                poly_degree(a) + poly_degree(b)
 
 
 def test_default_modulus_is_deterministic_and_smallest():
@@ -260,6 +307,10 @@ def test_array_kernels_match_the_scalar_operations(field):
     A, B = np.array(a), np.array(b)
     assert field.mul_array(A, B).tolist() == [field.mul(x, y) for x, y in zip(a, b)]
     assert field.add_array(A, B).tolist() == [field.add(x, y) for x, y in zip(a, b)]
+    # operands in the narrowest dtype that holds a sum of two elements
+    total = np.min_scalar_type(2 * (field.q - 1))
+    narrow = field.add_array(A.astype(total), B.astype(total))
+    assert narrow.tolist() == [field.add(x, y) for x, y in zip(a, b)]
     dots = [reduce(field.add, map(field.mul, a[i:i + 7], b[i:i + 7]), 0)
             for i in range(0, 63, 7)]
     assert field.dot_array(A.reshape(9, 7), B.reshape(9, 7)).tolist() == dots
