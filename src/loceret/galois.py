@@ -451,11 +451,12 @@ class Field:
             return np.bitwise_xor(a, b)
         return self._from_digits((self._to_digits(a) + self._to_digits(b)) % self.p)
 
-    def dot_array(self, a, b) -> np.ndarray:
-        """Inner products along the last axis, after broadcasting a and b."""
+    def dot_array(self, a, b, axis: int = -1) -> np.ndarray:
+        """Inner products along one axis (the last by default), after
+        broadcasting a and b."""
         if self.m == 1:
-            return self.sum_array(a * b, axis=-1)   # reduced once, after the sum
-        return self.sum_array(self.mul_array(a, b), axis=-1)
+            return self.sum_array(a * b, axis=axis)   # reduced once, after the sum
+        return self.sum_array(self.mul_array(a, b), axis=axis)
 
     def sum_array(self, a, axis: int) -> np.ndarray:
         """Field sum along one axis: an integer sum mod p in prime fields, an

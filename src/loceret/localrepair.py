@@ -21,7 +21,6 @@ one inversion via the product of all nonzero field elements being -1.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -307,22 +306,19 @@ def mult_count(spec, target: int, t: int = 1, helpers=None,
 
 
 class PlanCache:
-    """Memo for recovery plans, safe for concurrent reads with single-writer
-    insertion.  Keys should include the code-descriptor digest so that plans
-    never leak across codes; cached and freshly built plans are identical."""
+    """Memo for recovery plans.  Keys should include the code-descriptor
+    digest so that plans never leak across codes; cached and freshly built
+    plans are identical."""
 
     def __init__(self):
         self._plans: dict = {}
-        self._lock = threading.Lock()
 
     def get_or_build(self, key, build):
         try:
             return self._plans[key]
         except KeyError:
             pass
-        plan = build()
-        with self._lock:
-            return self._plans.setdefault(key, plan)
+        return self._plans.setdefault(key, build())
 
     def __len__(self):
         return len(self._plans)

@@ -278,8 +278,3 @@ def parse_codeword_line(field, line: str) -> Codeword:
             except ValueError as exc:
                 raise ValueError(f"token {idx}: {exc}") from None
     return Codeword(symbols=tuple(symbols), erased=frozenset(erased))
-
-
-def format_codeword(word: Codeword) -> str:
-    return " ".join("?" if idx in word.erased else str(sym)
-                    for idx, sym in enumerate(word.symbols))

@@ -9,7 +9,8 @@ the syndromes check . e, whatever the message: once every plan is proven on
 the generator, a trial needs its error pattern e alone and encodes nothing.
 Every draw is a pure hash of (seed, trial, draw index), so reports are
 bit-identical however trials are sliced.  Slices of trials run as numpy
-array operations against every trial's padded plan rows at once.
+array operations, one row per helper slot and one column per trial; an
+exact-error trial carries only its corrupted slots.
 
 Also hosts the byte ingestion pipeline: a byte stream is cut into m-bit
 symbols of GF(2^m) and grouped into k-symbol messages, with reversible
@@ -32,9 +33,12 @@ _COUNT_CELLS = ("clean_correct", "naive_wrong", "naive_right_under_error",
 CSV_CELLS = ("clean_correct", "naive_wrong", "detected",
              "missed_wrong", "missed_right")
 
-# Trials per engine slice, at most; a slice is also cut so that its
-# (trials x rows x width) plan-row arrays hold _SLICE_ENTRIES entries at
-# most: RS[256,16] slices of 2048 trials took 512 fresh-page faults each.
+# Trials per engine slice, at most.  A slice is also cut so that the plan
+# coefficients it gathers, (carried slots x trials x rows), hold
+# _SLICE_ENTRIES entries at most.  A Bernoulli trial carries every slot and
+# an ExactErrors(e) trial its e corrupted ones, so the cut binds only dense
+# slices of wide plans: Bernoulli trials on RS[40,7]/GF(3^5) at t = 2 ran
+# about 50% slower in slices twice as large.
 _CHUNK_TRIALS = 2048
 _SLICE_ENTRIES = 1 << 15
 _SCALE = 1 << 64
@@ -158,9 +162,12 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
 def _mix64(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finaliser on a uint64 array (wrapping arithmetic)."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    z = z ^ (z >> np.uint64(30))              # a new array: the rest is in place
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _streams(seed: int, trials: np.ndarray) -> np.ndarray:
@@ -170,10 +177,11 @@ def _streams(seed: int, trials: np.ndarray) -> np.ndarray:
 
 
 def _draws(streams: np.ndarray, index) -> np.ndarray:
-    """draw(seed, trial, index) with one row per trial; index is an integer
-    array broadcast against a column of the trials' streams."""
-    index = np.asarray(index, dtype=np.uint64)
-    return _mix64(streams[:, None] + (index + np.uint64(1)) * _GAMMA)
+    """draw(seed, trial, index) with one column per trial: index is an
+    integer array broadcast against the trials' streams, so a column of
+    indices gives one row per draw index."""
+    index = np.atleast_1d(np.asarray(index, dtype=np.uint64))
+    return _mix64(streams + (index + np.uint64(1)) * _GAMMA)
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -254,8 +262,11 @@ def build_plans(bundle: descriptor.CodeBundle, t: int) -> list:
 
 class _CodeArrays:
     """Per-(code, t) engine state: the generator columns and every
-    coordinate's plan as rows of arrays padded to the widest plan, with
-    rows[c, 0] the recovery row and rows[c, 1:] the detection rows.
+    coordinate's plan, padded to the widest plan and stored slot by slot:
+    coeffs[j, c] holds helper slot j of coordinate c's plan, its recovery
+    coefficient first and then its detection coefficients.  Inner products
+    then run along the first axis, an elementwise sum of whole
+    (trials x rows) planes rather than many short rows.
 
     Padding slots of a plan with fewer helpers point at coordinate 0 with
     zero check and recovery coefficients, so they add nothing to any inner
@@ -277,24 +288,25 @@ class _CodeArrays:
         self.r = np.array([len(plan.helpers) for plan in plans], dtype=np.int64)
         width = int(self.r.max())
         depth = max(len(plan.check_rows) for plan in plans)
-        self.live = np.arange(width) < self.r[:, None]          # (n, width)
+        self.live = np.arange(width)[:, None] < self.r          # (width, n)
         helpers = np.zeros((self.n, width), dtype=np.int64)
-        self.rows = np.zeros((self.n, 1 + depth, width), dtype=np.int64)
+        self.coeffs = np.zeros((width, self.n, 1 + depth), dtype=np.int64)
         for coord, plan in enumerate(plans):
             r = len(plan.helpers)
             helpers[coord, :r] = plan.helpers
-            self.rows[coord, 0, :r] = plan.recovery_row
+            self.coeffs[:r, coord, 0] = plan.recovery_row
             if plan.check_rows:
-                self.rows[coord, 1:1 + len(plan.check_rows), :r] = plan.check_rows
+                self.coeffs[:r, coord, 1:1 + len(plan.check_rows)] = np.transpose(
+                    plan.check_rows)
         self._prove(helpers)
 
     def _prove(self, helpers: np.ndarray):
         """Raise unless every recovery row maps the helpers' generator rows
         to the target's and every detection row maps them to zero: then, by
         linearity, every plan recovers every clean codeword and flags none."""
-        basis = self.columns[helpers].transpose(0, 2, 1)        # (n, k, width)
-        images = self.field.dot_array(self.rows[:, :, None, :],
-                                      basis[:, None, :, :])     # (n, 1+depth, k)
+        basis = self.columns[helpers.T]                         # (width, n, k)
+        images = self.field.dot_array(self.coeffs[:, :, :, None],
+                                      basis[:, :, None, :], axis=0)  # (n, 1+depth, k)
         wrong = images != 0
         wrong[:, 0] = images[:, 0] != self.columns
         if wrong.any():
@@ -327,8 +339,10 @@ class _SimContext:
             (digest, config.t), lambda: _CodeArrays(bundle, config.t))
         self.config = config
         channel = config.channel
+        width, _, rows = self.arrays.coeffs.shape
+        carried = channel.errors if isinstance(channel, ExactErrors) else width
         self.slice_trials = max(1, min(_CHUNK_TRIALS,
-                                       _SLICE_ENTRIES // self.arrays.rows[0].size))
+                                       _SLICE_ENTRIES // max(1, carried * rows)))
         fewest = int(self.arrays.r.min())
         if isinstance(channel, ExactErrors) and channel.errors > fewest:
             raise ValueError(f"channel injects {channel.errors} errors but "
@@ -344,6 +358,27 @@ class _Slice(NamedTuple):
     detected: np.ndarray           # bool
 
 
+def _smallest(keys: np.ndarray, count: int) -> np.ndarray:
+    """The slots of each column's count smallest keys, one row per rank, in
+    the order of a stable argsort: by key, ties to the lower slot.  Each
+    pass takes a column's first minimum and retires it as the largest key,
+    so keys, a C-contiguous (slots, trials) array, is overwritten."""
+    top = np.uint64(_SCALE - 1)
+    width, trials = keys.shape
+    order = np.arange(width, dtype=np.min_scalar_type(width))[:, None]
+    every = np.arange(trials)
+    slots = np.empty((count, trials), dtype=np.int64)
+    for rank in range(count):
+        least = keys.min(axis=0)
+        pick = np.where(keys == least, order, width).min(axis=0).astype(np.int64)
+        for col in np.flatnonzero(least == top):
+            # only largest keys are left, retired ones among them
+            pick[col] = np.setdiff1d(np.arange(width), slots[:rank, col])[0]
+        slots[rank] = pick
+        keys.reshape(-1)[pick * trials + every] = top
+    return slots
+
+
 def _run_slice(context: _SimContext, start: int, stop: int) -> _Slice:
     cfg = context.config
     arr = context.arrays
@@ -352,33 +387,40 @@ def _run_slice(context: _SimContext, start: int, stop: int) -> _Slice:
     streams = _streams(cfg.seed, trials)
 
     if cfg.target_policy == "uniform-random":
-        targets = _draws(streams, [k])[:, 0] % np.uint64(arr.n)
+        targets = _draws(streams, k) % np.uint64(arr.n)
     else:
         targets = trials % np.uint64(arr.n)
     targets = targets.astype(np.int64)
 
-    live = arr.live[targets]
-    width = live.shape[1]
-    keys = _draws(streams, k + 1 + np.arange(width))
+    # every per-slot array is slot-major, (slots, trials)
+    live = np.take(arr.live, targets, axis=1)
+    width = len(live)
+    keys = _draws(streams, k + 1 + np.arange(width)[:, None])
     channel = cfg.channel
     if isinstance(channel, ExactErrors):
-        # the e smallest keys, ties broken by helper position
+        # only the e chosen slots carry an error: gather just their coefficients
         keys[~live] = np.uint64(_SCALE - 1)
-        chosen = np.argsort(keys, axis=1, kind="stable")[:, :channel.errors]
+        slots = _smallest(keys, channel.errors)                 # (e, trials)
         corrupted = np.zeros_like(live)
-        np.put_along_axis(corrupted, chosen, True, axis=1)
-    elif channel.epsilon < 1.0:
-        corrupted = live & (keys < np.uint64(int(channel.epsilon * _SCALE)))
+        corrupted.reshape(-1)[slots * len(trials) + np.arange(len(trials))] = True
+        coeffs = np.take(arr.coeffs.reshape(-1, arr.coeffs.shape[2]),
+                         slots * arr.n + targets, axis=0)       # (e, trials, 1+depth)
     else:
-        corrupted = live           # the 2^64 threshold does not fit in uint64
-    error_index = k + 1 + arr.r[targets][:, None] + np.arange(width)
+        slots = np.arange(width)[:, None]
+        if channel.epsilon < 1.0:
+            corrupted = live & (keys < np.uint64(int(channel.epsilon * _SCALE)))
+        else:
+            corrupted = live       # the 2^64 threshold does not fit in uint64
+        coeffs = np.take(arr.coeffs, targets, axis=1)           # (width, trials, 1+depth)
+    error_index = k + 1 + np.take(arr.r, targets) + slots
     errors = 1 + (_draws(streams, error_index)
                   % np.uint64(arr.field.q - 1)).astype(np.int64)
+    if isinstance(channel, Bernoulli):
+        errors = np.where(corrupted, errors, 0)
 
-    # the plans are proven on clean words, so only the error pattern counts
-    pattern = np.where(corrupted, errors, 0)
-    images = arr.field.dot_array(arr.rows[targets], pattern[:, None, :])
-    return _Slice(trials, targets, corrupted, images[:, 0],
+    # the plans are proven on clean words, so only the error values count
+    images = arr.field.dot_array(coeffs, errors[:, :, None], axis=0)
+    return _Slice(trials, targets, corrupted.T, images[:, 0],
                   (images[:, 1:] != 0).any(axis=1))
 
 
@@ -396,7 +438,8 @@ def trial_records(config: ClusterConfig, start: int = 0, stop: int | None = None
     field = arr.field
     for span in _spans(context, start, config.trials if stop is None else stop):
         out = _run_slice(context, *span)
-        message = (_draws(_streams(config.seed, out.trials), np.arange(arr.k))
+        streams = _streams(config.seed, out.trials)
+        message = (_draws(streams[:, None], np.arange(arr.k))
                    % np.uint64(field.q)).astype(np.int64)
         truths = field.encode_at(message, arr.encoding, out.targets)
         for trial, target, hit, truth, naive, detected in zip(

@@ -13,9 +13,9 @@ from loceret.rscodes import (BadDimensionError, BadLVectorError,
                              BadMessageLengthError,
                              DegreeOverflowError, DuplicatePointsError,
                              DuplicatePositionsError, NoFullFibresError,
-                             WrongCountError, encode, format_codeword,
-                             interpolate, lrcrs_make, parse_codeword_line,
-                             rs_make, suggest_p_poly)
+                             WrongCountError, encode, interpolate,
+                             lrcrs_make, parse_codeword_line, rs_make,
+                             suggest_p_poly)
 
 F7 = Field(7)
 F13 = Field(13)
@@ -357,6 +357,12 @@ def test_interpolate_validation():
 # ---------------------------------------------------------------------------
 # codeword files
 # ---------------------------------------------------------------------------
+
+def format_codeword(word) -> str:
+    """The inverse of parse_codeword_line on canonical symbols."""
+    return " ".join("?" if idx in word.erased else str(sym)
+                    for idx, sym in enumerate(word.symbols))
+
 
 def test_codeword_line_roundtrip():
     word = parse_codeword_line(F13, "? 6 9 0 -1")

@@ -141,14 +141,14 @@ def test_array_draws_equal_the_scalar_draw():
     trials = [0, 1, 2, 511, 512, 10**6, (1 << 40) + 3]
     for seed in (0, 2, -1, 1 << 63, (1 << 64) + 9):
         streams = storagesim._streams(seed, np.array(trials, dtype=np.uint64))
-        got = storagesim._draws(streams, np.arange(20)).tolist()
+        got = storagesim._draws(streams[:, None], np.arange(20)).tolist()
         assert got == [[draw(seed, t, i) for i in range(20)] for t in trials]
 
 
 def test_uniform_draws_pass_a_13_bin_chi_square():
     # 10^4 trials x 10 draw indices = 10^5 draws reduced mod 13
     streams = storagesim._streams(2, np.arange(10_000, dtype=np.uint64))
-    values = storagesim._draws(streams, np.arange(10)) % np.uint64(13)
+    values = storagesim._draws(streams[:, None], np.arange(10)) % np.uint64(13)
     observed = np.bincount(values.ravel().astype(np.int64), minlength=13)
     expected = values.size / 13
     chi2 = float(((observed - expected) ** 2 / expected).sum())

@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 
 from loceret import descriptor, localrepair, storagesim
@@ -400,6 +401,10 @@ RS40_GF243 = {"field": {"p": 3, "m": 5}, "construction": "rs",
 GENERATOR_GF5 = {"field": {"p": 5}, "construction": "generator",
                  "rows": [[1, 0, 0, 1, 1, 2, 3, 1], [0, 1, 0, 1, 2, 4, 1, 3],
                           [0, 0, 1, 1, 3, 3, 4, 2]]}
+# plans of 3 and 4 helpers, so the engine pads the narrower ones
+PADDED_GENERATOR = {"field": {"p": 13}, "construction": "generator",
+                    "rows": [[1, 0, 0, 1, 1, 1, 2], [0, 1, 0, 1, 2, 0, 1],
+                             [0, 0, 1, 0, 0, 1, 1]]}
 
 
 def test_run_sim_encodes_nothing(monkeypatch):
@@ -417,15 +422,12 @@ def test_run_sim_encodes_nothing(monkeypatch):
                          ids=["bernoulli", "exact2"])
 @pytest.mark.parametrize("policy", ["round-robin", "uniform-random"])
 def test_reports_do_not_depend_on_the_slice_size(monkeypatch, channel, policy):
-    # the padded generator code has plans of 3 and 4 helpers
-    desc = {"field": {"p": 13}, "construction": "generator",
-            "rows": [[1, 0, 0, 1, 1, 1, 2], [0, 1, 0, 1, 2, 0, 1],
-                     [0, 0, 1, 0, 0, 1, 1]]}
     configs = [ClusterConfig(code=code, t=1, channel=channel, trials=2100,
                              seed=17, target_policy=policy)
-               for code in (EXAMPLE_DESC, desc)]
+               for code in (EXAMPLE_DESC, PADDED_GENERATOR)]
     reports = set()
-    # the last pair cuts slices by plan-row entries: 10 and 8 trials
+    # the last pair cuts slices by gathered coefficients: 10 and 8 trials
+    # for Bernoulli (every slot), 16 for exact-2 (two slots)
     for size, entries in ((1, 1 << 15), (7, 1 << 15), (512, 1 << 15),
                           (2048, 1 << 15), (2048, 64)):
         monkeypatch.setattr(storagesim, "_CHUNK_TRIALS", size)
@@ -462,6 +464,71 @@ def test_seeded_reports_match_their_pinned_digests(desc, t, channel, trials,
     report = run_sim(ClusterConfig(code=desc, t=t, channel=channel, trials=trials,
                                    seed=seed, target_policy=policy))
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+# No helper and every helper of the narrowest plan corrupted, at t = 1 with
+# uniform targets, seed 5 and 3000 trials; computed with the engine that
+# picked corrupted slots by a stable argsort of every slot's key
+EDGE_PINNED_REPORTS = [
+    (RS256, ExactErrors(0),
+     "198e6d29f20fea2223f471b52a3ad5acaff3004932f15a8697a0d5853f4a0056"),
+    (RS256, ExactErrors(17),
+     "b1b2f490975c98f305f0e2632ce329bfb8fb6e17e025819c9156e284971296dc"),
+    (EXAMPLE_DESC, ExactErrors(0),
+     "5770dd2acff57550c1bc7c84cd3798d6f555e3e647a68bbe8d09ed2887cf96cf"),
+    (EXAMPLE_DESC, ExactErrors(3),
+     "59ffebe691fee668600654a72db4b2541aa1d0ef60f4a2b487661dec7b82ad53"),
+    (PADDED_GENERATOR, ExactErrors(0),
+     "0c8d74f66e6e02c0264f73a1a711f85227ab227b8609e7201363c5b33d36bf1c"),
+    (PADDED_GENERATOR, ExactErrors(3),
+     "13d2d426e9f639181ee865dafef225fd36ea1fc34d6f5d6a353337251a366cda"),
+]
+
+
+@pytest.mark.parametrize(
+    "desc,channel,digest", EDGE_PINNED_REPORTS,
+    ids=["rs256-exact0", "rs256-exact17", "fibre-exact0", "fibre-exact3",
+         "padded-generator-exact0", "padded-generator-exact3"])
+def test_edge_channel_reports_match_their_pinned_digests(desc, channel, digest):
+    report = run_sim(ClusterConfig(code=desc, t=1, channel=channel, trials=3000,
+                                   seed=5, target_policy="uniform-random"))
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+    counts = report.counts
+    if channel.errors == 0:
+        assert counts["clean_correct"] == report.trials
+    else:
+        assert report.corrupted_trials == report.trials
+
+
+def oracle_smallest(keys, count):
+    """The selection rule _smallest replaced: the first count entries of a
+    stable argsort of each trial's keys (keys are (slots, trials))."""
+    return np.argsort(keys.T, axis=1, kind="stable")[:, :count].T
+
+
+def test_smallest_matches_a_stable_argsort():
+    top = np.uint64((1 << 64) - 1)
+    rng = np.random.default_rng(12)
+    cases = []
+    for width in (1, 2, 3, 4, 9, 17):
+        # distinct 64-bit keys, and keys from four values (ties everywhere)
+        cases.append(rng.integers(0, 1 << 64, size=(width, 300), dtype=np.uint64))
+        small = np.array([0, 5, 5 << 40, top], dtype=np.uint64)
+        cases.append(small[rng.integers(0, 4, size=(width, 300))])
+    # one trial per row: a tie at the second place (slots 0 and 2), at the
+    # first place among every slot, and at the first and third places
+    trials = np.array([[7, 3, 7, 8], [4, 4, 4, 4], [5, 1, 5, 1]], dtype=np.uint64)
+    cases.append(np.ascontiguousarray(trials.T))
+    # padding slots hold the largest key, and so can real keys
+    padded = rng.integers(0, 1 << 64, size=(6, 200), dtype=np.uint64)
+    padded[4:] = top
+    padded[1, :50] = top
+    cases.append(padded)
+    for keys in cases:
+        for count in range(len(keys) + 1):
+            got = storagesim._smallest(keys.copy(), count)
+            assert got.shape == (count, keys.shape[1])
+            assert (got == oracle_smallest(keys, count)).all(), (keys, count)
 
 
 def test_report_declares_its_rng_and_schema():
