@@ -62,8 +62,8 @@ def _coords(n: int, seq, allow_empty: bool = True) -> tuple[int, ...]:
 
 def _eliminate(field, mat, reduced: bool) -> list[int]:
     """Gaussian elimination of mat (a list of row lists) in place; returns
-    the pivot columns.  Reduced mode scales each pivot to 1 and clears its
-    column above and below, leaving the reduced row echelon form in the
+    the pivot columns.  Reduced mode clears each pivot's column above and
+    below, leaving a reduced row echelon form with unscaled pivots in the
     first len(pivots) rows; otherwise only the rows below are cleared, which
     is all a rank needs.  Either way the scan stops once every row holds a
     pivot."""
@@ -78,13 +78,7 @@ def _eliminate(field, mat, reduced: bool) -> list[int]:
         else:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        if reduced:
-            inv = field.inv(mat[rank][c])
-            if inv != 1:
-                mat[rank] = [field.mul(inv, x) for x in mat[rank]]
-            rows = mat[:rank] + mat[rank + 1:]
-        else:
-            rows = mat[rank + 1:]
+        rows = mat[:rank] + mat[rank + 1:] if reduced else mat[rank + 1:]
         if rows:
             clear_column(mat[rank], c, rows)
         pivots.append(c)
@@ -102,7 +96,13 @@ def rref(field, rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """
     mat = [list(r) for r in rows]
     pivots = _eliminate(field, mat, reduced=True)
-    return tuple(tuple(r) for r in mat[:len(pivots)]), tuple(pivots)
+    out = []
+    for row, c in zip(mat, pivots):
+        inv = field.inv(row[c])
+        if inv != 1:
+            row = [field.mul(inv, x) for x in row]
+        out.append(tuple(row))
+    return tuple(out), tuple(pivots)
 
 
 def _kernel(field, red, pivots, width) -> list[tuple[int, ...]]:
@@ -422,13 +422,21 @@ def dual_ghw(code: LinearCode, s: int, d: int | None = None,
 # Recovery sets, error-detecting recovery sets, locality
 # ---------------------------------------------------------------------------
 
-def _checked_helpers(n: int, i, helpers=(), t: int = 0) -> tuple[int, ...]:
-    """The one check of a target i in [0, n), t >= 0 and helpers distinct
-    from each other and from i, where they enter; returns the helpers sorted."""
-    if not isinstance(i, int) or not 0 <= i < n:
-        raise IndexOutOfRangeError(f"target {i!r} outside [0, {n})")
+def _checked_t(t) -> None:
+    """The check of a detection level t: a nonnegative int, not a bool."""
+    if isinstance(t, bool) or not isinstance(t, int):
+        raise ValueError(f"t must be an integer, got {t!r}")
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
+
+
+def _checked_helpers(n: int, i, helpers=(), t: int = 0) -> tuple[int, ...]:
+    """The one check of a target i in [0, n), t (_checked_t) and helpers
+    distinct from each other and from i, where they enter; returns the
+    helpers sorted."""
+    if not isinstance(i, int) or not 0 <= i < n:
+        raise IndexOutOfRangeError(f"target {i!r} outside [0, {n})")
+    _checked_t(t)
     R = _coords(n, helpers)
     if i in R:
         raise ValueError(f"target {i} must not be among the helpers")
@@ -448,42 +456,106 @@ def is_edr_set(code: LinearCode, i: int, helpers, t: int,
                cap: int = DEFAULT_ENUM_CAP) -> bool:
     """True when the punctured code on helpers + {i} has distance > t + 1.
 
-    Equivalent formulation used here: no nonzero codeword of the punctured
-    code is supported on t + 1 or fewer of its coordinates, checked by rank
-    over every small support.  This stays polynomial in the set size where
-    codeword enumeration would blow up.
+    Equivalent formulation used here: every t + 1 columns of a parity-check
+    matrix of the punctured code are independent, checked by elimination
+    (see _detects).  This stays polynomial in the set size where codeword
+    enumeration would blow up.
     """
     R = _checked_helpers(code.n, i, helpers, t)
     return _detects(code, tuple(sorted(R + (i,))), t, cap)
 
 
 def _detects(code, support, t, cap=DEFAULT_ENUM_CAP, ranks=None) -> bool:
-    """is_edr_set on the sorted support R + {i}, unvalidated: its columns keep
-    their rank without any t + 1 of them (or all, when fewer), unless that
-    rank is 0.  ranks, when given, is a column-rank memo keyed by column tuple.
+    """is_edr_set on the sorted support S = R + {i}, unvalidated: the
+    punctured code C[S] is the zero code or has distance >= t + 2.  ranks,
+    when given, is a column-rank memo keyed by column tuple.
 
-    Singleton prefilter: a support that detects has d(C[S]) >= t + 2, so
-    rank(S) <= |S| - t - 1; a larger rank fails before any subset rank."""
+    The cheap tests come first.  A rank of 0 detects.  Singleton prefilter:
+    a support that detects has rank(S) <= |S| - t - 1, so a larger rank
+    fails.  Prefix screen: dropping the last t + 1 columns of S must keep
+    the rank (in a lexicographic scan that rank is a memo hit).  Then
+    d(C[S]) >= t + 2 holds exactly when every t + 1 columns of a
+    parity-check matrix of C[S] are independent (_parity_columns,
+    _independent)."""
     full = _memo_rank(code, support, ranks)
     if full == 0:
         return True
-    if full > len(support) - t - 1:
+    size = len(support)
+    if full > size - t - 1:
         return False
-    w = min(t + 1, len(support))
-    if math.comb(len(support), w) > cap:
+    if math.comb(size, t + 1) > cap:
         raise TooLargeToEnumerateError(
-            f"C({len(support)},{w}) supports exceed the cap {cap}")
-    return all(_memo_rank(code, kept, ranks) == full
-               for kept in itertools.combinations(support, len(support) - w))
+            f"C({size},{t + 1}) supports exceed the cap {cap}")
+    if _memo_rank(code, support[:size - t - 1], ranks) < full:
+        return False
+    return _independent(code.field._clear_column,
+                        _parity_columns(code, support), t + 1)
+
+
+def _parity_columns(code, support) -> list[list[int]]:
+    """The columns of a parity-check matrix of C[S], each up to a nonzero
+    scalar, from one reduced elimination of S's columns: a free column of S
+    gets a unit vector, and a pivot column its row's entries in the free
+    columns.  (The kernel vector of free column j is 1 at j and -row[j] /
+    row[pivot] at each row's pivot; scaling a column keeps every
+    independence.)"""
+    mat = [[row[c] for c in support] for row in code.gen]
+    pivots = _eliminate(code.field, mat, reduced=True)
+    free = sorted(set(range(len(support))) - set(pivots))
+    cols = [None] * len(support)
+    for f, c in enumerate(free):
+        cols[c] = [0] * len(free)
+        cols[c][f] = 1
+    for row, c in zip(mat, pivots):
+        cols[c] = [row[j] for j in free]
+    return cols
+
+
+def _independent(clear_column, vectors, w) -> bool:
+    """True when every w of the vectors (lists) are linearly independent,
+    depth first over the w-subsets in lexicographic order.  Each vector
+    must be nonzero.  For w = 2, no two may share a projective class, which
+    clearing each vector's first nonzero entry from a unit vector names.
+    For w > 2, the vectors after vector a, cleared of its first nonzero
+    entry, must be independent w - 1 at a time: a shares that one reduction
+    with every subset it starts.  Only the vectors a reduction changes are
+    copied."""
+    classes = set()
+    for a, v in enumerate(vectors):
+        for pivot, x in enumerate(v):
+            if x:
+                break
+        else:
+            return False
+        if w == 2:
+            # unit - v / v[pivot], the same for every nonzero multiple of v
+            key = [0] * len(v)
+            key[pivot] = 1
+            clear_column(v, pivot, [key])
+            key = (pivot, *key)
+            if key in classes:
+                return False
+            classes.add(key)
+        elif w > 2 and a <= len(vectors) - w:
+            rest = [list(u) if u[pivot] else u for u in vectors[a + 1:]]
+            clear_column(v, pivot, rest)
+            if not _independent(clear_column, rest, w - 1):
+                return False
+    return True
 
 
 def _memo_rank(code, cols, ranks):
-    """_rank_cols(code, cols), looked up in the memo ranks when one is given."""
+    """_rank_cols(code, cols), looked up in the memo ranks when one is given.
+    A set whose prefix cols[:-1] is memoised at rank k has rank k too: rank
+    never falls as columns are added and never exceeds k."""
     if ranks is None:
         return _rank_cols(code, cols)
     rank = ranks.get(cols)
     if rank is None:
-        rank = ranks[cols] = _rank_cols(code, cols)
+        if ranks.get(cols[:-1]) == code.k:
+            rank = ranks[cols] = code.k
+        else:
+            rank = ranks[cols] = _rank_cols(code, cols)
     return rank
 
 
@@ -589,39 +661,71 @@ def _search_floor(code, t, cap, known, ranks):
     return max(0, known - 1)
 
 
+def _shared_scan(code, t, cap, floor, ranks) -> dict:
+    """Each nonzero-column coordinate's first t-edr set in exhaustive order,
+    as {coordinate: helpers}, from one pass per size over the supports
+    S of [n] of more than floor columns, in lexicographic order.
+
+    The verdict belongs to S alone, and inserting i into the lexicographic
+    order of the helper sets R keeps it, so the first S containing i that
+    detects is R + {i} for i's first witness R.  Each S is tested once, and
+    only while some member lacks a witness; every such member gets S - {i}.
+    The pass stops once every coordinate has one."""
+    n = code.n
+    pending = [any(row[i] for row in code.gen) for i in range(n)]
+    left = sum(pending)
+    found = {}
+    for size in range(floor + 1, n + 1):
+        for S in itertools.combinations(range(n), size):
+            if not left:
+                return found
+            if any(pending[i] for i in S) and _detects(code, S, t, cap, ranks):
+                for i in S:
+                    if pending[i]:
+                        pending[i] = False
+                        left -= 1
+                        found[i] = tuple(c for c in S if c != i)
+    return found
+
+
 def t_locality(code: LinearCode, t: int, mode: str = "exhaustive",
                cap: int = DEFAULT_ENUM_CAP,
                max_exhaustive_n: int = DEFAULT_EXHAUSTIVE_N,
                dual_ghw: int | None = None) -> LocalityReport:
     """Minimum t-edr set size per coordinate and the maximum over them.
 
-    Exhaustive mode scans candidate sets by cardinality then lexicographically
-    and keeps the first witness, so results are deterministic and minimal.
-    It starts at the dual-weight floor (see _search_floor), which rules out
-    only sizes that hold no t-edr set, so the first witness is unchanged;
-    dual_ghw = d_{t+1}(dual) saves recomputing it when the caller has it.
-    Column ranks are memoised for the duration of the call, the floor's
-    included.  Greedy mode tests only the lowest-index candidate per size
+    Exhaustive mode keeps each coordinate's first witness in the order of
+    cardinality then lexicographic order, so results are deterministic and
+    minimal; one pass over the supports serves every coordinate
+    (_shared_scan).  It starts at the dual-weight floor (see _search_floor),
+    which rules out only sizes that hold no t-edr set, so the first witness
+    is unchanged; dual_ghw = d_{t+1}(dual) saves recomputing it when the
+    caller has it.  A zero column keeps the empty witness.  Column ranks are
+    memoised for the duration of the call, the floor's included.  Greedy
+    mode tests only the lowest-index candidate per size for each coordinate
     and yields upper bounds, flagged through the report's mode field.
     """
     if mode not in ("exhaustive", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    _checked_t(t)
     if mode == "exhaustive" and code.n > max_exhaustive_n:
         raise TooLargeToEnumerateError(
             f"n = {code.n} exceeds the exhaustive-search limit {max_exhaustive_n}")
     ranks = {}
-    floor = (_search_floor(code, t, cap, dual_ghw, ranks)
-             if mode == "exhaustive" else 0)
+    if mode == "greedy":
+        found = {i: _min_edr_for_coord(code, i, t, mode, cap, 0, ranks)[1]
+                 for i in range(code.n)}
+    else:
+        floor = _search_floor(code, t, cap, dual_ghw, ranks)
+        found = ({} if floor is None
+                 else _shared_scan(code, t, cap, floor, ranks))
+        # the floor does not apply to a zero column: the empty set recovers it
+        found.update((i, ()) for i in range(code.n)
+                     if not any(row[i] for row in code.gen))
     per = []
     for i in range(code.n):
-        # the floor does not apply to a zero column: the empty set recovers it
-        start = floor if any(row[i] for row in code.gen) else 0
-        size = witness = None
-        if start is not None:
-            size, witness = _min_edr_for_coord(code, i, t, mode, cap, start, ranks)
-        per.append(CoordLocality(i, size, witness))
+        R = found.get(i)
+        per.append(CoordLocality(i, None if R is None else len(R), R))
     return LocalityReport(t=t, per_coord=per, mode=mode)
 
 

@@ -15,7 +15,8 @@ from loceret.galois import Field
 
 F2, F3, F5, F7, F13, F17 = (Field(2), Field(3), Field(5), Field(7), Field(13),
                             Field(17))
-GF4, GF9, GF16, GF256 = Field(2, 2), Field(3, 2), Field(2, 4), Field(2, 8)
+GF4, GF9, GF16, GF243, GF256 = (Field(2, 2), Field(3, 2), Field(2, 4),
+                                 Field(3, 5), Field(2, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +199,56 @@ def oracle_is_edr_set(code, i, R, t):
     return True
 
 
+def oracle_detects(code, support, t, ranks=None):
+    """The subset-rank test _detects made before the parity-check test: the
+    columns on the sorted support keep their rank without any t + 1 of them
+    (or all, when fewer), unless that rank is 0, with the Singleton
+    prefilter first and ranks memoised in ranks when given."""
+    def rank(cols):
+        if ranks is None:
+            return codeops._rank_cols(code, cols)
+        if cols not in ranks:
+            ranks[cols] = codeops._rank_cols(code, cols)
+        return ranks[cols]
+
+    full = rank(support)
+    if full == 0:
+        return True
+    if full > len(support) - t - 1:
+        return False
+    w = min(t + 1, len(support))
+    return all(rank(kept) == full
+               for kept in itertools.combinations(support, len(support) - w))
+
+
+def oracle_scan(code, t):
+    """The per-coordinate scan t_locality made before the shared pass: each
+    coordinate with a nonzero column scans its helper sets from the
+    dual-weight floor d_{t+1}(dual) - 1 (oracle_ghw), by size and then
+    lexicographically, through oracle_detects under one rank memo; a zero
+    column gets the empty set.  Returns (locality, witness) per coordinate,
+    (None, None) where no set exists."""
+    floor = (None if code.n - code.k <= t
+             else oracle_ghw(dual(code), t + 1) - 1)
+    ranks = {}
+    out = []
+    for i in range(code.n):
+        if not any(row[i] for row in code.gen):
+            out.append((0, ()))
+            continue
+        found = (None, None)
+        others = [j for j in range(code.n) if j != i]
+        for size in range(code.n if floor is None else floor, code.n):
+            R = next((R for R in itertools.combinations(others, size)
+                      if oracle_detects(code, tuple(sorted(R + (i,))), t,
+                                        ranks)), None)
+            if R is not None:
+                found = (size, R)
+                break
+        out.append(found)
+    return out
+
+
 def oracle_locality(code, t):
     """The exhaustive search without the dual-weight floor or the rank memo:
     every coordinate scans helper sets from size 0, by size and then
@@ -218,9 +269,10 @@ def oracle_locality(code, t):
 
 
 def assert_locality_matches_oracle(code, t):
-    report = t_locality(code, t)
-    got = [(c.locality, c.witness) for c in report.per_coord]
+    """t_locality against oracle_locality and against oracle_scan."""
+    got = [(c.locality, c.witness) for c in t_locality(code, t).per_coord]
     assert got == oracle_locality(code, t), (code, t)
+    assert got == oracle_scan(code, t), (code, t)
 
 
 def random_code(rng, field, n, rows):
@@ -875,7 +927,7 @@ def test_zero_detection_locality_matches_rank_only_search():
 # the exhaustive search against the oracle search: localities and witnesses
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("t", [0, 1])
+@pytest.mark.parametrize("t", [0, 1, 2])
 def test_locality_matches_oracle_on_the_lemma_corpus(t):
     from test_acceptance import lemma_corpus
     for code, _ in lemma_corpus():
@@ -890,20 +942,20 @@ RS17_CASES = [(8, 3), (8, 4), (8, 7), (9, 2), (9, 8), (10, 3), (10, 5),
               (15, 2), (16, 2), (16, 3)]
 
 
-@pytest.mark.parametrize("t", [0, 1])
+@pytest.mark.parametrize("t", [0, 1, 2])
 @pytest.mark.parametrize("n, k", RS17_CASES, ids=str)
 def test_locality_matches_oracle_on_rs_codes_over_gf17(n, k, t):
     points = random.Random(n * 100 + k).sample(range(17), n)
     assert_locality_matches_oracle(rscodes.rs_make(F17, points, k).code, t)
 
 
-@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("t", [0, 1, 2])
 def test_locality_matches_oracle_on_the_example_code(t):
     assert_locality_matches_oracle(example_code().code, t)
 
 
 @pytest.mark.parametrize("t", [0, 1, 2])
-@pytest.mark.parametrize("field", [F2, F3, GF4, GF9, F13], ids=repr)
+@pytest.mark.parametrize("field", [F2, F3, GF4, GF9, F13, GF16], ids=repr)
 def test_locality_matches_oracle_with_zero_and_repeated_columns(field, t):
     for _, code in random_codes_with_zero_and_repeated_columns(
             field, field.q * 10 + t, 12):
@@ -955,8 +1007,10 @@ def test_singleton_prefilter_keeps_the_mds_equality_case(monkeypatch):
     assert seen == [tuple(range(5))]
 
 
+# GF(3^5) clears columns with the checked row operation, GF(2^8) with the
+# log/exp tables, the prime fields with arithmetic mod p
 @pytest.mark.parametrize("t", [0, 1, 2])
-@pytest.mark.parametrize("field", [F3, GF4, F5], ids=repr)
+@pytest.mark.parametrize("field", [F3, GF4, F5, GF9, GF243, GF256], ids=repr)
 def test_detects_matches_the_oracle_with_zero_and_repeated_columns(field, t):
     verdicts = set()
     for rng, code in random_codes_with_zero_and_repeated_columns(
@@ -964,9 +1018,34 @@ def test_detects_matches_the_oracle_with_zero_and_repeated_columns(field, t):
         for size in range(1, code.n + 1):
             S = tuple(sorted(rng.sample(range(code.n), size)))
             got = codeops._detects(code, S, t)
+            assert got == oracle_detects(code, S, t), (code, S, t)
             assert got == oracle_is_edr_set(code, S[0], S[1:], t), (code, S, t)
             verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def test_locality_witnesses_of_the_16_4_fibre_code_at_t2():
+    # [16,4]/GF(17), y = x^4, l = [1, 1]: every coordinate's first witness
+    code = rscodes.lrcrs_make(F17, [0, 0, 0, 0, 1], [1, 1]).code
+    expected = ([(1, 4, 5, 8, 9, 12)] + [(0, 4, 5, 8, 9, 12)] * 3
+                + [(0, 1, 5, 8, 9, 12)] + [(0, 1, 4, 8, 9, 12)] * 3
+                + [(0, 1, 4, 5, 9, 12)] + [(0, 1, 4, 5, 8, 12)] * 3
+                + [(0, 1, 4, 5, 8, 9)] * 4)
+    report = t_locality(code, 2)
+    assert [c.witness for c in report.per_coord] == expected
+    assert {c.locality for c in report.per_coord} == {6}
+    assert expected == [w for _, w in oracle_scan(code, 2)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda code: t_locality(code, 1.5),
+    lambda code: t_locality(code, True),
+    lambda code: is_edr_set(code, 0, [1, 2, 3, 4], 1.5),
+], ids=["t_locality-float", "t_locality-bool", "is_edr_set-float"])
+def test_t_must_be_an_int(call):
+    code = rscodes.rs_make(F13, range(8), 3).code
+    with pytest.raises(ValueError, match="^t must be an integer"):
+        call(code)
 
 
 def test_small_dual_leaves_nonzero_columns_without_a_set():
