@@ -52,8 +52,8 @@ def _coords(n: int, seq, allow_empty: bool = True) -> tuple[int, ...]:
     if not allow_empty and not out:
         raise EmptySetError("coordinate set must be nonempty")
     for c in out:
-        if not isinstance(c, int) or not 0 <= c < n:
-            raise IndexOutOfRangeError(f"coordinate {c!r} outside [0, {n})")
+        if isinstance(c, bool) or not isinstance(c, int) or not 0 <= c < n:
+            raise IndexOutOfRangeError(f"{c!r} is not a coordinate in [0, {n})")
     for a, b in zip(out, out[1:]):
         if a == b:
             raise ValueError(f"duplicate coordinate {a}")
@@ -434,8 +434,8 @@ def _checked_helpers(n: int, i, helpers=(), t: int = 0) -> tuple[int, ...]:
     """The one check of a target i in [0, n), t (_checked_t) and helpers
     distinct from each other and from i, where they enter; returns the
     helpers sorted."""
-    if not isinstance(i, int) or not 0 <= i < n:
-        raise IndexOutOfRangeError(f"target {i!r} outside [0, {n})")
+    if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < n:
+        raise IndexOutOfRangeError(f"target {i!r} is not a coordinate in [0, {n})")
     _checked_t(t)
     R = _coords(n, helpers)
     if i in R:
@@ -452,20 +452,20 @@ def is_recovery_set(code: LinearCode, i: int, helpers) -> bool:
     return _rank_cols(code, R) == _rank_cols(code, R + (i,))
 
 
-def is_edr_set(code: LinearCode, i: int, helpers, t: int,
-               cap: int = DEFAULT_ENUM_CAP) -> bool:
+def is_edr_set(code: LinearCode, i: int, helpers, t: int) -> bool:
     """True when the punctured code on helpers + {i} has distance > t + 1.
 
     Equivalent formulation used here: every t + 1 columns of a parity-check
     matrix of the punctured code are independent, checked by elimination
     (see _detects).  This stays polynomial in the set size where codeword
-    enumeration would blow up.
+    enumeration would blow up; more than DEFAULT_ENUM_CAP such column sets
+    raise TooLargeToEnumerateError.
     """
     R = _checked_helpers(code.n, i, helpers, t)
-    return _detects(code, tuple(sorted(R + (i,))), t, cap)
+    return _detects(code, tuple(sorted(R + (i,))), t)
 
 
-def _detects(code, support, t, cap=DEFAULT_ENUM_CAP, ranks=None) -> bool:
+def _detects(code, support, t, ranks=None) -> bool:
     """is_edr_set on the sorted support S = R + {i}, unvalidated: the
     punctured code C[S] is the zero code or has distance >= t + 2.  ranks,
     when given, is a column-rank memo keyed by column tuple.
@@ -483,9 +483,9 @@ def _detects(code, support, t, cap=DEFAULT_ENUM_CAP, ranks=None) -> bool:
     size = len(support)
     if full > size - t - 1:
         return False
-    if math.comb(size, t + 1) > cap:
+    if math.comb(size, t + 1) > DEFAULT_ENUM_CAP:
         raise TooLargeToEnumerateError(
-            f"C({size},{t + 1}) supports exceed the cap {cap}")
+            f"C({size},{t + 1}) supports exceed the cap {DEFAULT_ENUM_CAP}")
     if _memo_rank(code, support[:size - t - 1], ranks) < full:
         return False
     return _independent(code.field._clear_column,
@@ -623,27 +623,10 @@ class LocalityReport:
         }
 
 
-def _min_edr_for_coord(code, i, t, mode, cap, start=0, ranks=None):
-    """Smallest t-edr set for coordinate i, scanning sizes from start up; in
-    exhaustive mode the first witness in lexicographic order.  Callers check
-    i and t; each candidate goes straight to _detects."""
-    if ranks is None:
-        ranks = {}
-    others = [j for j in range(code.n) if j != i]
-    for size in range(start, code.n):
-        if mode == "greedy":
-            candidates = [tuple(others[:size])]
-        else:
-            candidates = itertools.combinations(others, size)
-        for R in candidates:
-            if _detects(code, tuple(sorted(R + (i,))), t, cap, ranks):
-                return size, R
-    return None, None
-
-
-def _search_floor(code, t, cap, known, ranks):
-    """Size below which no coordinate with a nonzero generator column has a
-    t-edr set, or None when no such coordinate has one at all.
+def _search_floor(code, t, known, ranks) -> int:
+    """A size f such that no support of at most f columns is a t-edr set
+    for a coordinate with a nonzero generator column; n when no such
+    coordinate has one at all.
 
     If R is a t-edr set for i and S = R + {i} carries a nonzero column, then
     d(C[S]) >= t + 2, so Singleton gives rank(S) <= |S| - t - 1: the dual
@@ -653,18 +636,16 @@ def _search_floor(code, t, cap, known, ranks):
     """
     if known is None:
         if code.n - code.k <= t:
-            return None
-        try:
-            known = dual_ghw(code, t + 1, cap=cap, ranks=ranks)
-        except TooLargeToEnumerateError:
-            return 0
+            return code.n
+        known = dual_ghw(code, t + 1, ranks=ranks)
     return max(0, known - 1)
 
 
-def _shared_scan(code, t, cap, floor, ranks) -> dict:
-    """Each nonzero-column coordinate's first t-edr set in exhaustive order,
-    as {coordinate: helpers}, from one pass per size over the supports
-    S of [n] of more than floor columns, in lexicographic order.
+def _shared_scan(code, t, coords, floor, ranks) -> dict:
+    """The first t-edr set in exhaustive order of each of the given
+    coordinates that has one, as {coordinate: helpers}.  A zero column gets
+    the empty set; the others share one pass per size over the supports S
+    of [n] of more than floor columns, in lexicographic order.
 
     The verdict belongs to S alone, and inserting i into the lexicographic
     order of the helper sets R keeps it, so the first S containing i that
@@ -672,25 +653,23 @@ def _shared_scan(code, t, cap, floor, ranks) -> dict:
     only while some member lacks a witness; every such member gets S - {i}.
     The pass stops once every coordinate has one."""
     n = code.n
-    pending = [any(row[i] for row in code.gen) for i in range(n)]
-    left = sum(pending)
-    found = {}
+    found = {i: () for i in coords if not any(row[i] for row in code.gen)}
+    pending = set(coords) - found.keys()
+    if not pending:
+        return found
     for size in range(floor + 1, n + 1):
         for S in itertools.combinations(range(n), size):
-            if not left:
+            if pending.isdisjoint(S) or not _detects(code, S, t, ranks):
+                continue
+            for i in pending.intersection(S):
+                found[i] = tuple(c for c in S if c != i)
+            pending.difference_update(S)
+            if not pending:
                 return found
-            if any(pending[i] for i in S) and _detects(code, S, t, cap, ranks):
-                for i in S:
-                    if pending[i]:
-                        pending[i] = False
-                        left -= 1
-                        found[i] = tuple(c for c in S if c != i)
     return found
 
 
 def t_locality(code: LinearCode, t: int, mode: str = "exhaustive",
-               cap: int = DEFAULT_ENUM_CAP,
-               max_exhaustive_n: int = DEFAULT_EXHAUSTIVE_N,
                dual_ghw: int | None = None) -> LocalityReport:
     """Minimum t-edr set size per coordinate and the maximum over them.
 
@@ -700,30 +679,34 @@ def t_locality(code: LinearCode, t: int, mode: str = "exhaustive",
     (_shared_scan).  It starts at the dual-weight floor (see _search_floor),
     which rules out only sizes that hold no t-edr set, so the first witness
     is unchanged; dual_ghw = d_{t+1}(dual) saves recomputing it when the
-    caller has it.  A zero column keeps the empty witness.  Column ranks are
-    memoised for the duration of the call, the floor's included.  Greedy
-    mode tests only the lowest-index candidate per size for each coordinate
-    and yields upper bounds, flagged through the report's mode field.
+    caller has it.  Codes longer than DEFAULT_EXHAUSTIVE_N raise
+    TooLargeToEnumerateError.  Greedy mode tests, for each coordinate, only
+    the lowest-index helpers of each size and yields upper bounds, flagged
+    through the report's mode field.  Column ranks are memoised for the
+    duration of the call, the floor's included.
     """
     if mode not in ("exhaustive", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
     _checked_t(t)
-    if mode == "exhaustive" and code.n > max_exhaustive_n:
-        raise TooLargeToEnumerateError(
-            f"n = {code.n} exceeds the exhaustive-search limit {max_exhaustive_n}")
+    n = code.n
     ranks = {}
     if mode == "greedy":
-        found = {i: _min_edr_for_coord(code, i, t, mode, cap, 0, ranks)[1]
-                 for i in range(code.n)}
+        found = {}
+        for i in range(n):
+            others = [j for j in range(n) if j != i]
+            for size in range(n):
+                R = tuple(others[:size])
+                if _detects(code, tuple(sorted(R + (i,))), t, ranks):
+                    found[i] = R
+                    break
+    elif n > DEFAULT_EXHAUSTIVE_N:
+        raise TooLargeToEnumerateError(
+            f"n = {n} exceeds the exhaustive-search limit {DEFAULT_EXHAUSTIVE_N}")
     else:
-        floor = _search_floor(code, t, cap, dual_ghw, ranks)
-        found = ({} if floor is None
-                 else _shared_scan(code, t, cap, floor, ranks))
-        # the floor does not apply to a zero column: the empty set recovers it
-        found.update((i, ()) for i in range(code.n)
-                     if not any(row[i] for row in code.gen))
+        floor = _search_floor(code, t, dual_ghw, ranks)
+        found = _shared_scan(code, t, range(n), floor, ranks)
     per = []
-    for i in range(code.n):
+    for i in range(n):
         R = found.get(i)
         per.append(CoordLocality(i, None if R is None else len(R), R))
     return LocalityReport(t=t, per_coord=per, mode=mode)

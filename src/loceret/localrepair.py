@@ -167,13 +167,16 @@ def plan_linear(code: codeops.LinearCode, target: int, t: int,
     The detection rows are a basis of the dual words supported on the
     helpers; the recovery word is any dual word on helpers + target that is
     nonzero at the target.  Entries of the recovery word may be zero off the
-    target here, unlike in the RS constructions.
+    target here, unlike in the RS constructions.  Default helpers are the
+    target's first t-edr set in exhaustive order, the witness t_locality
+    reports: the shared support scan run for the target alone, from
+    supports of t + 2 columns (fewer never detect unless the target's
+    column is zero, which gets no helpers).
     """
     field = code.field
     if helpers is None:
         codeops._checked_helpers(code.n, target, t=t)
-        size, helpers = codeops._min_edr_for_coord(
-            code, target, t, "exhaustive", codeops.DEFAULT_ENUM_CAP)
+        helpers = codeops._shared_scan(code, t, (target,), t + 1, {}).get(target)
         if helpers is None:
             raise HelpersNotEdrError(
                 f"coordinate {target} admits no {t}-error-detecting recovery set")

@@ -268,6 +268,24 @@ def oracle_locality(code, t):
     return out
 
 
+def oracle_greedy(code, t):
+    """The greedy search t_locality made before the greedy loop moved into
+    it: each coordinate tries only its lowest-index helpers of each size,
+    from size 0, through oracle_detects.  Returns (locality, witness) per
+    coordinate, (None, None) where no prefix detects."""
+    out = []
+    for i in range(code.n):
+        others = [j for j in range(code.n) if j != i]
+        found = (None, None)
+        for size in range(code.n):
+            R = tuple(others[:size])
+            if oracle_detects(code, tuple(sorted(R + (i,))), t):
+                found = (size, R)
+                break
+        out.append(found)
+    return out
+
+
 def assert_locality_matches_oracle(code, t):
     """t_locality against oracle_locality and against oracle_scan."""
     got = [(c.locality, c.witness) for c in t_locality(code, t).per_coord]
@@ -884,6 +902,29 @@ def test_greedy_mode_gives_labelled_upper_bounds():
     assert greedy.mode == "greedy"
     for g, e in zip(greedy.per_coord, exact.per_coord):
         assert g.locality >= e.locality
+
+
+def assert_greedy_matches_oracle(code, t):
+    report = t_locality(code, t, mode="greedy")
+    assert report.mode == "greedy"
+    got = [(c.locality, c.witness) for c in report.per_coord]
+    assert got == oracle_greedy(code, t), (code, t)
+
+
+@pytest.mark.parametrize("t", [0, 1, 2])
+def test_greedy_witnesses_match_the_oracle_on_the_lemma_corpus(t):
+    from test_acceptance import lemma_corpus
+    for code, _ in lemma_corpus():
+        assert_greedy_matches_oracle(code, t)
+
+
+@pytest.mark.parametrize("t", [0, 1, 2])
+@pytest.mark.parametrize("field", [F2, F3, GF4, GF9, F13, GF16], ids=repr)
+def test_greedy_witnesses_match_the_oracle_with_zero_and_repeated_columns(
+        field, t):
+    for _, code in random_codes_with_zero_and_repeated_columns(
+            field, field.q * 50 + t, 12):
+        assert_greedy_matches_oracle(code, t)
 
 
 def test_exhaustive_mode_refuses_oversized_codes():

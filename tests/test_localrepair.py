@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from loceret import codeops
+from loceret.codeops import t_locality
 from loceret.galois import CountingField, Field
 from loceret.localrepair import (AlphaNotInSetError, HelpersNotEdrError,
                                  NotEnoughCoordinatesError, PlanCache,
@@ -201,6 +202,8 @@ BAD_RECOVERY_ARGUMENTS = {
     "duplicate-helper": (ValueError, 0, [1, 1, 2, 3], 1),
     "target-among-helpers": (ValueError, 0, [0, 1, 2, 3], 1),
     "negative-t": (ValueError, 0, [1, 2, 3], -1),
+    "target-bool": (codeops.IndexOutOfRangeError, True, [2, 3, 4, 5], 1),
+    "helper-bool": (codeops.IndexOutOfRangeError, 0, [True, 2, 3, 4], 1),
 }
 
 
@@ -213,7 +216,7 @@ def test_every_recovery_call_rejects_bad_arguments_alike(fault):
              lambda: plan_linear(spec.code, target, t, helpers=helpers)]
     if t >= 0:
         calls.append(lambda: codeops.is_recovery_set(spec.code, target, helpers))
-    if fault in ("target-out-of-range", "negative-t"):
+    if fault in ("target-out-of-range", "target-bool", "negative-t"):
         # default helpers: the plans check target and t before any search
         calls += [lambda: plan_rs(spec, target, t),
                   lambda: plan_linear(spec.code, target, t)]
@@ -221,6 +224,52 @@ def test_every_recovery_call_rejects_bad_arguments_alike(fault):
         with pytest.raises(ValueError) as info:
             call()
         assert info.type is expected
+
+
+def test_bool_coordinates_are_refused_by_name():
+    # True == 1 as an int, so it used to pass as coordinate 1
+    spec = rs_make(F13, list(range(8)), 3)
+    with pytest.raises(codeops.IndexOutOfRangeError, match="^target True "):
+        codeops.is_edr_set(spec.code, True, [2, 3, 4, 5], 1)
+    with pytest.raises(codeops.IndexOutOfRangeError, match="^True is not"):
+        plan_rs(spec, 0, 1, helpers=[True, 2, 3, 4])
+
+
+def assert_default_helpers_are_the_witnesses(code):
+    """plan_linear's own helpers for every coordinate at t = 0, 1, 2 are
+    the witnesses t_locality reports, and a coordinate without one has no
+    plan."""
+    for t in (0, 1, 2):
+        report = t_locality(code, t)
+        for entry in report.per_coord:
+            c = entry.coord
+            if entry.witness is None:
+                with pytest.raises(HelpersNotEdrError):
+                    plan_linear(code, c, t)
+                continue
+            plan = plan_linear(code, c, t)
+            assert plan.helpers == entry.witness, (code, c, t)
+            if not any(row[c] for row in code.gen):
+                assert plan.helpers == ()
+
+
+def test_default_linear_helpers_are_the_locality_witnesses_on_the_lemma_corpus():
+    from test_acceptance import lemma_corpus
+    for code, _ in lemma_corpus():
+        assert_default_helpers_are_the_witnesses(code)
+
+
+@pytest.mark.parametrize("field", [Field(2), Field(3), Field(2, 2),
+                                   Field(3, 2), F13, Field(2, 4)], ids=repr)
+def test_default_linear_helpers_are_the_locality_witnesses_with_zero_columns(
+        field):
+    from test_codeops import random_codes_with_zero_and_repeated_columns
+    zero_columns = 0
+    for _, code in random_codes_with_zero_and_repeated_columns(
+            field, field.q * 60, 12):
+        assert_default_helpers_are_the_witnesses(code)
+        zero_columns += sum(not any(col) for col in zip(*code.gen))
+    assert zero_columns
 
 
 # ---------------------------------------------------------------------------
