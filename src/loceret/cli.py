@@ -105,7 +105,6 @@ def cmd_analyze(args) -> tuple[dict, int]:
     if r_t is not None and d_value is not None:
         bounds = codeops.check_bounds(code.n, code.k, d_value, args.t, r_t,
                                       dual_ghw=dual_ghw)
-        report.bound_status = bounds.to_dict()
         doc["bounds"] = bounds.to_dict()
         certified = distance_kind == "exact" and report.mode == "exhaustive"
         doc["t_optimal"] = bounds.t_optimal if certified else None

@@ -2,9 +2,9 @@
 
 Codes are held in reduced row echelon form, which makes equality of row
 spaces a tuple comparison.  Minimum distance and generalized Hamming weights
-are certified exhaustively (with configurable enumeration caps); recovery-set
-and error-detecting-set checks reduce to column-rank computations, so they
-stay cheap even where codeword enumeration would not.
+are certified exhaustively, within the enumeration cap DEFAULT_ENUM_CAP;
+recovery-set and error-detecting-set checks reduce to column-rank
+computations, so they stay cheap even where codeword enumeration would not.
 """
 
 from __future__ import annotations
@@ -211,11 +211,23 @@ def dual(code: LinearCode) -> LinearCode:
         code.field, _kernel(code.field, code.gen, code.pivots, code.n), code.n)
 
 
+def _dual_words(code: LinearCode, coords) -> tuple[tuple[int, ...], ...]:
+    """The canonical basis of the dual words supported inside the sorted,
+    checked coordinates, restricted to them: shorten(dual(code), coords).gen
+    without building the dual.  Those words are the dual of the punctured
+    code C[coords], so they are the kernel of the generator's columns at
+    coords, brought to reduced row echelon form (empty when the columns
+    are independent)."""
+    field = code.field
+    red, pivots = rref(field, [[row[c] for c in coords] for row in code.gen])
+    return rref(field, _kernel(field, red, pivots, len(coords)))[0]
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive weight computations
 # ---------------------------------------------------------------------------
 
-def min_distance(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> int:
+def min_distance(code: LinearCode) -> int:
     """Minimum Hamming weight over all nonzero codewords, by the
     Brouwer-Zimmermann search.
 
@@ -230,18 +242,18 @@ def min_distance(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> int:
     j (w + 1) + (m - j) w on the sets alone, and the search stops when that
     reaches the least weight found.  Weight k on one set covers every
     message.  m is chosen from the least row weight by _set_count; m = 1 is
-    the full projective enumeration.  The cap still bounds q^k, the size of
-    the full enumeration.  Words are built and counted in blocks of about
-    _CHUNK_ELEMS symbols, one block per weight at a time, so peak memory
-    does not grow with the number of words.
+    the full projective enumeration.  DEFAULT_ENUM_CAP, read at each call,
+    still bounds q^k, the size of the full enumeration.  Words are built and
+    counted in blocks of about _CHUNK_ELEMS symbols, one block per weight at
+    a time, so peak memory does not grow with the number of words.
     """
     if code.k == 0:
         raise ZeroCodeError("the zero code has no nonzero codeword")
     field = code.field
     q = field.q
-    if q ** code.k > cap:
+    if q ** code.k > DEFAULT_ENUM_CAP:
         raise TooLargeToEnumerateError(
-            f"q^k = {q ** code.k} exceeds the enumeration cap {cap}")
+            f"q^k = {q ** code.k} exceeds the enumeration cap {DEFAULT_ENUM_CAP}")
     k, n = code.k, code.n
     G = np.array(code.gen, dtype=np.int64)
     best = int(np.count_nonzero(G, axis=1).min())
@@ -378,18 +390,18 @@ def _rank_cols(code: LinearCode, coords) -> int:
     return len(_eliminate(code.field, mat, reduced=False))
 
 
-def ghw(code: LinearCode, s: int, cap: int = DEFAULT_ENUM_CAP) -> int:
+def ghw(code: LinearCode, s: int) -> int:
     """s-th generalized Hamming weight: the minimum support size over all
     s-dimensional subcodes, computed as dual_ghw of the dual code."""
     if code.k == 0:
         raise ZeroCodeError("the zero code has no subcodes")
     if not isinstance(s, int) or not 1 <= s <= code.k:
         raise BadRankError(f"s must lie in [1, {code.k}], got {s}")
-    return dual_ghw(dual(code), s, cap=cap)
+    return dual_ghw(dual(code), s)
 
 
-def dual_ghw(code: LinearCode, s: int, d: int | None = None,
-             cap: int = DEFAULT_ENUM_CAP, *, ranks: dict | None = None) -> int:
+def dual_ghw(code: LinearCode, s: int, d: int | None = None, *,
+             ranks: dict | None = None) -> int:
     """d_s(dual): the s-th generalized Hamming weight of the dual code, read
     off the columns of the code itself.
 
@@ -402,11 +414,14 @@ def dual_ghw(code: LinearCode, s: int, d: int | None = None,
     of the code or any lower bound on it; by Wei's duality theorem ({d_r(C)}
     and {n + 1 - d_s(dual)} partition 1..n) every s >= n - k - d + 2 has
     d_s(dual) = k + s, which is returned without a search.  ranks is an
-    optional column-rank memo keyed by sorted column tuple.
+    optional column-rank memo keyed by sorted column tuple.  A code with
+    2^n above DEFAULT_ENUM_CAP, read at each call, raises
+    TooLargeToEnumerateError before anything else, d or not.
     """
     n, k = code.n, code.k
-    if 2 ** n > cap:
-        raise TooLargeToEnumerateError(f"2^{n} supports exceed the cap {cap}")
+    if 2 ** n > DEFAULT_ENUM_CAP:
+        raise TooLargeToEnumerateError(
+            f"2^{n} supports exceed the cap {DEFAULT_ENUM_CAP}")
     if not isinstance(s, int) or not 1 <= s <= n - k:
         raise BadRankError(f"s must lie in [1, {n - k}], got {s}")
     if d is not None and s >= n - k - d + 2:
@@ -596,7 +611,6 @@ class LocalityReport:
     t: int
     per_coord: list[CoordLocality]
     mode: str                     # "exhaustive" or "greedy" (upper bounds only)
-    bound_status: dict | None = None
 
     @property
     def r_t(self) -> int | None:

@@ -523,7 +523,7 @@ class Field:
     def _powers(self) -> np.ndarray:
         return self.p ** np.arange(self.m, dtype=np.int64)
 
-    # -- iteration and evaluation ----------------------------------------------
+    # -- iteration ------------------------------------------------------------
 
     def elements(self) -> range:
         """All elements in canonical order."""
@@ -531,9 +531,6 @@ class Field:
 
     def nonzero_elements(self) -> range:
         return range(1, self.q)
-
-    def poly_eval(self, coeffs, x: int) -> int:
-        return poly_eval(self, coeffs, x)
 
     # -- identity -----------------------------------------------------------
 
@@ -610,11 +607,6 @@ class CountingField:
         self.inv_count += 1
         return self.field.inv(a)
 
-    def div(self, a, b):
-        self.mul_count += 1
-        self.inv_count += 1
-        return self.field.div(a, b)
-
     def pow(self, a, e):
         self.pow_count += 1
         return self.field.pow(a, e)
@@ -622,18 +614,6 @@ class CountingField:
     def _dot(self, xs, ys):
         # one counted mul and add per term, whatever kernel the field uses
         return _checked_dot(self, xs, ys)
-
-    def normalize(self, v):
-        return self.field.normalize(v)
-
-    def elements(self):
-        return self.field.elements()
-
-    def nonzero_elements(self):
-        return self.field.nonzero_elements()
-
-    def poly_eval(self, coeffs, x):
-        return poly_eval(self, coeffs, x)
 
     def __repr__(self):
         return f"Counting({self.field!r})"

@@ -14,9 +14,11 @@ chosen once per field kind, on unchecked canonical ints; detect, recover and
 repair check the helper count and each helper symbol once, where the symbols
 enter, so no check runs inside the kernel.
 
-The dual words come from the polynomial that vanishes on the complement of
-the chosen point set: its value at a member point costs r multiplications and
-one inversion via the product of all nonzero field elements being -1.
+The dual words of the RS constructions come from the polynomial that
+vanishes on the complement of the chosen point set: its value at a member
+point costs r multiplications and one inversion via the product of all
+nonzero field elements being -1.  plan_linear takes them from the kernel of
+the generator's columns on the plan's own coordinates.
 """
 
 from __future__ import annotations
@@ -98,17 +100,32 @@ def recovery_weight(field, support_points, alpha: int) -> int:
     return field.neg(field.inv(acc))
 
 
+def _assemble(field, barred, target, weights, check_rows, t) -> RecoveryPlan:
+    """The plan from its recovery word over barred and its detection rows,
+    which every plan builder ends in: the recovery row is the word's helper
+    entries times -w_target^(-1), one inversion, one negation and r
+    multiplications."""
+    target_pos = barred.index(target)
+    scale = field.neg(field.inv(weights[target_pos]))
+    recovery_row = tuple(field.mul(scale, w)
+                         for idx, w in enumerate(weights) if idx != target_pos)
+    helpers = tuple(c for c in barred if c != target)
+    return RecoveryPlan(field=field, target=target, helpers=helpers,
+                        barred=barred, target_pos=target_pos, weights=weights,
+                        check_rows=tuple(check_rows),
+                        recovery_row=recovery_row, t=t)
+
+
 def _build_plan(spec, barred, target, t) -> RecoveryPlan:
-    """Assemble the plan on the sorted barred coordinates of an RS or
-    piecewise-RS spec."""
+    """The plan on the sorted barred coordinates of an RS or piecewise-RS
+    spec, from the polynomial words of its points."""
     field = spec.field
     pts = tuple(spec.points[c] for c in barred)
-    target_pos = barred.index(target)
-    alpha_t = pts[target_pos]
+    alpha_t = spec.points[target]
 
     weights = tuple(recovery_weight(field, pts, a) for a in pts)
     helper_pts = tuple(a for a in pts if a != alpha_t)
-    helper_w = tuple(w for idx, w in enumerate(weights) if idx != target_pos)
+    helper_w = tuple(w for a, w in zip(pts, weights) if a != alpha_t)
 
     check_rows = []
     if t > 0:
@@ -118,21 +135,31 @@ def _build_plan(spec, barred, target, t) -> RecoveryPlan:
         for _ in range(1, t):
             row = tuple(field.mul(a, z) for a, z in zip(helper_pts, row))
             check_rows.append(row)
+    return _assemble(field, barred, target, weights, check_rows, t)
 
-    scale = field.neg(field.inv(weights[target_pos]))
-    recovery_row = tuple(field.mul(scale, w) for w in helper_w)
 
-    helpers = tuple(c for c in barred if c != target)
-    return RecoveryPlan(field=field, target=target, helpers=helpers,
-                        barred=barred, target_pos=target_pos, weights=weights,
-                        check_rows=tuple(check_rows),
-                        recovery_row=recovery_row, t=t)
+def _explicit_helpers(code, target, helpers, t, need=None) -> tuple[int, ...]:
+    """The one check of explicit helpers, shared by plan_rs and plan_linear:
+    target, helpers and t are checked where they enter, the helper count
+    must be need when one is given, and helpers + target must detect t
+    errors; returns the helpers sorted."""
+    helpers = codeops._checked_helpers(code.n, target, helpers, t)
+    if need is not None and len(helpers) != need:
+        raise HelpersNotEdrError(
+            f"detecting t = {t} errors takes exactly k + t = {need} helpers, "
+            f"got {len(helpers)}")
+    if not codeops._detects(code, tuple(sorted(helpers + (target,))), t):
+        raise HelpersNotEdrError(
+            f"{list(helpers)} is not a {t}-error-detecting recovery set "
+            f"for coordinate {target}")
+    return helpers
 
 
 def plan_rs(spec: RsSpec, target: int, t: int,
             helpers=None) -> RecoveryPlan:
     """Plan for an RS code: default helpers are the k + t lowest coordinates
-    other than the target, which always form a t-edr set."""
+    other than the target, which always form a t-edr set; explicit helpers
+    must number exactly k + t."""
     n = len(spec.points)
     need = spec.k + t
     if helpers is None:
@@ -142,38 +169,32 @@ def plan_rs(spec: RsSpec, target: int, t: int,
                 f"need {need + 1} coordinates for t = {t}, code has {n}")
         helpers = tuple(c for c in range(n) if c != target)[:need]
     else:
-        helpers = codeops._checked_helpers(n, target, helpers, t)
-        if len(helpers) != need:
-            raise HelpersNotEdrError(
-                f"detecting t = {t} errors takes exactly k + t = {need} helpers, "
-                f"got {len(helpers)}")
-        if not codeops._detects(spec.code, tuple(sorted(helpers + (target,))), t):
-            raise HelpersNotEdrError(
-                f"{list(helpers)} is not a {t}-error-detecting recovery set "
-                f"for coordinate {target}")
+        helpers = _explicit_helpers(spec.code, target, helpers, t, need)
     return _build_plan(spec, tuple(sorted(helpers + (target,))), target, t)
 
 
 def plan_lrcrs(spec: LrcRsSpec, target: int) -> RecoveryPlan:
     """Plan for a piecewise-RS code: the helpers are the target's fibre mates
     and one helper error is detectable (the fibre restriction has distance 3)."""
+    codeops._checked_helpers(spec.n, target)
     return _build_plan(spec, spec.fibre_coords(target), target, 1)
 
 
 def plan_linear(code: codeops.LinearCode, target: int, t: int,
                 helpers=None) -> RecoveryPlan:
-    """Plan for an arbitrary linear code via words of the dual.
+    """Plan for an arbitrary linear code from the dual words on its own
+    support, which codeops._dual_words reads off the generator's columns
+    there; the whole dual is never built.
 
-    The detection rows are a basis of the dual words supported on the
-    helpers; the recovery word is any dual word on helpers + target that is
-    nonzero at the target.  Entries of the recovery word may be zero off the
-    target here, unlike in the RS constructions.  Default helpers are the
-    target's first t-edr set in exhaustive order, the witness t_locality
-    reports: the shared support scan run for the target alone, from
-    supports of t + 2 columns (fewer never detect unless the target's
-    column is zero, which gets no helpers).
+    The detection rows are the canonical basis of the dual words on the
+    helpers; the recovery word is the first canonical row on helpers +
+    target that is nonzero at the target, and may be zero elsewhere, unlike
+    in the RS constructions.  Default helpers are the target's first t-edr
+    set in exhaustive order, the witness t_locality reports: the shared
+    support scan run for the target alone, from supports of t + 2 columns
+    (fewer never detect unless the target's column is zero, which gets no
+    helpers).
     """
-    field = code.field
     if helpers is None:
         codeops._checked_helpers(code.n, target, t=t)
         helpers = codeops._shared_scan(code, t, (target,), t + 1, {}).get(target)
@@ -181,32 +202,15 @@ def plan_linear(code: codeops.LinearCode, target: int, t: int,
             raise HelpersNotEdrError(
                 f"coordinate {target} admits no {t}-error-detecting recovery set")
     else:
-        helpers = codeops._checked_helpers(code.n, target, helpers, t)
-        if not codeops._detects(code, tuple(sorted(helpers + (target,))), t):
-            raise HelpersNotEdrError(
-                f"{list(helpers)} is not a {t}-error-detecting recovery set "
-                f"for coordinate {target}")
+        helpers = _explicit_helpers(code, target, helpers, t)
     barred = tuple(sorted(helpers + (target,)))
     target_pos = barred.index(target)
-
-    dual = codeops.dual(code)
-    on_barred = codeops.shorten(dual, barred)
-    weights = None
-    for row in on_barred.gen:
-        if row[target_pos] != 0:
-            weights = row
-            break
+    weights = next((row for row in codeops._dual_words(code, barred)
+                    if row[target_pos]), None)
     if weights is None:
         raise AssertionError("an error-detecting recovery set must recover")
-    check_rows = codeops.shorten(dual, helpers).gen if helpers else ()
-
-    scale = field.neg(field.inv(weights[target_pos]))
-    helper_w = tuple(w for idx, w in enumerate(weights) if idx != target_pos)
-    recovery_row = tuple(field.mul(scale, w) for w in helper_w)
-    return RecoveryPlan(field=field, target=target, helpers=helpers,
-                        barred=barred, target_pos=target_pos, weights=weights,
-                        check_rows=tuple(check_rows),
-                        recovery_row=recovery_row, t=t)
+    return _assemble(code.field, barred, target, weights,
+                     codeops._dual_words(code, helpers), t)
 
 
 def truncate_detection(plan: RecoveryPlan, t: int) -> RecoveryPlan:

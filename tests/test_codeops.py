@@ -656,9 +656,9 @@ def test_min_distance_symbols_past_256():
 def test_min_distance_errors():
     with pytest.raises(ZeroCodeError):
         min_distance(code_from_rows(F3, [], 4))
-    big = rscodes.rs_make(F13, range(13), 9).code
+    big = rscodes.rs_make(F13, range(13), 9).code      # 13^9 > 2^26
     with pytest.raises(TooLargeToEnumerateError):
-        min_distance(big, cap=10)
+        min_distance(big)
 
 
 def test_ghw_at_s1_equals_min_distance():
@@ -784,17 +784,19 @@ def test_dual_ghw_from_the_distance_needs_no_rank(monkeypatch):
     assert dual_ghw(code, 4, d=3) == oracle_ghw(dual(code), 4) and seen
 
 
-def test_dual_ghw_argument_validation():
+def test_dual_ghw_argument_validation(monkeypatch):
     code = rscodes.rs_make(F13, range(8), 3).code
     for s in (0, 6, 1.0):
         with pytest.raises(BadRankError):
             dual_ghw(code, s)
     # the support cap is checked first, even where d would settle the value
+    monkeypatch.setattr(codeops, "DEFAULT_ENUM_CAP", 255)
     with pytest.raises(TooLargeToEnumerateError):
-        dual_ghw(code, 0, cap=255)
+        dual_ghw(code, 0)
     with pytest.raises(TooLargeToEnumerateError):
-        dual_ghw(code, 2, d=6, cap=255)
-    assert dual_ghw(code, 2, d=6, cap=256) == 5
+        dual_ghw(code, 2, d=6)
+    monkeypatch.setattr(codeops, "DEFAULT_ENUM_CAP", 256)
+    assert dual_ghw(code, 2, d=6) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from loceret.localrepair import (AlphaNotInSetError, HelpersNotEdrError,
 from loceret.rscodes import encode, lrcrs_make, rs_make
 
 F13 = Field(13)
+GF256 = Field(2, 8)
 
 
 def example_code():
@@ -203,23 +204,30 @@ BAD_RECOVERY_ARGUMENTS = {
     "target-among-helpers": (ValueError, 0, [0, 1, 2, 3], 1),
     "negative-t": (ValueError, 0, [1, 2, 3], -1),
     "target-bool": (codeops.IndexOutOfRangeError, True, [2, 3, 4, 5], 1),
+    "target-float": (codeops.IndexOutOfRangeError, 2.0, [3, 4, 5, 6], 1),
     "helper-bool": (codeops.IndexOutOfRangeError, 0, [True, 2, 3, 4], 1),
 }
+TARGET_FAULTS = ("target-out-of-range", "target-bool", "target-float")
 
 
 @pytest.mark.parametrize("fault", BAD_RECOVERY_ARGUMENTS)
 def test_every_recovery_call_rejects_bad_arguments_alike(fault):
     expected, target, helpers, t = BAD_RECOVERY_ARGUMENTS[fault]
     spec = rs_make(F13, list(range(8)), 3)
+    fibre = lrcrs_make(Field(3, 2), [0, 0, 0, 0, 1], [1, 0])      # n = 8 too
     calls = [lambda: codeops.is_edr_set(spec.code, target, helpers, t),
              lambda: plan_rs(spec, target, t, helpers=helpers),
              lambda: plan_linear(spec.code, target, t, helpers=helpers)]
     if t >= 0:
         calls.append(lambda: codeops.is_recovery_set(spec.code, target, helpers))
-    if fault in ("target-out-of-range", "target-bool", "negative-t"):
+    if fault in TARGET_FAULTS + ("negative-t",):
         # default helpers: the plans check target and t before any search
         calls += [lambda: plan_rs(spec, target, t),
                   lambda: plan_linear(spec.code, target, t)]
+    if fault in TARGET_FAULTS:
+        # fibre plans take a target alone, and mult_count builds one
+        calls += [lambda: plan_lrcrs(fibre, target),
+                  lambda: mult_count(fibre, target)]
     for call in calls:
         with pytest.raises(ValueError) as info:
             call()
@@ -235,10 +243,23 @@ def test_bool_coordinates_are_refused_by_name():
         plan_rs(spec, 0, 1, helpers=[True, 2, 3, 4])
 
 
+def oracle_linear_rows(dual_code, plan):
+    """The (weights, check_rows) of plan through the whole dual shortened
+    twice, the construction plan_linear replaced: the first canonical dual
+    row on barred that is nonzero at the target, and the canonical dual
+    rows on the helpers."""
+    on_barred = codeops.shorten(dual_code, plan.barred).gen
+    weights = next(row for row in on_barred if row[plan.target_pos])
+    if not plan.helpers:
+        return weights, ()
+    return weights, codeops.shorten(dual_code, plan.helpers).gen
+
+
 def assert_default_helpers_are_the_witnesses(code):
     """plan_linear's own helpers for every coordinate at t = 0, 1, 2 are
-    the witnesses t_locality reports, and a coordinate without one has no
-    plan."""
+    the witnesses t_locality reports, a coordinate without one has no
+    plan, and every plan's rows are the dual oracle's."""
+    dual_code = codeops.dual(code)
     for t in (0, 1, 2):
         report = t_locality(code, t)
         for entry in report.per_coord:
@@ -249,6 +270,8 @@ def assert_default_helpers_are_the_witnesses(code):
                 continue
             plan = plan_linear(code, c, t)
             assert plan.helpers == entry.witness, (code, c, t)
+            assert (plan.weights, plan.check_rows) == oracle_linear_rows(
+                dual_code, plan), (code, c, t)
             if not any(row[c] for row in code.gen):
                 assert plan.helpers == ()
 
@@ -270,6 +293,43 @@ def test_default_linear_helpers_are_the_locality_witnesses_with_zero_columns(
         assert_default_helpers_are_the_witnesses(code)
         zero_columns += sum(not any(col) for col in zip(*code.gen))
     assert zero_columns
+
+
+def assert_explicit_linear_plans_match_the_oracle(code, cases):
+    """plan_linear on each (target, helpers, t) of cases gives the dual
+    oracle's rows; returns how many of them picked the recovery word among
+    several dual rows nonzero at the target."""
+    dual_code = codeops.dual(code)
+    ambiguous = 0
+    for target, helpers, t in cases:
+        assert codeops.is_edr_set(code, target, helpers, t)
+        plan = plan_linear(code, target, t, helpers=helpers)
+        assert (plan.weights, plan.check_rows) == oracle_linear_rows(
+            dual_code, plan), (target, helpers, t)
+        on_barred = codeops.shorten(dual_code, plan.barred).gen
+        ambiguous += sum(1 for row in on_barred if row[plan.target_pos]) > 1
+    return ambiguous
+
+
+def test_explicit_linear_plans_match_the_oracle_on_the_gf256_fibre_code():
+    spec = lrcrs_make(GF256, [0, 0, 0, 0, 0, 1], [4, 4, 4])      # [255, 15]
+    cases = []
+    for target in (0, 7, 131, 254):
+        mates = [c for c in spec.fibre_coords(target) if c != target]
+        cases += [(target, mates, 1), (target, mates, 0),
+                  (target, mates[:3], 0), (target, mates[1:], 0)]
+    assert assert_explicit_linear_plans_match_the_oracle(spec.code, cases)
+
+
+def test_explicit_linear_plans_match_the_oracle_on_rs256():
+    code = rs_make(GF256, list(range(256)), 16).code
+    rng = random.Random(256)
+    cases = []
+    for target in (0, 100, 255):
+        others = [c for c in range(256) if c != target]
+        for t in (0, 1, 2):
+            cases.append((target, rng.sample(others, 16 + t), t))
+    assert assert_explicit_linear_plans_match_the_oracle(code, cases)
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +471,6 @@ def test_plain_recovery_costs_r_multiplications():
     tally = mult_count(spec, 0, t=0, helper_values=(1, 2, 3))
     assert tally["repair"]["mul"] == tally["helpers"]
     assert tally["repair"]["inv"] == 0
-
-
-GF256 = Field(2, 8)
 
 
 def codeword_values(spec, plan, seed):
