@@ -8,10 +8,10 @@ seeded storage fault-injection simulator.
 
 from .galois import (CountingField, DivisionByZeroError, Field,
                      FieldTooLargeError, NotIrreducibleError, NotPrimeError)
-from .codeops import (BoundsReport, BoundStatus, LinearCode, LocalityReport,
-                      check_bounds, code_from_rows, dual, dual_ghw, ghw,
-                      is_edr_set, is_recovery_set, min_distance, puncture,
-                      shorten, t_locality)
+from .codeops import (BoundsReport, BoundStatus, Certificate, LinearCode,
+                      LocalityReport, certify, check_bounds, code_from_rows,
+                      dual, dual_ghw, ghw, is_edr_set, is_recovery_set,
+                      min_distance, puncture, shorten, t_locality)
 from .rscodes import (Codeword, LrcRsSpec, RsSpec, encode, interpolate,
                       lrcrs_make, rs_make, suggest_p_poly)
 from .localrepair import (PlanCache, RecoveryPlan, RepairOutcome, detect,

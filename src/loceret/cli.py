@@ -62,69 +62,22 @@ def cmd_analyze(args) -> tuple[dict, int]:
     doc = _base_report("analyze", bundle.digest)
     doc["code"] = {"construction": bundle.kind, "n": code.n, "k": code.k,
                    "q": bundle.field.q}
-
-    distance_kind = "exact"
-    try:
-        d_value = codeops.min_distance(code)
-    except codeops.TooLargeToEnumerateError:
-        if bundle.kind == "lrcrs":
-            d_value, distance_kind = bundle.spec.goppa_lower_bound, "goppa_lower_bound"
-        elif bundle.kind == "rs":
-            d_value, distance_kind = code.n - code.k + 1, "mds_formula"
-        else:
-            d_value, distance_kind = None, "unavailable"
-    except codeops.ZeroCodeError:
-        d_value, distance_kind = None, "zero_code"
-    doc["distance"] = {"value": d_value, "kind": distance_kind}
-
-    # d_{t+1}(dual) is reported and is also the exhaustive search's floor;
-    # it does not exist when the dual has dimension at most t.  The distance
-    # (exact or a lower bound) settles it without a search where Wei's
-    # duality applies.
-    dual_ghw = None
-    if code.n - code.k > args.t:
-        try:
-            dual_ghw = codeops.dual_ghw(code, args.t + 1, d_value)
-        except codeops.TooLargeToEnumerateError:
-            dual_ghw = None
-    doc["dual_ghw"] = dual_ghw
-
-    mode = "greedy" if args.greedy else "exhaustive"
-    downgraded = False
-    try:
-        report = codeops.t_locality(code, args.t, mode=mode, dual_ghw=dual_ghw)
-    except codeops.TooLargeToEnumerateError:
-        report = codeops.t_locality(code, args.t, mode="greedy")
-        downgraded = True
-    doc.update(report.to_dict())
-    doc["exact_search"] = report.mode == "exhaustive"
-    doc["downgraded_to_greedy"] = downgraded
-
-    violation = False
-    r_t = report.r_t
-    if r_t is not None and d_value is not None:
-        bounds = codeops.check_bounds(code.n, code.k, d_value, args.t, r_t,
-                                      dual_ghw=dual_ghw)
-        doc["bounds"] = bounds.to_dict()
-        certified = distance_kind == "exact" and report.mode == "exhaustive"
-        doc["t_optimal"] = bounds.t_optimal if certified else None
-        violation = any(not s.holds for s in bounds.statuses.values())
-    else:
-        doc["bounds"] = None
-        doc["t_optimal"] = None
-
+    cert = codeops.certify(code, args.t, bundle.spec, greedy=args.greedy)
+    doc.update(cert.to_dict())
     print(f"[{code.n},{code.k}] code over GF({bundle.field.q}), "
-          f"d {'=' if distance_kind == 'exact' else '>='} {d_value} ({distance_kind})")
-    if r_t is None:
+          f"d {'=' if cert.distance_kind == 'exact' else '>='} {cert.distance} "
+          f"({cert.distance_kind})")
+    report = cert.locality
+    if report.r_t is None:
         print(f"t={args.t}: not locally recoverable with detection "
               f"(coordinates {list(report.not_t_lredc)})")
     else:
         bound_word = "exact" if report.mode == "exhaustive" else "upper bound"
-        print(f"t={args.t}: locality {r_t} ({bound_word})"
-              + (", t-optimal" if doc.get("t_optimal") else ""))
-    if violation:
+        print(f"t={args.t}: locality {report.r_t} ({bound_word})"
+              + (", t-optimal" if cert.t_optimal else ""))
+    if cert.violation:
         print("BOUND VIOLATION detected; see report", file=sys.stderr)
-    return doc, (1 if violation else 0)
+    return doc, (1 if cert.violation else 0)
 
 
 # ---------------------------------------------------------------------------

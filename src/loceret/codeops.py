@@ -395,13 +395,12 @@ def ghw(code: LinearCode, s: int) -> int:
     s-dimensional subcodes, computed as dual_ghw of the dual code."""
     if code.k == 0:
         raise ZeroCodeError("the zero code has no subcodes")
-    if not isinstance(s, int) or not 1 <= s <= code.k:
+    if isinstance(s, bool) or not isinstance(s, int) or not 1 <= s <= code.k:
         raise BadRankError(f"s must lie in [1, {code.k}], got {s}")
     return dual_ghw(dual(code), s)
 
 
-def dual_ghw(code: LinearCode, s: int, d: int | None = None, *,
-             ranks: dict | None = None) -> int:
+def dual_ghw(code: LinearCode, s: int, d: int | None = None) -> int:
     """d_s(dual): the s-th generalized Hamming weight of the dual code, read
     off the columns of the code itself.
 
@@ -413,8 +412,7 @@ def dual_ghw(code: LinearCode, s: int, d: int | None = None, *,
     when no smaller support qualifies.  d, when given, is the minimum distance
     of the code or any lower bound on it; by Wei's duality theorem ({d_r(C)}
     and {n + 1 - d_s(dual)} partition 1..n) every s >= n - k - d + 2 has
-    d_s(dual) = k + s, which is returned without a search.  ranks is an
-    optional column-rank memo keyed by sorted column tuple.  A code with
+    d_s(dual) = k + s, which is returned without a search.  A code with
     2^n above DEFAULT_ENUM_CAP, read at each call, raises
     TooLargeToEnumerateError before anything else, d or not.
     """
@@ -422,13 +420,13 @@ def dual_ghw(code: LinearCode, s: int, d: int | None = None, *,
     if 2 ** n > DEFAULT_ENUM_CAP:
         raise TooLargeToEnumerateError(
             f"2^{n} supports exceed the cap {DEFAULT_ENUM_CAP}")
-    if not isinstance(s, int) or not 1 <= s <= n - k:
+    if isinstance(s, bool) or not isinstance(s, int) or not 1 <= s <= n - k:
         raise BadRankError(f"s must lie in [1, {n - k}], got {s}")
     if d is not None and s >= n - k - d + 2:
         return k + s
     for size in range(s, k + s):
         for support in itertools.combinations(range(n), size):
-            if size - _memo_rank(code, support, ranks) >= s:
+            if size - _rank_cols(code, support) >= s:
                 return size
     return k + s
 
@@ -637,24 +635,6 @@ class LocalityReport:
         }
 
 
-def _search_floor(code, t, known, ranks) -> int:
-    """A size f such that no support of at most f columns is a t-edr set
-    for a coordinate with a nonzero generator column; n when no such
-    coordinate has one at all.
-
-    If R is a t-edr set for i and S = R + {i} carries a nonzero column, then
-    d(C[S]) >= t + 2, so Singleton gives rank(S) <= |S| - t - 1: the dual
-    shortened on S has dimension at least t + 1, hence |S| >= d_{t+1}(dual)
-    (Wei's generalized Hamming weights).  A dual of dimension at most t rules
-    every such set out.  known is d_{t+1}(dual) when the caller has it.
-    """
-    if known is None:
-        if code.n - code.k <= t:
-            return code.n
-        known = dual_ghw(code, t + 1, ranks=ranks)
-    return max(0, known - 1)
-
-
 def _shared_scan(code, t, coords, floor, ranks) -> dict:
     """The first t-edr set in exhaustive order of each of the given
     coordinates that has one, as {coordinate: helpers}.  A zero column gets
@@ -690,14 +670,15 @@ def t_locality(code: LinearCode, t: int, mode: str = "exhaustive",
     Exhaustive mode keeps each coordinate's first witness in the order of
     cardinality then lexicographic order, so results are deterministic and
     minimal; one pass over the supports serves every coordinate
-    (_shared_scan).  It starts at the dual-weight floor (see _search_floor),
-    which rules out only sizes that hold no t-edr set, so the first witness
-    is unchanged; dual_ghw = d_{t+1}(dual) saves recomputing it when the
-    caller has it.  Codes longer than DEFAULT_EXHAUSTIVE_N raise
-    TooLargeToEnumerateError.  Greedy mode tests, for each coordinate, only
-    the lowest-index helpers of each size and yields upper bounds, flagged
-    through the report's mode field.  Column ranks are memoised for the
-    duration of the call, the floor's included.
+    (_shared_scan).  A support holding a nonzero column detects only if its
+    dual words span t + 1 dimensions (Singleton), so it has at least
+    d_{t+1}(dual) columns (Wei); the scan starts past t + 1 columns, or past
+    dual_ghw - 1 when the caller passes dual_ghw = d_{t+1}(dual), and a dual
+    of dimension at most t leaves nothing to scan.  Codes longer than
+    DEFAULT_EXHAUSTIVE_N raise TooLargeToEnumerateError.  Greedy mode
+    tests, for each coordinate, only the lowest-index helpers of each size
+    and yields upper bounds, flagged through the report's mode field.
+    Column ranks are memoised for the duration of the call.
     """
     if mode not in ("exhaustive", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -717,7 +698,8 @@ def t_locality(code: LinearCode, t: int, mode: str = "exhaustive",
         raise TooLargeToEnumerateError(
             f"n = {n} exceeds the exhaustive-search limit {DEFAULT_EXHAUSTIVE_N}")
     else:
-        floor = _search_floor(code, t, dual_ghw, ranks)
+        floor = (n if n - code.k <= t
+                 else t + 1 if dual_ghw is None else dual_ghw - 1)
         found = _shared_scan(code, t, range(n), floor, ranks)
     per = []
     for i in range(n):
@@ -727,7 +709,7 @@ def t_locality(code: LinearCode, t: int, mode: str = "exhaustive",
 
 
 # ---------------------------------------------------------------------------
-# Parameter bounds
+# Parameter bounds and certificates
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -763,3 +745,62 @@ def check_bounds(n: int, k: int, d: int, t: int, r_t: int,
         statuses["dual_weight_hierarchy"] = BoundStatus(
             name="r_t >= d_{t+1}(dual)-1", lhs=r_t, rhs=dual_ghw - 1)
     return BoundsReport(statuses=statuses, t_optimal=singleton.equality)
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """A code's distance (distance_kind: "exact", "unavailable", "zero_code"
+    or a spec's distance_bound kind), d_{t+1}(dual), t-locality and bounds."""
+    distance: int | None
+    distance_kind: str
+    dual_ghw: int | None
+    locality: LocalityReport
+    downgraded: bool
+    bounds: BoundsReport | None
+    t_optimal: bool | None
+
+    @property
+    def violation(self) -> bool:
+        return self.bounds is not None and any(
+            not status.holds for status in self.bounds.statuses.values())
+
+    def to_dict(self) -> dict:
+        return {"distance": {"value": self.distance, "kind": self.distance_kind},
+                "dual_ghw": self.dual_ghw, **self.locality.to_dict(),
+                "exact_search": self.locality.mode == "exhaustive",
+                "downgraded_to_greedy": self.downgraded,
+                "bounds": None if self.bounds is None else self.bounds.to_dict(),
+                "t_optimal": self.t_optimal}
+
+
+def certify(code: LinearCode, t: int, spec=None,
+            greedy: bool = False) -> Certificate:
+    """Certify the code at detection level t.  The distance is exact within
+    min_distance's cap, else the spec's distance_bound, else unavailable; it
+    settles d_{t+1}(dual), the locality search's floor, where Wei's duality
+    applies.  A search too large to run falls back to greedy mode."""
+    _checked_t(t)
+    try:
+        d, distance_kind = min_distance(code), "exact"
+    except TooLargeToEnumerateError:
+        d, distance_kind = (None, "unavailable") if spec is None else spec.distance_bound
+    except ZeroCodeError:
+        d, distance_kind = None, "zero_code"
+    weight = None
+    if code.n - code.k > t:
+        try:
+            weight = dual_ghw(code, t + 1, d)
+        except TooLargeToEnumerateError:
+            pass
+    try:
+        report = t_locality(code, t, "greedy" if greedy else "exhaustive", weight)
+    except TooLargeToEnumerateError:
+        report = t_locality(code, t, mode="greedy")
+    downgraded = not greedy and report.mode == "greedy"
+    bounds = t_optimal = None
+    if report.r_t is not None and d is not None:
+        bounds = check_bounds(code.n, code.k, d, t, report.r_t, dual_ghw=weight)
+        if distance_kind == "exact" and report.mode == "exhaustive":
+            t_optimal = bounds.t_optimal
+    return Certificate(d, distance_kind, weight, report, downgraded, bounds,
+                       t_optimal)

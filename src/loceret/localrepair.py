@@ -176,7 +176,6 @@ def plan_rs(spec: RsSpec, target: int, t: int,
 def plan_lrcrs(spec: LrcRsSpec, target: int) -> RecoveryPlan:
     """Plan for a piecewise-RS code: the helpers are the target's fibre mates
     and one helper error is detectable (the fibre restriction has distance 3)."""
-    codeops._checked_helpers(spec.n, target)
     return _build_plan(spec, spec.fibre_coords(target), target, 1)
 
 
@@ -191,9 +190,9 @@ def plan_linear(code: codeops.LinearCode, target: int, t: int,
     target that is nonzero at the target, and may be zero elsewhere, unlike
     in the RS constructions.  Default helpers are the target's first t-edr
     set in exhaustive order, the witness t_locality reports: the shared
-    support scan run for the target alone, from supports of t + 2 columns
-    (fewer never detect unless the target's column is zero, which gets no
-    helpers).
+    support scan run for the target alone, from t + 2 columns as t_locality
+    without a floor (fewer never detect unless the target's column is zero,
+    which gets no helpers).
     """
     if helpers is None:
         codeops._checked_helpers(code.n, target, t=t)

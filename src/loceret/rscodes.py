@@ -96,6 +96,10 @@ class RsSpec(_EvaluationCode):
     def n(self) -> int:
         return len(self.points)
 
+    @property
+    def distance_bound(self) -> tuple[int, str]:
+        return self.n - self.k + 1, "mds_formula"        # RS codes are MDS
+
 
 @dataclass(frozen=True)
 class LrcRsSpec(_EvaluationCode):
@@ -125,11 +129,13 @@ class LrcRsSpec(_EvaluationCode):
     def goppa_lower_bound(self) -> int:
         return self.n - self.delta
 
+    @property
+    def distance_bound(self) -> tuple[int, str]:
+        return self.goppa_lower_bound, "goppa_lower_bound"
+
     def fibre_coords(self, coord: int) -> tuple[int, ...]:
         """Coordinates sharing the fibre of the given coordinate."""
-        if not 0 <= coord < self.n:
-            raise codeops.IndexOutOfRangeError(
-                f"coordinate {coord} outside [0, {self.n})")
+        codeops._checked_helpers(self.n, coord)
         block = coord // (self.r + 1)
         start = block * (self.r + 1)
         return tuple(range(start, start + self.r + 1))

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from loceret import cli, galois
+from loceret import cli, codeops, galois
 from loceret.descriptor import (DescriptorError, build_code, build_field,
                                 descriptor_digest, load_descriptor,
                                 parse_descriptor)
@@ -219,6 +219,17 @@ def test_analyze_example_code_is_one_optimal(tmp_path, capsys):
     assert doc["t_optimal"] is True
     assert doc["bounds"]["statuses"]["locality_singleton"]["equality"]
     assert "t-optimal" in capsys.readouterr().out
+
+
+def test_analyze_report_holds_the_library_certificate(tmp_path):
+    desc = write_json(tmp_path / "code.json", RS83_DESC)
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", desc, "--t", "1", "--out", str(out)]) == 0
+    bundle = build_code(RS83_DESC)
+    cert = codeops.certify(bundle.code, 1, bundle.spec).to_dict()
+    cert = json.loads(json.dumps(cert))         # witness tuples as lists
+    doc = json.loads(out.read_text())
+    assert {key: doc[key] for key in cert} == cert
 
 
 def test_analyze_rs_code_locality(tmp_path):

@@ -8,9 +8,11 @@ import pytest
 from loceret import codeops, rscodes
 from loceret.codeops import (BadRankError, EmptySetError,
                              InconsistentLengthError, TooLargeToEnumerateError,
-                             ZeroCodeError, check_bounds, code_from_rows, dual,
+                             ZeroCodeError, certify, check_bounds,
+                             code_from_rows, dual,
                              dual_ghw, ghw, is_edr_set, is_recovery_set,
                              min_distance, puncture, shorten, t_locality)
+from loceret.descriptor import build_code
 from loceret.galois import Field
 
 F2, F3, F5, F7, F13, F17 = (Field(2), Field(3), Field(5), Field(7), Field(13),
@@ -786,7 +788,7 @@ def test_dual_ghw_from_the_distance_needs_no_rank(monkeypatch):
 
 def test_dual_ghw_argument_validation(monkeypatch):
     code = rscodes.rs_make(F13, range(8), 3).code
-    for s in (0, 6, 1.0):
+    for s in (0, 6, 1.0, True):
         with pytest.raises(BadRankError):
             dual_ghw(code, s)
     # the support cap is checked first, even where d would settle the value
@@ -1177,6 +1179,48 @@ def test_bound_status_serialization():
     doc = report.to_dict()
     assert doc["t_optimal"] is True
     assert doc["statuses"]["dual_weight_hierarchy"]["holds"]
+
+
+# ---------------------------------------------------------------------------
+# certificates
+# ---------------------------------------------------------------------------
+
+def test_certify_the_example_code_from_the_library():
+    cert = certify(example_code().code, 1)
+    assert (cert.distance, cert.distance_kind) == (3, "exact")
+    assert cert.dual_ghw == 4 and cert.locality.r_t == 3
+    assert cert.t_optimal is True and not cert.violation
+
+
+# q^k above the enumeration cap in every case but the zero code
+@pytest.mark.parametrize("desc, value, kind", [
+    ({"construction": "rs", "points": "all", "k": 9}, 5, "mds_formula"),
+    ({"construction": "lrcrs", "field": {"p": 17}, "p_poly": [0, 0, 0, 0, 1],
+      "l": [3, 2]}, 4, "goppa_lower_bound"),
+    ({"construction": "generator",
+      "rows": [[int(i == j) for j in range(8)] + [1, 2, 3, i + 4]
+               for i in range(8)]}, None, "unavailable"),
+    ({"construction": "generator", "rows": [[0] * 5]}, None, "zero_code"),
+], ids=["rs13-9", "lrc17-32", "gen12-8", "zero"])
+def test_certify_labels_each_distance_kind(desc, value, kind):
+    bundle = build_code({"field": {"p": 13}, **desc})
+    cert = certify(bundle.code, 0, bundle.spec, greedy=True)
+    assert (cert.distance, cert.distance_kind) == (value, kind)
+    assert cert.t_optimal is None
+    assert (cert.bounds is None) == (value is None)
+    doc = cert.to_dict()
+    assert doc["distance"] == {"value": value, "kind": kind}
+    assert doc["exact_search"] is False and doc["downgraded_to_greedy"] is False
+
+
+def test_certify_downgrades_an_oversized_search_and_checks_t():
+    spec = rscodes.rs_make(Field(29), range(29), 3)
+    cert = certify(spec.code, 0, spec)
+    assert cert.downgraded and cert.locality.mode == "greedy"
+    assert cert.t_optimal is None and cert.to_dict()["downgraded_to_greedy"]
+    for t in (-1, True, 1.0):
+        with pytest.raises(ValueError, match="^t must be"):
+            certify(spec.code, t, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,21 @@ def test_every_fibre_restriction_is_the_short_rs_code():
                 == rs_make(F13, members, spec.r - 1).code)
 
 
+def test_fibre_coords_refuses_a_bool_or_float_coordinate():
+    # True == 1 as an int, so it used to give coordinate 1's fibre
+    spec = example_code()
+    for coord in (True, 2.0, -1, spec.n):
+        with pytest.raises(codeops.IndexOutOfRangeError, match="^target "):
+            spec.fibre_coords(coord)
+
+
+def test_distance_bound_of_each_spec():
+    assert rs_make(F13, range(13), 9).distance_bound == (5, "mds_formula")
+    spec = lrcrs_make(Field(17), [0, 0, 0, 0, 1], [3, 2])
+    assert spec.distance_bound == (spec.goppa_lower_bound, "goppa_lower_bound")
+    assert spec.goppa_lower_bound == 4
+
+
 def test_goppa_bound_holds_on_small_curve_codes():
     spec = lrcrs_make(F13, [0, 0, 0, 1], [1])
     assert codeops.min_distance(spec.code) >= spec.goppa_lower_bound
