@@ -64,9 +64,13 @@ def cmd_analyze(args) -> tuple[dict, int]:
                    "q": bundle.field.q}
     cert = codeops.certify(code, args.t, bundle.spec, greedy=args.greedy)
     doc.update(cert.to_dict())
+    if cert.distance is None:
+        distance = "no distance known"
+    else:
+        relation = "=" if cert.distance_kind == "exact" else ">="
+        distance = f"d {relation} {cert.distance}"
     print(f"[{code.n},{code.k}] code over GF({bundle.field.q}), "
-          f"d {'=' if cert.distance_kind == 'exact' else '>='} {cert.distance} "
-          f"({cert.distance_kind})")
+          f"{distance} ({cert.distance_kind})")
     report = cert.locality
     if report.r_t is None:
         print(f"t={args.t}: not locally recoverable with detection "

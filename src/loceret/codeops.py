@@ -46,13 +46,18 @@ class IndexOutOfRangeError(ValueError):
     """Coordinate outside [0, n)."""
 
 
+def _is_coordinate(c, n: int) -> bool:
+    """The rule for one coordinate: an int in [0, n), not a bool."""
+    return not isinstance(c, bool) and isinstance(c, int) and 0 <= c < n
+
+
 def _coords(n: int, seq, allow_empty: bool = True) -> tuple[int, ...]:
     """Validate and canonicalize a coordinate set: sorted, unique, in range."""
     out = sorted(seq)
     if not allow_empty and not out:
         raise EmptySetError("coordinate set must be nonempty")
     for c in out:
-        if isinstance(c, bool) or not isinstance(c, int) or not 0 <= c < n:
+        if not _is_coordinate(c, n):
             raise IndexOutOfRangeError(f"{c!r} is not a coordinate in [0, {n})")
     for a, b in zip(out, out[1:]):
         if a == b:
@@ -92,15 +97,17 @@ def rref(field, rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Reduced row echelon form over the field; returns (rows, pivot columns).
 
     Zero rows are dropped, so the result is a canonical basis of the row
-    space (empty for the zero space).
+    space (empty for the zero space).  Entries are canonical elements,
+    unchecked (code_from_rows checks them where they enter).
     """
     mat = [list(r) for r in rows]
     pivots = _eliminate(field, mat, reduced=True)
+    mul = field._mul
     out = []
     for row, c in zip(mat, pivots):
-        inv = field.inv(row[c])
+        inv = field._inv(row[c])
         if inv != 1:
-            row = [field.mul(inv, x) for x in row]
+            row = [mul(inv, x) for x in row]
         out.append(tuple(row))
     return tuple(out), tuple(pivots)
 
@@ -113,7 +120,7 @@ def _kernel(field, red, pivots, width) -> list[tuple[int, ...]]:
         v = [0] * width
         v[j] = 1
         for row, pc in zip(red, pivots):
-            v[pc] = field.neg(row[j])
+            v[pc] = field._neg(row[j])
         basis.append(tuple(v))
     return basis
 
@@ -199,7 +206,7 @@ def shorten(code: LinearCode, coords) -> LinearCode:
         word = [0] * len(S)
         for coeff, row in zip(y, code.gen):
             if coeff:
-                word = [field.add(w, field.mul(coeff, row[c]))
+                word = [field._add(w, field._mul(coeff, row[c]))
                         for w, c in zip(word, S)]
         rows.append(word)
     return code_from_rows(field, rows, len(S))
@@ -447,7 +454,7 @@ def _checked_helpers(n: int, i, helpers=(), t: int = 0) -> tuple[int, ...]:
     """The one check of a target i in [0, n), t (_checked_t) and helpers
     distinct from each other and from i, where they enter; returns the
     helpers sorted."""
-    if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < n:
+    if not _is_coordinate(i, n):
         raise IndexOutOfRangeError(f"target {i!r} is not a coordinate in [0, {n})")
     _checked_t(t)
     R = _coords(n, helpers)

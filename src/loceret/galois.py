@@ -7,12 +7,17 @@ and 1 the multiplicative identity in every field.  Extension fields with at
 most 2**16 elements precompute log/antilog tables for O(1) products; prime
 fields use plain modular arithmetic.  The array kernels (mul_array,
 add_array, sum_array, dot_array) apply the same arithmetic elementwise to
-numpy arrays of canonical elements, with one path per field kind; the scalar
+numpy arrays of canonical elements, with one path per field kind.  The
+unchecked scalar kernels _add, _sub, _neg, _mul, _inv and _pow, the scalar
 inner product _dot and the elimination step _clear_column are likewise
 chosen once per field kind, when the field is built.  So is the encode
 kernel (encoding, encode_word, encode_at): extension fields of at most 256
 elements look message-symbol products up in a per-code uint8 table and sum
 the rows, every other field multiplies through dot_array.
+
+The public add, sub, neg, mul, inv and pow are _check plus the kernel, the
+one place where scalar operands are checked; code and plan construction
+call the kernels on elements checked where they entered the system.
 """
 
 from __future__ import annotations
@@ -196,29 +201,36 @@ class Field:
                 raise NotIrreducibleError(f"modulus {list(modulus)} is reducible over GF({p})")
             self.modulus = modulus
         self._mod_int = _undigits(self.modulus, 2) if (m > 1 and p == 2) else None
+        self._raw_mul = self._binary_mul if p == 2 else self._digit_mul
         self._exp = self._log = None
         if m > 1 and q <= TABLE_LIMIT:
             self._build_tables()
+        (self._add, self._sub, self._neg,
+         self._mul, self._inv, self._pow) = self._scalar_kernels()
         self._clear_column = self._column_clearer()
         self._dot = self._scalar_dot()
         self._encodes_by_table = m > 1 and q <= ENCODE_TABLE_LIMIT
 
     # -- construction helpers ------------------------------------------------
 
-    def _raw_mul(self, a: int, b: int) -> int:
-        """Table-free extension-field product, for the tables and large fields."""
-        if self.p == 2:
-            acc = 0
-            mod = self._mod_int
-            top = 1 << self.m
-            while b:
-                if b & 1:
-                    acc ^= a
-                b >>= 1
-                a <<= 1
-                if a & top:
-                    a ^= mod
-            return acc
+    def _binary_mul(self, a: int, b: int) -> int:
+        """Table-free GF(2^m) product (shift and XOR), for the tables and
+        large fields; _raw_mul when p = 2."""
+        acc = 0
+        mod = self._mod_int
+        top = 1 << self.m
+        while b:
+            if b & 1:
+                acc ^= a
+            b >>= 1
+            a <<= 1
+            if a & top:
+                a ^= mod
+        return acc
+
+    def _digit_mul(self, a: int, b: int) -> int:
+        """Table-free odd-p extension-field product through the digit
+        polynomials; _raw_mul when p is odd."""
         da = _digits(a, self.p, self.m)
         db = _digits(b, self.p, self.m)
         prod = _pmul(da, db, self.p)
@@ -262,13 +274,90 @@ class Field:
         self._log_arr = np.array(log, dtype=np.int64)
         self._log_arr[0] = 2 * n
 
+    def _scalar_kernels(self):
+        """The unchecked scalar arithmetic (add, sub, neg, mul, inv, pow),
+        chosen once per field kind like _clear_column: the public operations
+        are _check plus these, and internal loops over checked elements call
+        them directly.  Prime fields inline the arithmetic mod p.  Sums of
+        extension fields XOR when p = 2 and add base-p digits otherwise;
+        their products use the doubled log/exp tables where the field has
+        them, and _raw_mul elsewhere.  inv takes a nonzero element and pow
+        a nonnegative exponent."""
+        p, m, order = self.p, self.m, self.q - 1
+        if m == 1:
+            def add(a, b):
+                return (a + b) % p
+
+            def sub(a, b):
+                return (a - b) % p
+
+            def neg(a):
+                return -a % p
+
+            def mul(a, b):
+                return a * b % p
+
+            def inv(a):
+                return pow(a, p - 2, p)
+
+            def power(a, e):
+                return pow(a, e, p)
+            return add, sub, neg, mul, inv, power
+
+        if p == 2:
+            add = sub = operator.xor
+            neg = operator.pos           # -a = a in characteristic 2
+        else:
+            def add(a, b):
+                out, mult = 0, 1
+                for _ in range(m):
+                    out += (a % p + b % p) % p * mult
+                    a //= p
+                    b //= p
+                    mult *= p
+                return out
+
+            def sub(a, b):
+                out, mult = 0, 1
+                for _ in range(m):
+                    out += (a % p - b % p) % p * mult
+                    a //= p
+                    b //= p
+                    mult *= p
+                return out
+
+            def neg(a):
+                return sub(0, a)
+
+        if self._exp is not None:
+            log, exp = self._log, self._exp
+
+            def mul(a, b):
+                if a and b:
+                    return exp[log[a] + log[b]]
+                return 0
+
+            def inv(a):
+                return exp[order - log[a]]
+
+            def power(a, e):
+                if a:
+                    return exp[log[a] * e % order]
+                return 0 if e else 1
+        else:
+            mul, power = self._raw_mul, self._raw_pow
+
+            def inv(a):
+                return power(a, order - 1)
+        return add, sub, neg, mul, inv, power
+
     def _column_clearer(self):
         """The row operation of Gaussian elimination, chosen once per field
         kind: clear_column(prow, c, rows) subtracts from each row list in
         rows, in place, the multiple of the pivot row prow (zero left of
         column c) that zeroes its entry in column c.  Prime fields inline
         the arithmetic mod p, GF(2^m) with tables uses log/exp lookups and
-        XOR, and other fields use the checked scalar operations."""
+        XOR, and other fields use the scalar kernels."""
         if self.m == 1:
             p = self.p
 
@@ -298,12 +387,14 @@ class Field:
                         for j, log_y in terms:
                             row[j] ^= exp[log_g + log_y]
         else:
+            inverse, mul, sub = self._inv, self._mul, self._sub
+
             def clear_column(prow, c, rows):
-                inv = self.inv(prow[c])
+                inv = inverse(prow[c])
                 for row in rows:
                     if row[c]:
-                        g = self.mul(row[c], inv)
-                        row[c:] = [self.sub(x, self.mul(g, y))
+                        g = mul(row[c], inv)
+                        row[c:] = [sub(x, mul(g, y))
                                    for x, y in zip(row[c:], prow[c:])]
         return clear_column
 
@@ -313,7 +404,7 @@ class Field:
         zip(xs, ys).  Operands are not validated; a caller checks them where
         they enter.  Prime fields reduce one integer sum mod p, GF(2^m) with
         tables XORs log/exp lookups and skips zero operands, and other fields
-        use the checked scalar operations."""
+        use the scalar kernels."""
         if self.m == 1:
             p = self.p
 
@@ -329,7 +420,7 @@ class Field:
                         acc ^= exp[log[x] + log[y]]
                 return acc
         else:
-            dot = functools.partial(_checked_dot, self)
+            dot = functools.partial(_kernel_dot, self)
         return dot
 
     # -- element validation --------------------------------------------------
@@ -348,82 +439,40 @@ class Field:
         if 0 <= v < self.q:
             return v
         if -self.q < v < 0:
-            return self.neg(-v)
+            return self._neg(-v)
         raise ValueError(f"{v} is outside the value range of {self!r}")
 
     # -- arithmetic -----------------------------------------------------------
+    # Each operation checks its operands, then runs the field's kernel.
 
     def add(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
-        if self.m == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        p = self.p
-        out, mult = 0, 1
-        for _ in range(self.m):
-            out += ((a % p + b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        return self._add(self._check(a), self._check(b))
 
     def neg(self, a: int) -> int:
-        self._check(a)
-        if self.m == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        p = self.p
-        out, mult = 0, 1
-        for _ in range(self.m):
-            out += ((-(a % p)) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return self._neg(self._check(a))
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self._sub(self._check(a), self._check(b))
 
     def mul(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
-        if self.m == 1:
-            return (a * b) % self.p
-        if self._exp is not None:
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-        return self._raw_mul(a, b)
+        return self._mul(self._check(a), self._check(b))
 
     def inv(self, a: int) -> int:
-        self._check(a)
-        if a == 0:
+        if self._check(a) == 0:
             raise DivisionByZeroError(f"0 has no inverse in {self!r}")
-        if self.m == 1:
-            return pow(a, self.p - 2, self.p)
-        if self._exp is not None:
-            return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
-        return self._raw_pow(a, self.q - 2)
+        return self._inv(a)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
-        """Square-and-multiply exponentiation; pow(a, 0) = 1."""
+        """a^e, with pow(a, 0) = 1 and a negative e a power of inv(a)."""
         self._check(a)
         if not isinstance(e, int):
             raise ValueError(f"exponent must be an integer, got {e!r}")
         if e < 0:
-            return self.pow(self.inv(a), -e)
-        acc, base = 1, a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
+            return self._pow(self.inv(a), -e)
+        return self._pow(a, e)
 
     # -- array kernels ----------------------------------------------------------
     # Operands are int64 arrays (or anything numpy broadcasts) of canonical
@@ -436,9 +485,9 @@ class Field:
             return a * b % self.p
         if self._exp is not None:
             return self._exp_arr[self._log_arr[a] + self._log_arr[b]]
-        # no tables above TABLE_LIMIT: one Field.mul per element (frompyfunc
-        # passes Python ints, which is what Field.mul accepts)
-        return np.frompyfunc(self.mul, 2, 1)(a, b).astype(np.int64)
+        # no tables above TABLE_LIMIT: one kernel product per element
+        # (frompyfunc passes Python ints)
+        return np.frompyfunc(self._mul, 2, 1)(a, b).astype(np.int64)
 
     def add_array(self, a, b) -> np.ndarray:
         """Elementwise sum, in the operands' common dtype, which must hold
@@ -551,21 +600,29 @@ class Field:
         return f"GF({self.p}^{self.m})"
 
 
-def _checked_dot(field, xs, ys) -> int:
-    """Inner product through field.add and field.mul, one call of each per
-    term: the kernel of fields without a faster one, and the counted one."""
+def _kernel_dot(field, xs, ys) -> int:
+    """Inner product through field._add and field._mul, one call of each
+    per term: the kernel of fields without a faster one, and the counted
+    one."""
+    add, mul = field._add, field._mul
     acc = 0
     for x, y in zip(xs, ys):
-        acc = field.add(acc, field.mul(x, y))
+        acc = add(acc, mul(x, y))
     return acc
 
 
 class CountingField:
-    """Wraps a Field, forwarding arithmetic while tallying operation counts.
+    """Wraps a Field, forwarding its scalar kernels while tallying them.
 
     Useful for verifying the advertised costs of repair-plan construction and
-    use.  Duck-type compatible with Field for the operations it forwards.
+    use: the plan builders and repair call the kernels, and the public
+    operations are Field's, which check and then call the counted kernels.
+    Duck-type compatible with Field for the operations it forwards.
     """
+
+    add, sub, neg, mul, inv, pow = (Field.add, Field.sub, Field.neg,
+                                    Field.mul, Field.inv, Field.pow)
+    _dot = _kernel_dot           # one counted mul and add per term
 
     def __init__(self, field: Field):
         self.field = field
@@ -573,6 +630,7 @@ class CountingField:
         self.m = field.m
         self.q = field.q
         self.modulus = field.modulus
+        self._check = field._check
         self.reset()
 
     def reset(self):
@@ -587,33 +645,29 @@ class CountingField:
                 "add": self.add_count, "neg": self.neg_count,
                 "pow": self.pow_count}
 
-    def add(self, a, b):
+    def _add(self, a, b):
         self.add_count += 1
-        return self.field.add(a, b)
+        return self.field._add(a, b)
 
-    def sub(self, a, b):
+    def _sub(self, a, b):
         self.add_count += 1
-        return self.field.sub(a, b)
+        return self.field._sub(a, b)
 
-    def neg(self, a):
+    def _neg(self, a):
         self.neg_count += 1
-        return self.field.neg(a)
+        return self.field._neg(a)
 
-    def mul(self, a, b):
+    def _mul(self, a, b):
         self.mul_count += 1
-        return self.field.mul(a, b)
+        return self.field._mul(a, b)
 
-    def inv(self, a):
+    def _inv(self, a):
         self.inv_count += 1
-        return self.field.inv(a)
+        return self.field._inv(a)
 
-    def pow(self, a, e):
+    def _pow(self, a, e):
         self.pow_count += 1
-        return self.field.pow(a, e)
-
-    def _dot(self, xs, ys):
-        # one counted mul and add per term, whatever kernel the field uses
-        return _checked_dot(self, xs, ys)
+        return self.field._pow(a, e)
 
     def __repr__(self):
         return f"Counting({self.field!r})"
@@ -624,8 +678,12 @@ class CountingField:
 # ---------------------------------------------------------------------------
 
 def poly_eval(field, coeffs, x: int) -> int:
-    """Horner evaluation of a coefficient sequence at x."""
+    """Horner evaluation of a coefficient sequence at x: the coefficients
+    and x are checked once, and the loop runs on the field's kernels."""
+    for c in (*coeffs, x):
+        field._check(c)
+    add, mul = field._add, field._mul
     acc = 0
     for c in reversed(coeffs):
-        acc = field.add(field.mul(acc, x), c)
+        acc = add(mul(acc, x), c)
     return acc

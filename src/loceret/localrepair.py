@@ -18,7 +18,10 @@ The dual words of the RS constructions come from the polynomial that
 vanishes on the complement of the chosen point set: its value at a member
 point costs r multiplications and one inversion via the product of all
 nonzero field elements being -1.  plan_linear takes them from the kernel of
-the generator's columns on the plan's own coordinates.
+the generator's columns on the plan's own coordinates.  Plans are built on
+the field's unchecked scalar kernels (Field._mul, _sub, _neg, _inv), since
+the code's points and generator were checked when the code was built;
+CountingField counts those kernel calls, which is what mult_count tallies.
 """
 
 from __future__ import annotations
@@ -86,18 +89,27 @@ def recovery_weight(field, support_points, alpha: int) -> int:
     Computed as minus the inverse of the product of the differences to the
     other support points: exactly len(support) - 1 multiplications, one
     inversion and one negation.  Equals the direct product of (alpha - g)
-    over every field element g outside the support.
+    over every field element g outside the support.  The points and alpha
+    are checked once, here, and the product runs on the field's kernels.
     """
+    for point in (*support_points, alpha):
+        field._check(point)
+    return _weight(field, support_points, alpha)
+
+
+def _weight(field, support_points, alpha: int) -> int:
+    """recovery_weight on canonical elements, unchecked."""
+    mul, sub = field._mul, field._sub
     acc = 1
     seen = False
     for gamma in support_points:
         if gamma == alpha:
             seen = True
             continue
-        acc = field.mul(acc, field.sub(alpha, gamma))
+        acc = mul(acc, sub(alpha, gamma))
     if not seen:
         raise AlphaNotInSetError(f"{alpha} is not in the support set")
-    return field.neg(field.inv(acc))
+    return field._neg(field._inv(acc))
 
 
 def _assemble(field, barred, target, weights, check_rows, t) -> RecoveryPlan:
@@ -106,8 +118,9 @@ def _assemble(field, barred, target, weights, check_rows, t) -> RecoveryPlan:
     entries times -w_target^(-1), one inversion, one negation and r
     multiplications."""
     target_pos = barred.index(target)
-    scale = field.neg(field.inv(weights[target_pos]))
-    recovery_row = tuple(field.mul(scale, w)
+    scale = field._neg(field._inv(weights[target_pos]))
+    mul = field._mul
+    recovery_row = tuple(mul(scale, w)
                          for idx, w in enumerate(weights) if idx != target_pos)
     helpers = tuple(c for c in barred if c != target)
     return RecoveryPlan(field=field, target=target, helpers=helpers,
@@ -120,20 +133,21 @@ def _build_plan(spec, barred, target, t) -> RecoveryPlan:
     """The plan on the sorted barred coordinates of an RS or piecewise-RS
     spec, from the polynomial words of its points."""
     field = spec.field
+    mul, sub = field._mul, field._sub
     pts = tuple(spec.points[c] for c in barred)
     alpha_t = spec.points[target]
 
-    weights = tuple(recovery_weight(field, pts, a) for a in pts)
+    weights = tuple(_weight(field, pts, a) for a in pts)
     helper_pts = tuple(a for a in pts if a != alpha_t)
     helper_w = tuple(w for a, w in zip(pts, weights) if a != alpha_t)
 
     check_rows = []
     if t > 0:
-        row = tuple(field.mul(field.sub(a, alpha_t), w)
+        row = tuple(mul(sub(a, alpha_t), w)
                     for a, w in zip(helper_pts, helper_w))
         check_rows.append(row)
         for _ in range(1, t):
-            row = tuple(field.mul(a, z) for a, z in zip(helper_pts, row))
+            row = tuple(mul(a, z) for a, z in zip(helper_pts, row))
             check_rows.append(row)
     return _assemble(field, barred, target, weights, check_rows, t)
 
@@ -167,7 +181,7 @@ def plan_rs(spec: RsSpec, target: int, t: int,
         if n < need + 1:
             raise NotEnoughCoordinatesError(
                 f"need {need + 1} coordinates for t = {t}, code has {n}")
-        helpers = tuple(c for c in range(n) if c != target)[:need]
+        helpers = tuple(c for c in range(need + 1) if c != target)[:need]
     else:
         helpers = _explicit_helpers(spec.code, target, helpers, t, need)
     return _build_plan(spec, tuple(sorted(helpers + (target,))), target, t)

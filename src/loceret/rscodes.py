@@ -156,11 +156,12 @@ def rs_make(field, points, k: int) -> RsSpec:
         raise DuplicatePointsError("evaluation points must be distinct")
     if not isinstance(k, int) or not 1 <= k <= len(pts):
         raise BadDimensionError(f"k must lie in [1, {len(pts)}], got {k}")
+    mul = field._mul
     rows = []
     current = [1] * len(pts)
     for _ in range(k):
         rows.append(tuple(current))
-        current = [field.mul(c, a) for c, a in zip(current, pts)]
+        current = [mul(c, a) for c, a in zip(current, pts)]
     code = codeops.code_from_rows(field, rows)
     if code.k != k:
         raise AssertionError("distinct points must give independent monomials")
@@ -206,11 +207,9 @@ def lrcrs_make(field, p_poly, l) -> LrcRsSpec:
 
     basis = tuple((i, j) for i in range(r - 1) for j in range(l[i] + 1))
     betas = tuple(beta for beta, members in fibres for _ in members)
-    rows = []
-    for i, j in basis:
-        row = tuple(field.mul(field.pow(a, i), field.pow(b, j))
-                    for a, b in zip(points, betas))
-        rows.append(row)
+    mul, power = field._mul, field._pow
+    rows = [tuple(mul(power(a, i), power(b, j)) for a, b in zip(points, betas))
+            for i, j in basis]
     code = codeops.code_from_rows(field, rows, n)
     if code.k != k:
         raise AssertionError("evaluation map must be injective on the basis")
@@ -250,12 +249,12 @@ def interpolate(spec: RsSpec, positions, values) -> list[int]:
     positions = list(positions)
     if len(positions) != spec.k:
         raise WrongCountError(f"need exactly {spec.k} positions, got {len(positions)}")
+    for pos in positions:
+        if not codeops._is_coordinate(pos, spec.n):
+            raise codeops.IndexOutOfRangeError(
+                f"position {pos!r} outside [0, {spec.n})")
     if len(set(positions)) != len(positions):
         raise DuplicatePositionsError("interpolation positions must be distinct")
-    for pos in positions:
-        if not isinstance(pos, int) or not 0 <= pos < len(spec.points):
-            raise codeops.IndexOutOfRangeError(
-                f"position {pos!r} outside [0, {len(spec.points)})")
     values = [field._check(v) for v in values]
     if len(values) != len(positions):
         raise WrongCountError("one value per position required")

@@ -268,6 +268,26 @@ def test_analyze_zero_column_code_with_detection(tmp_path):
         [(size, None if R is None else list(R)) for size, R in expected[1:]]
 
 
+@pytest.mark.parametrize("rows, kind", [
+    ([[0] * 5], "zero_code"),
+    # q^k = 13^8 is past the enumeration cap and no spec gives a bound
+    ([[int(i == j) for j in range(8)] + [(3 * i + j + 1) % 13 for j in range(2)]
+      for i in range(8)], "unavailable"),
+], ids=["zero_code", "unavailable"])
+def test_analyze_summary_says_when_no_distance_is_known(rows, kind, tmp_path,
+                                                        capsys):
+    desc = write_json(tmp_path / "code.json",
+                      {"field": {"p": 13}, "construction": "generator",
+                       "rows": rows})
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", desc, "--t", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["distance"] == {"value": None,
+                                                       "kind": kind}
+    summary = capsys.readouterr().out.splitlines()[0]
+    n, k = len(rows[0]), (0 if kind == "zero_code" else len(rows))
+    assert summary == f"[{n},{k}] code over GF(13), no distance known ({kind})"
+
+
 def test_analyze_with_t_at_least_the_dual_dimension(tmp_path):
     # RS[8,6] has a 2-dimensional dual: d_3 of the dual does not exist and no
     # coordinate has a 2-error-detecting recovery set

@@ -256,6 +256,83 @@ def test_canonical_encoding_is_validated():
         f.mul(-1, 2)
 
 
+# one field per scalar-kernel path: prime, GF(2^m) and odd-p with tables, and
+# the table-free characteristic-2 and odd-p fields above TABLE_LIMIT
+KIND_FIELDS = [Field(13), Field(2, 8), Field(3, 5), Field(2, 17), Field(3, 11)]
+
+
+@pytest.mark.parametrize("field", KIND_FIELDS, ids=repr)
+def test_every_public_op_checks_its_operands(field):
+    ops = [lambda x: field.add(x, 1), lambda x: field.add(1, x),
+           lambda x: field.sub(x, 1), lambda x: field.sub(1, x),
+           field.neg,
+           lambda x: field.mul(x, 1), lambda x: field.mul(1, x),
+           field.inv, lambda x: field.pow(x, 2),
+           lambda x: field.div(x, 1), lambda x: field.div(1, x),
+           lambda x: poly_eval(field, (1, x), 1),
+           lambda x: poly_eval(field, (1, 1), x)]
+    for op in ops:
+        for bad in (field.q, -1, 1.0):
+            with pytest.raises(ValueError):
+                op(bad)
+    with pytest.raises(DivisionByZeroError):
+        field.inv(0)
+    with pytest.raises(DivisionByZeroError):
+        field.pow(0, -1)
+    with pytest.raises(ValueError):
+        field.pow(2, 1.0)
+
+
+def ref_digits(field, a):
+    return [a // field.p ** j % field.p for j in range(field.m)]
+
+
+def ref_undigits(field, digits):
+    return sum(d * field.p ** j for j, d in enumerate(digits))
+
+
+def ref_add(field, a, b):
+    return ref_undigits(field, [(x + y) % field.p for x, y in
+                                zip(ref_digits(field, a), ref_digits(field, b))])
+
+
+def ref_mul(field, a, b):
+    """Schoolbook product of the digit polynomials, reduced by the monic
+    modulus from the top degree down: independent of the field's tables."""
+    p, m = field.p, field.m
+    if m == 1:
+        return a * b % p
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(ref_digits(field, a)):
+        for j, y in enumerate(ref_digits(field, b)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for top in range(2 * m - 2, m - 1, -1):
+        f = prod[top]
+        for j, c in enumerate(field.modulus):
+            prod[top - m + j] = (prod[top - m + j] - f * c) % p
+    return ref_undigits(field, prod[:m])
+
+
+@pytest.mark.parametrize("field", KIND_FIELDS, ids=repr)
+def test_scalar_kernels_match_the_reference_arithmetic(field):
+    rng = random.Random(field.q + 2)
+    pairs = [(rng.randrange(field.q), rng.randrange(field.q)) for _ in range(150)]
+    pairs += [(0, 0), (0, 1), (1, 0), (field.q - 1, field.q - 1), (1, field.q - 1)]
+    for a, b in pairs:
+        assert field._add(a, b) == ref_add(field, a, b)
+        assert field._mul(a, b) == ref_mul(field, a, b)
+        assert field._add(field._sub(a, b), b) == a
+        assert field._add(a, field._neg(a)) == 0
+        assert field._sub(a, b) == field._add(a, field._neg(b))
+        if a:
+            assert field._mul(a, field._inv(a)) == 1
+        power = 1
+        for e in range(6):
+            assert field._pow(a, e) == power
+            power = ref_mul(field, power, a)
+        assert field._pow(b, field.q - 1) == (1 if b else 0)
+
+
 def test_field_equality_and_hash():
     assert Field(13) == Field(13)
     assert Field(2, 8) == Field(2, 8, AES_MODULUS)

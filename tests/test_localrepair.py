@@ -84,6 +84,16 @@ def test_recovery_weight_requires_membership():
 # plan construction
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("field", [F13, GF256, Field(3, 5), Field(2, 17)],
+                         ids=repr)
+def test_recovery_weight_refuses_non_canonical_points(field):
+    for bad in (field.q, -1, 1.0):
+        with pytest.raises(ValueError, match="canonical"):
+            recovery_weight(field, (1, 2, bad), 1)
+        with pytest.raises(ValueError, match="canonical"):
+            recovery_weight(field, (1, 2), bad)
+
+
 def test_rs_plan_reproduces_the_worked_example_pair():
     spec = rs_make(F13, [1, 5, 8, 12], 2)
     plan = plan_rs(spec, 0, 1)
@@ -471,6 +481,80 @@ def test_plain_recovery_costs_r_multiplications():
     tally = mult_count(spec, 0, t=0, helper_values=(1, 2, 3))
     assert tally["repair"]["mul"] == tally["helpers"]
     assert tally["repair"]["inv"] == 0
+
+
+@pytest.mark.parametrize("spec, target, t, expected", [
+    (example_code(), 0, 1, {"mul": 18, "inv": 5, "add": 15, "neg": 5, "pow": 0}),
+    (rs_make(F13, list(range(8)), 3), 0, 0,
+     {"mul": 15, "inv": 5, "add": 12, "neg": 5, "pow": 0}),
+    (rs_make(F13, list(range(8)), 3), 0, 1,
+     {"mul": 28, "inv": 6, "add": 24, "neg": 6, "pow": 0}),
+    (rs_make(F13, list(range(8)), 3), 0, 2,
+     {"mul": 45, "inv": 7, "add": 35, "neg": 7, "pow": 0}),
+    (rs_make(GF256, list(range(256)), 16), 200, 1,
+     {"mul": 340, "inv": 19, "add": 323, "neg": 19, "pow": 0}),
+    (rs_make(GF256, list(range(256)), 16), 200, 2,
+     {"mul": 396, "inv": 20, "add": 360, "neg": 20, "pow": 0}),
+], ids=["fibre12-t1", "rs8-t0", "rs8-t1", "rs8-t2", "rs256-t1", "rs256-t2"])
+def test_plan_build_tallies_are_pinned(spec, target, t, expected):
+    # r weights of r multiplications each, t detection rows, one recovery row
+    assert mult_count(spec, target, t)["plan_build"] == expected
+
+
+def oracle_plan_words(spec, barred, target, t):
+    """The recovery word, detection rows and recovery row of the RS or fibre
+    plan on barred, recomputed through the public checked operations."""
+    f = spec.field
+    pts = [spec.points[c] for c in barred]
+
+    def weight(alpha):
+        acc = 1
+        for gamma in pts:
+            if gamma != alpha:
+                acc = f.mul(acc, f.sub(alpha, gamma))
+        return f.neg(f.inv(acc))
+
+    weights = [weight(a) for a in pts]
+    at = spec.points[target]
+    helper = [(a, w) for a, w in zip(pts, weights) if a != at]
+    rows = []
+    row = [f.mul(f.sub(a, at), w) for a, w in helper]
+    for _ in range(t):
+        rows.append(tuple(row))
+        row = [f.mul(a, z) for (a, _), z in zip(helper, row)]
+    scale = f.neg(f.inv(weights[pts.index(at)]))
+    return (tuple(weights), tuple(rows),
+            tuple(f.mul(scale, w) for _, w in helper))
+
+
+def plan_words(plan):
+    return plan.weights, plan.check_rows, plan.recovery_row
+
+
+@pytest.mark.parametrize("spec, ts", [
+    (rs_make(GF256, list(range(256)), 16), (1, 2)),
+    (rs_make(Field(3, 5), list(range(0, 243, 5)), 6), (0, 1, 2)),
+    (rs_make(Field(2, 17), list(range(70000, 70024)), 5), (0, 1, 2)),
+    (rs_make(Field(3, 11), list(range(90000, 90020)), 4), (0, 1, 2)),
+], ids=["RS[256,16]/GF(2^8)", "RS[49,6]/GF(3^5)", "RS[24,5]/GF(2^17)",
+        "RS[20,4]/GF(3^11)"])
+def test_rs_plans_match_the_checked_oracle_on_every_coordinate(spec, ts):
+    for t in ts:
+        for target in range(spec.n):
+            plan = plan_rs(spec, target, t)
+            need = spec.k + t
+            assert plan.helpers == tuple(
+                c for c in range(spec.n) if c != target)[:need]
+            assert plan_words(plan) == oracle_plan_words(spec, plan.barred,
+                                                         target, t)
+
+
+def test_fibre_plans_match_the_checked_oracle_on_the_gf256_fibre_code():
+    spec = lrcrs_make(GF256, [0, 0, 0, 0, 0, 1], [4, 4, 4])
+    for target in range(spec.n):
+        plan = plan_lrcrs(spec, target)
+        assert plan_words(plan) == oracle_plan_words(spec, plan.barred,
+                                                     target, 1)
 
 
 def codeword_values(spec, plan, seed):

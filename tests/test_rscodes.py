@@ -369,6 +369,15 @@ def test_interpolate_validation():
         interpolate(spec, [0, 1, 2], [1, 2])
 
 
+@pytest.mark.parametrize("positions", [[True, 2, 3], [0, False, 3],
+                                       [0, 1, 2.0], [0, 1, 8], [-1, 1, 2]])
+def test_interpolate_refuses_positions_that_are_not_coordinates(positions):
+    # the coordinate rule of codeops._checked_helpers: True is not coordinate 1
+    spec = rs_make(F13, list(range(8)), 3)
+    with pytest.raises(codeops.IndexOutOfRangeError):
+        interpolate(spec, positions, [1, 2, 3])
+
+
 # ---------------------------------------------------------------------------
 # codeword files
 # ---------------------------------------------------------------------------
