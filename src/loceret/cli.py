@@ -167,10 +167,10 @@ def cmd_simulate(args) -> tuple[dict, int]:
     config = storagesim.config_from_dict(raw)
     policies = raw.get("policies")
     sweep = raw.get("sweep")
+    rows = storagesim.compare_policies(config, policies, sweep,
+                                       workers=args.workers)
     doc = _base_report("simulate")
     if policies or sweep:
-        rows = storagesim.compare_policies(config, policies, sweep,
-                                           workers=args.workers)
         doc["runs"] = [{"policy": row["policy"], "channel": row["channel"],
                         "report": row["report"].to_dict()} for row in rows]
         for row in rows:
@@ -181,9 +181,7 @@ def cmd_simulate(args) -> tuple[dict, int]:
                   f"{rep.counts['detected']} detected, "
                   f"{rep.counts['missed_wrong']} missed-wrong")
     else:
-        report = storagesim.run_sim(config, workers=args.workers)
-        rows = [{"policy": "default", "channel": config.channel.to_dict(),
-                 "report": report}]
+        report = rows[0]["report"]
         doc["report"] = report.to_dict()
         print(f"{report.trials} trials, seed {report.seed}: "
               f"{report.counts['clean_correct']} clean, "
@@ -211,44 +209,31 @@ def worked_example_checks(field: Field | None = None) -> list[dict]:
     the negative control (a deliberately wrong field) can be exercised."""
     if field is None:
         field = Field(13)
-    checks = []
-
-    def check(name, expected, got):
-        checks.append({"name": name, "expected": expected, "got": got,
-                       "ok": expected == got})
-
-    try:
-        spec = rscodes.lrcrs_make(field, [0, 0, 0, 0, 1], [2, 2])
-    except ValueError as exc:
-        for name, expected in (
-                ("fibres", [[b, list(m)] for b, m in EXAMPLE_FIBRES]),
+    # (name, expected value) of the eight quantities, in report order
+    expected = (("fibres", [[b, list(m)] for b, m in EXAMPLE_FIBRES]),
                 ("n", 12), ("k", 6),
                 ("detection_row", list(EXAMPLE_DETECTION_ROW)),
                 ("recovery_word", list(EXAMPLE_RECOVERY_WORD)),
                 ("detect_clean", "clean"), ("recovered_value", 2),
-                ("detect_corrupted", "corrupted")):
-            checks.append({"name": name, "expected": expected,
-                           "got": f"construction failed: {exc}", "ok": False})
-        return checks
-
-    check("fibres", [[b, list(m)] for b, m in EXAMPLE_FIBRES],
-          [[b, list(m)] for b, m in spec.fibres])
-    check("n", 12, spec.n)
-    check("k", 6, spec.k)
+                ("detect_corrupted", "corrupted"))
+    try:
+        spec = rscodes.lrcrs_make(field, [0, 0, 0, 0, 1], [2, 2])
+    except ValueError as exc:
+        return [{"name": name, "expected": want,
+                 "got": f"construction failed: {exc}", "ok": False}
+                for name, want in expected]
 
     plan = localrepair.plan_lrcrs(spec, 0)
-    check("detection_row", list(EXAMPLE_DETECTION_ROW),
-          list(plan.check_rows[0]) if plan.check_rows else None)
-    check("recovery_word", list(EXAMPLE_RECOVERY_WORD), list(plan.weights))
-
     clean = (6, 9, 0)
     corrupted = (7, 9, 0)
-    check("detect_clean", "clean",
-          "corrupted" if localrepair.detect(plan, clean) else "clean")
-    check("recovered_value", 2, localrepair.recover(plan, clean))
-    check("detect_corrupted", "corrupted",
-          "corrupted" if localrepair.detect(plan, corrupted) else "clean")
-    return checks
+    got = ([[b, list(m)] for b, m in spec.fibres], spec.n, spec.k,
+           list(plan.check_rows[0]) if plan.check_rows else None,
+           list(plan.weights),
+           "corrupted" if localrepair.detect(plan, clean) else "clean",
+           localrepair.recover(plan, clean),
+           "corrupted" if localrepair.detect(plan, corrupted) else "clean")
+    return [{"name": name, "expected": want, "got": value, "ok": want == value}
+            for (name, want), value in zip(expected, got)]
 
 
 def cmd_paper_example(args) -> tuple[dict, int]:

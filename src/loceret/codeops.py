@@ -46,9 +46,23 @@ class IndexOutOfRangeError(ValueError):
     """Coordinate outside [0, n)."""
 
 
+def _is_int(value) -> bool:
+    """The one rule for an integer argument: an int, not a bool (Python's
+    bool is an int subclass; JSON's booleans are not numbers)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _checked_int(name: str, value) -> int:
+    """value, unless it breaks the _is_int rule: then a ValueError naming
+    the argument."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _is_coordinate(c, n: int) -> bool:
-    """The rule for one coordinate: an int in [0, n), not a bool."""
-    return not isinstance(c, bool) and isinstance(c, int) and 0 <= c < n
+    """The rule for one coordinate: an integer (_is_int) in [0, n)."""
+    return _is_int(c) and 0 <= c < n
 
 
 def _coords(n: int, seq, allow_empty: bool = True) -> tuple[int, ...]:
@@ -402,7 +416,7 @@ def ghw(code: LinearCode, s: int) -> int:
     s-dimensional subcodes, computed as dual_ghw of the dual code."""
     if code.k == 0:
         raise ZeroCodeError("the zero code has no subcodes")
-    if isinstance(s, bool) or not isinstance(s, int) or not 1 <= s <= code.k:
+    if not _is_int(s) or not 1 <= s <= code.k:
         raise BadRankError(f"s must lie in [1, {code.k}], got {s}")
     return dual_ghw(dual(code), s)
 
@@ -427,7 +441,7 @@ def dual_ghw(code: LinearCode, s: int, d: int | None = None) -> int:
     if 2 ** n > DEFAULT_ENUM_CAP:
         raise TooLargeToEnumerateError(
             f"2^{n} supports exceed the cap {DEFAULT_ENUM_CAP}")
-    if isinstance(s, bool) or not isinstance(s, int) or not 1 <= s <= n - k:
+    if not _is_int(s) or not 1 <= s <= n - k:
         raise BadRankError(f"s must lie in [1, {n - k}], got {s}")
     if d is not None and s >= n - k - d + 2:
         return k + s
@@ -443,10 +457,8 @@ def dual_ghw(code: LinearCode, s: int, d: int | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 def _checked_t(t) -> None:
-    """The check of a detection level t: a nonnegative int, not a bool."""
-    if isinstance(t, bool) or not isinstance(t, int):
-        raise ValueError(f"t must be an integer, got {t!r}")
-    if t < 0:
+    """The check of a detection level t: a nonnegative integer (_is_int)."""
+    if _checked_int("t", t) < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
 
 
@@ -737,6 +749,11 @@ def check_bounds(n: int, k: int, d: int, t: int, r_t: int,
     violation is a finding that falsifies an upstream computation and must
     surface in reports and tests.
     """
+    _checked_t(t)
+    for name, value in (("n", n), ("k", k), ("d", d), ("r_t", r_t)):
+        _checked_int(name, value)
+    if dual_ghw is not None:
+        _checked_int("dual_ghw", dual_ghw)
     if r_t <= t:
         raise ValueError(f"r_t = {r_t} must exceed t = {t}")
     statuses = {}

@@ -29,6 +29,7 @@ except ImportError:
         from hashlib import sha256
 
 from . import codeops, rscodes
+from .codeops import _is_int
 from .galois import DEFAULT_MAX_ORDER, Field, find_irreducible, is_prime
 
 
@@ -86,11 +87,6 @@ def _is_default_modulus(frag: dict) -> bool:
             and 1 < p ** m <= DEFAULT_MAX_ORDER and is_prime(p)
             and isinstance(modulus, list) and all(_is_int(c) for c in modulus)
             and tuple(c % p for c in modulus) == find_irreducible(p, m))
-
-
-def _is_int(value) -> bool:
-    """JSON integers only: Python's bool is an int subclass, JSON's is not."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _require(desc: dict, key: str, kinds, where: str):

@@ -11,9 +11,10 @@ numpy arrays of canonical elements, with one path per field kind.  The
 unchecked scalar kernels _add, _sub, _neg, _mul, _inv and _pow, the scalar
 inner product _dot and the elimination step _clear_column are likewise
 chosen once per field kind, when the field is built.  So is the encode
-kernel (encoding, encode_word, encode_at): extension fields of at most 256
-elements look message-symbol products up in a per-code uint8 table and sum
-the rows, every other field multiplies through dot_array.
+kernel (encoding, encode_word), which only rscodes.encode calls: extension
+fields of at most 256 elements look message-symbol products up in a
+per-code uint8 table and sum the rows, every other field multiplies
+through dot_array.
 
 The public add, sub, neg, mul, inv and pow are _check plus the kernel, the
 one place where scalar operands are checked; code and plan construction
@@ -525,8 +526,8 @@ class Field:
     # per-code table, every other field multiplies through dot_array.
 
     def encoding(self, generator) -> np.ndarray:
-        """The array encode_word and encode_at take for a code with the
-        (n, k) generator (one row per coordinate), built once per code.
+        """The array encode_word takes for a code with the (n, k)
+        generator (one row per coordinate), built once per spec.
 
         With a table it is the read-only uint8 (k*q, n) product table,
         table[j*q + s, c] = s * generator[c, j], gathered from the field's
@@ -548,18 +549,6 @@ class Field:
             return self.dot_array(message, encoding)
         rows = np.arange(0, message.size * self.q, self.q) + message
         return self.sum_array(encoding[rows], axis=0)
-
-    def encode_at(self, messages, encoding, coords) -> np.ndarray:
-        """Codeword symbols at the coordinates coords of int64 messages of
-        shape (..., k), broadcast against coords: with a table, a sum of the
-        flat entries (j*q + messages[..., j]) * n + coords."""
-        if not self._encodes_by_table:
-            return self.dot_array(messages, encoding[coords])
-        n = encoding.shape[1]
-        k = messages.shape[-1]
-        rows = np.arange(0, k * self.q, self.q) + messages
-        flat = rows * n + coords[..., None]
-        return self.sum_array(encoding.ravel()[flat], axis=-1)
 
     def _to_digits(self, a) -> np.ndarray:
         """Base-p digits on a new last axis (odd-p extension fields)."""

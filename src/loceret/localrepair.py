@@ -307,6 +307,7 @@ def mult_count(spec, target: int, t: int = 1, helpers=None,
     inversions for r helpers; repair costs exactly (t + 1)*r multiplications
     and no inversions, since the inverse is folded into the stored rows.
     """
+    codeops._checked_t(t)
     counting = CountingField(spec.field)
     counted = replace(spec, field=counting)
     if isinstance(spec, LrcRsSpec):

@@ -9,9 +9,9 @@ per i.  Restricted to any one fibre, y is constant, so every codeword looks
 like a short RS codeword there; that is what makes cheap local repair with
 error detection possible.
 
-Every spec caches its generator and the array its field encodes with
-(Field.encoding: a product table on extension fields of at most 256
-elements), which encode and the simulator share.
+Every spec caches its generator, which the simulator's engine reads, and
+the array its field encodes with (Field.encoding: a product table on
+extension fields of at most 256 elements), which encode reads.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class _EvaluationCode:
 
     @functools.cached_property
     def encoding(self) -> np.ndarray:
-        """Field.encoding of the generator, for encode and the simulator:
+        """Field.encoding of the generator, for encode:
         the product table on extension fields of at most 256 elements, the
         generator itself elsewhere."""
         return self.field.encoding(self.generator)
@@ -154,8 +154,8 @@ def rs_make(field, points, k: int) -> RsSpec:
     pts = tuple(field._check(x) for x in points)
     if len(set(pts)) != len(pts):
         raise DuplicatePointsError("evaluation points must be distinct")
-    if not isinstance(k, int) or not 1 <= k <= len(pts):
-        raise BadDimensionError(f"k must lie in [1, {len(pts)}], got {k}")
+    if not codeops._is_int(k) or not 1 <= k <= len(pts):
+        raise BadDimensionError(f"k must lie in [1, {len(pts)}], got {k!r}")
     mul = field._mul
     rows = []
     current = [1] * len(pts)
@@ -183,9 +183,10 @@ def lrcrs_make(field, p_poly, l) -> LrcRsSpec:
         raise ValueError(f"p(x) must have degree at least 2, got degree {deg}")
     r = deg - 1
     l = tuple(l)
-    if len(l) != r - 1 or any((not isinstance(v, int)) or v < 0 for v in l):
+    if len(l) != r - 1 or any(not codeops._is_int(v) or v < 0 for v in l):
         raise BadLVectorError(
-            f"need {r - 1} nonnegative exponent bounds for degree {deg}, got {list(l)}")
+            f"l: need {r - 1} nonnegative integer exponent bounds for degree "
+            f"{deg}, got {list(l)}")
 
     by_beta: dict[int, list[int]] = {}
     for a in field.elements():

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import descriptor, localrepair
+from . import codeops, descriptor, localrepair
 
 _COUNT_CELLS = ("clean_correct", "naive_wrong", "naive_right_under_error",
                 "detected", "missed_wrong", "missed_right")
@@ -58,8 +58,10 @@ class Bernoulli:
     epsilon: float
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
+        eps = self.epsilon
+        if (not (codeops._is_int(eps) or isinstance(eps, float))
+                or not 0.0 <= eps <= 1.0):
+            raise ValueError(f"epsilon must lie in [0, 1], got {eps!r}")
 
     def to_dict(self):
         return {"kind": "bernoulli", "epsilon": self.epsilon}
@@ -71,7 +73,7 @@ class ExactErrors:
     errors: int
 
     def __post_init__(self):
-        if self.errors < 0:
+        if codeops._checked_int("errors", self.errors) < 0:
             raise ValueError(f"error count must be nonnegative, got {self.errors}")
 
     def to_dict(self):
@@ -106,10 +108,10 @@ class ClusterConfig:
     error_value_model: str = "uniform-nonzero"
 
     def __post_init__(self):
-        if self.trials < 1:
+        if codeops._checked_int("trials", self.trials) < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
-        if self.t < 0:
-            raise ValueError(f"t must be nonnegative, got {self.t}")
+        codeops._checked_t(self.t)
+        codeops._checked_int("seed", self.seed)
         if self.target_policy not in ("round-robin", "uniform-random"):
             raise ValueError(f"unknown target policy {self.target_policy!r}")
         if self.error_value_model != "uniform-nonzero":
@@ -238,10 +240,10 @@ class TrialRecord(NamedTuple):
 # Simulation core: a batch engine over slices of trials
 # ---------------------------------------------------------------------------
 
-# Memo for everything a campaign derives from its code: the CodeBundle (key
-# digest), a generator code's encoding (key (digest, "encoding")), each
-# coordinate's plan (key (digest, coordinate, t)) and the engine arrays (key
-# (digest, t)).  Campaigns of a sweep share one build.
+# Memo for everything a campaign derives from its code, under three keys:
+# the CodeBundle (key digest), each coordinate's plan (key (digest,
+# coordinate, t)) and the engine arrays (key (digest, t)).  Campaigns of a
+# sweep share one build.
 _plan_cache = localrepair.PlanCache()
 
 
@@ -278,7 +280,6 @@ class _CodeArrays:
         if not bundle.code.gen:
             raise PlanUnavailableError("cannot simulate the zero code")
         plans = build_plans(bundle, t)
-        self._bundle = bundle
         self.field = bundle.field
         if bundle.spec is not None:
             self.columns = bundle.spec.generator
@@ -315,16 +316,6 @@ class _CodeArrays:
             raise RuntimeError(
                 f"the {what} of coordinate {coord}'s plan is wrong on clean "
                 "helpers; this indicates a bug, not a channel effect")
-
-    @property
-    def encoding(self) -> np.ndarray:
-        """The field's encoding of the columns, for trial_records: a spec's
-        own, otherwise one per code shared across t."""
-        if self._bundle.spec is not None:
-            return self._bundle.spec.encoding
-        return _plan_cache.get_or_build(
-            (self._bundle.digest, "encoding"),
-            lambda: self.field.encoding(self.columns))
 
 
 class _SimContext:
@@ -432,7 +423,9 @@ def _spans(context: _SimContext, start: int, stop: int):
 
 def trial_records(config: ClusterConfig, start: int = 0, stop: int | None = None):
     """Trial-level view of a campaign, for paired-policy comparisons and
-    diagnostics; run_sim tallies exactly these trials."""
+    diagnostics; run_sim tallies exactly these trials.  Each trial's true
+    symbol is its message times the target's generator column, the columns
+    the engine proves its plans on, so no encode table is built."""
     context = _SimContext(config)
     arr = context.arrays
     field = arr.field
@@ -441,7 +434,7 @@ def trial_records(config: ClusterConfig, start: int = 0, stop: int | None = None
         streams = _streams(config.seed, out.trials)
         message = (_draws(streams[:, None], np.arange(arr.k))
                    % np.uint64(field.q)).astype(np.int64)
-        truths = field.encode_at(message, arr.encoding, out.targets)
+        truths = field.dot_array(message, arr.columns[out.targets])
         for trial, target, hit, truth, naive, detected in zip(
                 out.trials.tolist(), out.targets.tolist(), out.corrupted.tolist(),
                 truths.tolist(), field.add_array(truths, out.shift).tolist(),

@@ -455,12 +455,21 @@ def simulate_config(tmp_path, **overrides):
     return write_json(tmp_path / "sim.json", config)
 
 
-def test_simulate_clean_channel(tmp_path):
+def test_simulate_clean_channel(tmp_path, monkeypatch):
+    # a single run goes through the sweep driver too, as one "default" run
+    calls = []
+    driver = cli.storagesim.compare_policies
+
+    def spy(config, policies=None, sweep=None, workers=1):
+        calls.append((policies, sweep))
+        return driver(config, policies, sweep, workers=workers)
+    monkeypatch.setattr(cli.storagesim, "compare_policies", spy)
     cfg = simulate_config(tmp_path)
     out = tmp_path / "report.json"
     assert cli.main(["simulate", cfg, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["report"]["counts"]["clean_correct"] == 200
+    assert calls == [(None, None)]
 
 
 def test_simulate_single_error_channel_detects_everything(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -1179,6 +1180,25 @@ def test_bound_status_serialization():
     doc = report.to_dict()
     assert doc["t_optimal"] is True
     assert doc["statuses"]["dual_weight_hierarchy"]["holds"]
+
+
+@pytest.mark.parametrize("args, message", [
+    ((12, 6, 3, -1, 3), "t must be nonnegative, got -1"),
+    ((12, 6, 3, True, 3), "t must be an integer, got True"),
+    ((12, 6, 3, 1.5, 3), "t must be an integer, got 1.5"),
+    ((12.0, 6, 3, 1, 3), "n must be an integer, got 12.0"),
+    ((12, True, 3, 0, 3), "k must be an integer, got True"),
+    ((12, 6, 3.0, 1, 3), "d must be an integer, got 3.0"),
+    ((12, 6, 3, 1, 3.5), "r_t must be an integer, got 3.5"),
+    ((12, 6, 3, 1, 3, False), "dual_ghw must be an integer, got False"),
+], ids=["negative-t", "bool-t", "float-t", "float-n", "bool-k", "float-d",
+        "float-r_t", "bool-dual_ghw"])
+def test_check_bounds_refuses_malformed_integers(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_bounds(*args)
+    # the same parameters, well formed, are evaluated as before
+    s = check_bounds(12, 6, 3, 1, 3, 4).statuses["locality_singleton"]
+    assert (s.lhs, s.rhs, s.holds) == (15, 15, True)
 
 
 # ---------------------------------------------------------------------------

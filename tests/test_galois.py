@@ -412,9 +412,3 @@ def test_encode_kernels_match_scalar_inner_products(field):
     assert not encoding.flags.writeable or encoding is gen
     for msg, word in zip(messages, words):
         assert field.encode_word(msg, encoding).tolist() == word
-    targets = np.array([0, 2, 8, 5, 1, 3, 7, 4])
-    assert field.encode_at(messages, encoding, targets).tolist() == [
-        word[c] for word, c in zip(words, targets.tolist())]
-    helpers = np.array([[(c + j) % n for j in range(3)] for c in range(8)])
-    assert field.encode_at(messages[:, None, :], encoding, helpers).tolist() == [
-        [word[c] for c in row] for word, row in zip(words, helpers.tolist())]

@@ -476,6 +476,18 @@ def test_repair_cost_from_a_stored_plan():
     assert build["inv"] == r + 2
 
 
+@pytest.mark.parametrize("t, message", [
+    (True, "t must be an integer, got True"),
+    (1.0, "t must be an integer, got 1.0"),
+    (-1, "t must be nonnegative, got -1"),
+], ids=["bool", "float", "negative"])
+def test_mult_count_refuses_a_malformed_t(t, message):
+    for spec in (example_code(), rs_make(F13, list(range(8)), 3)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            mult_count(spec, 0, t)
+    assert mult_count(example_code(), 0, 1)["helpers"] == 3
+
+
 def test_plain_recovery_costs_r_multiplications():
     spec = rs_make(F13, list(range(8)), 3)
     tally = mult_count(spec, 0, t=0, helper_values=(1, 2, 3))

@@ -54,6 +54,13 @@ def test_rs_validation_errors():
         rs_make(F13, [1, 2, 3], 4)
 
 
+@pytest.mark.parametrize("k", [True, False, 2.0, "2", None], ids=repr)
+def test_rs_make_refuses_a_k_that_is_not_an_integer(k):
+    with pytest.raises(BadDimensionError, match=r"^k must lie in \[1, 8\], got "):
+        rs_make(F13, range(8), k)
+    assert rs_make(F13, range(8), 1).k == 1
+
+
 # ---------------------------------------------------------------------------
 # fibre construction
 # ---------------------------------------------------------------------------
@@ -102,6 +109,15 @@ def test_bad_exponent_vector_rejected():
         lrcrs_make(F13, [0, 0, 0, 0, 1], [2, 2, 2])
     with pytest.raises(BadLVectorError):
         lrcrs_make(F13, [0, 0, 0, 0, 1], [2, -1])
+
+
+@pytest.mark.parametrize("l", [[True, 2], [2, False], [2.0, 2], [2, "2"]],
+                         ids=repr)
+def test_lrcrs_make_refuses_exponent_bounds_that_are_not_integers(l):
+    with pytest.raises(BadLVectorError, match="^l: need 2 nonnegative integer"):
+        lrcrs_make(F13, [0, 0, 0, 0, 1], l)
+    spec = lrcrs_make(F13, [0, 0, 0, 0, 1], [1, 2])
+    assert (spec.n, spec.k) == (12, 5)
 
 
 def test_suggest_p_poly():
@@ -270,7 +286,7 @@ def test_simulator_encodes_with_the_spec_generator():
      "p_poly": [0, 0, 0, 0, 0, 1], "l": [4, 4, 4]},
     {"field": {"p": 3, "m": 2}, "construction": "rs", "points": "all", "k": 3},
 ], ids=["GF(2^8) fibre code", "RS[9,3]/GF(9)"])
-def test_encode_and_the_simulator_share_one_product_table(desc):
+def test_encode_builds_one_product_table_per_spec(desc):
     bundle = descriptor.build_code(desc)
     spec, q = bundle.spec, bundle.field.q
     table = spec.encoding
@@ -278,7 +294,6 @@ def test_encode_and_the_simulator_share_one_product_table(desc):
     assert table.dtype == np.uint8 and table.shape == (spec.k * q, spec.n)
     with pytest.raises(ValueError):
         table[0, 0] = 1
-    assert storagesim._CodeArrays(bundle, 1).encoding is table
     encode(spec, [1] * spec.k)
     assert spec.encoding is table
     # table[j*q + s, c] = s * G[c, j]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from loceret import descriptor, localrepair, rscodes, storagesim
+from loceret.galois import Field
 from loceret.storagesim import (Bernoulli, ClusterConfig, ExactErrors,
                                 TrialRecord, trial_records)
 
@@ -120,13 +121,24 @@ def test_engine_matches_the_loop_reference(desc, t, channel, policy, trials):
     assert any(rec.corrupted for rec in engine)
 
 
-def test_a_generator_code_encodes_through_one_table_per_code():
-    # a sweep over t builds one encoding per code, not one per (code, t)
-    contexts = [storagesim._SimContext(ClusterConfig(
-        code=GENERATOR_GF16, t=t, channel=Bernoulli(0.1), trials=10, seed=1))
-        for t in (0, 1)]
-    assert contexts[0].arrays is not contexts[1].arrays
-    assert contexts[0].arrays.encoding is contexts[1].arrays.encoding
+RS256 = {"field": {"p": 2, "m": 8}, "construction": "rs",
+         "points": "all", "k": 16}
+
+
+def test_trial_records_build_no_encode_table(monkeypatch):
+    # each truth is read off the generator columns the engine already holds
+    configs = [ClusterConfig(code=GENERATOR_GF16, t=1, channel=Bernoulli(0.3),
+                             trials=400, seed=11, target_policy="uniform-random"),
+               ClusterConfig(code=RS256, t=1, channel=ExactErrors(2),
+                             trials=300, seed=12)]
+    expected = [list(reference_records(config)) for config in configs]
+
+    def no_encoding(*args):
+        raise AssertionError("the simulator encoded")
+    monkeypatch.setattr(storagesim, "_plan_cache", localrepair.PlanCache())
+    monkeypatch.setattr(Field, "encoding", no_encoding)
+    monkeypatch.setattr(Field, "encode_word", no_encoding)
+    assert [list(trial_records(config)) for config in configs] == expected
 
 
 def test_an_offset_range_matches_the_reference():

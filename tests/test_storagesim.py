@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -410,7 +411,7 @@ PADDED_GENERATOR = {"field": {"p": 13}, "construction": "generator",
 def test_run_sim_encodes_nothing(monkeypatch):
     def no_encoding(*args):
         raise AssertionError("run_sim encoded a word")
-    monkeypatch.setattr(Field, "encode_at", no_encoding)
+    monkeypatch.setattr(Field, "encoding", no_encoding)
     monkeypatch.setattr(Field, "encode_word", no_encoding)
     for desc, channel in ((EXAMPLE_DESC, Bernoulli(0.2)), (RS256, ExactErrors(2))):
         report = run_sim(ClusterConfig(code=desc, t=1, channel=channel,
@@ -548,6 +549,38 @@ def test_config_validation():
         example_config(target_policy="everywhere")
     with pytest.raises(ValueError):
         example_config(error_value_model="burst")
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"t": True}, "t must be an integer, got True"),
+    ({"t": 1.0}, "t must be an integer, got 1.0"),
+    ({"t": -1}, "t must be nonnegative, got -1"),
+    ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+    ({"trials": True}, "trials must be an integer, got True"),
+    ({"seed": 7.0}, "seed must be an integer, got 7.0"),
+    ({"seed": None}, "seed must be an integer, got None"),
+], ids=["bool-t", "float-t", "negative-t", "float-trials", "bool-trials",
+        "float-seed", "no-seed"])
+def test_cluster_config_refuses_malformed_integers(overrides, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        example_config(**overrides)
+    assert example_config(t=0, trials=1, seed=-3).trials == 1
+
+
+@pytest.mark.parametrize("errors", [1.5, True, False, "2", None], ids=repr)
+def test_exact_errors_refuses_a_count_that_is_not_an_integer(errors):
+    with pytest.raises(ValueError, match=f"^errors must be an integer, got "
+                                         f"{re.escape(repr(errors))}$"):
+        ExactErrors(errors)
+    assert ExactErrors(0).to_dict() == {"kind": "exact", "errors": 0}
+
+
+@pytest.mark.parametrize("epsilon", ["x", None, True, float("nan"), -0.1],
+                         ids=repr)
+def test_bernoulli_refuses_an_epsilon_outside_the_unit_interval(epsilon):
+    with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, 1\], got "):
+        Bernoulli(epsilon)
+    assert Bernoulli(1).to_dict() == {"kind": "bernoulli", "epsilon": 1}
 
 
 def test_wilson_interval_basics():
