@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .galois import _checked_int, _is_int
+
 DEFAULT_ENUM_CAP = 1 << 26
 DEFAULT_EXHAUSTIVE_N = 20
 
@@ -46,20 +48,6 @@ class IndexOutOfRangeError(ValueError):
     """Coordinate outside [0, n)."""
 
 
-def _is_int(value) -> bool:
-    """The one rule for an integer argument: an int, not a bool (Python's
-    bool is an int subclass; JSON's booleans are not numbers)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _checked_int(name: str, value) -> int:
-    """value, unless it breaks the _is_int rule: then a ValueError naming
-    the argument."""
-    if not _is_int(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def _is_coordinate(c, n: int) -> bool:
     """The rule for one coordinate: an integer (_is_int) in [0, n)."""
     return _is_int(c) and 0 <= c < n
@@ -67,12 +55,13 @@ def _is_coordinate(c, n: int) -> bool:
 
 def _coords(n: int, seq, allow_empty: bool = True) -> tuple[int, ...]:
     """Validate and canonicalize a coordinate set: sorted, unique, in range."""
-    out = sorted(seq)
+    out = list(seq)
     if not allow_empty and not out:
         raise EmptySetError("coordinate set must be nonempty")
     for c in out:
         if not _is_coordinate(c, n):
             raise IndexOutOfRangeError(f"{c!r} is not a coordinate in [0, {n})")
+    out.sort()
     for a, b in zip(out, out[1:]):
         if a == b:
             raise ValueError(f"duplicate coordinate {a}")
@@ -193,8 +182,7 @@ def code_from_rows(field, rows, n: int | None = None) -> LinearCode:
             raise InconsistentLengthError(f"n = {n} but rows have length {length}")
         n = length
         for r in rows:
-            for x in r:
-                field._check(x)
+            field._check_all(r)
     elif n is None:
         raise InconsistentLengthError("empty code needs an explicit length")
     gen, pivots = rref(field, rows)

@@ -29,8 +29,7 @@ except ImportError:
         from hashlib import sha256
 
 from . import codeops, rscodes
-from .codeops import _is_int
-from .galois import DEFAULT_MAX_ORDER, Field, find_irreducible, is_prime
+from .galois import DEFAULT_MAX_ORDER, Field, _is_int, find_irreducible, is_prime
 
 
 class DescriptorError(ValueError):

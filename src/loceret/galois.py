@@ -16,9 +16,10 @@ fields of at most 256 elements look message-symbol products up in a
 per-code uint8 table and sum the rows, every other field multiplies
 through dot_array.
 
-The public add, sub, neg, mul, inv and pow are _check plus the kernel, the
-one place where scalar operands are checked; code and plan construction
-call the kernels on elements checked where they entered the system.
+The public add, sub, neg, mul, inv and pow are _check plus the kernel.
+_check and _check_all (a sequence, in one loop) are the one place where
+symbols are checked, and _is_int the one integer rule; code and plan
+construction call the kernels on elements checked where they entered.
 """
 
 from __future__ import annotations
@@ -51,11 +52,23 @@ class DivisionByZeroError(ZeroDivisionError):
     """Inverse or quotient of the zero element."""
 
 
+def _is_int(value) -> bool:
+    """The one rule for an integer argument: an int, not a bool (Python's
+    bool is an int subclass; JSON's booleans are not numbers) or other
+    subclass."""
+    return type(value) is int
+
+
+def _checked_int(name: str, value) -> int:
+    """value, or a ValueError naming the argument if it breaks _is_int."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test, fine at desk scale."""
-    if not isinstance(n, int):
-        return False
-    if n < 2:
+    if not _is_int(n) or n < 2:
         return False
     if n < 4:
         return True
@@ -174,11 +187,11 @@ class Field:
     def __init__(self, p: int, m: int = 1, modulus=None,
                  max_order: int = DEFAULT_MAX_ORDER):
         # before is_prime and p ** m, which run for too long on a large p or m
-        if isinstance(p, int) and p > max_order:
+        if _is_int(p) and p > max_order:
             raise FieldTooLargeError(f"p = {p} exceeds the cap {max_order}")
         if not is_prime(p):
             raise NotPrimeError(f"p = {p} is not prime")
-        if not isinstance(m, int) or m < 1:
+        if not _is_int(m) or m < 1:
             raise ValueError(f"extension degree must be a positive integer, got {m}")
         # p^m >= 2^m > max_order once m reaches the cap's bit length
         if m >= max_order.bit_length() or p ** m > max_order:
@@ -427,13 +440,23 @@ class Field:
     # -- element validation --------------------------------------------------
 
     def _check(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.q:
+        # the _is_int rule inline, as in _check_all: this runs per operand
+        if type(a) is not int or not 0 <= a < self.q:
             raise ValueError(f"{a!r} is not a canonical element of {self!r}")
         return a
 
+    def _check_all(self, values):
+        """values, each checked as _check does, in one loop; the first bad
+        one is named."""
+        q = self.q
+        for a in values:
+            if type(a) is not int or not 0 <= a < q:
+                self._check(a)
+        return values
+
     def normalize(self, v: int) -> int:
         """Map a (possibly negative) integer onto its canonical encoding."""
-        if not isinstance(v, int):
+        if not _is_int(v):
             raise ValueError(f"field elements are integers, got {v!r}")
         if self.m == 1:
             return v % self.p
@@ -469,9 +492,7 @@ class Field:
     def pow(self, a: int, e: int) -> int:
         """a^e, with pow(a, 0) = 1 and a negative e a power of inv(a)."""
         self._check(a)
-        if not isinstance(e, int):
-            raise ValueError(f"exponent must be an integer, got {e!r}")
-        if e < 0:
+        if _checked_int("exponent", e) < 0:
             return self._pow(self.inv(a), -e)
         return self._pow(a, e)
 
@@ -619,7 +640,7 @@ class CountingField:
         self.m = field.m
         self.q = field.q
         self.modulus = field.modulus
-        self._check = field._check
+        self._check, self._check_all = field._check, field._check_all
         self.reset()
 
     def reset(self):
@@ -669,8 +690,7 @@ class CountingField:
 def poly_eval(field, coeffs, x: int) -> int:
     """Horner evaluation of a coefficient sequence at x: the coefficients
     and x are checked once, and the loop runs on the field's kernels."""
-    for c in (*coeffs, x):
-        field._check(c)
+    field._check_all((*coeffs, x))
     add, mul = field._add, field._mul
     acc = 0
     for c in reversed(coeffs):

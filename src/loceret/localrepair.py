@@ -92,8 +92,7 @@ def recovery_weight(field, support_points, alpha: int) -> int:
     over every field element g outside the support.  The points and alpha
     are checked once, here, and the product runs on the field's kernels.
     """
-    for point in (*support_points, alpha):
-        field._check(point)
+    field._check_all((*support_points, alpha))
     return _weight(field, support_points, alpha)
 
 
@@ -228,6 +227,7 @@ def plan_linear(code: codeops.LinearCode, target: int, t: int,
 
 def truncate_detection(plan: RecoveryPlan, t: int) -> RecoveryPlan:
     """Keep only the first t detection rows (t below the plan's capacity)."""
+    codeops._checked_t(t)
     if t > plan.t:
         raise ValueError(f"plan detects at most {plan.t} errors, asked for {t}")
     return replace(plan, check_rows=plan.check_rows[:t], t=t)
@@ -254,17 +254,13 @@ def plan_for(bundle, target: int, t: int, helpers=None) -> RecoveryPlan:
 
 def _checked(plan: RecoveryPlan, helper_values):
     """The one check of a read's symbols, where they enter: one per helper,
-    each a canonical element of the plan's field (the Field._check rule).
+    each a canonical element of the plan's field (Field._check_all).
     The kernel after it indexes tables with them, so a negative symbol
     would read a table from its end and give a wrong answer."""
     if len(helper_values) != len(plan.helpers):
         raise WrongLengthError(
             f"expected {len(plan.helpers)} helper symbols, got {len(helper_values)}")
-    q = plan.field.q
-    for v in helper_values:
-        if not isinstance(v, int) or not 0 <= v < q:
-            raise ValueError(f"{v!r} is not a canonical element of {plan.field!r}")
-    return helper_values
+    return plan.field._check_all(helper_values)
 
 
 def detect(plan: RecoveryPlan, helper_values) -> bool:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codeops
-from .galois import poly_eval
+from .galois import _checked_int, _is_int, poly_eval
 
 
 class DuplicatePointsError(ValueError):
@@ -151,10 +151,10 @@ class Codeword:
 
 def rs_make(field, points, k: int) -> RsSpec:
     """Build RS(points, k): generator rows are the monomials up to x^(k-1)."""
-    pts = tuple(field._check(x) for x in points)
+    pts = field._check_all(tuple(points))
     if len(set(pts)) != len(pts):
         raise DuplicatePointsError("evaluation points must be distinct")
-    if not codeops._is_int(k) or not 1 <= k <= len(pts):
+    if not _is_int(k) or not 1 <= k <= len(pts):
         raise BadDimensionError(f"k must lie in [1, {len(pts)}], got {k!r}")
     mul = field._mul
     rows = []
@@ -175,7 +175,7 @@ def lrcrs_make(field, p_poly, l) -> LrcRsSpec:
     deg(p) = r + 1 fixes the fibre size; l = (l_0, ..., l_{r-2}) bounds the
     y-exponent attached to each x^i.  The code keeps only full fibres.
     """
-    p_coeffs = tuple(field._check(c) for c in p_poly)
+    p_coeffs = field._check_all(tuple(p_poly))
     while p_coeffs and p_coeffs[-1] == 0:
         p_coeffs = p_coeffs[:-1]
     deg = len(p_coeffs) - 1
@@ -183,7 +183,7 @@ def lrcrs_make(field, p_poly, l) -> LrcRsSpec:
         raise ValueError(f"p(x) must have degree at least 2, got degree {deg}")
     r = deg - 1
     l = tuple(l)
-    if len(l) != r - 1 or any(not codeops._is_int(v) or v < 0 for v in l):
+    if len(l) != r - 1 or any(not _is_int(v) or v < 0 for v in l):
         raise BadLVectorError(
             f"l: need {r - 1} nonnegative integer exponent bounds for degree "
             f"{deg}, got {list(l)}")
@@ -222,7 +222,7 @@ def lrcrs_make(field, p_poly, l) -> LrcRsSpec:
 def suggest_p_poly(field, r: int) -> tuple[int, ...]:
     """The monomial x^(r+1), which has (q-1)/(r+1) full fibres whenever
     r + 1 divides q - 1."""
-    if r < 1:
+    if _checked_int("r", r) < 1:
         raise ValueError(f"r must be positive, got {r}")
     if (field.q - 1) % (r + 1) != 0:
         raise ValueError(
@@ -237,7 +237,7 @@ def encode(spec, message) -> Codeword:
     if len(message) != spec.k:
         raise BadMessageLengthError(
             f"message must have {spec.k} symbols, got {len(message)}")
-    msg = np.array([field._check(x) for x in message], dtype=np.int64)
+    msg = np.array(field._check_all(message), dtype=np.int64)
     # tolist: symbols stay Python ints, which _check and json accept
     return Codeword(symbols=tuple(field.encode_word(msg, spec.encoding).tolist()))
 
@@ -256,7 +256,7 @@ def interpolate(spec: RsSpec, positions, values) -> list[int]:
                 f"position {pos!r} outside [0, {spec.n})")
     if len(set(positions)) != len(positions):
         raise DuplicatePositionsError("interpolation positions must be distinct")
-    values = [field._check(v) for v in values]
+    values = field._check_all(list(values))
     if len(values) != len(positions):
         raise WrongCountError("one value per position required")
 

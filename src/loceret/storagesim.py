@@ -27,6 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import codeops, descriptor, localrepair
+from .galois import _checked_int, _is_int
 
 _COUNT_CELLS = ("clean_correct", "naive_wrong", "naive_right_under_error",
                 "detected", "missed_wrong", "missed_right")
@@ -59,7 +60,7 @@ class Bernoulli:
 
     def __post_init__(self):
         eps = self.epsilon
-        if (not (codeops._is_int(eps) or isinstance(eps, float))
+        if (not (_is_int(eps) or isinstance(eps, float))
                 or not 0.0 <= eps <= 1.0):
             raise ValueError(f"epsilon must lie in [0, 1], got {eps!r}")
 
@@ -73,7 +74,7 @@ class ExactErrors:
     errors: int
 
     def __post_init__(self):
-        if codeops._checked_int("errors", self.errors) < 0:
+        if _checked_int("errors", self.errors) < 0:
             raise ValueError(f"error count must be nonnegative, got {self.errors}")
 
     def to_dict(self):
@@ -108,10 +109,10 @@ class ClusterConfig:
     error_value_model: str = "uniform-nonzero"
 
     def __post_init__(self):
-        if codeops._checked_int("trials", self.trials) < 1:
+        if _checked_int("trials", self.trials) < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
         codeops._checked_t(self.t)
-        codeops._checked_int("seed", self.seed)
+        _checked_int("seed", self.seed)
         if self.target_policy not in ("round-robin", "uniform-random"):
             raise ValueError(f"unknown target policy {self.target_policy!r}")
         if self.error_value_model != "uniform-nonzero":
@@ -152,10 +153,10 @@ def config_from_dict(obj: dict) -> ClusterConfig:
 # all mod 2^64, with mix the SplitMix64 finaliser and G its golden-ratio
 # increment, so a trial's draws are the SplitMix64 sequence started at its
 # stream value.  Draws 0..k-1 give the message (only trial_records needs
-# it), draw k the uniform target,
-# draw k+1+j the corruption key of helper j and draw k+1+r+j the error value
-# of helper j, for a plan with r helpers.  A uniform value below `bound` is
-# the draw mod bound; the bias is below 2^-43 for the field sizes in scope.
+# it), draw k the uniform target, draw k+1+j the corruption key of helper j
+# and draw k+1+r+j the error value of helper j, for a plan with r helpers.
+# A uniform value below `bound` is the draw mod bound; the bias is below
+# 2^-43 for the field sizes in scope.
 # ---------------------------------------------------------------------------
 
 RNG = "splitmix64-counter/1"
@@ -554,7 +555,7 @@ def ingest(data: bytes, field, k: int) -> list[list[int]]:
     if field.p != 2:
         raise UnsupportedFieldError(
             f"byte ingestion needs characteristic 2, got {field!r}")
-    if k < 1:
+    if _checked_int("k", k) < 1:
         raise ValueError(f"k must be positive, got {k}")
     m = field.m
     padded = bytes(data) + b"\x80"
@@ -569,11 +570,7 @@ def emit(messages, field) -> bytes:
         raise UnsupportedFieldError(
             f"byte ingestion needs characteristic 2, got {field!r}")
     m = field.m
-    symbols = [sym for message in messages for sym in message]
-    if symbols and not ({type(sym) for sym in symbols} == {int}
-                        and 0 <= min(symbols) and max(symbols) < field.q):
-        for sym in symbols:
-            field._check(sym)       # raises on the first non-canonical symbol
+    symbols = field._check_all([sym for message in messages for sym in message])
     if len(symbols) * m % 8:
         raise ValueError("symbol stream does not fill whole bytes")
     values = np.array(symbols, dtype=np.int64)[:, None]

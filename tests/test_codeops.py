@@ -428,6 +428,12 @@ def test_inconsistent_length_rejected():
         code_from_rows(F3, [[1, 2], [1, 2, 0]])
 
 
+@pytest.mark.parametrize("bad", [13, -1, 2.0, True], ids=repr)
+def test_code_from_rows_refuses_non_canonical_entries(bad):
+    with pytest.raises(ValueError, match=f"^{re.escape(repr(bad))} is not a canonical"):
+        code_from_rows(F13, [[1, 2, 3], [0, bad, 1]])
+
+
 def test_empty_code_allowed_with_explicit_length():
     code = code_from_rows(F3, [], 5)
     assert (code.n, code.k) == (5, 0)

@@ -7,6 +7,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from loceret import codeops, descriptor, galois, rscodes, storagesim
 from loceret.galois import (CountingField, DivisionByZeroError, Field,
                             FieldTooLargeError, NotIrreducibleError,
                             NotPrimeError, find_irreducible, is_prime,
@@ -272,7 +273,7 @@ def test_every_public_op_checks_its_operands(field):
            lambda x: poly_eval(field, (1, x), 1),
            lambda x: poly_eval(field, (1, 1), x)]
     for op in ops:
-        for bad in (field.q, -1, 1.0):
+        for bad in (field.q, -1, 1.0, True):
             with pytest.raises(ValueError):
                 op(bad)
     with pytest.raises(DivisionByZeroError):
@@ -281,6 +282,17 @@ def test_every_public_op_checks_its_operands(field):
         field.pow(0, -1)
     with pytest.raises(ValueError):
         field.pow(2, 1.0)
+    for bad_call in (lambda: field.pow(2, True), lambda: field.normalize(True),
+                     lambda: Field(field.p, True)):
+        with pytest.raises(ValueError, match="True"):
+            bad_call()
+
+
+def test_one_integer_rule_lives_in_galois():
+    # the rule (an int, not a bool) is galois's; no module keeps a copy
+    for module in (codeops, rscodes, storagesim, descriptor):
+        assert module._is_int is galois._is_int
+    assert codeops._checked_int is galois._checked_int
 
 
 def ref_digits(field, a):

@@ -87,7 +87,7 @@ def test_recovery_weight_requires_membership():
 @pytest.mark.parametrize("field", [F13, GF256, Field(3, 5), Field(2, 17)],
                          ids=repr)
 def test_recovery_weight_refuses_non_canonical_points(field):
-    for bad in (field.q, -1, 1.0):
+    for bad in (field.q, -1, 1.0, True):
         with pytest.raises(ValueError, match="canonical"):
             recovery_weight(field, (1, 2, bad), 1)
         with pytest.raises(ValueError, match="canonical"):
@@ -216,6 +216,8 @@ BAD_RECOVERY_ARGUMENTS = {
     "target-bool": (codeops.IndexOutOfRangeError, True, [2, 3, 4, 5], 1),
     "target-float": (codeops.IndexOutOfRangeError, 2.0, [3, 4, 5, 6], 1),
     "helper-bool": (codeops.IndexOutOfRangeError, 0, [True, 2, 3, 4], 1),
+    "helper-str": (codeops.IndexOutOfRangeError, 0, [2, "a", 3, 4], 1),
+    "helper-none": (codeops.IndexOutOfRangeError, 0, [None, 2, 3, 4], 1),
 }
 TARGET_FAULTS = ("target-out-of-range", "target-bool", "target-float")
 
@@ -445,6 +447,16 @@ def test_truncate_detection():
     assert recover(bare, (6, 9, 0)) == 2
     with pytest.raises(ValueError):
         truncate_detection(plan, 2)
+
+
+@pytest.mark.parametrize("t, message", [
+    (-1, "t must be nonnegative, got -1"),
+    (True, "t must be an integer, got True"),
+    (0.0, "t must be an integer, got 0.0"),
+], ids=["negative", "bool", "float"])
+def test_truncate_detection_checks_t(t, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        truncate_detection(plan_lrcrs(example_code(), 0), t)
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +698,7 @@ def test_reads_reject_non_canonical_helper_symbols(field):
     spec = rs_make(field, list(range(8)), 3)
     plan = plan_rs(spec, 0, 1)
     clean, _ = codeword_values(spec, plan, 5)
-    for bad in (field.q, -1, 2.5, None):
+    for bad in (field.q, -1, 2.5, None, False):
         for pos in (0, len(clean) - 1):
             values = list(clean)
             values[pos] = bad

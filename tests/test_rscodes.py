@@ -52,6 +52,9 @@ def test_rs_validation_errors():
         rs_make(F13, [1, 2, 3], 0)
     with pytest.raises(BadDimensionError):
         rs_make(F13, [1, 2, 3], 4)
+    for points in ([13, 2, 3], [1, -1, 3], [1, 2, 3.0], [True, 2, 3]):
+        with pytest.raises(ValueError, match="is not a canonical element"):
+            rs_make(F13, points, 2)
 
 
 @pytest.mark.parametrize("k", [True, False, 2.0, "2", None], ids=repr)
@@ -122,6 +125,9 @@ def test_lrcrs_make_refuses_exponent_bounds_that_are_not_integers(l):
 
 def test_suggest_p_poly():
     assert suggest_p_poly(F13, 3) == (0, 0, 0, 0, 1)
+    for r in (True, 1.0):
+        with pytest.raises(ValueError, match=f"^r must be an integer, got {r!r}$"):
+            suggest_p_poly(F13, r)
     with pytest.raises(ValueError):
         suggest_p_poly(F7, 3)                  # 4 does not divide 6
 
@@ -259,6 +265,8 @@ def test_encode_rejects_a_non_canonical_symbol():
         encode(example_code(), [13, 0, 0, 0, 0, 0])
     with pytest.raises(ValueError):
         encode(example_code(), [0, 0, -1, 0, 0, 0])
+    with pytest.raises(ValueError, match="^True is not a canonical element"):
+        encode(example_code(), [True, 0, 0, 0, 0, 0])
 
 
 def test_generator_is_one_read_only_array_outside_equality():
@@ -382,6 +390,9 @@ def test_interpolate_validation():
         interpolate(spec, [0, 0, 1], [1, 2, 3])
     with pytest.raises(WrongCountError):
         interpolate(spec, [0, 1, 2], [1, 2])
+    for values in ([1, 13, 3], [1, 2, -1], [1.0, 2, 3], [True, 2, 3]):
+        with pytest.raises(ValueError, match="is not a canonical element"):
+            interpolate(spec, [0, 1, 2], values)
 
 
 @pytest.mark.parametrize("positions", [[True, 2, 3], [0, False, 3],

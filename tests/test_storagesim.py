@@ -156,6 +156,9 @@ def test_emit_rejects_bad_streams_as_the_bit_loop_did():
 def test_ingest_rejects_a_non_positive_k():
     with pytest.raises(ValueError, match="k must be positive, got 0"):
         ingest(b"x", GF256, 0)
+    for k in (True, 2.5):
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {k!r}$"):
+            ingest(b"ab", GF256, k)
 
 
 # ---------------------------------------------------------------------------
