@@ -197,21 +197,10 @@ def puncture(code: LinearCode, coords) -> LinearCode:
 
 
 def shorten(code: LinearCode, coords) -> LinearCode:
-    """Restrictions of the codewords whose support lies inside the set."""
+    """Restrictions of the codewords whose support lies inside the set: the
+    dual words of the dual there."""
     S = _coords(code.n, coords, allow_empty=False)
-    field = code.field
-    outside = sorted(set(range(code.n)) - set(S))
-    # messages y with y . G zero outside S: left kernel of the outside columns
-    red, pivots = rref(field, [[row[c] for row in code.gen] for c in outside])
-    rows = []
-    for y in _kernel(field, red, pivots, code.k):
-        word = [0] * len(S)
-        for coeff, row in zip(y, code.gen):
-            if coeff:
-                word = [field._add(w, field._mul(coeff, row[c]))
-                        for w, c in zip(word, S)]
-        rows.append(word)
-    return code_from_rows(field, rows, len(S))
+    return code_from_rows(code.field, _dual_words(dual(code), S), len(S))
 
 
 def dual(code: LinearCode) -> LinearCode:

@@ -207,7 +207,8 @@ class Field:
         else:
             if modulus is None:
                 modulus = find_irreducible(p, m)
-            modulus = tuple(c % p for c in modulus)
+            modulus = tuple(_checked_int("modulus coefficient", c) % p
+                            for c in modulus)
             if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise NotIrreducibleError(
                     f"modulus must be monic of degree {m}, got {list(modulus)}")

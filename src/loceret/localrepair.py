@@ -205,10 +205,16 @@ def plan_linear(code: codeops.LinearCode, target: int, t: int,
     set in exhaustive order, the witness t_locality reports: the shared
     support scan run for the target alone, from t + 2 columns as t_locality
     without a floor (fewer never detect unless the target's column is zero,
-    which gets no helpers).
+    which gets no helpers).  Like exhaustive t_locality, that scan is only
+    run up to n = DEFAULT_EXHAUSTIVE_N; a longer code needs explicit helpers.
     """
     if helpers is None:
         codeops._checked_helpers(code.n, target, t=t)
+        if code.n > codeops.DEFAULT_EXHAUSTIVE_N:
+            raise codeops.TooLargeToEnumerateError(
+                f"n = {code.n} exceeds the exhaustive-search limit "
+                f"{codeops.DEFAULT_EXHAUSTIVE_N} of the default helper search; "
+                "pass explicit helpers")
         helpers = codeops._shared_scan(code, t, (target,), t + 1, {}).get(target)
         if helpers is None:
             raise HelpersNotEdrError(

@@ -153,13 +153,15 @@ def config_from_dict(obj: dict) -> ClusterConfig:
 # all mod 2^64, with mix the SplitMix64 finaliser and G its golden-ratio
 # increment, so a trial's draws are the SplitMix64 sequence started at its
 # stream value.  Draws 0..k-1 give the message (only trial_records needs
-# it), draw k the uniform target, draw k+1+j the corruption key of helper j
-# and draw k+1+r+j the error value of helper j, for a plan with r helpers.
-# A uniform value below `bound` is the draw mod bound; the bias is below
-# 2^-43 for the field sizes in scope.
+# it) and draw k the uniform target.  For a plan with r helpers, a
+# Bernoulli trial reads the corruption key of helper j at draw k+1+j, an
+# ExactErrors(e) trial picks its e slots with draws k+1..k+e (_exact_slots),
+# and draw k+1+r+j is the error value of helper j.  A uniform value below
+# `bound` is the draw mod bound; the bias is below 2^-43 for the field
+# sizes in scope.
 # ---------------------------------------------------------------------------
 
-RNG = "splitmix64-counter/1"
+RNG = "splitmix64-counter/2"
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -273,8 +275,9 @@ class _CodeArrays:
 
     Padding slots of a plan with fewer helpers point at coordinate 0 with
     zero check and recovery coefficients, so they add nothing to any inner
-    product, and `live` keeps them out of the channel.  Building proves
-    every plan on the generator, so no plan reaches a trial unproven.
+    product, and the channel corrupts only slots below the plan's helper
+    count r.  Building proves every plan on the generator, so no plan
+    reaches a trial unproven.
     """
 
     def __init__(self, bundle: descriptor.CodeBundle, t: int):
@@ -290,7 +293,6 @@ class _CodeArrays:
         self.r = np.array([len(plan.helpers) for plan in plans], dtype=np.int64)
         width = int(self.r.max())
         depth = max(len(plan.check_rows) for plan in plans)
-        self.live = np.arange(width)[:, None] < self.r          # (width, n)
         helpers = np.zeros((self.n, width), dtype=np.int64)
         self.coeffs = np.zeros((width, self.n, 1 + depth), dtype=np.int64)
         for coord, plan in enumerate(plans):
@@ -350,24 +352,18 @@ class _Slice(NamedTuple):
     detected: np.ndarray           # bool
 
 
-def _smallest(keys: np.ndarray, count: int) -> np.ndarray:
-    """The slots of each column's count smallest keys, one row per rank, in
-    the order of a stable argsort: by key, ties to the lower slot.  Each
-    pass takes a column's first minimum and retires it as the largest key,
-    so keys, a C-contiguous (slots, trials) array, is overwritten."""
-    top = np.uint64(_SCALE - 1)
-    width, trials = keys.shape
-    order = np.arange(width, dtype=np.min_scalar_type(width))[:, None]
-    every = np.arange(trials)
-    slots = np.empty((count, trials), dtype=np.int64)
-    for rank in range(count):
-        least = keys.min(axis=0)
-        pick = np.where(keys == least, order, width).min(axis=0).astype(np.int64)
-        for col in np.flatnonzero(least == top):
-            # only largest keys are left, retired ones among them
-            pick[col] = np.setdiff1d(np.arange(width), slots[:rank, col])[0]
-        slots[rank] = pick
-        keys.reshape(-1)[pick * trials + every] = top
+def _exact_slots(streams: np.ndarray, first: int, r: np.ndarray,
+                 count: int) -> np.ndarray:
+    """count distinct slots below each trial's helper count r, drawn
+    uniformly without replacement, one row per draw: draw first + j picks
+    the (draw mod (r - j))-th slot that no earlier draw took."""
+    draws = _draws(streams, first + np.arange(count)[:, None])
+    slots = np.empty(draws.shape, dtype=np.int64)
+    for j in range(count):
+        pick = (draws[j] % (r - j).astype(np.uint64)).astype(np.int64)
+        for taken in np.sort(slots[:j], axis=0):    # step over taken slots
+            pick += pick >= taken
+        slots[j] = pick
     return slots
 
 
@@ -385,26 +381,25 @@ def _run_slice(context: _SimContext, start: int, stop: int) -> _Slice:
     targets = targets.astype(np.int64)
 
     # every per-slot array is slot-major, (slots, trials)
-    live = np.take(arr.live, targets, axis=1)
-    width = len(live)
-    keys = _draws(streams, k + 1 + np.arange(width)[:, None])
+    r = np.take(arr.r, targets)
+    width = arr.coeffs.shape[0]
     channel = cfg.channel
     if isinstance(channel, ExactErrors):
         # only the e chosen slots carry an error: gather just their coefficients
-        keys[~live] = np.uint64(_SCALE - 1)
-        slots = _smallest(keys, channel.errors)                 # (e, trials)
-        corrupted = np.zeros_like(live)
+        slots = _exact_slots(streams, k + 1, r, channel.errors)  # (e, trials)
+        corrupted = np.zeros((width, len(trials)), dtype=bool)
         corrupted.reshape(-1)[slots * len(trials) + np.arange(len(trials))] = True
         coeffs = np.take(arr.coeffs.reshape(-1, arr.coeffs.shape[2]),
                          slots * arr.n + targets, axis=0)       # (e, trials, 1+depth)
     else:
         slots = np.arange(width)[:, None]
+        corrupted = slots < r
         if channel.epsilon < 1.0:
-            corrupted = live & (keys < np.uint64(int(channel.epsilon * _SCALE)))
-        else:
-            corrupted = live       # the 2^64 threshold does not fit in uint64
+            keys = _draws(streams, k + 1 + slots)
+            corrupted &= keys < np.uint64(int(channel.epsilon * _SCALE))
+        # else every live slot: the 2^64 threshold does not fit in uint64
         coeffs = np.take(arr.coeffs, targets, axis=1)           # (width, trials, 1+depth)
-    error_index = k + 1 + np.take(arr.r, targets) + slots
+    error_index = k + 1 + r + slots
     errors = 1 + (_draws(streams, error_index)
                   % np.uint64(arr.field.q - 1)).astype(np.int64)
     if isinstance(channel, Bernoulli):

@@ -357,6 +357,17 @@ def test_plan_rejects_an_undersized_helper_set(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_plan_without_helpers_on_a_long_code_fails_at_once(tmp_path, capsys):
+    # [255,15]/GF(2^8) fibre code at t = 2: no default helper search past n = 20
+    desc = write_json(tmp_path / "code.json", {
+        "field": {"p": 2, "m": 8}, "construction": "lrcrs",
+        "p_poly": [0, 0, 0, 0, 0, 1], "l": [4, 4, 4]})
+    assert cli.main(["plan", desc, "--target", "0", "--t", "2"]) == 1
+    err = capsys.readouterr().err
+    assert f"exhaustive-search limit {codeops.DEFAULT_EXHAUSTIVE_N}" in err
+    assert "pass explicit helpers" in err
+
+
 BAD_T_OR_HELPERS = {  # case -> (argv after the descriptor, message start)
     "plan-negative-t": (["plan", "--target", "0", "--t", "-1"],
                         "error: t must be nonnegative, got -1"),

@@ -104,6 +104,15 @@ def test_reducible_modulus_rejected():
         Field(2, 2, (1, 0, 1))          # 1 + x^2 = (1 + x)^2
 
 
+@pytest.mark.parametrize("p, modulus, bad", [
+    (2, [True, True, True], "True"), (2, [1.0, 1, 1], "1.0"),
+    (3, [1, 0, "1"], "'1'")])
+def test_modulus_coefficients_must_be_integers(p, modulus, bad):
+    with pytest.raises(ValueError,
+                       match=f"modulus coefficient must be an integer, got {bad}"):
+        Field(p, 2, modulus)
+
+
 def test_field_too_large():
     with pytest.raises(FieldTooLargeError):
         Field(2, 21)

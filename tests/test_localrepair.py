@@ -5,14 +5,14 @@ import threading
 
 import pytest
 
-from loceret import codeops
+from loceret import codeops, descriptor, storagesim
 from loceret.codeops import t_locality
 from loceret.galois import CountingField, Field
 from loceret.localrepair import (AlphaNotInSetError, HelpersNotEdrError,
                                  NotEnoughCoordinatesError, PlanCache,
                                  WrongLengthError, detect,
-                                 mult_count, plan_linear, plan_lrcrs, plan_rs,
-                                 recover, recovery_weight, repair,
+                                 mult_count, plan_for, plan_linear, plan_lrcrs,
+                                 plan_rs, recover, recovery_weight, repair,
                                  truncate_detection)
 from loceret.rscodes import encode, lrcrs_make, rs_make
 
@@ -116,8 +116,9 @@ def test_detection_rows_span_the_shortened_dual():
     spec = rs_make(F13, list(range(8)), 3)
     plan = plan_rs(spec, 0, 2)
     assert len(plan.check_rows) == 2
+    from test_codeops import oracle_shorten
     dual_code = codeops.dual(spec.code)
-    expected = codeops.shorten(dual_code, plan.helpers)
+    expected = oracle_shorten(dual_code, plan.helpers)
     got = codeops.code_from_rows(F13, plan.check_rows, len(plan.helpers))
     assert got == expected
 
@@ -259,12 +260,13 @@ def oracle_linear_rows(dual_code, plan):
     """The (weights, check_rows) of plan through the whole dual shortened
     twice, the construction plan_linear replaced: the first canonical dual
     row on barred that is nonzero at the target, and the canonical dual
-    rows on the helpers."""
-    on_barred = codeops.shorten(dual_code, plan.barred).gen
+    rows on the helpers, each shortening by the generator-side oracle."""
+    from test_codeops import oracle_shorten
+    on_barred = oracle_shorten(dual_code, plan.barred).gen
     weights = next(row for row in on_barred if row[plan.target_pos])
     if not plan.helpers:
         return weights, ()
-    return weights, codeops.shorten(dual_code, plan.helpers).gen
+    return weights, oracle_shorten(dual_code, plan.helpers).gen
 
 
 def assert_default_helpers_are_the_witnesses(code):
@@ -311,6 +313,7 @@ def assert_explicit_linear_plans_match_the_oracle(code, cases):
     """plan_linear on each (target, helpers, t) of cases gives the dual
     oracle's rows; returns how many of them picked the recovery word among
     several dual rows nonzero at the target."""
+    from test_codeops import oracle_shorten
     dual_code = codeops.dual(code)
     ambiguous = 0
     for target, helpers, t in cases:
@@ -318,7 +321,7 @@ def assert_explicit_linear_plans_match_the_oracle(code, cases):
         plan = plan_linear(code, target, t, helpers=helpers)
         assert (plan.weights, plan.check_rows) == oracle_linear_rows(
             dual_code, plan), (target, helpers, t)
-        on_barred = codeops.shorten(dual_code, plan.barred).gen
+        on_barred = oracle_shorten(dual_code, plan.barred).gen
         ambiguous += sum(1 for row in on_barred if row[plan.target_pos]) > 1
     return ambiguous
 
@@ -331,6 +334,22 @@ def test_explicit_linear_plans_match_the_oracle_on_the_gf256_fibre_code():
         cases += [(target, mates, 1), (target, mates, 0),
                   (target, mates[:3], 0), (target, mates[1:], 0)]
     assert assert_explicit_linear_plans_match_the_oracle(spec.code, cases)
+
+
+STORE255_DESC = {"field": {"p": 2, "m": 8}, "construction": "lrcrs",
+                 "p_poly": [0, 0, 0, 0, 0, 1], "l": [4, 4, 4]}
+
+
+def test_default_linear_helpers_stop_at_the_exhaustive_limit():
+    # t = 2 is past the fibre plans' capacity, so plan_for falls back to
+    # plan_linear, whose default helpers come from the exhaustive scan
+    bundle = descriptor.build_code(STORE255_DESC)
+    limit = f"exhaustive-search limit {codeops.DEFAULT_EXHAUSTIVE_N}"
+    with pytest.raises(codeops.TooLargeToEnumerateError,
+                       match=f"n = 255 exceeds the {limit}.*pass explicit helpers"):
+        plan_for(bundle, 0, 2)
+    with pytest.raises(storagesim.PlanUnavailableError, match=limit):
+        storagesim.build_plans(bundle, 2)
 
 
 def test_explicit_linear_plans_match_the_oracle_on_rs256():

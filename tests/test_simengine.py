@@ -81,8 +81,10 @@ def reference_records(config: ClusterConfig, start: int = 0, stop=None):
             corrupted = tuple(j for j in range(r)
                               if draw(seed, trial, k + 1 + j) < threshold)
         else:
-            keys = sorted((draw(seed, trial, k + 1 + j), j) for j in range(r))
-            corrupted = tuple(sorted(j for _, j in keys[:channel.errors]))
+            free = list(range(r))
+            corrupted = tuple(sorted(
+                free.pop(draw(seed, trial, k + 1 + j) % (r - j))
+                for j in range(channel.errors)))
         for j in corrupted:
             err = 1 + draw(seed, trial, k + 1 + r + j) % (field.q - 1)
             values[j] = field.add(values[j], err)

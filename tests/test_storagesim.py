@@ -440,22 +440,22 @@ def test_reports_do_not_depend_on_the_slice_size(monkeypatch, channel, policy):
     assert len(reports) == 1
 
 
-# SHA-256 of run_sim(...).to_json(), computed with the engine that encoded
-# every trial's target and helper symbols and compared the naive value with
-# the retained truth
+# SHA-256 of run_sim(...).to_json() under rng splitmix64-counter/2.  The
+# Bernoulli reports equal those of /1 apart from the rng id; the exact-e
+# ones draw their e slots without replacement, so their counts differ.
 PINNED_REPORTS = [
     (EXAMPLE_DESC, 1, Bernoulli(0.1), 5000, 11, "round-robin",
-     "c3221a6a2a03fed64e30aa273a376adfab6092b30a7d371f267e2a3c4a18ddd0"),
+     "32eba94bb5e5d2f1929642a0c8dfe553eeadfe278453ab5420e04d40f1a7e2fb"),
     (EXAMPLE_DESC, 0, ExactErrors(2), 3000, -3, "uniform-random",
-     "dd1f0d5a9014346e5f3508592d82bc3d599da9aab6573cb22745649bd6e190c0"),
+     "39d81e684b7a091b34c3079872f444a27332b12a0a8a039c9ba9d157d4059ff5"),
     (RS256, 1, ExactErrors(2), 3000, 3, "uniform-random",
-     "0a995f4d1b89f8f0a4a6cebc7babe795c68aa247f5235afc366cd96246bbeeaa"),
+     "c0482073c1bb8e93db0ab7337d8b63b2dbca03d6dd6dd4797398ba518d0e56dc"),
     (RS40_GF243, 2, Bernoulli(0.2), 3000, 9, "round-robin",
-     "3758fc3fd6f74ec1d81a957fdea6f42f25bda44767fad05fff25a7aea4882190"),
+     "fab56c3e8b3b808d5298cc841194cd327c8f01be6394b40b84b125e2b4baaf72"),
     (RS40_GF243, 2, ExactErrors(3), 2500, 10, "uniform-random",
-     "6cb9adb02131ecc4d67bcf688763194005d65a596727f870217abc16585338c7"),
+     "f5d4e1d44d15ece313aab3bfca22d5d3b68ece5342ca3f1390e66ff45af1f749"),
     (GENERATOR_GF5, 1, Bernoulli(0.25), 4000, -7, "uniform-random",
-     "68d92c931c906de2cf6355fd1a95a5720afef89d3bbb3d8e9851e037310c6365"),
+     "6fc554b5e95c018a452c1977393dad48762c4d0a76ad524d3a02a5e26bcd144f"),
 ]
 
 
@@ -471,21 +471,22 @@ def test_seeded_reports_match_their_pinned_digests(desc, t, channel, trials,
 
 
 # No helper and every helper of the narrowest plan corrupted, at t = 1 with
-# uniform targets, seed 5 and 3000 trials; computed with the engine that
-# picked corrupted slots by a stable argsort of every slot's key
+# uniform targets, seed 5 and 3000 trials, under rng splitmix64-counter/2.
+# Only padded-generator-exact3 differs from /1 beyond the rng id: its 4-helper
+# plans leave a choice of 3 slots, which /1 made by the smallest per-slot keys.
 EDGE_PINNED_REPORTS = [
     (RS256, ExactErrors(0),
-     "198e6d29f20fea2223f471b52a3ad5acaff3004932f15a8697a0d5853f4a0056"),
+     "3cf55b7c0f6300d8a37af4cc651adb7bc92c5949662ecabb3d3227eba98f9661"),
     (RS256, ExactErrors(17),
-     "b1b2f490975c98f305f0e2632ce329bfb8fb6e17e025819c9156e284971296dc"),
+     "69687b1c0883dee687c4ad08a1890dae8af0bc782f8ba560a91c379b89176ea8"),
     (EXAMPLE_DESC, ExactErrors(0),
-     "5770dd2acff57550c1bc7c84cd3798d6f555e3e647a68bbe8d09ed2887cf96cf"),
+     "71a19b0cb0c32e4ed3c2555ce4cdb3605bc2ad0668ff4a45c4441417f6220a3f"),
     (EXAMPLE_DESC, ExactErrors(3),
-     "59ffebe691fee668600654a72db4b2541aa1d0ef60f4a2b487661dec7b82ad53"),
+     "b5dcb7add918705ddf8d633dcfacc39fcf584ec0b6268a0d29c4447ea4cd2b56"),
     (PADDED_GENERATOR, ExactErrors(0),
-     "0c8d74f66e6e02c0264f73a1a711f85227ab227b8609e7201363c5b33d36bf1c"),
+     "1f1e33aa6c82eeab9a6c47443172f5a427ad218ad513370eb5703aafbdc230e1"),
     (PADDED_GENERATOR, ExactErrors(3),
-     "13d2d426e9f639181ee865dafef225fd36ea1fc34d6f5d6a353337251a366cda"),
+     "250adaa0f861f559c9433d12b903c35c8c9b532d6bd237cf12e5ce0d65ede35c"),
 ]
 
 
@@ -504,35 +505,29 @@ def test_edge_channel_reports_match_their_pinned_digests(desc, channel, digest):
         assert report.corrupted_trials == report.trials
 
 
-def oracle_smallest(keys, count):
-    """The selection rule _smallest replaced: the first count entries of a
-    stable argsort of each trial's keys (keys are (slots, trials))."""
-    return np.argsort(keys.T, axis=1, kind="stable")[:, :count].T
+# 0.999 quantiles of chi-square with C(r, 2) - 1 degrees of freedom
+CHI2_999 = {3: 13.816, 4: 20.515}
 
 
-def test_smallest_matches_a_stable_argsort():
-    top = np.uint64((1 << 64) - 1)
-    rng = np.random.default_rng(12)
-    cases = []
-    for width in (1, 2, 3, 4, 9, 17):
-        # distinct 64-bit keys, and keys from four values (ties everywhere)
-        cases.append(rng.integers(0, 1 << 64, size=(width, 300), dtype=np.uint64))
-        small = np.array([0, 5, 5 << 40, top], dtype=np.uint64)
-        cases.append(small[rng.integers(0, 4, size=(width, 300))])
-    # one trial per row: a tie at the second place (slots 0 and 2), at the
-    # first place among every slot, and at the first and third places
-    trials = np.array([[7, 3, 7, 8], [4, 4, 4, 4], [5, 1, 5, 1]], dtype=np.uint64)
-    cases.append(np.ascontiguousarray(trials.T))
-    # padding slots hold the largest key, and so can real keys
-    padded = rng.integers(0, 1 << 64, size=(6, 200), dtype=np.uint64)
-    padded[4:] = top
-    padded[1, :50] = top
-    cases.append(padded)
-    for keys in cases:
-        for count in range(len(keys) + 1):
-            got = storagesim._smallest(keys.copy(), count)
-            assert got.shape == (count, keys.shape[1])
-            assert (got == oracle_smallest(keys, count)).all(), (keys, count)
+def test_exact_error_slots_are_uniform_pairs_of_live_helpers():
+    # PADDED_GENERATOR has plans of 3 and 4 helpers: every pair of a plan's
+    # slots is equally likely and no padding slot is ever corrupted
+    config = ClusterConfig(code=PADDED_GENERATOR, t=1, channel=ExactErrors(2),
+                           trials=14000, seed=2018)
+    bundle = descriptor.build_code(PADDED_GENERATOR)
+    r = [len(localrepair.plan_for(bundle, c, 1).helpers)
+         for c in range(bundle.code.n)]
+    pairs = {3: {}, 4: {}}
+    for rec in trial_records(config):
+        width = r[rec.target]
+        assert len(rec.corrupted) == 2 and max(rec.corrupted) < width, rec
+        pairs[width][rec.corrupted] = pairs[width].get(rec.corrupted, 0) + 1
+    for width, counts in pairs.items():
+        assert len(counts) == width * (width - 1) // 2, (width, counts)
+        observed = np.array(list(counts.values()))
+        expected = observed.sum() / len(observed)
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        assert chi2 < CHI2_999[width], (width, counts)
 
 
 def test_report_declares_its_rng_and_schema():
