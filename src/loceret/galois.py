@@ -3,8 +3,8 @@
 Field elements are canonical integers in [0, q) with q = p^m.  For extension
 fields the base-p digits of an encoding are the coefficients of the residue
 polynomial (digit j = coefficient of x^j), so 0 encodes the additive identity
-and 1 the multiplicative identity in every field.  Extension fields with at
-most 2**16 elements precompute log/antilog tables for O(1) products; prime
+and 1 the multiplicative identity in every field.  Every extension field
+precomputes log/antilog tables, built in numpy, for O(1) products; prime
 fields use plain modular arithmetic.  The array kernels (mul_array,
 add_array, sum_array, dot_array) apply the same arithmetic elementwise to
 numpy arrays of canonical elements, with one path per field kind.  The
@@ -30,10 +30,9 @@ import operator
 import numpy as np
 
 DEFAULT_MAX_ORDER = 1 << 20
-TABLE_LIMIT = 1 << 16
 # Largest extension field that encodes by product table: its symbols fit
 # in uint8, and the table (q bytes per generator entry) stays small.
-ENCODE_TABLE_LIMIT = 1 << 8
+ENCODE_TABLE_MAX_Q = 1 << 8
 
 
 class NotPrimeError(ValueError):
@@ -98,25 +97,13 @@ def _prime_factors(n: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Polynomials over GF(p) as coefficient tuples (lowest degree first), used for
-# modulus validation and raw extension-field products.
+# modulus validation.
 # ---------------------------------------------------------------------------
 
 def _ptrim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
 
 
 def _pmod(a, b, p):
@@ -184,18 +171,18 @@ class Field:
     inputs, so instances are safe to share between threads.
     """
 
-    def __init__(self, p: int, m: int = 1, modulus=None,
-                 max_order: int = DEFAULT_MAX_ORDER):
+    def __init__(self, p: int, m: int = 1, modulus=None):
+        cap = DEFAULT_MAX_ORDER
         # before is_prime and p ** m, which run for too long on a large p or m
-        if _is_int(p) and p > max_order:
-            raise FieldTooLargeError(f"p = {p} exceeds the cap {max_order}")
+        if _is_int(p) and p > cap:
+            raise FieldTooLargeError(f"p = {p} exceeds the cap {cap}")
         if not is_prime(p):
             raise NotPrimeError(f"p = {p} is not prime")
         if not _is_int(m) or m < 1:
             raise ValueError(f"extension degree must be a positive integer, got {m}")
-        # p^m >= 2^m > max_order once m reaches the cap's bit length
-        if m >= max_order.bit_length() or p ** m > max_order:
-            raise FieldTooLargeError(f"p^m = {p}^{m} exceeds the cap {max_order}")
+        # p^m >= 2^m > cap once m reaches the cap's bit length
+        if m >= cap.bit_length() or p ** m > cap:
+            raise FieldTooLargeError(f"p^m = {p}^{m} exceeds the cap {cap}")
         q = p ** m
         self.p = p
         self.m = m
@@ -215,79 +202,81 @@ class Field:
             if not is_irreducible(p, modulus):
                 raise NotIrreducibleError(f"modulus {list(modulus)} is reducible over GF({p})")
             self.modulus = modulus
-        self._mod_int = _undigits(self.modulus, 2) if (m > 1 and p == 2) else None
-        self._raw_mul = self._binary_mul if p == 2 else self._digit_mul
-        self._exp = self._log = None
-        if m > 1 and q <= TABLE_LIMIT:
             self._build_tables()
         (self._add, self._sub, self._neg,
          self._mul, self._inv, self._pow) = self._scalar_kernels()
         self._clear_column = self._column_clearer()
         self._dot = self._scalar_dot()
-        self._encodes_by_table = m > 1 and q <= ENCODE_TABLE_LIMIT
+        self._encodes_by_table = m > 1 and q <= ENCODE_TABLE_MAX_Q
 
     # -- construction helpers ------------------------------------------------
 
-    def _binary_mul(self, a: int, b: int) -> int:
-        """Table-free GF(2^m) product (shift and XOR), for the tables and
-        large fields; _raw_mul when p = 2."""
-        acc = 0
-        mod = self._mod_int
-        top = 1 << self.m
-        while b:
-            if b & 1:
-                acc ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= mod
-        return acc
-
-    def _digit_mul(self, a: int, b: int) -> int:
-        """Table-free odd-p extension-field product through the digit
-        polynomials; _raw_mul when p is odd."""
-        da = _digits(a, self.p, self.m)
-        db = _digits(b, self.p, self.m)
-        prod = _pmul(da, db, self.p)
-        return _undigits(_pmod(prod, list(self.modulus), self.p), self.p)
+    def _times(self, v, c: int):
+        """v * c for one element c and v an element or an int64 array of
+        elements, without the tables and with no loop over v: shift and XOR
+        when p = 2, otherwise one product of v's digits by the matrix whose
+        row j holds the digits of x^j * c."""
+        p, m = self.p, self.m
+        if p == 2:
+            mod = _undigits(self.modulus, 2)     # x^m included: clears bit m
+            acc = v * 0
+            for bit in range(c.bit_length()):
+                if c >> bit & 1:
+                    acc ^= v
+                v = v << 1
+                v ^= (v >> m) * mod
+            return acc
+        rows = [_pmod([0] * j + _digits(c, p, m), self.modulus, p) for j in range(m)]
+        rows = np.array([row + [0] * (m - len(row)) for row in rows])  # _pmod trims
+        return self._from_digits(self._to_digits(v) @ rows % p)
 
     def _raw_pow(self, a: int, e: int) -> int:
         acc, base = 1, a
         while e:
             if e & 1:
-                acc = self._raw_mul(acc, base)
-            base = self._raw_mul(base, base)
+                acc = self._times(acc, base)
+            base = self._times(base, base)
             e >>= 1
         return acc
 
     def _find_generator(self) -> int:
+        """The smallest g with g^(n/f) != 1 for every prime f dividing
+        n = q - 1."""
         n = self.q - 1
-        if n == 1:
-            return 1
-        factors = _prime_factors(n)
-        for g in range(2, self.q):
-            if all(self._raw_pow(g, n // f) != 1 for f in factors):
-                return g
-        raise AssertionError("multiplicative group has a generator")  # unreachable
+        cofactors = [n // f for f in _prime_factors(n)]
+        g = 2
+        while any(self._raw_pow(g, e) == 1 for e in cofactors):
+            g += 1
+        return g
 
     def _build_tables(self):
+        """The log/exp tables, in one layout that the array and the scalar
+        kernels share.  exp holds g^i at i and i + n (n = q - 1), so a sum
+        of two logs indexes it, then a zero tail to 4n; log(0) = 2n sends
+        any sum with a zero operand into that tail.  exp[:n] is built by
+        doubling: exp[s:2s] = exp[:s] * g^s, one vector product per stage."""
         n = self.q - 1
-        g = self._find_generator()
-        exp = [0] * n
-        log = [0] * self.q
-        x = 1
-        for i in range(n):
-            exp[i] = x
-            log[x] = i
-            x = self._raw_mul(x, g)
-        self._exp = exp + exp            # doubled: a sum of two logs indexes it
-        self._log = log
-        # Array form: two nonzero exponents sum below 2n, and log(0) = 2n
-        # sends any sum with a zero operand into the all-zero tail.
-        self._exp_arr = np.zeros(4 * n + 1, dtype=np.int64)
-        self._exp_arr[:2 * n] = exp + exp
-        self._log_arr = np.array(log, dtype=np.int64)
-        self._log_arr[0] = 2 * n
+        exp = np.zeros(4 * n + 1, dtype=np.int64)
+        exp[0] = 1
+        s, g_s = 1, self._find_generator()           # g_s = g^s
+        while s < n:
+            step = min(s, n - s)
+            exp[s:s + step] = self._times(exp[:step], g_s)
+            s += step
+            g_s = self._times(g_s, g_s)
+        exp[n:2 * n] = exp[:n]
+        log = np.empty(self.q, dtype=np.int64)
+        log[exp[:n]] = np.arange(n)
+        log[0] = 2 * n
+        self._exp_arr, self._log_arr = exp, log
+        # The scalar kernels index lists up to 2^16 elements: a product's
+        # lookups take about twice as long through memoryviews.  Larger
+        # fields index memoryviews of the arrays, as lists of GF(2^20)'s
+        # tables would add about 130 MB of int objects.
+        if self.q <= 1 << 16:
+            self._exp, self._log = exp.tolist(), log.tolist()
+        else:
+            self._exp, self._log = memoryview(exp), memoryview(log)
 
     def _scalar_kernels(self):
         """The unchecked scalar arithmetic (add, sub, neg, mul, inv, pow),
@@ -295,9 +284,9 @@ class Field:
         are _check plus these, and internal loops over checked elements call
         them directly.  Prime fields inline the arithmetic mod p.  Sums of
         extension fields XOR when p = 2 and add base-p digits otherwise;
-        their products use the doubled log/exp tables where the field has
-        them, and _raw_mul elsewhere.  inv takes a nonzero element and pow
-        a nonnegative exponent."""
+        their products read the log/exp tables, where a zero operand's log
+        lands in the zero tail.  inv takes a nonzero element and pow a
+        nonnegative exponent."""
         p, m, order = self.p, self.m, self.q - 1
         if m == 1:
             def add(a, b):
@@ -344,26 +333,18 @@ class Field:
             def neg(a):
                 return sub(0, a)
 
-        if self._exp is not None:
-            log, exp = self._log, self._exp
+        log, exp = self._log, self._exp
 
-            def mul(a, b):
-                if a and b:
-                    return exp[log[a] + log[b]]
-                return 0
+        def mul(a, b):
+            return exp[log[a] + log[b]]
 
-            def inv(a):
-                return exp[order - log[a]]
+        def inv(a):
+            return exp[order - log[a]]
 
-            def power(a, e):
-                if a:
-                    return exp[log[a] * e % order]
-                return 0 if e else 1
-        else:
-            mul, power = self._raw_mul, self._raw_pow
-
-            def inv(a):
-                return power(a, order - 1)
+        def power(a, e):
+            if a:
+                return exp[log[a] * e % order]
+            return 0 if e else 1
         return add, sub, neg, mul, inv, power
 
     def _column_clearer(self):
@@ -371,8 +352,8 @@ class Field:
         kind: clear_column(prow, c, rows) subtracts from each row list in
         rows, in place, the multiple of the pivot row prow (zero left of
         column c) that zeroes its entry in column c.  Prime fields inline
-        the arithmetic mod p, GF(2^m) with tables uses log/exp lookups and
-        XOR, and other fields use the scalar kernels."""
+        the arithmetic mod p, GF(2^m) uses log/exp lookups and XOR, and
+        odd-p extension fields use the scalar kernels."""
         if self.m == 1:
             p = self.p
 
@@ -387,7 +368,7 @@ class Field:
                         g = f * inv % p
                         for j in cols:
                             row[j] = (row[j] - g * prow[j]) % p
-        elif self.p == 2 and self._exp is not None:
+        elif self.p == 2:
             order, log, exp = self.q - 1, self._log, self._exp
 
             def clear_column(prow, c, rows):
@@ -417,22 +398,21 @@ class Field:
         """The inner product of two sequences of canonical elements, chosen
         once per field kind like _clear_column: dot(xs, ys) sums x*y over
         zip(xs, ys).  Operands are not validated; a caller checks them where
-        they enter.  Prime fields reduce one integer sum mod p, GF(2^m) with
-        tables XORs log/exp lookups and skips zero operands, and other fields
-        use the scalar kernels."""
+        they enter.  Prime fields reduce one integer sum mod p, GF(2^m) XORs
+        log/exp lookups, and odd-p extension fields use the scalar
+        kernels."""
         if self.m == 1:
             p = self.p
 
             def dot(xs, ys):
                 return sum(map(operator.mul, xs, ys)) % p
-        elif self.p == 2 and self._exp is not None:
+        elif self.p == 2:
             log, exp = self._log, self._exp
 
             def dot(xs, ys):
                 acc = 0
                 for x, y in zip(xs, ys):
-                    if x and y:
-                        acc ^= exp[log[x] + log[y]]
+                    acc ^= exp[log[x] + log[y]]
                 return acc
         else:
             dot = functools.partial(_kernel_dot, self)
@@ -506,11 +486,7 @@ class Field:
         """Elementwise product."""
         if self.m == 1:
             return a * b % self.p
-        if self._exp is not None:
-            return self._exp_arr[self._log_arr[a] + self._log_arr[b]]
-        # no tables above TABLE_LIMIT: one kernel product per element
-        # (frompyfunc passes Python ints)
-        return np.frompyfunc(self._mul, 2, 1)(a, b).astype(np.int64)
+        return self._exp_arr[self._log_arr[a] + self._log_arr[b]]
 
     def add_array(self, a, b) -> np.ndarray:
         """Elementwise sum, in the operands' common dtype, which must hold
@@ -544,7 +520,7 @@ class Field:
 
     # -- encoding ---------------------------------------------------------------
     # One kernel per field kind, chosen by _encodes_by_table: extension
-    # fields of at most ENCODE_TABLE_LIMIT elements look products up in a
+    # fields of at most ENCODE_TABLE_MAX_Q elements look products up in a
     # per-code table, every other field multiplies through dot_array.
 
     def encoding(self, generator) -> np.ndarray:
@@ -603,7 +579,7 @@ class Field:
 
     def __reduce__(self):
         # pickled by its parameters: the row operation is a closure
-        return Field, (self.p, self.m, self.modulus, self.q)
+        return Field, (self.p, self.m, self.modulus)
 
     def __repr__(self):
         if self.m == 1:
@@ -613,8 +589,8 @@ class Field:
 
 def _kernel_dot(field, xs, ys) -> int:
     """Inner product through field._add and field._mul, one call of each
-    per term: the kernel of fields without a faster one, and the counted
-    one."""
+    per term: the kernel of odd-p extension fields, and CountingField's
+    counted one."""
     add, mul = field._add, field._mul
     acc = 0
     for x, y in zip(xs, ys):

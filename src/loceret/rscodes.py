@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codeops
-from .galois import _checked_int, _is_int, poly_eval
+from .galois import _checked_int, _is_int
 
 
 class DuplicatePointsError(ValueError):
@@ -188,17 +188,12 @@ def lrcrs_make(field, p_poly, l) -> LrcRsSpec:
             f"l: need {r - 1} nonnegative integer exponent bounds for degree "
             f"{deg}, got {list(l)}")
 
-    by_beta: dict[int, list[int]] = {}
-    for a in field.elements():
-        by_beta.setdefault(poly_eval(field, p_coeffs, a), []).append(a)
-    fibres = tuple(sorted(
-        (beta, tuple(sorted(members)))
-        for beta, members in by_beta.items() if len(members) == r + 1))
-    if not fibres:
+    betas, members = _full_fibres(field, p_coeffs, r)
+    if not betas.size:
         raise NoFullFibresError(
             f"no value of p(x) has {r + 1} distinct preimages in {field!r}")
-
-    points = tuple(a for _, members in fibres for a in members)
+    fibres = tuple(zip(betas.tolist(), map(tuple, members.tolist())))
+    points = tuple(members.ravel().tolist())
     n = len(points)
     k = sum(v + 1 for v in l)
     delta = max(((r + 1) * l[i] + i for i in range(r - 1)), default=0)
@@ -207,9 +202,10 @@ def lrcrs_make(field, p_poly, l) -> LrcRsSpec:
             f"max evaluated degree {delta} must stay below n = {n}")
 
     basis = tuple((i, j) for i in range(r - 1) for j in range(l[i] + 1))
-    betas = tuple(beta for beta, members in fibres for _ in members)
-    mul, power = field._mul, field._pow
-    rows = [tuple(mul(power(a, i), power(b, j)) for a, b in zip(points, betas))
+    x_powers = _power_arrays(field, members.ravel(), r - 2)
+    y_powers = _power_arrays(field, np.repeat(betas, r + 1), max(l, default=0))
+    # tolist: the rows hold Python ints, which _check_all accepts
+    rows = [tuple(field.mul_array(x_powers[i], y_powers[j]).tolist())
             for i, j in basis]
     code = codeops.code_from_rows(field, rows, n)
     if code.k != k:
@@ -217,6 +213,28 @@ def lrcrs_make(field, p_poly, l) -> LrcRsSpec:
     return LrcRsSpec(field=field, p_poly=p_coeffs, l=l, r=r, fibres=fibres,
                      points=points, n=n, k=k, delta=delta, basis=basis,
                      eval_rows=tuple(rows), code=code)
+
+
+def _full_fibres(field, p_coeffs, r: int):
+    """The values of p with r + 1 preimages, ascending, and their preimages,
+    one ascending row per value: one Horner pass over the array of all
+    elements, then a stable sort by value."""
+    elements = np.arange(field.q, dtype=np.int64)
+    values = np.full_like(elements, p_coeffs[-1])
+    for c in reversed(p_coeffs[:-1]):
+        values = field.add_array(field.mul_array(values, elements), c)
+    counts = np.bincount(values, minlength=field.q)
+    by_value = np.argsort(values, kind="stable")
+    members = by_value[counts[values[by_value]] == r + 1]
+    return np.flatnonzero(counts == r + 1), members.reshape(-1, r + 1)
+
+
+def _power_arrays(field, base, top: int) -> list:
+    """The arrays base^0, ..., base^top, elementwise (0^0 = 1)."""
+    out = [np.ones_like(base)]
+    for _ in range(top):
+        out.append(field.mul_array(out[-1], base))
+    return out
 
 
 def suggest_p_poly(field, r: int) -> tuple[int, ...]:

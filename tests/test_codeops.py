@@ -360,8 +360,8 @@ def example_code():
 # elimination against the oracles
 # ---------------------------------------------------------------------------
 
-# prime fields, GF(2^m) with tables, odd-p extensions, and fields above
-# galois.TABLE_LIMIT that have no tables
+# prime fields, GF(2^m), odd-p extensions, and extension fields above 2^16
+# elements, whose scalar kernels read the tables through memoryviews
 ORACLE_FIELDS = [F2, F13, F17, GF9, GF16, GF256, Field(3, 5), Field(2, 17),
                  Field(3, 11)]
 ORACLE_SHAPES = [(1, 1), (1, 7), (7, 1), (3, 9), (9, 3), (6, 6), (5, 12),
@@ -695,8 +695,8 @@ def test_min_distance_symbols_past_256():
     assert min_distance(code) == 18
     line = code_from_rows(Field(257), [[256, 0, 1, 256, 0]])
     assert min_distance(line) == 3
-    # a table-free field whose elements 2^16 and 2^16 + 1 a 16-bit symbol
-    # would read as 0 and 1
+    # a field whose elements 2^16 and 2^16 + 1 a 16-bit symbol would read
+    # as 0 and 1
     gf2_17 = Field(2, 17)
     line = code_from_rows(gf2_17, [[1, 1 << 16, 0, (1 << 16) + 1, 0, 1 << 16]])
     assert min_distance(line) == 4

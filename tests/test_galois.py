@@ -72,7 +72,9 @@ def test_f13_has_13_elements():
 
 
 def test_fields_survive_pickle_and_deepcopy():
-    for field in (Field(13), Field(2, 8), Field(3, 2), Field(2, 21, max_order=1 << 21)):
+    # GF(2^17) and GF(3^11) index their tables through memoryviews, which
+    # do not pickle: a field pickles by its parameters
+    for field in (Field(13), Field(2, 8), Field(3, 2), Field(2, 17), Field(3, 11)):
         for copied in (pickle.loads(pickle.dumps(field)), copy.deepcopy(field)):
             assert copied == field
             assert copied.mul(5, 7) == field.mul(5, 7)
@@ -130,9 +132,9 @@ def test_oversized_fields_fail_fast_naming_the_cap(p, m):
 
 
 def test_the_order_cap_is_inclusive_and_checked_after_primality():
-    assert Field(2, 21, max_order=1 << 21).q == 1 << 21
+    assert Field(2, 20).q == 1 << 20
     with pytest.raises(FieldTooLargeError):
-        Field(2, 22, max_order=1 << 21)
+        Field(2, 21)
     with pytest.raises(NotPrimeError):
         Field(4)
 
@@ -266,9 +268,12 @@ def test_canonical_encoding_is_validated():
         f.mul(-1, 2)
 
 
-# one field per scalar-kernel path: prime, GF(2^m) and odd-p with tables, and
-# the table-free characteristic-2 and odd-p fields above TABLE_LIMIT
+# one field per scalar-kernel path (prime, GF(2^m), odd-p extension), with
+# the extension fields on both sides of 2^16 elements, where the scalar
+# kernels switch from lists of the tables to memoryviews of them
 KIND_FIELDS = [Field(13), Field(2, 8), Field(3, 5), Field(2, 17), Field(3, 11)]
+# the largest field the cap allows, built once
+GF2_20 = Field(2, 20)
 
 
 @pytest.mark.parametrize("field", KIND_FIELDS, ids=repr)
@@ -334,7 +339,7 @@ def ref_mul(field, a, b):
     return ref_undigits(field, prod[:m])
 
 
-@pytest.mark.parametrize("field", KIND_FIELDS, ids=repr)
+@pytest.mark.parametrize("field", KIND_FIELDS + [GF2_20], ids=repr)
 def test_scalar_kernels_match_the_reference_arithmetic(field):
     rng = random.Random(field.q + 2)
     pairs = [(rng.randrange(field.q), rng.randrange(field.q)) for _ in range(150)]
@@ -352,6 +357,28 @@ def test_scalar_kernels_match_the_reference_arithmetic(field):
             assert field._pow(a, e) == power
             power = ref_mul(field, power, a)
         assert field._pow(b, field.q - 1) == (1 if b else 0)
+
+
+@pytest.mark.parametrize("field", [Field(2, 2), Field(3, 2)] + KIND_FIELDS[1:]
+                         + [GF2_20], ids=repr)
+def test_every_extension_field_has_one_table_layout(field):
+    # exp: the powers g^0 .. g^(n-1) of one generator, each nonzero element
+    # once, repeated at n .. 2n-1, then a zero tail to 4n; log(0) = 2n
+    n = field.q - 1
+    exp, log = field._exp_arr, field._log_arr
+    assert exp.shape == (4 * n + 1,) and log.shape == (field.q,)
+    assert np.array_equal(np.sort(exp[:n]), np.arange(1, field.q))
+    assert np.array_equal(exp[n:2 * n], exp[:n])
+    assert not exp[2 * n:].any()
+    assert np.array_equal(log[exp[:n]], np.arange(n)) and log[0] == 2 * n
+    g = int(exp[1])
+    steps = random.Random(field.q).sample(range(1, n), min(n - 1, 20))
+    for i in steps:
+        assert ref_mul(field, int(exp[i - 1]), g) == exp[i]
+    # the scalar kernels read the same tables: lists up to 2^16 elements,
+    # memoryviews above
+    assert (type(field._exp) is list) == (field.q <= 1 << 16)
+    assert list(field._exp[:2 * n + 3]) == exp[:2 * n + 3].tolist()
 
 
 def test_field_equality_and_hash():
@@ -394,11 +421,10 @@ def test_is_prime_small_values():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
 
 
-@pytest.mark.parametrize("field", [Field(13), Field(2, 8), Field(3, 5),
-                                   Field(2, 17), Field(3, 11)], ids=repr)
+@pytest.mark.parametrize("field", KIND_FIELDS + [GF2_20], ids=repr)
 def test_array_kernels_match_the_scalar_operations(field):
-    # one field per kernel path: prime, GF(2^m) and odd-p tables, and the
-    # table-free characteristic-2 and odd-p fields above TABLE_LIMIT
+    # one field per kernel path (prime, GF(2^m), odd-p extension), with the
+    # extension fields on both sides of 2^16 elements
     rng = random.Random(field.q)
     a = [rng.randrange(field.q) for _ in range(60)] + [0, 0, 1]
     b = [rng.randrange(field.q) for _ in range(60)] + [0, 1, 0]

@@ -79,10 +79,21 @@ def test_worked_example_fibres_and_parameters():
     assert spec.points == (1, 5, 8, 12, 2, 3, 10, 11, 4, 6, 7, 9)
 
 
+# prime fields, the [255,15] GF(2^8) store code, an odd-p extension, and a
+# field above 2^16 elements (x^3 has no full fibres there: 3 does not divide
+# 2^17 - 1, so the curve is y = x^3 + x)
+FIBRE_CASES = ((F13, (0, 0, 0, 1), (1,)),
+               (F13, (0, 0, 0, 0, 1), (2, 2)),
+               (Field(17), (0, 0, 0, 0, 1), (3, 3)),
+               (Field(3, 5), (0, 0, 2, 0, 1), (1, 1)),
+               (Field(2, 8), (0, 0, 0, 0, 0, 1), (4, 4, 4)),
+               (Field(2, 17), (0, 1, 0, 1), (1,)))
+
+
 def test_fibres_match_direct_preimage_enumeration():
-    for field, p_poly, l in ((F13, (0, 0, 0, 1), (1,)),
-                             (F13, (0, 0, 0, 0, 1), (2, 2)),
-                             (Field(17), (0, 0, 0, 0, 1), (3, 3))):
+    # the scalar Horner evaluation, one poly_eval per element, against the
+    # construction's array pass
+    for field, p_poly, l in FIBRE_CASES:
         spec = lrcrs_make(field, p_poly, l)
         expected = {}
         for a in field.elements():
@@ -90,6 +101,24 @@ def test_fibres_match_direct_preimage_enumeration():
         full = {beta: members for beta, members in expected.items()
                 if len(members) == spec.r + 1}
         assert {beta: set(m) for beta, m in spec.fibres} == full
+        assert [beta for beta, _ in spec.fibres] == sorted(full)
+        assert spec.points == tuple(a for _, m in spec.fibres for a in sorted(m))
+
+
+@pytest.mark.parametrize("field, p_poly, l", FIBRE_CASES,
+                         ids=[f"{f!r}-{list(p)}" for f, p, _ in FIBRE_CASES])
+def test_eval_rows_match_the_scalar_monomials(field, p_poly, l):
+    # x^i y^j through the checked scalar operations at a sample of points,
+    # the first and last among them
+    spec = lrcrs_make(field, p_poly, l)
+    betas = [beta for beta, members in spec.fibres for _ in members]
+    rng = random.Random(spec.n)
+    coords = {0, spec.n - 1, *rng.sample(range(spec.n), min(spec.n, 60))}
+    for row, (i, j) in zip(spec.eval_rows, spec.basis):
+        for c in coords:
+            a, b = spec.points[c], betas[c]
+            assert row[c] == field.mul(field.pow(a, i), field.pow(b, j))
+            assert type(row[c]) is int
 
 
 def test_cubic_curve_over_f13():
@@ -236,9 +265,9 @@ ENCODE_SPECS = (
      lambda: lrcrs_make(GF256, [0, 0, 0, 0, 0, 1], [4, 4, 4])),
     ("RS[256,16]/GF(2^8)", lambda: rs_make(GF256, list(range(256)), 16)),
     ("RS[40,7]/GF(3^5)", lambda: rs_make(Field(3, 5), list(range(40)), 7)),
-    ("RS[20,5]/GF(2^17), no tables",
+    ("RS[20,5]/GF(2^17)",
      lambda: rs_make(Field(2, 17), list(range(1, 21)), 5)),
-    ("RS[20,5]/GF(3^11), no tables",
+    ("RS[20,5]/GF(3^11)",
      lambda: rs_make(Field(3, 11), list(range(20)), 5)),
 )
 
