@@ -641,8 +641,13 @@ def _shared_scan(code, t, coords, floor, ranks) -> dict:
     order of the helper sets R keeps it, so the first S containing i that
     detects is R + {i} for i's first witness R.  Each S is tested once, and
     only while some member lacks a witness; every such member gets S - {i}.
-    The pass stops once every coordinate has one."""
+    The pass stops once every coordinate has one.  Codes longer than
+    DEFAULT_EXHAUSTIVE_N raise TooLargeToEnumerateError before any test."""
     n = code.n
+    if n > DEFAULT_EXHAUSTIVE_N:
+        raise TooLargeToEnumerateError(
+            f"n = {n} exceeds the exhaustive-search limit {DEFAULT_EXHAUSTIVE_N} "
+            "of the witness search; pass explicit helpers, or use greedy mode")
     found = {i: () for i in coords if not any(row[i] for row in code.gen)}
     pending = set(coords) - found.keys()
     if not pending:
@@ -670,10 +675,10 @@ def t_locality(code: LinearCode, t: int, mode: str = "exhaustive",
     dual words span t + 1 dimensions (Singleton), so it has at least
     d_{t+1}(dual) columns (Wei); the scan starts past t + 1 columns, or past
     dual_ghw - 1 when the caller passes dual_ghw = d_{t+1}(dual), and a dual
-    of dimension at most t leaves nothing to scan.  Codes longer than
-    DEFAULT_EXHAUSTIVE_N raise TooLargeToEnumerateError.  Greedy mode
-    tests, for each coordinate, only the lowest-index helpers of each size
-    and yields upper bounds, flagged through the report's mode field.
+    of dimension at most t leaves nothing to scan; the scan refuses codes
+    longer than DEFAULT_EXHAUSTIVE_N.  Greedy mode tests, for each
+    coordinate, only the lowest-index helpers of each size and yields upper
+    bounds, flagged through the report's mode field.
     Column ranks are memoised for the duration of the call.
     """
     if mode not in ("exhaustive", "greedy"):
@@ -690,9 +695,6 @@ def t_locality(code: LinearCode, t: int, mode: str = "exhaustive",
                 if _detects(code, tuple(sorted(R + (i,))), t, ranks):
                     found[i] = R
                     break
-    elif n > DEFAULT_EXHAUSTIVE_N:
-        raise TooLargeToEnumerateError(
-            f"n = {n} exceeds the exhaustive-search limit {DEFAULT_EXHAUSTIVE_N}")
     else:
         floor = (n if n - code.k <= t
                  else t + 1 if dual_ghw is None else dual_ghw - 1)

@@ -4,16 +4,18 @@ Field elements are canonical integers in [0, q) with q = p^m.  For extension
 fields the base-p digits of an encoding are the coefficients of the residue
 polynomial (digit j = coefficient of x^j), so 0 encodes the additive identity
 and 1 the multiplicative identity in every field.  Every extension field
-precomputes log/antilog tables, built in numpy, for O(1) products; prime
-fields use plain modular arithmetic.  The array kernels (mul_array,
-add_array, sum_array, dot_array) apply the same arithmetic elementwise to
-numpy arrays of canonical elements, with one path per field kind.  The
-unchecked scalar kernels _add, _sub, _neg, _mul, _inv and _pow, the scalar
-inner product _dot and the elimination step _clear_column are likewise
-chosen once per field kind, when the field is built.  So is the encode
-kernel (encoding, encode_word), which only rscodes.encode calls: extension
-fields of at most 256 elements look message-symbol products up in a
-per-code uint8 table and sum the rows, every other field multiplies
+precomputes log/antilog tables, built in numpy, for O(1) products.  Its
+sums XOR when p = 2; odd-p fields add by one lookup in a table of Zech's
+logarithm, log(1 + g^i), so base-p digits appear only while the tables are
+built.  Prime fields use plain modular arithmetic.  The array kernels
+(mul_array, add_array, sum_array, dot_array) apply the same arithmetic
+elementwise to numpy arrays of canonical elements, with one path per field
+kind.  The unchecked scalar kernels _add, _sub, _neg, _mul, _inv and _pow,
+the scalar inner product _dot and the elimination step _clear_column are
+likewise chosen once per field kind, when the field is built.  So is the
+encode kernel (encoding, encode_word), which only rscodes.encode calls:
+extension fields of at most 256 elements look message-symbol products up in
+a per-code uint8 table and sum the rows, every other field multiplies
 through dot_array.
 
 The public add, sub, neg, mul, inv and pow are _check plus the kernel.
@@ -228,7 +230,9 @@ class Field:
             return acc
         rows = [_pmod([0] * j + _digits(c, p, m), self.modulus, p) for j in range(m)]
         rows = np.array([row + [0] * (m - len(row)) for row in rows])  # _pmod trims
-        return self._from_digits(self._to_digits(v) @ rows % p)
+        powers = p ** np.arange(m, dtype=np.int64)
+        digits = np.asarray(v)[..., None] // powers % p
+        return digits @ rows % p @ powers
 
     def _raw_pow(self, a: int, e: int) -> int:
         acc, base = 1, a
@@ -254,7 +258,14 @@ class Field:
         kernels share.  exp holds g^i at i and i + n (n = q - 1), so a sum
         of two logs indexes it, then a zero tail to 4n; log(0) = 2n sends
         any sum with a zero operand into that tail.  exp[:n] is built by
-        doubling: exp[s:2s] = exp[:s] * g^s, one vector product per stage."""
+        doubling: exp[s:2s] = exp[:s] * g^s, one vector product per stage.
+
+        Odd-p fields also get Zech's logarithm on the same layout, read at
+        log b - log a + 2n, so that a + b = exp[log a + zech[...]] for every
+        pair: between n and 3n (both nonzero, offset i = log b - log a) it
+        holds log(1 + g^i), and 1 + g^i is g^i with digit 0 raised by one;
+        below n (a = 0) it holds the offset itself, so the sum reads
+        exp[log b]; above 3n (b = 0) it holds 0, so the sum reads a."""
         n = self.q - 1
         exp = np.zeros(4 * n + 1, dtype=np.int64)
         exp[0] = 1
@@ -273,20 +284,25 @@ class Field:
         # lookups take about twice as long through memoryviews.  Larger
         # fields index memoryviews of the arrays, as lists of GF(2^20)'s
         # tables would add about 130 MB of int objects.
-        if self.q <= 1 << 16:
-            self._exp, self._log = exp.tolist(), log.tolist()
-        else:
-            self._exp, self._log = memoryview(exp), memoryview(log)
+        scalar = np.ndarray.tolist if self.q <= 1 << 16 else memoryview
+        self._exp, self._log = scalar(exp), scalar(log)
+        if self.p > 2:
+            p, g_i = self.p, exp[:n]
+            one_plus = g_i + np.where(g_i % p == p - 1, 1 - p, 1)
+            zech = np.zeros(4 * n + 1, dtype=np.int64)
+            zech[:n] = np.arange(-2 * n, -n)
+            zech[n:3 * n] = np.tile(log[one_plus], 2)   # index j: offset j - 2n
+            self._zech_arr, self._zech = zech, scalar(zech)
 
     def _scalar_kernels(self):
         """The unchecked scalar arithmetic (add, sub, neg, mul, inv, pow),
         chosen once per field kind like _clear_column: the public operations
         are _check plus these, and internal loops over checked elements call
         them directly.  Prime fields inline the arithmetic mod p.  Sums of
-        extension fields XOR when p = 2 and add base-p digits otherwise;
-        their products read the log/exp tables, where a zero operand's log
-        lands in the zero tail.  inv takes a nonzero element and pow a
-        nonnegative exponent."""
+        extension fields XOR when p = 2 and read Zech's logarithm otherwise,
+        where -a = a * g^(n/2); their products read the log/exp tables,
+        where a zero operand's log lands in the zero tail.  inv takes a
+        nonzero element and pow a nonnegative exponent."""
         p, m, order = self.p, self.m, self.q - 1
         if m == 1:
             def add(a, b):
@@ -308,32 +324,22 @@ class Field:
                 return pow(a, e, p)
             return add, sub, neg, mul, inv, power
 
+        log, exp = self._log, self._exp
         if p == 2:
             add = sub = operator.xor
             neg = operator.pos           # -a = a in characteristic 2
         else:
-            def add(a, b):
-                out, mult = 0, 1
-                for _ in range(m):
-                    out += (a % p + b % p) % p * mult
-                    a //= p
-                    b //= p
-                    mult *= p
-                return out
+            zech, two_n, half = self._zech, 2 * order, order // 2
 
-            def sub(a, b):
-                out, mult = 0, 1
-                for _ in range(m):
-                    out += (a % p - b % p) % p * mult
-                    a //= p
-                    b //= p
-                    mult *= p
-                return out
+            def add(a, b):
+                log_a = log[a]
+                return exp[log_a + zech[log[b] - log_a + two_n]]
 
             def neg(a):
-                return sub(0, a)
+                return exp[log[a] + half]
 
-        log, exp = self._log, self._exp
+            def sub(a, b):
+                return add(a, neg(b))
 
         def mul(a, b):
             return exp[log[a] + log[b]]
@@ -352,8 +358,10 @@ class Field:
         kind: clear_column(prow, c, rows) subtracts from each row list in
         rows, in place, the multiple of the pivot row prow (zero left of
         column c) that zeroes its entry in column c.  Prime fields inline
-        the arithmetic mod p, GF(2^m) uses log/exp lookups and XOR, and
-        odd-p extension fields use the scalar kernels."""
+        the arithmetic mod p.  Extension fields add, to each entry, the
+        pivot row's entry times -row[c] / prow[c], from log/exp lookups: the
+        pivot's log is shifted by log(-1), which is 0 when p = 2 and n/2
+        otherwise (n = q - 1)."""
         if self.m == 1:
             p = self.p
 
@@ -368,30 +376,21 @@ class Field:
                         g = f * inv % p
                         for j in cols:
                             row[j] = (row[j] - g * prow[j]) % p
-        elif self.p == 2:
-            order, log, exp = self.q - 1, self._log, self._exp
+        else:
+            order, log, exp, add = self.q - 1, self._log, self._exp, self._add
+            log_minus_one = 0 if self.p == 2 else order // 2
 
             def clear_column(prow, c, rows):
                 terms = None             # built once a row needs them
                 for row in rows:
                     if row[c]:
                         if terms is None:
-                            log_pivot = log[prow[c]]
+                            log_pivot = log[prow[c]] + log_minus_one
                             terms = [(j, log[prow[j]])
                                      for j in range(c, len(prow)) if prow[j]]
                         log_g = (log[row[c]] - log_pivot) % order
                         for j, log_y in terms:
-                            row[j] ^= exp[log_g + log_y]
-        else:
-            inverse, mul, sub = self._inv, self._mul, self._sub
-
-            def clear_column(prow, c, rows):
-                inv = inverse(prow[c])
-                for row in rows:
-                    if row[c]:
-                        g = mul(row[c], inv)
-                        row[c:] = [sub(x, mul(g, y))
-                                   for x, y in zip(row[c:], prow[c:])]
+                            row[j] = add(row[j], exp[log_g + log_y])
         return clear_column
 
     def _scalar_dot(self):
@@ -489,15 +488,19 @@ class Field:
         return self._exp_arr[self._log_arr[a] + self._log_arr[b]]
 
     def add_array(self, a, b) -> np.ndarray:
-        """Elementwise sum, in the operands' common dtype, which must hold
-        2(q - 1): prime fields subtract p where the integer sum reaches it."""
+        """Elementwise sum: prime fields subtract p where the integer sum
+        reaches it, in the operands' common dtype, which must hold 2(q - 1);
+        GF(2^m) XORs, and odd-p extension fields gather the scalar kernel's
+        Zech lookup."""
         if self.m == 1:
             total = np.add(a, b)
             total -= np.multiply(total >= self.p, self.p, dtype=total.dtype)
             return total
         if self.p == 2:
             return np.bitwise_xor(a, b)
-        return self._from_digits((self._to_digits(a) + self._to_digits(b)) % self.p)
+        log_a = self._log_arr[a]
+        return self._exp_arr[log_a + self._zech_arr[self._log_arr[b] - log_a
+                                                    + 2 * (self.q - 1)]]
 
     def dot_array(self, a, b, axis: int = -1) -> np.ndarray:
         """Inner products along one axis (the last by default), after
@@ -508,15 +511,16 @@ class Field:
 
     def sum_array(self, a, axis: int) -> np.ndarray:
         """Field sum along one axis: an integer sum mod p in prime fields, an
-        XOR reduction when p = 2 and a base-p digit sum otherwise.  Prime
-        fields take any nonnegative integers, extension fields canonical
-        elements of any integer dtype."""
+        XOR reduction when p = 2 and otherwise add_array folded along the
+        axis, from zeros.  Prime fields take any nonnegative integers,
+        extension fields canonical elements of any integer dtype."""
         if self.m == 1:
             return a.sum(axis=axis) % self.p
         if self.p == 2:
             return np.bitwise_xor.reduce(a, axis=axis)
-        digit_axis = axis if axis >= 0 else axis - 1    # digits sit last
-        return self._from_digits(self._to_digits(a).sum(axis=digit_axis) % self.p)
+        a = np.moveaxis(a, axis, 0)
+        return functools.reduce(self.add_array, a,
+                                np.zeros(a.shape[1:], dtype=np.int64))
 
     # -- encoding ---------------------------------------------------------------
     # One kernel per field kind, chosen by _encodes_by_table: extension
@@ -547,17 +551,6 @@ class Field:
             return self.dot_array(message, encoding)
         rows = np.arange(0, message.size * self.q, self.q) + message
         return self.sum_array(encoding[rows], axis=0)
-
-    def _to_digits(self, a) -> np.ndarray:
-        """Base-p digits on a new last axis (odd-p extension fields)."""
-        return np.asarray(a)[..., None] // self._powers % self.p
-
-    def _from_digits(self, digits) -> np.ndarray:
-        return digits @ self._powers
-
-    @property
-    def _powers(self) -> np.ndarray:
-        return self.p ** np.arange(self.m, dtype=np.int64)
 
     # -- iteration ------------------------------------------------------------
 

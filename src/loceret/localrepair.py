@@ -186,10 +186,15 @@ def plan_rs(spec: RsSpec, target: int, t: int,
     return _build_plan(spec, tuple(sorted(helpers + (target,))), target, t)
 
 
-def plan_lrcrs(spec: LrcRsSpec, target: int) -> RecoveryPlan:
-    """Plan for a piecewise-RS code: the helpers are the target's fibre mates
-    and one helper error is detectable (the fibre restriction has distance 3)."""
-    return _build_plan(spec, spec.fibre_coords(target), target, 1)
+def plan_lrcrs(spec: LrcRsSpec, target: int, t: int = 1) -> RecoveryPlan:
+    """Plan for a piecewise-RS code: the helpers are the target's fibre
+    mates, which detect up to spec.t_cap helper errors; a larger t is
+    refused."""
+    codeops._checked_t(t)
+    if t > spec.t_cap:
+        raise ValueError(f"fibre plans detect at most {spec.t_cap} error, "
+                         f"asked for t = {t}")
+    return _build_plan(spec, spec.fibre_coords(target), target, t)
 
 
 def plan_linear(code: codeops.LinearCode, target: int, t: int,
@@ -210,11 +215,6 @@ def plan_linear(code: codeops.LinearCode, target: int, t: int,
     """
     if helpers is None:
         codeops._checked_helpers(code.n, target, t=t)
-        if code.n > codeops.DEFAULT_EXHAUSTIVE_N:
-            raise codeops.TooLargeToEnumerateError(
-                f"n = {code.n} exceeds the exhaustive-search limit "
-                f"{codeops.DEFAULT_EXHAUSTIVE_N} of the default helper search; "
-                "pass explicit helpers")
         helpers = codeops._shared_scan(code, t, (target,), t + 1, {}).get(target)
         if helpers is None:
             raise HelpersNotEdrError(
@@ -242,19 +242,16 @@ def truncate_detection(plan: RecoveryPlan, t: int) -> RecoveryPlan:
 def plan_for(bundle, target: int, t: int, helpers=None) -> RecoveryPlan:
     """The plan for one coordinate of a descriptor's code (a CodeBundle).
 
-    RS codes use plan_rs.  Piecewise-RS codes use their fibre plan, with
-    detection truncated when t is below its capacity of one.  Everything
-    else (explicit helpers on a piecewise-RS code, t above the fibre's
-    capacity, generator codes) goes through the generic plan_linear.  The
-    target and t are checked first.
+    RS codes use plan_rs.  Piecewise-RS codes use their fibre plan up to
+    its capacity spec.t_cap.  Everything else (explicit helpers on a
+    piecewise-RS code, t above the fibre's capacity, generator codes) goes
+    through the generic plan_linear.  The target and t are checked first.
     """
     codeops._checked_helpers(bundle.code.n, target, t=t)
     if bundle.kind == "rs":
         return plan_rs(bundle.spec, target, t, helpers=helpers)
-    if bundle.kind == "lrcrs" and helpers is None:
-        plan = plan_lrcrs(bundle.spec, target)
-        if t <= plan.t:
-            return truncate_detection(plan, t)
+    if bundle.kind == "lrcrs" and helpers is None and t <= bundle.spec.t_cap:
+        return plan_lrcrs(bundle.spec, target, t)
     return plan_linear(bundle.code, target, t, helpers=helpers)
 
 
@@ -313,9 +310,7 @@ def mult_count(spec, target: int, t: int = 1, helpers=None,
     counting = CountingField(spec.field)
     counted = replace(spec, field=counting)
     if isinstance(spec, LrcRsSpec):
-        if t != 1:
-            raise ValueError("fibre plans detect exactly one error")
-        plan = plan_lrcrs(counted, target)
+        plan = plan_lrcrs(counted, target, t)
     else:
         plan = plan_rs(counted, target, t, helpers=helpers)
     tally = {"plan_build": counting.counts(), "helpers": len(plan.helpers),

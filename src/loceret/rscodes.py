@@ -64,8 +64,8 @@ class _EvaluationCode:
 
     @functools.cached_property
     def generator(self) -> np.ndarray:
-        """eval_rows as a read-only int64 (n, k) array."""
-        columns = np.array(self.eval_rows, dtype=np.int64).T
+        """eval_rows as a read-only int64 (n, k) array (n x 0 when k = 0)."""
+        columns = np.array(self.eval_rows, dtype=np.int64).reshape(self.k, self.n).T
         columns.flags.writeable = False
         return columns
 
@@ -133,6 +133,13 @@ class LrcRsSpec(_EvaluationCode):
     def distance_bound(self) -> tuple[int, str]:
         return self.goppa_lower_bound, "goppa_lower_bound"
 
+    @property
+    def t_cap(self) -> int:
+        """Helper errors a fibre plan detects: on a fibre every codeword is
+        an RS word of length r + 1 and dimension at most r - 1 (len(l) is
+        r - 1), so of distance at least 3."""
+        return 1
+
     def fibre_coords(self, coord: int) -> tuple[int, ...]:
         """Coordinates sharing the fibre of the given coordinate."""
         codeops._checked_helpers(self.n, coord)
@@ -156,12 +163,9 @@ def rs_make(field, points, k: int) -> RsSpec:
         raise DuplicatePointsError("evaluation points must be distinct")
     if not _is_int(k) or not 1 <= k <= len(pts):
         raise BadDimensionError(f"k must lie in [1, {len(pts)}], got {k!r}")
-    mul = field._mul
-    rows = []
-    current = [1] * len(pts)
-    for _ in range(k):
-        rows.append(tuple(current))
-        current = [mul(c, a) for c, a in zip(current, pts)]
+    # tolist: the rows hold Python ints, which _check_all accepts
+    rows = [tuple(row.tolist())
+            for row in _power_arrays(field, np.array(pts, dtype=np.int64), k - 1)]
     code = codeops.code_from_rows(field, rows)
     if code.k != k:
         raise AssertionError("distinct points must give independent monomials")
@@ -192,8 +196,10 @@ def lrcrs_make(field, p_poly, l) -> LrcRsSpec:
     if not betas.size:
         raise NoFullFibresError(
             f"no value of p(x) has {r + 1} distinct preimages in {field!r}")
-    fibres = tuple(zip(betas.tolist(), map(tuple, members.tolist())))
     points = tuple(members.ravel().tolist())
+    size = r + 1
+    fibres = tuple((beta, points[i * size:(i + 1) * size])
+                   for i, beta in enumerate(betas.tolist()))
     n = len(points)
     k = sum(v + 1 for v in l)
     delta = max(((r + 1) * l[i] + i for i in range(r - 1)), default=0)
@@ -202,11 +208,9 @@ def lrcrs_make(field, p_poly, l) -> LrcRsSpec:
             f"max evaluated degree {delta} must stay below n = {n}")
 
     basis = tuple((i, j) for i in range(r - 1) for j in range(l[i] + 1))
-    x_powers = _power_arrays(field, members.ravel(), r - 2)
-    y_powers = _power_arrays(field, np.repeat(betas, r + 1), max(l, default=0))
-    # tolist: the rows hold Python ints, which _check_all accepts
-    rows = [tuple(field.mul_array(x_powers[i], y_powers[j]).tolist())
-            for i, j in basis]
+    xs = _power_arrays(field, members.ravel(), r - 2)
+    ys = _power_arrays(field, np.repeat(betas, r + 1), max(l, default=0))
+    rows = [tuple(field.mul_array(xs[i], ys[j]).tolist()) for i, j in basis]
     code = codeops.code_from_rows(field, rows, n)
     if code.k != k:
         raise AssertionError("evaluation map must be injective on the basis")

@@ -360,10 +360,11 @@ def example_code():
 # elimination against the oracles
 # ---------------------------------------------------------------------------
 
-# prime fields, GF(2^m), odd-p extensions, and extension fields above 2^16
-# elements, whose scalar kernels read the tables through memoryviews
-ORACLE_FIELDS = [F2, F13, F17, GF9, GF16, GF256, Field(3, 5), Field(2, 17),
-                 Field(3, 11)]
+# prime fields, GF(2^m), odd-p extensions (which add by Zech's logarithm),
+# and extension fields above 2^16 elements, whose scalar kernels read the
+# tables through memoryviews
+ORACLE_FIELDS = [F2, F13, F17, GF9, GF16, GF256, Field(5, 2), Field(7, 2),
+                 Field(5, 3), Field(3, 5), Field(2, 17), Field(3, 11)]
 ORACLE_SHAPES = [(1, 1), (1, 7), (7, 1), (3, 9), (9, 3), (6, 6), (5, 12),
                  (12, 5)]
 

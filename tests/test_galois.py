@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 import time
@@ -322,6 +323,10 @@ def ref_add(field, a, b):
                                 zip(ref_digits(field, a), ref_digits(field, b))])
 
 
+def ref_neg(field, a):
+    return ref_undigits(field, [-x % field.p for x in ref_digits(field, a)])
+
+
 def ref_mul(field, a, b):
     """Schoolbook product of the digit polynomials, reduced by the monic
     modulus from the top degree down: independent of the field's tables."""
@@ -379,6 +384,22 @@ def test_every_extension_field_has_one_table_layout(field):
     # memoryviews above
     assert (type(field._exp) is list) == (field.q <= 1 << 16)
     assert list(field._exp[:2 * n + 3]) == exp[:2 * n + 3].tolist()
+    # odd p: Zech's logarithm, read at log b - log a + 2n: the offset itself
+    # below n (a = 0), log(1 + g^i) for offset i between n and 3n (log(0) =
+    # 2n where 1 + g^i = 0), 0 above 3n (b = 0); p = 2 needs none
+    if field.p == 2:
+        assert not hasattr(field, "_zech_arr")
+        return
+    zech = field._zech_arr
+    assert zech.shape == (4 * n + 1,)
+    assert np.array_equal(zech[:n], np.arange(-2 * n, -n))
+    assert not zech[3 * n + 1:].any()
+    offsets = random.Random(n).sample(range(-n + 1, n), min(2 * n - 1, 40))
+    for i in offsets + [0, n // 2]:
+        one_plus = ref_add(field, 1, int(exp[i % n]))
+        assert zech[i + 2 * n] == log[one_plus]
+    assert zech[n // 2 + 2 * n] == 2 * n             # 1 + g^(n/2) = 1 - 1
+    assert list(field._zech[:2 * n + 3]) == zech[:2 * n + 3].tolist()
 
 
 def test_field_equality_and_hash():
@@ -419,6 +440,69 @@ def test_counting_field_tallies():
 
 def test_is_prime_small_values():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+# odd-p extension fields: every pair of the small ones, samples of the
+# larger ones, with GF(3^11) and GF(3^12) above 2^16 elements
+ODD_P_FIELDS = [Field(3, 2), Field(5, 2), Field(3, 3), Field(7, 2)]
+ODD_P_SAMPLED = [Field(3, 5), Field(5, 3), KIND_FIELDS[4], Field(3, 12)]
+
+
+def odd_p_pairs(field):
+    q = field.q
+    if q <= 49:
+        return list(itertools.product(range(q), repeat=2))
+    rng = random.Random(q)
+    pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(1500)]
+    edges = [(0, 0), (0, 1), (1, 0), (q - 1, q - 1), (1, q - 1), (q - 1, 0)]
+    # a + b = 0 and a = b, where Zech reads log(0) and log(2)
+    return (pairs + edges + [(a, ref_neg(field, a)) for a, _ in pairs[:60]]
+            + [(a, a) for a, _ in pairs[:60]])
+
+
+@pytest.mark.parametrize("field", ODD_P_FIELDS + ODD_P_SAMPLED, ids=repr)
+def test_odd_p_sums_match_the_digit_reference(field):
+    pairs = odd_p_pairs(field)
+    sums = [ref_add(field, a, b) for a, b in pairs]
+    diffs = [ref_add(field, a, ref_neg(field, b)) for a, b in pairs]
+    assert [field._add(a, b) for a, b in pairs] == sums
+    assert [field._sub(a, b) for a, b in pairs] == diffs
+    firsts = [a for a, _ in pairs]
+    assert [field._neg(a) for a in firsts] == [ref_neg(field, a) for a in firsts]
+    A, B = np.array(pairs).T
+    assert field.add_array(A, B).tolist() == sums
+    assert field.sum_array(np.stack([A, B]), axis=0).tolist() == sums
+    assert field.sum_array(np.stack([A, B, B]), axis=0).tolist() == [
+        ref_add(field, s, b) for s, (_, b) in zip(sums, pairs)]
+
+
+@pytest.mark.parametrize("field", [Field(13), Field(2, 8), Field(3, 2),
+                                   Field(5, 3)], ids=repr)
+def test_sum_array_folds_along_every_axis(field):
+    # prime, GF(2^m) and odd-p extension fields, in int64 and uint8 where the
+    # elements fit (the encode tables are uint8), against the digit sum
+    block = np.random.default_rng(field.q).integers(field.q, size=(3, 4, 5))
+    blocks = [block] + ([block.astype(np.uint8)] if field.q <= 256 else [])
+    for values, axis in itertools.product(blocks, (0, 1, 2, -1, -2, -3)):
+        lines = np.moveaxis(block, axis, -1)
+        expected = [reduce(lambda x, y: ref_add(field, x, y), line, 0)
+                    for line in lines.reshape(-1, lines.shape[-1]).tolist()]
+        got = field.sum_array(values, axis=axis)
+        assert got.shape == lines.shape[:-1]
+        assert got.ravel().tolist() == expected
+    for axis in range(3):                         # an empty axis sums to 0
+        got = field.sum_array(np.take(block, [], axis=axis), axis=axis)
+        assert got.shape == tuple(np.delete(block.shape, axis))
+        assert not got.any()
+
+
+@pytest.mark.parametrize("field", [Field(3, 2), Field(13), Field(3, 6)], ids=repr)
+def test_encoding_a_dimension_zero_code_gives_zeros(field):
+    # product table (GF(9)), prime sum and dot_array (GF(3^6)) paths: the
+    # generator is n x 0, and every sum over its empty axis is 0
+    spec = rscodes.lrcrs_make(field, [0, 0, 1], [])
+    assert spec.k == 0 and spec.generator.shape == (spec.n, 0)
+    assert rscodes.encode(spec, []).symbols == (0,) * spec.n
 
 
 @pytest.mark.parametrize("field", KIND_FIELDS + [GF2_20], ids=repr)

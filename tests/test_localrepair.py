@@ -468,6 +468,28 @@ def test_truncate_detection():
         truncate_detection(plan, 2)
 
 
+def test_fibre_plans_detect_up_to_the_spec_capacity():
+    # one rule for the fibre's capacity (spec.t_cap): plan_lrcrs builds the
+    # t = 0 plan directly, equal to the t = 1 plan truncated, plan_for and
+    # mult_count go through it, and a larger t is refused by name
+    spec = example_code()
+    bundle = descriptor.build_code({"field": {"p": 13}, "construction": "lrcrs",
+                                    "p_poly": [0, 0, 0, 0, 1], "l": [2, 2]})
+    assert spec.t_cap == 1
+    for target in range(spec.n):
+        full = plan_lrcrs(spec, target)
+        assert plan_lrcrs(spec, target, 1) == full == plan_for(bundle, target, 1)
+        bare = plan_lrcrs(spec, target, 0)
+        assert bare == truncate_detection(full, 0) == plan_for(bundle, target, 0)
+    for call in (lambda: plan_lrcrs(spec, 0, 2), lambda: mult_count(spec, 0, 2)):
+        with pytest.raises(ValueError, match="^fibre plans detect at most 1 "
+                                             "error, asked for t = 2$"):
+            call()
+    tally = mult_count(spec, 0, 0, helper_values=(6, 9, 0))
+    assert tally["repair"]["mul"] == tally["helpers"] == 3
+    assert tally["outcome"].value == 2
+
+
 @pytest.mark.parametrize("t, message", [
     (-1, "t must be nonnegative, got -1"),
     (True, "t must be an integer, got True"),
@@ -528,6 +550,7 @@ def test_plain_recovery_costs_r_multiplications():
 
 @pytest.mark.parametrize("spec, target, t, expected", [
     (example_code(), 0, 1, {"mul": 18, "inv": 5, "add": 15, "neg": 5, "pow": 0}),
+    (example_code(), 0, 0, {"mul": 15, "inv": 5, "add": 12, "neg": 5, "pow": 0}),
     (rs_make(F13, list(range(8)), 3), 0, 0,
      {"mul": 15, "inv": 5, "add": 12, "neg": 5, "pow": 0}),
     (rs_make(F13, list(range(8)), 3), 0, 1,
@@ -538,7 +561,8 @@ def test_plain_recovery_costs_r_multiplications():
      {"mul": 340, "inv": 19, "add": 323, "neg": 19, "pow": 0}),
     (rs_make(GF256, list(range(256)), 16), 200, 2,
      {"mul": 396, "inv": 20, "add": 360, "neg": 20, "pow": 0}),
-], ids=["fibre12-t1", "rs8-t0", "rs8-t1", "rs8-t2", "rs256-t1", "rs256-t2"])
+], ids=["fibre12-t1", "fibre12-t0", "rs8-t0", "rs8-t1", "rs8-t2", "rs256-t1",
+        "rs256-t2"])
 def test_plan_build_tallies_are_pinned(spec, target, t, expected):
     # r weights of r multiplications each, t detection rows, one recovery row
     assert mult_count(spec, target, t)["plan_build"] == expected

@@ -57,6 +57,15 @@ def test_rs_validation_errors():
             rs_make(F13, points, 2)
 
 
+@pytest.mark.parametrize("field", [F13, Field(2, 8), Field(3, 5)], ids=repr)
+def test_rs_eval_rows_are_the_monomials_as_python_ints(field):
+    points = random.Random(field.q).sample(range(field.q), 12)
+    spec = rs_make(field, points, 5)
+    assert spec.eval_rows == tuple(tuple(field.pow(a, j) for a in points)
+                                   for j in range(5))
+    assert all(type(x) is int for row in spec.eval_rows for x in row)
+
+
 @pytest.mark.parametrize("k", [True, False, 2.0, "2", None], ids=repr)
 def test_rs_make_refuses_a_k_that_is_not_an_integer(k):
     with pytest.raises(BadDimensionError, match=r"^k must lie in \[1, 8\], got "):
@@ -103,6 +112,10 @@ def test_fibres_match_direct_preimage_enumeration():
         assert {beta: set(m) for beta, m in spec.fibres} == full
         assert [beta for beta, _ in spec.fibres] == sorted(full)
         assert spec.points == tuple(a for _, m in spec.fibres for a in sorted(m))
+        # each point object is held once, by points, and the fibres slice it
+        # (GF(2^17) points above 256 are not interned)
+        assert all(a is b for a, b in
+                   zip((a for _, m in spec.fibres for a in m), spec.points))
 
 
 @pytest.mark.parametrize("field, p_poly, l", FIBRE_CASES,
