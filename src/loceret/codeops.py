@@ -647,7 +647,7 @@ def _shared_scan(code, t, coords, floor, ranks) -> dict:
     if n > DEFAULT_EXHAUSTIVE_N:
         raise TooLargeToEnumerateError(
             f"n = {n} exceeds the exhaustive-search limit {DEFAULT_EXHAUSTIVE_N} "
-            "of the witness search; pass explicit helpers, or use greedy mode")
+            "of the witness search; pass explicit helpers")
     found = {i: () for i in coords if not any(row[i] for row in code.gen)}
     pending = set(coords) - found.keys()
     if not pending:

@@ -14,9 +14,9 @@ kind.  The unchecked scalar kernels _add, _sub, _neg, _mul, _inv and _pow,
 the scalar inner product _dot and the elimination step _clear_column are
 likewise chosen once per field kind, when the field is built.  So is the
 encode kernel (encoding, encode_word), which only rscodes.encode calls:
-extension fields of at most 256 elements look message-symbol products up in
-a per-code uint8 table and sum the rows, every other field multiplies
-through dot_array.
+fields of characteristic 2 with at most 256 elements XOR k per-code rows,
+each a whole codeword packed one byte per symbol into a Python int, and
+every other field multiplies through dot_array.
 
 The public add, sub, neg, mul, inv and pow are _check plus the kernel.
 _check and _check_all (a sequence, in one loop) are the one place where
@@ -32,8 +32,9 @@ import operator
 import numpy as np
 
 DEFAULT_MAX_ORDER = 1 << 20
-# Largest extension field that encodes by product table: its symbols fit
-# in uint8, and the table (q bytes per generator entry) stays small.
+# Largest field of characteristic 2 that encodes by packed rows: each symbol
+# fits one byte of a row, and the rows (q bytes per generator entry) stay
+# small.
 ENCODE_TABLE_MAX_Q = 1 << 8
 
 
@@ -209,7 +210,7 @@ class Field:
          self._mul, self._inv, self._pow) = self._scalar_kernels()
         self._clear_column = self._column_clearer()
         self._dot = self._scalar_dot()
-        self._encodes_by_table = m > 1 and q <= ENCODE_TABLE_MAX_Q
+        self._encodes_by_rows = p == 2 and q <= ENCODE_TABLE_MAX_Q
 
     # -- construction helpers ------------------------------------------------
 
@@ -523,34 +524,44 @@ class Field:
                                 np.zeros(a.shape[1:], dtype=np.int64))
 
     # -- encoding ---------------------------------------------------------------
-    # One kernel per field kind, chosen by _encodes_by_table: extension
-    # fields of at most ENCODE_TABLE_MAX_Q elements look products up in a
-    # per-code table, every other field multiplies through dot_array.
+    # One kernel per field kind, chosen by _encodes_by_rows: fields of
+    # characteristic 2 with at most ENCODE_TABLE_MAX_Q elements XOR packed
+    # rows, every other field multiplies through dot_array.
 
-    def encoding(self, generator) -> np.ndarray:
-        """The array encode_word takes for a code with the (n, k)
-        generator (one row per coordinate), built once per spec.
+    def encoding(self, generator):
+        """What encode_word takes for a code with the (n, k) generator (one
+        row per coordinate), built once per spec.
 
-        With a table it is the read-only uint8 (k*q, n) product table,
-        table[j*q + s, c] = s * generator[c, j], gathered from the field's
-        q x q multiplication table so that no int64 block larger than q x q
-        exists while it is built; otherwise it is the generator itself."""
-        if not self._encodes_by_table:
+        With rows it is a tuple of k*q Python ints, one packed codeword per
+        (message position, symbol): byte c of row j*q + s, little-endian, is
+        s * generator[c, j].  Each generator column's q x n block is cut
+        from the field's q x q uint8 multiplication table, so nothing of
+        k*q x n is held beside the rows.  Otherwise it is the generator
+        itself."""
+        if not self._encodes_by_rows:
             return generator
-        symbols = np.arange(self.q, dtype=np.int64)
+        q, n = self.q, generator.shape[0]
+        symbols = np.arange(q, dtype=np.int64)
         products = self.mul_array(symbols[:, None], symbols).astype(np.uint8)
-        table = products[generator.T[:, None, :], symbols[:, None]]
-        table = table.reshape(-1, generator.shape[0])       # (k*q, n), a view
-        table.flags.writeable = False
-        return table
+        rows = []
+        for column in generator.T:
+            block = products[:, column].tobytes()         # row s: s * column
+            rows.extend(int.from_bytes(block[i:i + n], "little")
+                        for i in range(0, q * n, n))
+        return tuple(rows)
 
-    def encode_word(self, message, encoding) -> np.ndarray:
-        """The codeword of one int64 message of canonical elements: with a
-        table, a sum of the k rows j*q + message[j]."""
-        if not self._encodes_by_table:
-            return self.dot_array(message, encoding)
-        rows = np.arange(0, message.size * self.q, self.q) + message
-        return self.sum_array(encoding[rows], axis=0)
+    def encode_word(self, message, encoding, n: int) -> tuple[int, ...]:
+        """The length-n codeword of a sequence of canonical elements, as a
+        tuple of Python ints: with rows, the XOR of the k rows
+        j*q + message[j], unpacked byte by byte."""
+        if not self._encodes_by_rows:
+            word = self.dot_array(np.array(message, dtype=np.int64), encoding)
+            return tuple(word.tolist())
+        acc, row, q = 0, 0, self.q
+        for s in message:
+            acc ^= encoding[row + s]
+            row += q
+        return tuple(acc.to_bytes(n, "little"))
 
     # -- iteration ------------------------------------------------------------
 

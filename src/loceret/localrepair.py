@@ -244,13 +244,16 @@ def plan_for(bundle, target: int, t: int, helpers=None) -> RecoveryPlan:
 
     RS codes use plan_rs.  Piecewise-RS codes use their fibre plan up to
     its capacity spec.t_cap.  Everything else (explicit helpers on a
-    piecewise-RS code, t above the fibre's capacity, generator codes) goes
-    through the generic plan_linear.  The target and t are checked first.
+    piecewise-RS code, t above the fibre's capacity, a piecewise-RS code of
+    dimension 0, whose every coordinate is a zero column, generator codes)
+    goes through the generic plan_linear.  The target and t are checked
+    first.
     """
     codeops._checked_helpers(bundle.code.n, target, t=t)
     if bundle.kind == "rs":
         return plan_rs(bundle.spec, target, t, helpers=helpers)
-    if bundle.kind == "lrcrs" and helpers is None and t <= bundle.spec.t_cap:
+    if (bundle.kind == "lrcrs" and helpers is None and bundle.spec.k
+            and t <= bundle.spec.t_cap):
         return plan_lrcrs(bundle.spec, target, t)
     return plan_linear(bundle.code, target, t, helpers=helpers)
 

@@ -10,8 +10,9 @@ like a short RS codeword there; that is what makes cheap local repair with
 error detection possible.
 
 Every spec caches its generator, which the simulator's engine reads, and
-the array its field encodes with (Field.encoding: a product table on
-extension fields of at most 256 elements), which encode reads.
+what its field encodes with (Field.encoding: packed rows on fields of
+characteristic 2 with at most 256 elements, the generator elsewhere), which
+encode reads.
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ class WrongCountError(ValueError):
 
 
 class _EvaluationCode:
-    """The generator of an evaluation-code spec and the array its field
-    encodes with, each held once; neither is a field, so equality, hash and
-    repr ignore them."""
+    """The generator of an evaluation-code spec and what its field encodes
+    with, each held once; neither is a field, so equality, hash and repr
+    ignore them."""
 
     @functools.cached_property
     def generator(self) -> np.ndarray:
@@ -70,15 +71,15 @@ class _EvaluationCode:
         return columns
 
     @functools.cached_property
-    def encoding(self) -> np.ndarray:
-        """Field.encoding of the generator, for encode:
-        the product table on extension fields of at most 256 elements, the
+    def encoding(self):
+        """Field.encoding of the generator, for encode: a tuple of packed
+        rows on fields of characteristic 2 with at most 256 elements, the
         generator itself elsewhere."""
         return self.field.encoding(self.generator)
 
     def __getstate__(self):
-        # copies and unpickled specs rebuild the cached arrays, read-only,
-        # on first use (numpy restores arrays writeable)
+        # copies and unpickled specs rebuild both on first use (numpy would
+        # restore the generator writeable)
         return {key: value for key, value in self.__dict__.items()
                 if key not in ("generator", "encoding")}
 
@@ -259,9 +260,8 @@ def encode(spec, message) -> Codeword:
     if len(message) != spec.k:
         raise BadMessageLengthError(
             f"message must have {spec.k} symbols, got {len(message)}")
-    msg = np.array(field._check_all(message), dtype=np.int64)
-    # tolist: symbols stay Python ints, which _check and json accept
-    return Codeword(symbols=tuple(field.encode_word(msg, spec.encoding).tolist()))
+    return Codeword(symbols=field.encode_word(field._check_all(message),
+                                              spec.encoding, spec.n))
 
 
 def interpolate(spec: RsSpec, positions, values) -> list[int]:

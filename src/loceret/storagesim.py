@@ -421,7 +421,7 @@ def trial_records(config: ClusterConfig, start: int = 0, stop: int | None = None
     """Trial-level view of a campaign, for paired-policy comparisons and
     diagnostics; run_sim tallies exactly these trials.  Each trial's true
     symbol is its message times the target's generator column, the columns
-    the engine proves its plans on, so no encode table is built."""
+    the engine proves its plans on, so no encoding is built."""
     context = _SimContext(config)
     arr = context.arrays
     field = arr.field

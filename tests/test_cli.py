@@ -13,6 +13,7 @@ from loceret.descriptor import (DescriptorError, build_code, build_field,
                                 descriptor_digest, load_descriptor,
                                 parse_descriptor)
 from loceret.galois import Field
+from loceret.localrepair import plan_linear
 
 EXAMPLE_DESC = {"field": {"p": 13, "m": 1}, "construction": "lrcrs",
               "p_poly": [0, 0, 0, 0, 1], "l": [2, 2]}
@@ -366,6 +367,28 @@ def test_plan_without_helpers_on_a_long_code_fails_at_once(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"exhaustive-search limit {codeops.DEFAULT_EXHAUSTIVE_N}" in err
     assert "pass explicit helpers" in err
+    assert "greedy" not in err                 # plan has no greedy mode
+
+
+def test_plan_of_a_zero_dimension_piecewise_rs_code_matches_plan_linear(tmp_path):
+    # GF(9), y = x^2, l = []: every symbol of the [8,0] code is 0, so every
+    # coordinate plans with no helpers, as analyze's empty witnesses say
+    zero = {"field": {"p": 3, "m": 2}, "construction": "lrcrs",
+            "p_poly": [0, 0, 1], "l": []}
+    desc = write_json(tmp_path / "code.json", zero)
+    code = build_code(zero).code
+    analysis = tmp_path / "analysis.json"
+    assert cli.main(["analyze", desc, "--t", "1", "--out", str(analysis)]) == 0
+    for entry in json.loads(analysis.read_text())["per_coordinate"]:
+        assert (entry["locality"], entry["witness"]) == (0, [])
+    out = tmp_path / "plan.json"
+    for t in (0, 1):
+        for target in range(code.n):
+            assert cli.main(["plan", desc, "--target", str(target), "--t", str(t),
+                             "--out", str(out)]) == 0
+            expected = cli._plan_record(plan_linear(code, target, t))
+            assert json.loads(out.read_text())["plan"] == expected
+            assert expected["helpers"] == []
 
 
 BAD_T_OR_HELPERS = {  # case -> (argv after the descriptor, message start)

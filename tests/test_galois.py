@@ -496,11 +496,14 @@ def test_sum_array_folds_along_every_axis(field):
         assert not got.any()
 
 
-@pytest.mark.parametrize("field", [Field(3, 2), Field(13), Field(3, 6)], ids=repr)
+@pytest.mark.parametrize("field", [Field(3, 2), Field(13), Field(3, 6), Field(2, 4)],
+                         ids=repr)
 def test_encoding_a_dimension_zero_code_gives_zeros(field):
-    # product table (GF(9)), prime sum and dot_array (GF(3^6)) paths: the
-    # generator is n x 0, and every sum over its empty axis is 0
-    spec = rscodes.lrcrs_make(field, [0, 0, 1], [])
+    # odd-p dot_array (GF(9), GF(3^6)), prime sum and packed rows (GF(16))
+    # paths: the generator is n x 0, every sum over its empty axis is 0, and
+    # no row is XORed into the n zero bytes
+    p_poly = [0, 1, 1] if field.p == 2 else [0, 0, 1]  # x^2 permutes GF(2^m)
+    spec = rscodes.lrcrs_make(field, p_poly, [])
     assert spec.k == 0 and spec.generator.shape == (spec.n, 0)
     assert rscodes.encode(spec, []).symbols == (0,) * spec.n
 
@@ -525,21 +528,31 @@ def test_array_kernels_match_the_scalar_operations(field):
     assert field.dot_array(A[:0], B[:0]) == 0
 
 
-@pytest.mark.parametrize("field", [Field(13), Field(2, 2), Field(2, 8), Field(3, 2),
-                                   Field(3, 5), Field(2, 9), Field(2, 17)],
+@pytest.mark.parametrize("field", [Field(13), Field(2), Field(2, 2), Field(2, 3),
+                                   Field(2, 8), Field(3, 2), Field(3, 5), Field(2, 9),
+                                   Field(2, 17)],
                          ids=repr)
 def test_encode_kernels_match_scalar_inner_products(field):
-    # prime, table (q <= 256, p = 2 and odd p) and dot_array (q > 256) paths
+    # prime and odd-p dot_array, packed rows (p = 2, q <= 256) and GF(2^m)
+    # dot_array (q > 256) paths; n = 9 is not a multiple of 8
     rng = random.Random(field.q + 1)
     n, k = 9, 4
     gen = np.array([[rng.randrange(field.q) for _ in range(k)] for _ in range(n)])
     gen[2] = 0                                     # an all-zero coordinate
-    messages = np.array([[rng.randrange(field.q) for _ in range(k)]
-                         for _ in range(6)] + [[0] * k, [field.q - 1] * k])
+    gen[-1] = [1] + [0] * (k - 1)                  # last symbol = message[0]
+    messages = [[rng.randrange(field.q) for _ in range(k)]
+                for _ in range(6)] + [[0] * k, [field.q - 1] * k]
     words = [[reduce(field.add, map(field.mul, msg, col), 0) for col in gen.tolist()]
-             for msg in messages.tolist()]
+             for msg in messages]
+    assert words[-1][-1] == field.q - 1           # the last byte of a row is read
     encoding = field.encoding(gen)
-    assert (encoding.dtype == np.uint8) == (field.m > 1 and field.q <= 256)
-    assert not encoding.flags.writeable or encoding is gen
+    if field.p == 2 and field.q <= 256:
+        assert type(encoding) is tuple and len(encoding) == k * field.q
+        assert all(type(row) is int for row in encoding)
+    else:
+        assert encoding is gen
     for msg, word in zip(messages, words):
-        assert field.encode_word(msg, encoding).tolist() == word
+        symbols = field.encode_word(msg, encoding, n)
+        assert symbols == tuple(word) and all(type(x) is int for x in symbols)
+    empty = np.zeros((n, 0), dtype=np.int64)       # k = 0: the zero code
+    assert field.encode_word([], field.encoding(empty), n) == (0,) * n

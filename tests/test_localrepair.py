@@ -490,6 +490,23 @@ def test_fibre_plans_detect_up_to_the_spec_capacity():
     assert tally["outcome"].value == 2
 
 
+ZERO_LRCRS_DESC = {"field": {"p": 3, "m": 2}, "construction": "lrcrs",
+                   "p_poly": [0, 0, 1], "l": []}
+
+
+def test_a_zero_dimension_piecewise_rs_code_plans_through_plan_linear():
+    # GF(9), y = x^2, l = []: n = 8, k = 0, so every coordinate is a zero
+    # column, locality 0 with the empty witness, as analyze reports it
+    bundle = descriptor.build_code(ZERO_LRCRS_DESC)
+    assert (bundle.spec.n, bundle.spec.k) == (8, 0)
+    for t in (0, 1):
+        for target in range(bundle.spec.n):
+            plan = plan_for(bundle, target, t)
+            assert plan == plan_linear(bundle.code, target, t)
+            assert plan.helpers == () and plan.check_rows == ()
+            assert recover(plan, ()) == 0
+
+
 @pytest.mark.parametrize("t, message", [
     (-1, "t must be nonnegative, got -1"),
     (True, "t must be an integer, got True"),

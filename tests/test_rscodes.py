@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -337,18 +338,24 @@ def test_simulator_encodes_with_the_spec_generator():
     {"field": {"p": 3, "m": 2}, "construction": "rs", "points": "all", "k": 3},
 ], ids=["GF(2^8) fibre code", "RS[9,3]/GF(9)"])
 def test_encode_builds_one_product_table_per_spec(desc):
+    # GF(2^8) packs its products into rows, one per (message position,
+    # symbol); the odd-p GF(9) encodes with its generator
     bundle = descriptor.build_code(desc)
     spec, q = bundle.spec, bundle.field.q
-    table = spec.encoding
-    assert table is spec.encoding                  # built once per spec
-    assert table.dtype == np.uint8 and table.shape == (spec.k * q, spec.n)
-    with pytest.raises(ValueError):
-        table[0, 0] = 1
+    rows = spec.encoding
+    assert rows is spec.encoding                   # built once per spec
     encode(spec, [1] * spec.k)
-    assert spec.encoding is table
-    # table[j*q + s, c] = s * G[c, j]
-    for j, c, s in ((0, 0, 0), (spec.k - 1, spec.n - 1, q - 1), (1, 2, 5)):
-        assert table[j * q + s, c] == bundle.field.mul(s, spec.eval_rows[j][c])
+    assert spec.encoding is rows
+    if bundle.field.p != 2:
+        assert rows is spec.generator
+        return
+    assert type(rows) is tuple and len(rows) == spec.k * q   # immutable
+    # byte c of row j*q + s, little-endian, is s * G[c, j]
+    for j, c, s in ((0, 0, 0), (spec.k - 1, spec.n - 1, q - 1), (1, 2, 5),
+                    (spec.k - 1, 0, 1)):
+        byte = rows[j * q + s] >> 8 * c & 0xFF
+        assert byte == bundle.field.mul(s, spec.eval_rows[j][c])
+    assert all(row.bit_length() <= 8 * spec.n for row in rows)
 
 
 def test_prime_and_large_fields_encode_with_the_generator_itself():
@@ -362,12 +369,13 @@ def test_building_the_rs256_table_peaks_below_twice_its_size():
     spec.generator
     tracemalloc.start()
     try:
-        table = spec.encoding
+        rows = spec.encoding
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert table.nbytes == 1 << 20
-    assert peak < 2 * table.nbytes
+    size = sys.getsizeof(rows) + sum(map(sys.getsizeof, rows))
+    assert len(rows) == 16 * 256 and size > 1 << 20
+    assert peak < 2 * size
 
 
 @pytest.mark.parametrize("desc", [
@@ -386,10 +394,16 @@ def test_codes_specs_and_bundles_survive_pickle_and_copies(desc):
                            copy.deepcopy(obj)):
                 assert copied == obj
         spec = pickle.loads(pickle.dumps(bundle)).spec
+        # the copy rebuilds its cached generator, read-only like the
+        # original's, and its encoding, on first use
+        assert "encoding" not in spec.__dict__
         assert encode(spec, message) == encode(bundle.spec, message)
-        # the copy builds its own cached arrays, read-only like the original's
         assert not spec.generator.flags.writeable
-        assert not spec.encoding.flags.writeable
+        if bundle.field.p == 2:                    # RsSpec/GF(16): packed rows
+            assert type(spec.encoding) is tuple
+            assert spec.encoding == bundle.spec.encoding
+        else:
+            assert spec.encoding is spec.generator
     assert encode(copy.deepcopy(bundle.spec), message) == word
 
 
