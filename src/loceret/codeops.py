@@ -20,7 +20,7 @@ from .galois import _checked_int, _is_int
 DEFAULT_ENUM_CAP = 1 << 26
 DEFAULT_EXHAUSTIVE_N = 20
 
-_CHUNK_ELEMS = 1 << 18     # symbols per min_distance block
+_CHUNK_ELEMS = 1 << 18     # comparisons or products per min_distance step
 _SET_COST = 1 << 12       # words one more information set costs, in min_distance
 
 
@@ -232,18 +232,25 @@ def min_distance(code: LinearCode) -> int:
     The generator is brought into systematic form on m pairwise disjoint
     information sets (_information_sets; columns left over count toward
     weights, never toward the bound).  A codeword's message in the form on
-    set I is its restriction to I, so it weighs at least as many symbols as
-    that message has nonzeros.  Messages are enumerated by weight w = 1, 2,
-    ... in turn on each set, one per projective class, since weights are
-    scale invariant.  Once weight w is done on sets 0..j - 1 and weight
-    w - 1 on the rest, every codeword not yet seen has weight at least
-    j (w + 1) + (m - j) w on the sets alone, and the search stops when that
-    reaches the least weight found.  Weight k on one set covers every
-    message.  m is chosen from the least row weight by _set_count; m = 1 is
-    the full projective enumeration.  DEFAULT_ENUM_CAP, read at each call,
-    still bounds q^k, the size of the full enumeration.  Words are built and
-    counted in blocks of about _CHUNK_ELEMS symbols, one block per weight at
-    a time, so peak memory does not grow with the number of words.
+    set I is its restriction to I, so a weight-w message weighs w plus its
+    nonzeros on the n - k columns outside I.  Messages are enumerated by
+    weight w = 1, 2, ... in turn on each set, one per projective class,
+    since weights are scale invariant.  Once weight w is done on sets
+    0..j - 1 and weight w - 1 on the rest, every codeword not yet seen has
+    weight at least j (w + 1) + (m - j) w on the sets alone, and the search
+    stops when that reaches the least weight found.  Weight k on one set
+    covers every message.  m is chosen from the least row weight by
+    _set_count; m = 1 is the full projective enumeration.  DEFAULT_ENUM_CAP,
+    read at each call, still bounds q^k, the size of the full enumeration.
+    Each set keeps one level of words, those of the weight-(w - 1)
+    messages on its n - k outside columns (_least_weights), and forms the
+    next one only when the next weight is asked for, so peak memory grows
+    with the two largest levels a set holds at once, fewer than
+    q^(k - 1) / (q - 1) words of n - k symbols (29.5 MiB for the binary
+    [47,24,11] quadratic-residue code, which counts through weight 10 on
+    one set).  The rows' q - 1 multiples are kept only once a set forms a
+    level (k >= 3, so q <= 406 under the cap); weight 2 reads them in
+    steps of about _CHUNK_ELEMS products.
     """
     if code.k == 0:
         raise ZeroCodeError("the zero code has no nonzero codeword")
@@ -255,12 +262,13 @@ def min_distance(code: LinearCode) -> int:
     k, n = code.k, code.n
     G = np.array(code.gen, dtype=np.int64)
     best = int(np.count_nonzero(G, axis=1).min())
-    gens = _information_sets(code, G, _set_count(q, k, n, best))
+    searches = [_least_weights(field, gen, columns) for gen, columns
+                in _information_sets(code, G, _set_count(q, k, n, best))]
     for w in range(1, k + 1):
-        for j, gen in enumerate(gens):
-            if j * (w + 1) + (len(gens) - j) * w >= best:
+        for j, search in enumerate(searches):
+            if j * (w + 1) + (len(searches) - j) * w >= best:
                 return best
-            best = min(best, _least_weight(field, gen, w))
+            best = min(best, next(search))
             if w == k:
                 return best
     return best
@@ -285,14 +293,16 @@ def _set_count(q: int, k: int, n: int, least_row: int) -> int:
 
 
 def _information_sets(code: LinearCode, G: np.ndarray, m: int) -> list:
-    """Up to m generators of the code, each systematic on its own
-    information set, the sets pairwise disjoint: G = code.gen on
-    code.pivots, then the rref of the columns no earlier set holds, moved
-    to the front.  Stops early when those columns have rank below k."""
+    """Up to m pairs (generator, columns): generators of the code, each
+    systematic on its own information set (row i is 1 at columns[i] and 0
+    at the set's other columns), the sets pairwise disjoint.  The first is
+    G = code.gen on code.pivots, each further one the rref of the columns no
+    earlier set holds, moved to the front.  Stops early when those columns
+    have rank below k."""
     k, n = G.shape
-    gens = [G]
+    sets = [(G, code.pivots)]
     used = set(code.pivots)
-    while len(gens) < m:
+    while len(sets) < m:
         order = ([c for c in range(n) if c not in used]
                  + [c for c in range(n) if c in used])
         red, pivots = rref(code.field, [[row[c] for c in order]
@@ -301,85 +311,111 @@ def _information_sets(code: LinearCode, G: np.ndarray, m: int) -> list:
             break
         gen = np.empty_like(G)
         gen[:, order] = red
-        gens.append(gen)
-        used.update(order[c] for c in pivots)
-    return gens
+        columns = tuple(order[c] for c in pivots)
+        sets.append((gen, columns))
+        used.update(columns)
+    return sets
 
 
-def _least_weight(field, G: np.ndarray, w: int) -> int:
-    """Least weight of the codewords x G over the messages x of weight w.
+def _least_weights(field, G: np.ndarray, columns):
+    """Yields the least weight of the codewords x G over the messages x of
+    weight w = 1, 2, ..., k in turn, G systematic on the given columns.
+
+    Such a codeword weighs w plus its nonzeros on the other n - k columns,
+    so only those are kept: the rows there and one level of words, those of
+    the weight-(w - 1) messages, one per projective class (first nonzero
+    coefficient 1).  The words are coordinate-major ((n - k) x words) in
+    the narrowest unsigned type that holds q - 1, sorted by last support
+    index; below[j] counts those whose last index is below j.  Weight 2
+    reads the rows' multiples one step of _multiples at a time; the q - 1
+    multiples of rows 1 .. k - 1 are kept only from the first level formed
+    on.  Level w is formed (_next_level) only when weight w + 1 is asked
+    for, so the last level counted is never stored, and without the words
+    whose last index is k - 1, which no row extends."""
+    k, n = G.shape
+    keep = np.ones(n, dtype=bool)
+    keep[list(columns)] = False
+    outside = G[:, keep]
+    symbol = np.min_scalar_type(field.q - 1)
+    words, below = outside.T.astype(symbol), np.arange(k + 1)
+    yield 1 + int(np.count_nonzero(outside, axis=1).min())
+    yield 2 + _least_outside(words, below, _multiples(field, outside))
+    multiples = np.concatenate(tuple(_multiples(field, outside)), axis=2)
+    for w in range(3, k + 1):
+        words, below = _next_level(field, words, below, multiples)
+        yield w + _least_outside(words, below, (multiples,))
+
+
+def _multiples(field, outside):
+    """The multiples of rows 1 .. k - 1 by the nonzero scalars in turn, in
+    blocks of about _CHUNK_ELEMS products in the type of the words:
+    block[j - 1] holds row j's multiples by one run of scalars."""
+    rows = outside[1:, :, None]
+    symbol = np.min_scalar_type(field.q - 1)
+    step = max(1, _CHUNK_ELEMS // max(1, rows.size))
+    for lo in range(1, field.q, step):
+        scalars = np.arange(lo, min(lo + step, field.q))
+        yield field.mul_array(rows, scalars).astype(symbol)
+
+
+def _steps(width: int, scalars: int) -> tuple[int, int]:
+    """Scalars and words per step over pairs of a word and a multiple,
+    width symbols each: about _CHUNK_ELEMS symbols, at least one pair."""
+    per = max(1, min(scalars, _CHUNK_ELEMS // max(1, width)))
+    return per, max(1, _CHUNK_ELEMS // max(1, width * per))
+
+
+def _least_outside(words, below, blocks) -> int:
+    """Least number of nonzeros of prev + c row_j over every row j >= 1,
+    every word prev whose last support index is below j and every nonzero
+    c in the blocks (block[j - 1] holds row j's multiples by a run of
+    scalars).
 
     prev + c row_j vanishes exactly where prev equals -c row_j; as c runs
-    over the nonzero elements so does -c, so each weight is counted as the
-    coordinates where prev differs from a multiple of row j, over the n
-    coordinates at once (coordinate-major, in the narrowest types)."""
-    n = G.shape[1]
-    if w == 1:
-        return int(np.count_nonzero(G, axis=1).min())
-    weight = np.min_scalar_type(n)
-    best = n
-    for prev, multiples, _ in _extensions(field, G, w):
-        differs = prev[:, None, :] != multiples.astype(prev.dtype)[:, :, None]
-        weights = differs.view(np.uint8).sum(axis=0, dtype=weight)
-        best = min(best, int(weights.min()))
+    over the nonzero elements so does -c, so each count is the coordinates
+    where prev differs from a multiple of row j, over the columns at once,
+    one _steps step at a time."""
+    width = words.shape[0]
+    count = np.min_scalar_type(width)
+    best = width
+    for block in blocks:
+        scalars = block.shape[2]
+        per, step = _steps(width, scalars)
+        for j, row in enumerate(block, start=1):
+            stop = int(below[j])
+            for c in range(0, scalars, per):
+                some = row[:, c:c + per, None]
+                for lo in range(0, stop, step):
+                    differs = words[:, None, lo:min(lo + step, stop)] != some
+                    weights = differs.view(np.uint8).sum(axis=0, dtype=count)
+                    best = min(best, int(weights.min()))
     return best
 
 
-def _extensions(field, G: np.ndarray, w: int):
-    """The messages of weight w >= 2 of G, one per projective class (first
-    nonzero coefficient 1), as steps (prev, multiples, j): the words prev
-    (n x p) of the weight-(w - 1) messages whose last support index is
-    below j, and the multiples (n x c) of row j by a run of nonzero
-    scalars.  Each prev word plus each multiple is one weight-w codeword,
-    and a step makes at most _CHUNK_ELEMS symbols of them unless prev alone
-    holds more."""
-    k = G.shape[0]
-    for words, below in _level(field, G, w - 1):
-        for j in range(1, k):
-            prev = words[:, :below[j]]
-            if not prev.size:
-                continue
-            step = max(1, _CHUNK_ELEMS // prev.size)
-            for lo in range(1, field.q, step):
-                scalars = np.arange(lo, min(lo + step, field.q))
-                yield prev, field.mul_array(G[j][:, None], scalars), j
-
-
-def _level(field, G: np.ndarray, w: int):
-    """The codewords of the weight-w messages of G, one per projective
-    class, built from level w - 1 only when asked for, in blocks (words,
-    below) of at most _CHUNK_ELEMS symbols (or one step of _extensions):
-    words is coordinate-major (n x b) in the narrowest unsigned type that
-    holds q - 1, sorted by last support index, and below[j] counts the
-    words whose last index is below j."""
-    k, n = G.shape
-    symbol = np.min_scalar_type(field.q - 1)
-    if w == 1:
-        yield G.T.astype(symbol), np.arange(k + 1)
-        return
+def _next_level(field, words, below, multiples):
+    """The next level of _least_weights' words and its below: every word
+    prev whose last support index is below j, plus each multiple of row j,
+    for j = 1 .. k - 2 in turn, so the new words are sorted by last index
+    j.  Words whose last index would be k - 1 are left out: no row follows
+    them, so no later count or level reads them.  The level is written
+    into one array, one _steps step at a time."""
+    width, scalars = words.shape[0], multiples.shape[2]
     total = np.min_scalar_type(2 * (field.q - 1))     # holds a sum of two
-    pieces, size = [], 0
-    for prev, multiples, j in _extensions(field, G, w):
-        piece = field.add_array(prev[:, None, :],
-                                multiples.astype(total)[:, :, None])
-        piece = piece.astype(symbol, copy=False).reshape(n, -1)
-        if pieces and size + piece.size > _CHUNK_ELEMS:
-            yield _block(pieces, k)
-            pieces, size = [], 0
-        pieces.append((j, piece))
-        size += piece.size
-    if pieces:
-        yield _block(pieces, k)
-
-
-def _block(pieces: list, k: int):
-    """One _level block from its (last index, words) pieces."""
-    pieces.sort(key=lambda piece: piece[0])
-    below = np.zeros(k + 1, dtype=np.int64)
-    for j, piece in pieces:
-        below[j + 1] += piece.shape[1]
-    return (np.concatenate([piece for _, piece in pieces], axis=1),
-            np.cumsum(below))
+    per, step = _steps(width, scalars)
+    counts = np.zeros_like(below)
+    counts[2:-1] = below[1:-2] * scalars
+    ends = np.cumsum(counts)
+    level = np.empty((width, int(ends[-1])), dtype=words.dtype)
+    for j, row in enumerate(multiples[:-1], start=1):
+        stop = int(below[j])
+        piece = level[:, ends[j]:ends[j + 1]].reshape(width, scalars, stop)
+        for c in range(0, scalars, per):
+            some = row[:, c:c + per, None].astype(total)
+            for lo in range(0, stop, step):
+                hi = min(lo + step, stop)
+                piece[:, c:c + per, lo:hi] = field.add_array(
+                    words[:, None, lo:hi], some)
+    return level, ends
 
 
 def _rank_cols(code: LinearCode, coords) -> int:

@@ -1,5 +1,6 @@
 """Code-descriptor files: JSON documents that pin down a field and one code
-construction, plus a content digest used as the plan-cache key.
+construction, plus a content digest that keys the shared bundles and the
+plan cache.
 
 Schema:
     {"field": {"p": 13, "m": 1, "modulus": [c0, c1, ...]?},
@@ -67,6 +68,12 @@ def descriptor_digest(desc: dict) -> str:
     """SHA-256 of the descriptor with default-valued field keys ("m": 1, a
     null or default modulus) dropped, so equal codes written with and
     without the defaults share a digest, and minimal ones keep theirs."""
+    return sha256(_canonical(desc).encode("utf-8")).hexdigest()
+
+
+def _canonical(desc: dict) -> str:
+    """The JSON text descriptor_digest hashes: sorted keys, no spaces, the
+    default-valued field keys dropped."""
     frag = desc.get("field")
     if isinstance(frag, dict):
         frag = {key: value for key, value in frag.items()
@@ -74,8 +81,10 @@ def descriptor_digest(desc: dict) -> str:
                 and not (key == "modulus"
                          and (value is None or _is_default_modulus(frag)))}
         desc = {**desc, "field": frag}
-    canonical = json.dumps(desc, sort_keys=True, separators=(",", ":"))
-    return sha256(canonical.encode("utf-8")).hexdigest()
+    try:
+        return json.dumps(desc, sort_keys=True, separators=(",", ":"))
+    except (TypeError, ValueError) as exc:
+        raise DescriptorError(f"descriptor: not a JSON document: {exc}") from None
 
 
 def _is_default_modulus(frag: dict) -> bool:
@@ -120,6 +129,27 @@ def build_field(desc: dict) -> Field:
         return Field(p, m, modulus)
     except ValueError as exc:
         raise DescriptorError(f"field: {exc}") from None
+
+
+# Every bundle shared_bundle built in this process, by descriptor digest.
+_bundles: dict = {}
+
+
+def shared_bundle(desc: dict) -> CodeBundle:
+    """build_code once per descriptor digest in a process, for callers that
+    build one code many times (the simulator's campaigns).  Descriptors of
+    one digest share one bundle, built from the JSON text the digest
+    hashes, so it is the same whichever spelling came first and whatever
+    the caller later does to its dict.  A descriptor that fails to build
+    raises every time and is not kept."""
+    if not isinstance(desc, dict):
+        raise DescriptorError("descriptor: expected an object")
+    text = _canonical(desc)
+    digest = sha256(text.encode("utf-8")).hexdigest()
+    bundle = _bundles.get(digest)
+    if bundle is None:
+        bundle = _bundles.setdefault(digest, build_code(json.loads(text)))
+    return bundle
 
 
 def build_code(desc: dict) -> CodeBundle:

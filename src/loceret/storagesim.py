@@ -243,10 +243,10 @@ class TrialRecord(NamedTuple):
 # Simulation core: a batch engine over slices of trials
 # ---------------------------------------------------------------------------
 
-# Memo for everything a campaign derives from its code, under three keys:
-# the CodeBundle (key digest), each coordinate's plan (key (digest,
-# coordinate, t)) and the engine arrays (key (digest, t)).  Campaigns of a
-# sweep share one build.
+# Memo for everything a campaign derives from its code, under two keys:
+# each coordinate's plan (key (digest, coordinate, t)) and the engine arrays
+# (key (digest, t)).  Campaigns of a sweep share one build of each, and
+# descriptor.shared_bundle one bundle.
 _plan_cache = localrepair.PlanCache()
 
 
@@ -322,15 +322,14 @@ class _CodeArrays:
 
 
 class _SimContext:
-    """One campaign: its config, its descriptor's digest (computed once per
-    campaign) and the cached arrays of its code."""
+    """One campaign: its config, its code's digest and the cached arrays of
+    its code."""
 
     def __init__(self, config: ClusterConfig):
-        self.digest = digest = descriptor.descriptor_digest(config.code)
-        bundle = _plan_cache.get_or_build(
-            digest, lambda: descriptor.build_code(config.code))
+        bundle = descriptor.shared_bundle(config.code)
+        self.digest = bundle.digest
         self.arrays = _plan_cache.get_or_build(
-            (digest, config.t), lambda: _CodeArrays(bundle, config.t))
+            (bundle.digest, config.t), lambda: _CodeArrays(bundle, config.t))
         self.config = config
         channel = config.channel
         width, _, rows = self.arrays.coeffs.shape
@@ -479,7 +478,7 @@ def compare_policies(config: ClusterConfig, policies=None, sweep=None,
                      workers: int = 1) -> list[dict]:
     """One run per (policy, channel point), all with the same seed so aligned
     draw streams see identical fault patterns.  The runs share one build of
-    the code and its plans through the plan cache.
+    the code (descriptor.shared_bundle) and of its plans (the plan cache).
 
     policies: list of {"name": str, ...config overrides...}; sweep: list of
     channel objects or dicts replacing the base channel per point.

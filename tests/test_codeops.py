@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -682,6 +683,84 @@ def test_min_distance_on_codes_that_choose_several_information_sets(
         found.clear()
         assert min_distance(code) == oracle_min_distance_prime(code), code
         assert found[0] >= 2 and code.n % code.k, (code, found)
+
+
+def test_min_distance_forms_each_level_once_and_never_the_top(monkeypatch):
+    # RS[14,6]/GF(17) searches two sets, through weight 4 on the first and
+    # weight 3 on the second.  Per set, each count reads the level formed
+    # just before it (level 1 is the rows), no level is formed twice, and
+    # the words of the last weight counted are never formed.
+    events, current = [], []
+    search, count, form = (codeops._least_weights, codeops._least_outside,
+                           codeops._next_level)
+
+    def searched(field, G, columns):
+        log = []
+        events.append(log)
+        weights = search(field, G, columns)
+        while True:
+            current[:] = [log]          # the set whose step runs now
+            try:
+                weight = next(weights)
+            except StopIteration:
+                return
+            yield weight
+
+    def counted(words, below, blocks):
+        current[0].append(("count", words.shape[1]))
+        return count(words, below, blocks)
+
+    def formed(field, words, below, multiples):
+        level = form(field, words, below, multiples)
+        current[0].append(("form", words.shape[1], level[0].shape[1]))
+        return level
+
+    monkeypatch.setattr(codeops, "_least_weights", searched)
+    monkeypatch.setattr(codeops, "_least_outside", counted)
+    monkeypatch.setattr(codeops, "_next_level", formed)
+    code = rscodes.rs_make(F17, range(14), 6).code
+    assert min_distance(code) == 9
+    # a level holds no word whose last index is 5: 160 of the 240 weight-2
+    # words and 2,560 of the 5,120 weight-3 words
+    assert events == [
+        [("count", 6), ("form", 6, 160), ("count", 160),
+         ("form", 160, 2560), ("count", 2560)],
+        [("count", 6), ("form", 6, 160), ("count", 160)]]
+
+
+def _quadratic_residue_code_47():
+    """The binary [47,24,11] quadratic-residue code, spanned by the cyclic
+    shifts of its idempotent, the sum of x^i over the residues i mod 47."""
+    residues = {i * i % 47 for i in range(1, 47)}
+    word = [int(i in residues) for i in range(47)]
+    code = code_from_rows(Field(2), [word[-s:] + word[:-s] for s in range(47)])
+    assert code.k == 24
+    return code
+
+
+@pytest.mark.parametrize("make, d, mib", [
+    (lambda: rscodes.rs_make(F13, range(13), 7).code, 7, 16),
+    (_quadratic_residue_code_47, 11, 36),
+    (lambda: rscodes.rs_make(Field(2, 12), range(1, 4096), 2).code, 4094, 8),
+], ids=["RS[13,7]/GF(13)", "QR[47,24]/GF(2)", "RS[4095,2]/GF(2^12)"])
+def test_min_distance_peak_memory(make, d, mib):
+    # RS[13,7]: one set (m = 1) and q^k at 93% of the cap; the search counts
+    # through weight 6 and keeps the weight-5 level, 124,416 words on the 6
+    # columns outside the set (0.75 MB).  QR[47,24]: one set (n < 2k), q^k
+    # at a quarter of the cap; it counts through weight 10 from the
+    # weight-9 level, formed beside the weight-8 one: 490,314 + 817,190
+    # words of 23 bytes, 28.7 MiB (with the level's pieces joined by
+    # np.concatenate the peak was 46.6 MiB).  RS[4095,2]: k = 2, so no
+    # level and no table of multiples (33.5 MB if made), only steps of
+    # _CHUNK_ELEMS products
+    code = make()
+    tracemalloc.start()
+    try:
+        assert min_distance(code) == d
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < mib << 20, peak
 
 
 def test_min_distance_weight_past_255_coordinates():

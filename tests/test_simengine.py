@@ -137,6 +137,7 @@ def test_trial_records_build_no_encode_table(monkeypatch):
 
     def no_encoding(*args):
         raise AssertionError("the simulator encoded")
+    monkeypatch.setattr(descriptor, "_bundles", {})
     monkeypatch.setattr(storagesim, "_plan_cache", localrepair.PlanCache())
     monkeypatch.setattr(Field, "encoding", no_encoding)
     monkeypatch.setattr(Field, "encode_word", no_encoding)

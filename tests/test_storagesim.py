@@ -347,6 +347,7 @@ def test_campaigns_of_a_sweep_share_one_code_build(monkeypatch):
     def counting_build(desc):
         builds.append(desc)
         return real_build(desc)
+    monkeypatch.setattr(descriptor, "_bundles", {})     # count from no bundle
     monkeypatch.setattr(descriptor, "build_code", counting_build)
     desc = {"field": {"p": 11}, "construction": "rs",
             "points": [0, 1, 2, 3, 4, 5, 6, 7, 8], "k": 3}
@@ -363,8 +364,9 @@ def test_campaigns_of_a_sweep_share_one_code_build(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _mangled_plans(monkeypatch, coord, mangle):
-    """Serve plans from a fresh cache, with coordinate coord's plan
-    replaced by mangle(plan)."""
+    """Serve bundles and plans from fresh caches, with coordinate coord's
+    plan replaced by mangle(plan)."""
+    monkeypatch.setattr(descriptor, "_bundles", {})
     monkeypatch.setattr(storagesim, "_plan_cache", localrepair.PlanCache())
     real_plan_for = localrepair.plan_for
 
