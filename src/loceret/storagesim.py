@@ -10,7 +10,8 @@ the generator, a trial needs its error pattern e alone and encodes nothing.
 Every draw is a pure hash of (seed, trial, draw index), so reports are
 bit-identical however trials are sliced.  Slices of trials run as numpy
 array operations, one row per helper slot and one column per trial; an
-exact-error trial carries only its corrupted slots.
+exact-error trial carries only its corrupted slots, and only trials with a
+corrupted slot draw error values.
 
 Also hosts the byte ingestion pipeline: a byte stream is cut into m-bit
 symbols of GF(2^m) and grouped into k-symbol messages, with reversible
@@ -35,11 +36,13 @@ CSV_CELLS = ("clean_correct", "naive_wrong", "detected",
              "missed_wrong", "missed_right")
 
 # Trials per engine slice, at most.  A slice is also cut so that the plan
-# coefficients it gathers, (carried slots x trials x rows), hold
-# _SLICE_ENTRIES entries at most.  A Bernoulli trial carries every slot and
-# an ExactErrors(e) trial its e corrupted ones, so the cut binds only dense
+# coefficients it may gather, (carried slots x trials x rows), hold
+# _SLICE_ENTRIES entries at most.  A hit Bernoulli trial carries every slot
+# and an ExactErrors(e) trial its e corrupted ones; the cut counts every
+# Bernoulli trial as hit, as at epsilon = 1, so it binds only Bernoulli
 # slices of wide plans: Bernoulli trials on RS[40,7]/GF(3^5) at t = 2 ran
-# about 50% slower in slices twice as large.
+# about 50% slower in slices twice as large.  A slice also has a fixed cost
+# of a few dozen numpy calls, which larger slices spread over more trials.
 _CHUNK_TRIALS = 2048
 _SLICE_ENTRIES = 1 << 15
 _SCALE = 1 << 64
@@ -152,41 +155,54 @@ def config_from_dict(obj: dict) -> ClusterConfig:
 #
 # all mod 2^64, with mix the SplitMix64 finaliser and G its golden-ratio
 # increment, so a trial's draws are the SplitMix64 sequence started at its
-# stream value.  Draws 0..k-1 give the message (only trial_records needs
-# it) and draw k the uniform target.  For a plan with r helpers, a
-# Bernoulli trial reads the corruption key of helper j at draw k+1+j, an
-# ExactErrors(e) trial picks its e slots with draws k+1..k+e (_exact_slots),
-# and draw k+1+r+j is the error value of helper j.  A uniform value below
-# `bound` is the draw mod bound; the bias is below 2^-43 for the field
-# sizes in scope.
+# stream value.  The seed's key mix(seed + G) + G is computed in Python
+# ints, and the offsets (index + 1) G once per (code, t).  Draws 0..k-1
+# give the message (only trial_records needs it) and draw k the uniform
+# target.  For a plan with r helpers, a Bernoulli trial reads the
+# corruption key of helper j at draw k+1+j, an ExactErrors(e) trial picks
+# its e slots with draws k+1..k+e (_exact_slots), and draw k+1+r+j is the
+# error value of helper j.  A uniform value below `bound` is the draw mod
+# bound; the bias is below 2^-43 for the field sizes in scope.
 # ---------------------------------------------------------------------------
 
 RNG = "splitmix64-counter/2"
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_GAMMA = 0x9E3779B97F4A7C15
+_MUL1, _MUL2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_G = np.uint64(_GAMMA)
+_M1, _M2 = np.uint64(_MUL1), np.uint64(_MUL2)
+_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finaliser on a uint64 array (wrapping arithmetic)."""
-    z = z ^ (z >> np.uint64(30))              # a new array: the rest is in place
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+    z = z ^ (z >> _S30)              # a new array: the rest is in place
+    z *= _M1
+    z ^= z >> _S27
+    z *= _M2
+    z ^= z >> _S31
     return z
 
 
 def _streams(seed: int, trials: np.ndarray) -> np.ndarray:
     """stream(seed, trial) for a uint64 array of trial indices."""
-    key = _mix64(np.array([seed % _SCALE], dtype=np.uint64) + _GAMMA)
-    return _mix64(key + (trials + np.uint64(1)) * _GAMMA)
+    z = (seed + _GAMMA) % _SCALE
+    z = (z ^ (z >> 30)) * _MUL1 % _SCALE
+    z = (z ^ (z >> 27)) * _MUL2 % _SCALE
+    key = (z ^ (z >> 31)) + _GAMMA
+    return _mix64(trials * _G + np.uint64(key % _SCALE))
+
+
+def _offsets(index) -> np.ndarray:
+    """(index + 1) G mod 2^64 for integer draw indices: mixing a stream plus
+    the offset of an index gives that draw."""
+    return (np.asarray(index, dtype=np.uint64) + np.uint64(1)) * _G
 
 
 def _draws(streams: np.ndarray, index) -> np.ndarray:
     """draw(seed, trial, index) with one column per trial: index is an
     integer array broadcast against the trials' streams, so a column of
     indices gives one row per draw index."""
-    index = np.atleast_1d(np.asarray(index, dtype=np.uint64))
-    return _mix64(streams + (index + np.uint64(1)) * _GAMMA)
+    return _mix64(streams + _offsets(index))
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -290,8 +306,8 @@ class _CodeArrays:
         else:
             self.columns = np.array(bundle.code.gen, dtype=np.int64).T
         self.n, self.k = self.columns.shape                     # (n, k)
-        self.r = np.array([len(plan.helpers) for plan in plans], dtype=np.int64)
-        width = int(self.r.max())
+        self.r = np.array([len(plan.helpers) for plan in plans], dtype=np.uint64)
+        self.fewest, width = int(self.r.min()), int(self.r.max())
         depth = max(len(plan.check_rows) for plan in plans)
         helpers = np.zeros((self.n, width), dtype=np.int64)
         self.coeffs = np.zeros((width, self.n, 1 + depth), dtype=np.int64)
@@ -303,6 +319,14 @@ class _CodeArrays:
                 self.coeffs[:r, coord, 1:1 + len(plan.check_rows)] = np.transpose(
                     plan.check_rows)
         self._prove(helpers)
+        # uint64 constants of the draws: offsets[i] is the offset of draw
+        # index k + i (the uniform target, then channel draw i - 1), and
+        # error_offsets[j, c] that of the error value of slot j of
+        # coordinate c's plan, draw index k + 1 + r + j.
+        self.n64, self.nonzero = np.uint64(self.n), np.uint64(self.field.q - 1)
+        self.slots = np.arange(width, dtype=np.uint64)[:, None]
+        self.offsets = _offsets(np.arange(self.k, self.k + 1 + width))
+        self.error_offsets = _offsets(self.k + 1 + self.r + self.slots)  # (width, n)
 
     def _prove(self, helpers: np.ndarray):
         """Raise unless every recovery row maps the helpers' generator rows
@@ -323,91 +347,111 @@ class _CodeArrays:
 
 class _SimContext:
     """One campaign: its config, its code's digest and the cached arrays of
-    its code."""
+    its code, plus what every slice of the campaign reuses: the offsets of
+    the draws a slice makes at once (the target under uniform-random, then
+    the channel's keys or slot picks) and the Bernoulli threshold."""
 
     def __init__(self, config: ClusterConfig):
         bundle = descriptor.shared_bundle(config.code)
         self.digest = bundle.digest
-        self.arrays = _plan_cache.get_or_build(
+        arr = self.arrays = _plan_cache.get_or_build(
             (bundle.digest, config.t), lambda: _CodeArrays(bundle, config.t))
         self.config = config
         channel = config.channel
-        width, _, rows = self.arrays.coeffs.shape
-        carried = channel.errors if isinstance(channel, ExactErrors) else width
+        self.exact = isinstance(channel, ExactErrors)
+        if self.exact and channel.errors > arr.fewest:
+            raise ValueError(f"channel injects {channel.errors} errors but "
+                             f"only {arr.fewest} helpers exist")
+        width, _, rows = arr.coeffs.shape
+        carried = channel.errors if self.exact else width
         self.slice_trials = max(1, min(_CHUNK_TRIALS,
                                        _SLICE_ENTRIES // max(1, carried * rows)))
-        fewest = int(self.arrays.r.min())
-        if isinstance(channel, ExactErrors) and channel.errors > fewest:
-            raise ValueError(f"channel injects {channel.errors} errors but "
-                             f"only {fewest} helpers exist")
+        self.uniform = config.target_policy == "uniform-random"
+        self.draw_offsets = arr.offsets[0 if self.uniform else 1:1 + carried, None]
+        # Bernoulli(1) corrupts every live slot: 2^64 does not fit in uint64
+        self.threshold = (None if self.exact or channel.epsilon == 1.0
+                          else np.uint64(int(channel.epsilon * _SCALE)))
 
 
 class _Slice(NamedTuple):
-    """Outcomes of the trials [start, stop), one array row per trial."""
+    """Outcomes of the trials [start, stop): one entry per trial, and one
+    column per trial in corrupted."""
     trials: np.ndarray             # trial indices
     targets: np.ndarray
-    corrupted: np.ndarray          # (trials, width) bool per helper slot
+    corrupted: np.ndarray          # slot-major: ExactErrors(e) slices hold the
+                                   # (e, trials) chosen slots, Bernoulli slices
+                                   # the (width, trials) mask of corrupted slots
+    hit: np.ndarray                # bool: some helper slot is corrupted
     shift: np.ndarray              # naive value minus the true symbol
     detected: np.ndarray           # bool
 
 
-def _exact_slots(streams: np.ndarray, first: int, r: np.ndarray,
-                 count: int) -> np.ndarray:
-    """count distinct slots below each trial's helper count r, drawn
-    uniformly without replacement, one row per draw: draw first + j picks
-    the (draw mod (r - j))-th slot that no earlier draw took."""
-    draws = _draws(streams, first + np.arange(count)[:, None])
-    slots = np.empty(draws.shape, dtype=np.int64)
-    for j in range(count):
-        pick = (draws[j] % (r - j).astype(np.uint64)).astype(np.int64)
-        for taken in np.sort(slots[:j], axis=0):    # step over taken slots
-            pick += pick >= taken
-        slots[j] = pick
+def _exact_slots(draws: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Distinct slots below each trial's uint64 helper count r, drawn
+    uniformly without replacement, one row per row of draws: row j picks the
+    (draw mod (r - j))-th slot that no earlier row took."""
+    rows = np.arange(len(draws), dtype=np.uint64)[:, None]
+    slots = (draws % (r - rows)).astype(np.int64)
+    for j in range(1, len(slots)):
+        # step over the taken slots, smallest first (one row needs no sort)
+        for taken in np.sort(slots[:j], axis=0) if j > 1 else slots[:j]:
+            slots[j] += slots[j] >= taken
     return slots
 
 
+def _error_values(arr: _CodeArrays, sums: np.ndarray) -> np.ndarray:
+    """Uniform nonzero error values from stream-plus-offset sums."""
+    return 1 + (_mix64(sums) % arr.nonzero).astype(np.int64)
+
+
+def _images(field, coeffs: np.ndarray, errors: np.ndarray):
+    """Naive shifts and detection flags: the slot-major plan coefficients
+    (slots, trials, 1+depth) times the (slots, trials) error values."""
+    images = field.dot_array(coeffs, errors[:, :, None], axis=0)
+    return images[:, 0], (images[:, 1:] != 0).any(axis=1)
+
+
 def _run_slice(context: _SimContext, start: int, stop: int) -> _Slice:
-    cfg = context.config
+    """The trials [start, stop) as arrays, slot-major: one row per helper
+    slot and one column per trial.  Only hit trials draw error values and
+    take the inner product of their plan coefficients with them; the plans
+    are proven on clean words, so a clean trial's naive value is right
+    (shift 0) and nothing is detected."""
     arr = context.arrays
-    k = arr.k
     trials = np.arange(start, stop, dtype=np.uint64)
-    streams = _streams(cfg.seed, trials)
-
-    if cfg.target_policy == "uniform-random":
-        targets = _draws(streams, k) % np.uint64(arr.n)
+    streams = _streams(context.config.seed, trials)
+    draws = _mix64(streams + context.draw_offsets)
+    if context.uniform:
+        targets, draws = draws[0] % arr.n64, draws[1:]
     else:
-        targets = trials % np.uint64(arr.n)
+        targets = trials % arr.n64
     targets = targets.astype(np.int64)
+    r = arr.r[targets]
 
-    # every per-slot array is slot-major, (slots, trials)
-    r = np.take(arr.r, targets)
-    width = arr.coeffs.shape[0]
-    channel = cfg.channel
-    if isinstance(channel, ExactErrors):
-        # only the e chosen slots carry an error: gather just their coefficients
-        slots = _exact_slots(streams, k + 1, r, channel.errors)  # (e, trials)
-        corrupted = np.zeros((width, len(trials)), dtype=bool)
-        corrupted.reshape(-1)[slots * len(trials) + np.arange(len(trials))] = True
+    if context.exact:
+        # every trial is hit, and only its e chosen slots carry an error
+        corrupted = _exact_slots(draws, r)                      # (e, trials)
+        hit = np.full(len(trials), len(corrupted) > 0)
+        index = corrupted * arr.n + targets                     # into (width, n)
+        errors = _error_values(arr, streams + np.take(arr.error_offsets, index))
         coeffs = np.take(arr.coeffs.reshape(-1, arr.coeffs.shape[2]),
-                         slots * arr.n + targets, axis=0)       # (e, trials, 1+depth)
+                         index, axis=0)                         # (e, trials, 1+depth)
+        shift, detected = _images(arr.field, coeffs, errors)
     else:
-        slots = np.arange(width)[:, None]
-        corrupted = slots < r
-        if channel.epsilon < 1.0:
-            keys = _draws(streams, k + 1 + slots)
-            corrupted &= keys < np.uint64(int(channel.epsilon * _SCALE))
-        # else every live slot: the 2^64 threshold does not fit in uint64
-        coeffs = np.take(arr.coeffs, targets, axis=1)           # (width, trials, 1+depth)
-    error_index = k + 1 + r + slots
-    errors = 1 + (_draws(streams, error_index)
-                  % np.uint64(arr.field.q - 1)).astype(np.int64)
-    if isinstance(channel, Bernoulli):
-        errors = np.where(corrupted, errors, 0)
-
-    # the plans are proven on clean words, so only the error values count
-    images = arr.field.dot_array(coeffs, errors[:, :, None], axis=0)
-    return _Slice(trials, targets, corrupted.T, images[:, 0],
-                  (images[:, 1:] != 0).any(axis=1))
+        corrupted = arr.slots < r                               # (width, trials)
+        if context.threshold is not None:
+            corrupted &= draws < context.threshold
+        hit = corrupted.any(axis=0)
+        live = np.flatnonzero(hit)
+        columns = targets[live]
+        errors = _error_values(arr, streams[live] + np.take(
+            arr.error_offsets, columns, axis=1))                # (width, hits)
+        errors *= corrupted[:, live]                            # clean slots add 0
+        coeffs = np.take(arr.coeffs, columns, axis=1)           # (width, hits, 1+depth)
+        shift = np.zeros(len(trials), dtype=np.int64)
+        detected = np.zeros(len(trials), dtype=bool)
+        shift[live], detected[live] = _images(arr.field, coeffs, errors)
+    return _Slice(trials, targets, corrupted, hit, shift, detected)
 
 
 def _spans(context: _SimContext, start: int, stop: int):
@@ -430,27 +474,34 @@ def trial_records(config: ClusterConfig, start: int = 0, stop: int | None = None
         message = (_draws(streams[:, None], np.arange(arr.k))
                    % np.uint64(field.q)).astype(np.int64)
         truths = field.dot_array(message, arr.columns[out.targets])
-        for trial, target, hit, truth, naive, detected in zip(
-                out.trials.tolist(), out.targets.tolist(), out.corrupted.tolist(),
+        if context.exact:
+            corrupted = np.sort(out.corrupted, axis=0).T.tolist()
+        else:
+            corrupted = [[j for j, h in enumerate(mask) if h]
+                         for mask in out.corrupted.T.tolist()]
+        for trial, target, slots, truth, naive, detected in zip(
+                out.trials.tolist(), out.targets.tolist(), corrupted,
                 truths.tolist(), field.add_array(truths, out.shift).tolist(),
                 out.detected.tolist()):
             yield TrialRecord(
-                trial, target, tuple(j for j, h in enumerate(hit) if h), truth,
+                trial, target, tuple(slots), truth,
                 naive, localrepair.RepairOutcome(None if detected else naive))
 
 
 def _tally_range(context: _SimContext, start: int, stop: int) -> dict:
+    """The report cells of the trials [start, stop): one outcome code per
+    trial, 4 hit + 2 detected + 1 naive-right, counted by one bincount."""
     out = _run_slice(context, start, stop)
-    hit = out.corrupted.any(axis=1)
-    right = out.shift == 0
-    missed = hit & ~out.detected
-    return {"clean_correct": int(np.count_nonzero(~hit)),
-            "corrupted_trials": int(np.count_nonzero(hit)),
-            "naive_wrong": int(np.count_nonzero(hit & ~right)),
-            "naive_right_under_error": int(np.count_nonzero(hit & right)),
-            "detected": int(np.count_nonzero(hit & out.detected)),
-            "missed_wrong": int(np.count_nonzero(missed & ~right)),
-            "missed_right": int(np.count_nonzero(missed & right))}
+    code = out.hit * 4 + out.detected * 2 + (out.shift == 0)
+    cells = np.bincount(code, minlength=8).tolist()
+    missed_wrong, missed_right, caught_wrong, caught_right = cells[4:]
+    return {"clean_correct": sum(cells[:4]),
+            "corrupted_trials": sum(cells[4:]),
+            "naive_wrong": missed_wrong + caught_wrong,
+            "naive_right_under_error": missed_right + caught_right,
+            "detected": caught_wrong + caught_right,
+            "missed_wrong": missed_wrong,
+            "missed_right": missed_right}
 
 
 def run_sim(config: ClusterConfig, workers: int = 1) -> SimReport:

@@ -86,6 +86,23 @@ ROWS = (
            "field.encode_word(field._check_all(message),",
            "field.encode_word(message,",
            ("tests/test_rscodes.py::test_encode_rejects_a_non_canonical_symbol",)),
+    # the simulator's trial engine
+    Mutant("leave the clean slots of a hit Bernoulli trial unmasked", "storagesim.py",
+           "        errors *= corrupted[:, live]",
+           "        pass",
+           ("tests/test_simengine.py", "-k", "loop_reference and bernoulli")),
+    Mutant("swap the detected and naive-right bits of the outcome code", "storagesim.py",
+           "code = out.hit * 4 + out.detected * 2 + (out.shift == 0)",
+           "code = out.hit * 4 + out.detected + (out.shift == 0) * 2",
+           ("tests/test_simengine.py", "-k", "tally")),
+    Mutant("key the seed without + G", "storagesim.py",
+           "key = (z ^ (z >> 31)) + _GAMMA",
+           "key = z ^ (z >> 31)",
+           ("tests/test_simengine.py::test_array_draws_equal_the_scalar_draw",)),
+    Mutant("pick exact slots mod r instead of r - j", "storagesim.py",
+           "slots = (draws % (r - rows)).astype(np.int64)",
+           "slots = (draws % r).astype(np.int64)",
+           ("tests/test_simengine.py", "-k", "loop_reference and exact")),
     # the control: an identity edit must leave every named test passing
     Mutant("identity edit (must survive)", "codeops.py",
            "outside = G[:, keep]",

@@ -123,6 +123,78 @@ def test_engine_matches_the_loop_reference(desc, t, channel, policy, trials):
     assert any(rec.corrupted for rec in engine)
 
 
+# Channel edges on codes of each field kind (prime, GF(2^m), odd-p extension,
+# padded 3- and 4-helper plans): no trial hit, every live slot hit, and one
+# slice with exactly one hit trial among 60 (seed 1192 at Bernoulli(0.01)).
+EDGE_CODES = [("fibre", FIBRE), ("rs-gf256", RS_GF256), ("rs-gf9", RS_GF9),
+              ("generator", GENERATOR)]
+EDGE_CHANNELS = [("bernoulli0", Bernoulli(0.0), 5, 150),
+                 ("bernoulli1", Bernoulli(1.0), 5, 150),
+                 ("exact0", ExactErrors(0), 5, 150),
+                 ("one-hit", Bernoulli(0.01), 1192, 60)]
+EDGE_CASES = [(f"{code}-{channel}-{policy}", desc, 1, ch, policy, trials, seed)
+              for code, desc in EDGE_CODES
+              for channel, ch, seed, trials in EDGE_CHANNELS
+              for policy in ("round-robin", "uniform-random")
+              if channel != "one-hit" or policy == "uniform-random"]
+
+
+@pytest.mark.parametrize("desc,t,channel,policy,trials,seed",
+                         [case[1:] for case in EDGE_CASES],
+                         ids=[case[0] for case in EDGE_CASES])
+def test_channel_edges_match_the_loop_reference(desc, t, channel, policy,
+                                                 trials, seed):
+    config = ClusterConfig(code=desc, t=t, channel=channel, trials=trials,
+                           seed=seed, target_policy=policy)
+    engine = list(trial_records(config))
+    assert engine == list(reference_records(config))
+    hits = [rec for rec in engine if rec.corrupted]
+    if isinstance(channel, ExactErrors) or channel.epsilon == 0.0:
+        assert not hits
+    elif channel.epsilon == 1.0:
+        plans = storagesim.build_plans(descriptor.shared_bundle(desc), t)
+        assert all(rec.corrupted == tuple(range(len(plans[rec.target].helpers)))
+                   for rec in engine)
+    else:
+        assert len(hits) == 1
+
+
+def tally_records(records) -> dict:
+    """The report cells of trial records, one trial at a time."""
+    cells = dict.fromkeys(("clean_correct", "corrupted_trials", "naive_wrong",
+                           "naive_right_under_error", "detected",
+                           "missed_wrong", "missed_right"), 0)
+    for rec in records:
+        right = rec.naive_value == rec.truth
+        if not rec.corrupted:
+            assert right and not rec.outcome.detected, rec
+            cells["clean_correct"] += 1
+            continue
+        cells["corrupted_trials"] += 1
+        cells["naive_right_under_error" if right else "naive_wrong"] += 1
+        if rec.outcome.detected:
+            cells["detected"] += 1
+        else:
+            cells["missed_right" if right else "missed_wrong"] += 1
+    return cells
+
+
+ALL_CASES = [case + (20181203,) for case in CASES] + EDGE_CASES
+
+
+@pytest.mark.parametrize("desc,t,channel,policy,trials,seed",
+                         [case[1:] for case in ALL_CASES],
+                         ids=[case[0] for case in ALL_CASES])
+def test_tally_range_counts_the_trial_records_cell_by_cell(desc, t, channel,
+                                                           policy, trials, seed):
+    config = ClusterConfig(code=desc, t=t, channel=channel, trials=trials,
+                           seed=seed, target_policy=policy)
+    start = trials // 5          # one slice over an offset span
+    context = storagesim._SimContext(config)
+    assert (storagesim._tally_range(context, start, trials)
+            == tally_records(trial_records(config, start, trials)))
+
+
 RS256 = {"field": {"p": 2, "m": 8}, "construction": "rs",
          "points": "all", "k": 16}
 
