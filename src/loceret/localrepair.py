@@ -14,11 +14,14 @@ chosen once per field kind, on unchecked canonical ints; detect, recover and
 repair check the helper count and each helper symbol once, where the symbols
 enter, so no check runs inside the kernel.
 
-The dual words of the RS constructions come from the polynomial that
-vanishes on the complement of the chosen point set: its value at a member
-point costs r multiplications and one inversion via the product of all
-nonzero field elements being -1.  plan_linear takes them from the kernel of
-the generator's columns on the plan's own coordinates.  Plans are built on
+RS and piecewise-RS codes share one builder, plan_rs (also bound as
+plan_lrcrs), and one rule: the helpers are the spec.local_k + t lowest other
+coordinates of the target's fibre, for t up to spec.t_cap.  Their dual
+words come from the polynomial that vanishes on the complement of the
+chosen point set: its value at a member point costs r multiplications and
+one inversion via the product of all nonzero field elements being -1.
+plan_linear takes them from the kernel of the generator's columns on the
+plan's own coordinates.  Plans are built on
 the field's unchecked scalar kernels (Field._mul, _sub, _neg, _inv), since
 the code's points and generator were checked when the code was built;
 CountingField counts those kernel calls, which is what mult_count tallies.
@@ -31,7 +34,6 @@ from typing import NamedTuple
 
 from . import codeops
 from .galois import CountingField
-from .rscodes import LrcRsSpec, RsSpec
 
 
 class AlphaNotInSetError(ValueError):
@@ -39,7 +41,7 @@ class AlphaNotInSetError(ValueError):
 
 
 class NotEnoughCoordinatesError(ValueError):
-    """Code too short for a helper set of the required size."""
+    """The target's fibre is too short for local_k + t helpers."""
 
 
 class HelpersNotEdrError(ValueError):
@@ -151,50 +153,31 @@ def _build_plan(spec, barred, target, t) -> RecoveryPlan:
     return _assemble(field, barred, target, weights, check_rows, t)
 
 
-def _explicit_helpers(code, target, helpers, t, need=None) -> tuple[int, ...]:
-    """The one check of explicit helpers, shared by plan_rs and plan_linear:
-    target, helpers and t are checked where they enter, the helper count
-    must be need when one is given, and helpers + target must detect t
-    errors; returns the helpers sorted."""
-    helpers = codeops._checked_helpers(code.n, target, helpers, t)
-    if need is not None and len(helpers) != need:
-        raise HelpersNotEdrError(
-            f"detecting t = {t} errors takes exactly k + t = {need} helpers, "
-            f"got {len(helpers)}")
-    if not codeops._detects(code, tuple(sorted(helpers + (target,))), t):
-        raise HelpersNotEdrError(
-            f"{list(helpers)} is not a {t}-error-detecting recovery set "
-            f"for coordinate {target}")
-    return helpers
-
-
-def plan_rs(spec: RsSpec, target: int, t: int,
-            helpers=None) -> RecoveryPlan:
-    """Plan for an RS code: default helpers are the k + t lowest coordinates
-    other than the target, which always form a t-edr set; explicit helpers
-    must number exactly k + t."""
-    n = len(spec.points)
-    need = spec.k + t
+def plan_rs(spec, target: int, t: int = 1, helpers=None) -> RecoveryPlan:
+    """Plan for an RS or piecewise-RS code by the fibre rule of its spec:
+    any spec.local_k + t other coordinates of the target's fibre form a
+    t-edr set, for t up to spec.t_cap.  Default helpers are the lowest of
+    them; explicit helpers must number exactly local_k + t and lie in the
+    fibre.  plan_lrcrs is the same function."""
+    fibre = spec.fibre_coords(target)
+    codeops._checked_t(t)
+    if t > spec.t_cap:
+        raise NotEnoughCoordinatesError(
+            f"t = {t} exceeds the capacity t_cap = {spec.t_cap} of the "
+            f"target's fibre of {len(fibre)} coordinates")
+    need = spec.local_k + t
     if helpers is None:
-        codeops._checked_helpers(n, target, t=t)
-        if n < need + 1:
-            raise NotEnoughCoordinatesError(
-                f"need {need + 1} coordinates for t = {t}, code has {n}")
-        helpers = tuple(c for c in range(need + 1) if c != target)[:need]
+        helpers = tuple(c for c in fibre[:need + 1] if c != target)[:need]
     else:
-        helpers = _explicit_helpers(spec.code, target, helpers, t, need)
+        helpers = codeops._checked_helpers(spec.n, target, helpers, t)
+        if len(helpers) != need or not all(c in fibre for c in helpers):
+            raise HelpersNotEdrError(
+                f"t = {t} takes exactly {need} helpers in the target's fibre "
+                f"{fibre[0]}..{fibre[-1]}, got {list(helpers)}")
     return _build_plan(spec, tuple(sorted(helpers + (target,))), target, t)
 
 
-def plan_lrcrs(spec: LrcRsSpec, target: int, t: int = 1) -> RecoveryPlan:
-    """Plan for a piecewise-RS code: the helpers are the target's fibre
-    mates, which detect up to spec.t_cap helper errors; a larger t is
-    refused."""
-    codeops._checked_t(t)
-    if t > spec.t_cap:
-        raise ValueError(f"fibre plans detect at most {spec.t_cap} error, "
-                         f"asked for t = {t}")
-    return _build_plan(spec, spec.fibre_coords(target), target, t)
+plan_lrcrs = plan_rs
 
 
 def plan_linear(code: codeops.LinearCode, target: int, t: int,
@@ -220,7 +203,11 @@ def plan_linear(code: codeops.LinearCode, target: int, t: int,
             raise HelpersNotEdrError(
                 f"coordinate {target} admits no {t}-error-detecting recovery set")
     else:
-        helpers = _explicit_helpers(code, target, helpers, t)
+        helpers = codeops._checked_helpers(code.n, target, helpers, t)
+        if not codeops._detects(code, tuple(sorted(helpers + (target,))), t):
+            raise HelpersNotEdrError(
+                f"{list(helpers)} is not a {t}-error-detecting recovery set "
+                f"for coordinate {target}")
     barred = tuple(sorted(helpers + (target,)))
     target_pos = barred.index(target)
     weights = next((row for row in codeops._dual_words(code, barred)
@@ -242,19 +229,17 @@ def truncate_detection(plan: RecoveryPlan, t: int) -> RecoveryPlan:
 def plan_for(bundle, target: int, t: int, helpers=None) -> RecoveryPlan:
     """The plan for one coordinate of a descriptor's code (a CodeBundle).
 
-    RS codes use plan_rs.  Piecewise-RS codes use their fibre plan up to
-    its capacity spec.t_cap.  Everything else (explicit helpers on a
-    piecewise-RS code, t above the fibre's capacity, a piecewise-RS code of
-    dimension 0, whose every coordinate is a zero column, generator codes)
-    goes through the generic plan_linear.  The target and t are checked
-    first.
+    RS codes, and piecewise-RS codes of positive dimension without explicit
+    helpers and with t up to spec.t_cap, use the fibre rule (plan_rs).
+    Everything else (explicit helpers on a piecewise-RS code, t above its
+    fibre's capacity, a piecewise-RS code of dimension 0, whose every
+    coordinate is a zero column, generator codes) goes through the generic
+    plan_linear.  The target and t are checked first.
     """
     codeops._checked_helpers(bundle.code.n, target, t=t)
-    if bundle.kind == "rs":
+    if bundle.kind == "rs" or (bundle.kind == "lrcrs" and helpers is None
+                               and bundle.spec.k and t <= bundle.spec.t_cap):
         return plan_rs(bundle.spec, target, t, helpers=helpers)
-    if (bundle.kind == "lrcrs" and helpers is None and bundle.spec.k
-            and t <= bundle.spec.t_cap):
-        return plan_lrcrs(bundle.spec, target, t)
     return plan_linear(bundle.code, target, t, helpers=helpers)
 
 
@@ -309,13 +294,8 @@ def mult_count(spec, target: int, t: int = 1, helpers=None,
     inversions for r helpers; repair costs exactly (t + 1)*r multiplications
     and no inversions, since the inverse is folded into the stored rows.
     """
-    codeops._checked_t(t)
     counting = CountingField(spec.field)
-    counted = replace(spec, field=counting)
-    if isinstance(spec, LrcRsSpec):
-        plan = plan_lrcrs(counted, target, t)
-    else:
-        plan = plan_rs(counted, target, t, helpers=helpers)
+    plan = plan_rs(replace(spec, field=counting), target, t, helpers=helpers)
     tally = {"plan_build": counting.counts(), "helpers": len(plan.helpers),
              "t": t, "repair": None}
     if helper_values is not None:

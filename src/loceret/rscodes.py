@@ -59,9 +59,25 @@ class WrongCountError(ValueError):
 
 
 class _EvaluationCode:
-    """The generator of an evaluation-code spec and what its field encodes
-    with, each held once; neither is a field, so equality, hash and repr
-    ignore them."""
+    """The fibre rule of an evaluation-code spec: on each fibre of fibre_size
+    consecutive coordinates every codeword restricts to an MDS code of
+    dimension local_k, so any local_k + t other coordinates of a fibre
+    repair a target there and detect t helper errors, up to t_cap (an RS
+    code is one fibre).  Also its generator and what its field encodes with,
+    each held once; neither is a field, so equality, hash and repr ignore
+    them."""
+
+    @property
+    def t_cap(self) -> int:
+        """Helper errors a plan on a fibre detects: the fibre's restriction
+        has distance fibre_size - local_k + 1 = t_cap + 2."""
+        return self.fibre_size - self.local_k - 1
+
+    def fibre_coords(self, coord: int) -> range:
+        """Coordinates sharing the fibre of the given coordinate."""
+        codeops._checked_helpers(self.n, coord)
+        start = coord - coord % self.fibre_size
+        return range(start, start + self.fibre_size)
 
     @functools.cached_property
     def generator(self) -> np.ndarray:
@@ -101,6 +117,14 @@ class RsSpec(_EvaluationCode):
     def distance_bound(self) -> tuple[int, str]:
         return self.n - self.k + 1, "mds_formula"        # RS codes are MDS
 
+    @property
+    def fibre_size(self) -> int:
+        return self.n
+
+    @property
+    def local_k(self) -> int:
+        return self.k
+
 
 @dataclass(frozen=True)
 class LrcRsSpec(_EvaluationCode):
@@ -135,18 +159,14 @@ class LrcRsSpec(_EvaluationCode):
         return self.goppa_lower_bound, "goppa_lower_bound"
 
     @property
-    def t_cap(self) -> int:
-        """Helper errors a fibre plan detects: on a fibre every codeword is
-        an RS word of length r + 1 and dimension at most r - 1 (len(l) is
-        r - 1), so of distance at least 3."""
-        return 1
+    def fibre_size(self) -> int:
+        return self.r + 1
 
-    def fibre_coords(self, coord: int) -> tuple[int, ...]:
-        """Coordinates sharing the fibre of the given coordinate."""
-        codeops._checked_helpers(self.n, coord)
-        block = coord // (self.r + 1)
-        start = block * (self.r + 1)
-        return tuple(range(start, start + self.r + 1))
+    @property
+    def local_k(self) -> int:
+        """On a fibre y is constant, so every codeword is an RS word in x of
+        degree below len(l) = r - 1."""
+        return self.r - 1
 
 
 @dataclass(frozen=True)

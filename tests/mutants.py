@@ -43,6 +43,8 @@ class Mutant:
 
 MIN_DISTANCE_TESTS = ("tests/test_codeops.py", "-k", "min_distance")
 ENCODE_TESTS = ("tests/test_rscodes.py", "-k", "encode")
+ONE_RULE_TESTS = ("tests/test_localrepair.py", "-k",
+                  "local_k_plus_t or spec_capacity")
 
 ROWS = (
     # min_distance's level search counts only outside each information set
@@ -103,6 +105,19 @@ ROWS = (
            "slots = (draws % (r - rows)).astype(np.int64)",
            "slots = (draws % r).astype(np.int64)",
            ("tests/test_simengine.py", "-k", "loop_reference and exact")),
+    # the one plan rule of RS and piecewise-RS codes
+    Mutant("read local_k + t + 1 fibre mates", "localrepair.py",
+           "need = spec.local_k + t\n",
+           "need = spec.local_k + t + 1\n",
+           ONE_RULE_TESTS),
+    Mutant("t_cap without the - 1", "rscodes.py",
+           "return self.fibre_size - self.local_k - 1",
+           "return self.fibre_size - self.local_k",
+           ONE_RULE_TESTS),
+    Mutant("drop the fibre check on explicit helpers", "localrepair.py",
+           "if len(helpers) != need or not all(c in fibre for c in helpers):",
+           "if len(helpers) != need:",
+           ("tests/test_localrepair.py", "-k", "explicit_helpers_on_a_fibre_spec")),
     # the control: an identity edit must leave every named test passing
     Mutant("identity edit (must survive)", "codeops.py",
            "outside = G[:, keep]",

@@ -469,24 +469,29 @@ def test_truncate_detection():
 
 
 def test_fibre_plans_detect_up_to_the_spec_capacity():
-    # one rule for the fibre's capacity (spec.t_cap): plan_lrcrs builds the
-    # t = 0 plan directly, equal to the t = 1 plan truncated, plan_for and
-    # mult_count go through it, and a larger t is refused by name
+    # one rule for the fibre's capacity (spec.t_cap): plan_lrcrs reads the
+    # local_k + t lowest fibre mates at every t up to it (2 at t = 0, 3 at
+    # t = 1), plan_for and mult_count go through it, and a larger t is
+    # refused by name
     spec = example_code()
     bundle = descriptor.build_code({"field": {"p": 13}, "construction": "lrcrs",
                                     "p_poly": [0, 0, 0, 0, 1], "l": [2, 2]})
     assert spec.t_cap == 1
     for target in range(spec.n):
+        mates = tuple(c for c in spec.fibre_coords(target) if c != target)
         full = plan_lrcrs(spec, target)
         assert plan_lrcrs(spec, target, 1) == full == plan_for(bundle, target, 1)
+        assert full.helpers == mates
         bare = plan_lrcrs(spec, target, 0)
-        assert bare == truncate_detection(full, 0) == plan_for(bundle, target, 0)
+        assert bare == plan_for(bundle, target, 0)
+        assert bare.helpers == mates[:2] and bare.check_rows == ()
     for call in (lambda: plan_lrcrs(spec, 0, 2), lambda: mult_count(spec, 0, 2)):
-        with pytest.raises(ValueError, match="^fibre plans detect at most 1 "
-                                             "error, asked for t = 2$"):
+        with pytest.raises(NotEnoughCoordinatesError,
+                           match="^t = 2 exceeds the capacity t_cap = 1 of the "
+                                 "target's fibre of 4 coordinates$"):
             call()
-    tally = mult_count(spec, 0, 0, helper_values=(6, 9, 0))
-    assert tally["repair"]["mul"] == tally["helpers"] == 3
+    tally = mult_count(spec, 0, 0, helper_values=(6, 9))
+    assert tally["repair"]["mul"] == tally["helpers"] == 2
     assert tally["outcome"].value == 2
 
 
@@ -567,7 +572,7 @@ def test_plain_recovery_costs_r_multiplications():
 
 @pytest.mark.parametrize("spec, target, t, expected", [
     (example_code(), 0, 1, {"mul": 18, "inv": 5, "add": 15, "neg": 5, "pow": 0}),
-    (example_code(), 0, 0, {"mul": 15, "inv": 5, "add": 12, "neg": 5, "pow": 0}),
+    (example_code(), 0, 0, {"mul": 8, "inv": 4, "add": 6, "neg": 4, "pow": 0}),
     (rs_make(F13, list(range(8)), 3), 0, 0,
      {"mul": 15, "inv": 5, "add": 12, "neg": 5, "pow": 0}),
     (rs_make(F13, list(range(8)), 3), 0, 1,
@@ -583,6 +588,67 @@ def test_plain_recovery_costs_r_multiplications():
 def test_plan_build_tallies_are_pinned(spec, target, t, expected):
     # r weights of r multiplications each, t detection rows, one recovery row
     assert mult_count(spec, target, t)["plan_build"] == expected
+
+
+@pytest.mark.parametrize("helpers", [[1, 2], [4, 5, 6]],
+                         ids=["too-few", "outside-the-fibre"])
+def test_mult_count_checks_explicit_helpers_on_a_fibre_spec(helpers):
+    # coordinate 0's fibre is 0..3; outside it the polynomial words of
+    # _build_plan are not dual codewords, so such a plan would be wrong
+    with pytest.raises(HelpersNotEdrError,
+                       match=r"^t = 1 takes exactly 3 helpers in the target's "
+                             rf"fibre 0\.\.3, got {re.escape(str(helpers))}$"):
+        mult_count(example_code(), 0, 1, helpers=helpers)
+    assert (mult_count(example_code(), 0, 1, helpers=[1, 2, 3])
+            == mult_count(example_code(), 0, 1))
+
+
+# (spec, largest t checked); None means the spec's t_cap
+ONE_RULE_CODES = [
+    (example_code(), None),
+    (lrcrs_make(Field(17), [0, 0, 0, 0, 1], [1, 1]), None),
+    (lrcrs_make(Field(19), [0, 0, 0, 1], [3]), None),
+    (lrcrs_make(Field(5, 2), [0, 0, 0, 0, 1], [2, 2]), None),
+    (lrcrs_make(GF256, [0, 0, 0, 0, 0, 1], [4, 4, 4]), None),
+    (rs_make(Field(17), list(range(14)), 6), 2),
+]
+
+
+@pytest.mark.parametrize("spec, top", ONE_RULE_CODES,
+                         ids=["[12,6]/GF(13)", "[16,4]/GF(17)", "[18,4]/GF(19)",
+                              "[24,6]/GF(25)", "[255,15]/GF(2^8)",
+                              "RS[14,6]/GF(17)"])
+def test_every_plan_reads_the_local_k_plus_t_lowest_fibre_mates(spec, top):
+    # the one plan rule: on the target's fibre every codeword restricts to
+    # an MDS code of dimension local_k, so its local_k + t lowest other
+    # coordinates detect t errors, for every t up to t_cap
+    top = spec.t_cap if top is None else top
+    assert top <= spec.t_cap
+    for t in range(top + 1):
+        locality = (t_locality(spec.code, t).per_coord if spec.n <= 20
+                    else None)
+        for target in range(spec.n):
+            plan = plan_rs(spec, target, t)
+            r = spec.local_k + t
+            mates = [c for c in spec.fibre_coords(target) if c != target]
+            assert plan.helpers == tuple(mates[:r])
+            assert codeops.is_edr_set(spec.code, target, plan.helpers, t)
+            if locality is not None:
+                assert locality[target].locality == r
+            linear = plan_linear(spec.code, target, t, helpers=plan.helpers)
+            if t == 0:
+                # the dual on the barred set is one-dimensional
+                assert plan.recovery_row == linear.recovery_row
+            else:
+                assert (codeops.code_from_rows(spec.field, plan.check_rows, r)
+                        == codeops.code_from_rows(spec.field, linear.check_rows,
+                                                  r))
+            values, symbol = codeword_values(spec, plan, target)
+            tally = mult_count(spec, target, t, helper_values=values)
+            assert tally["helpers"] == r
+            assert tally["plan_build"]["mul"] <= r * (r + t + 2)
+            assert tally["repair"]["mul"] == (t + 1) * r
+            assert tally["outcome"].value == symbol
 
 
 def oracle_plan_words(spec, barred, target, t):
