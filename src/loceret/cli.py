@@ -127,7 +127,7 @@ def _load_word(field, path, n: int):
 def cmd_repair(args) -> tuple[dict, int]:
     desc = load_descriptor(args.descriptor)
     bundle = build_code(desc)
-    word = _load_word(bundle.field, args.word, bundle.code.n)
+    word = _load_word(bundle.field, args.word, (bundle.spec or bundle.code).n)
     if len(word.erased) > 1:
         raise MultipleErasuresError(
             f"word erases {sorted(word.erased)}; repair handles exactly one")

@@ -39,13 +39,18 @@ class DescriptorError(ValueError):
 
 @dataclass(frozen=True)
 class CodeBundle:
-    """A parsed descriptor together with the objects it constructs."""
+    """A parsed descriptor together with the objects it constructs: a spec,
+    whose code is built on first use, or a generator code."""
     descriptor: dict
     digest: str
     field: Field
     kind: str                      # "rs" | "lrcrs" | "generator"
     spec: object | None            # RsSpec | LrcRsSpec | None
-    code: codeops.LinearCode
+    generator_code: codeops.LinearCode | None = None
+
+    @property
+    def code(self) -> codeops.LinearCode:
+        return self.generator_code if self.spec is None else self.spec.code
 
 
 def parse_descriptor(text: str) -> dict:
@@ -174,7 +179,7 @@ def build_code(desc: dict) -> CodeBundle:
             spec = rscodes.rs_make(field, points, k)
         except ValueError as exc:
             raise DescriptorError(f"rs: {exc}") from None
-        return CodeBundle(desc, digest, field, kind, spec, spec.code)
+        return CodeBundle(desc, digest, field, kind, spec)
     if kind == "lrcrs":
         p_poly = _int_list(_require(desc, "p_poly", list, "lrcrs"), "lrcrs.p_poly")
         l = _int_list(_require(desc, "l", list, "lrcrs"), "lrcrs.l")
@@ -183,7 +188,7 @@ def build_code(desc: dict) -> CodeBundle:
             spec = rscodes.lrcrs_make(field, p_poly, l)
         except ValueError as exc:
             raise DescriptorError(f"lrcrs: {exc}") from None
-        return CodeBundle(desc, digest, field, kind, spec, spec.code)
+        return CodeBundle(desc, digest, field, kind, spec)
     if kind == "generator":
         rows = _require(desc, "rows", list, "generator")
         for row in rows:

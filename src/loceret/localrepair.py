@@ -232,11 +232,11 @@ def plan_for(bundle, target: int, t: int, helpers=None) -> RecoveryPlan:
     RS codes, and piecewise-RS codes of positive dimension without explicit
     helpers and with t up to spec.t_cap, use the fibre rule (plan_rs).
     Everything else (explicit helpers on a piecewise-RS code, t above its
-    fibre's capacity, a piecewise-RS code of dimension 0, whose every
-    coordinate is a zero column, generator codes) goes through the generic
-    plan_linear.  The target and t are checked first.
+    fibre's capacity, a piecewise-RS code of dimension 0, whose coordinates
+    are all zero columns, generator codes) goes through plan_linear, which
+    alone builds the code.  Only t is checked here.
     """
-    codeops._checked_helpers(bundle.code.n, target, t=t)
+    codeops._checked_t(t)
     if bundle.kind == "rs" or (bundle.kind == "lrcrs" and helpers is None
                                and bundle.spec.k and t <= bundle.spec.t_cap):
         return plan_rs(bundle.spec, target, t, helpers=helpers)

@@ -9,10 +9,10 @@ per i.  Restricted to any one fibre, y is constant, so every codeword looks
 like a short RS codeword there; that is what makes cheap local repair with
 error detection possible.
 
-Every spec caches its generator, which the simulator's engine reads, and
-what its field encodes with (Field.encoding: packed rows on fields of
-characteristic 2 with at most 256 elements, the generator elsewhere), which
-encode reads.
+Every spec derives from its rows, on first use, its generator (the
+simulator's engine reads it), what its field encodes with (Field.encoding:
+packed rows on fields of characteristic 2 with at most 256 elements, the
+generator elsewhere; encode reads it) and its LinearCode (certify reads it).
 """
 
 from __future__ import annotations
@@ -63,9 +63,8 @@ class _EvaluationCode:
     consecutive coordinates every codeword restricts to an MDS code of
     dimension local_k, so any local_k + t other coordinates of a fibre
     repair a target there and detect t helper errors, up to t_cap (an RS
-    code is one fibre).  Also its generator and what its field encodes with,
-    each held once; neither is a field, so equality, hash and repr ignore
-    them."""
+    code is one fibre).  Its generator, encoding and code are built on first
+    use; none is a field, so equality, hash and repr ignore them."""
 
     @property
     def t_cap(self) -> int:
@@ -93,11 +92,16 @@ class _EvaluationCode:
         generator itself elsewhere."""
         return self.field.encoding(self.generator)
 
+    @functools.cached_property
+    def code(self) -> codeops.LinearCode:
+        """The rows' LinearCode; the construction makes them independent."""
+        return codeops.code_from_rows(self.field, self.eval_rows, self.n)
+
     def __getstate__(self):
-        # copies and unpickled specs rebuild both on first use (numpy would
-        # restore the generator writeable)
+        # copies and unpickled specs rebuild all three on first use (numpy
+        # would restore the generator writeable)
         return {key: value for key, value in self.__dict__.items()
-                if key not in ("generator", "encoding")}
+                if key not in ("generator", "encoding", "code")}
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,6 @@ class RsSpec(_EvaluationCode):
     points: tuple[int, ...]
     k: int
     eval_rows: tuple[tuple[int, ...], ...]
-    code: codeops.LinearCode
 
     @property
     def n(self) -> int:
@@ -144,7 +147,6 @@ class LrcRsSpec(_EvaluationCode):
     delta: int
     basis: tuple[tuple[int, int], ...]                # (i, j) exponent pairs
     eval_rows: tuple[tuple[int, ...], ...]
-    code: codeops.LinearCode
 
     @property
     def u(self) -> int:
@@ -187,11 +189,7 @@ def rs_make(field, points, k: int) -> RsSpec:
     # tolist: the rows hold Python ints, which _check_all accepts
     rows = [tuple(row.tolist())
             for row in _power_arrays(field, np.array(pts, dtype=np.int64), k - 1)]
-    code = codeops.code_from_rows(field, rows)
-    if code.k != k:
-        raise AssertionError("distinct points must give independent monomials")
-    return RsSpec(field=field, points=pts, k=k,
-                  eval_rows=tuple(rows), code=code)
+    return RsSpec(field=field, points=pts, k=k, eval_rows=tuple(rows))
 
 
 def lrcrs_make(field, p_poly, l) -> LrcRsSpec:
@@ -232,12 +230,9 @@ def lrcrs_make(field, p_poly, l) -> LrcRsSpec:
     xs = _power_arrays(field, members.ravel(), r - 2)
     ys = _power_arrays(field, np.repeat(betas, r + 1), max(l, default=0))
     rows = [tuple(field.mul_array(xs[i], ys[j]).tolist()) for i, j in basis]
-    code = codeops.code_from_rows(field, rows, n)
-    if code.k != k:
-        raise AssertionError("evaluation map must be injective on the basis")
     return LrcRsSpec(field=field, p_poly=p_coeffs, l=l, r=r, fibres=fibres,
                      points=points, n=n, k=k, delta=delta, basis=basis,
-                     eval_rows=tuple(rows), code=code)
+                     eval_rows=tuple(rows))
 
 
 def _full_fibres(field, p_coeffs, r: int):
@@ -284,10 +279,12 @@ def encode(spec, message) -> Codeword:
                                               spec.encoding, spec.n))
 
 
-def interpolate(spec: RsSpec, positions, values) -> list[int]:
-    """Recover the message through the unique degree < k polynomial passing
+def interpolate(spec, positions, values) -> list[int]:
+    """Recover the message through the unique basis combination passing
     through the k given (point, value) pairs: message . G[:, positions] =
-    values, solved by rref of the augmented k x (k + 1) system."""
+    values, solved by rref of the augmented k x (k + 1) system.  Positions
+    with dependent columns (never k distinct RS points; on a piecewise-RS
+    code, e.g. more than local_k of one fibre) raise ValueError."""
     field = spec.field
     positions = list(positions)
     if len(positions) != spec.k:
@@ -304,7 +301,10 @@ def interpolate(spec: RsSpec, positions, values) -> list[int]:
 
     system = [[row[pos] for row in spec.eval_rows] + [value]
               for pos, value in zip(positions, values)]
-    red, _ = codeops.rref(field, system)
+    red, pivots = codeops.rref(field, system)
+    if pivots != tuple(range(spec.k)):
+        raise ValueError(f"positions {positions} are dependent: their columns "
+                         f"have rank below k = {spec.k}")
     return [row[-1] for row in red]
 
 

@@ -269,7 +269,7 @@ _plan_cache = localrepair.PlanCache()
 def build_plans(bundle: descriptor.CodeBundle, t: int) -> list:
     """One plan per coordinate, memoized on (digest, coordinate, t)."""
     plans = []
-    for coord in range(bundle.code.n):
+    for coord in range((bundle.spec or bundle.code).n):
         key = (bundle.digest, coord, t)
         try:
             plans.append(_plan_cache.get_or_build(
@@ -297,7 +297,7 @@ class _CodeArrays:
     """
 
     def __init__(self, bundle: descriptor.CodeBundle, t: int):
-        if not bundle.code.gen:
+        if not (bundle.spec or bundle.code).k:
             raise PlanUnavailableError("cannot simulate the zero code")
         plans = build_plans(bundle, t)
         self.field = bundle.field

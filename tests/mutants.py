@@ -43,6 +43,8 @@ class Mutant:
 
 MIN_DISTANCE_TESTS = ("tests/test_codeops.py", "-k", "min_distance")
 ENCODE_TESTS = ("tests/test_rscodes.py", "-k", "encode")
+CORPUS_TEST = ("tests/test_rscodes.py::"
+               "test_every_corpus_spec_spans_its_k_and_builds_its_code_once")
 ONE_RULE_TESTS = ("tests/test_localrepair.py", "-k",
                   "local_k_plus_t or spec_capacity")
 
@@ -118,6 +120,24 @@ ROWS = (
            "if len(helpers) != need or not all(c in fibre for c in helpers):",
            "if len(helpers) != need:",
            ("tests/test_localrepair.py", "-k", "explicit_helpers_on_a_fibre_spec")),
+    # evaluation specs: k is fixed by construction, spec.code is built on
+    # first use and kept out of pickles, interpolate checks its rank
+    Mutant("rs_make builds one monomial row too few", "rscodes.py",
+           "np.array(pts, dtype=np.int64), k - 1)]",
+           "np.array(pts, dtype=np.int64), k - 2)]",
+           (CORPUS_TEST,)),
+    Mutant("spec.code without n", "rscodes.py",
+           "code_from_rows(self.field, self.eval_rows, self.n)",
+           "code_from_rows(self.field, self.eval_rows)",
+           (CORPUS_TEST,)),
+    Mutant("__getstate__ keeps the code", "rscodes.py",
+           'if key not in ("generator", "encoding", "code")}',
+           'if key not in ("generator", "encoding")}',
+           ("tests/test_rscodes.py", "-k", "pickle")),
+    Mutant("interpolate without its rank check", "rscodes.py",
+           "if pivots != tuple(range(spec.k)):",
+           "if False:",
+           ("tests/test_rscodes.py", "-k", "dependent_positions")),
     # the control: an identity edit must leave every named test passing
     Mutant("identity edit (must survive)", "codeops.py",
            "outside = G[:, keep]",

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from loceret import codeops, descriptor, storagesim
+from loceret import codeops, descriptor, localrepair, storagesim
 from loceret.galois import Field, poly_eval
 from loceret.rscodes import (BadDimensionError, BadLVectorError,
                              BadMessageLengthError,
@@ -395,8 +395,9 @@ def test_codes_specs_and_bundles_survive_pickle_and_copies(desc):
                 assert copied == obj
         spec = pickle.loads(pickle.dumps(bundle)).spec
         # the copy rebuilds its cached generator, read-only like the
-        # original's, and its encoding, on first use
+        # original's, its encoding and its code, on first use
         assert "encoding" not in spec.__dict__
+        assert "code" not in spec.__dict__
         assert encode(spec, message) == encode(bundle.spec, message)
         assert not spec.generator.flags.writeable
         if bundle.field.p == 2:                    # RsSpec/GF(16): packed rows
@@ -405,6 +406,87 @@ def test_codes_specs_and_bundles_survive_pickle_and_copies(desc):
         else:
             assert spec.encoding is spec.generator
     assert encode(copy.deepcopy(bundle.spec), message) == word
+
+
+def corpus_specs():
+    """Every RS and piecewise-RS spec of the test corpus: RS17_CASES over
+    GF(17); the lemma corpus's (field, n, k) as RS codes on the points
+    0..n-1 wherever the field has n elements; FIBRE_CASES, which hold the
+    worked example and the [255,15]/GF(2^8) store code; RS[256,16]/GF(2^8);
+    and the piecewise-RS code of dimension 0 over GF(9)."""
+    from test_acceptance import lemma_corpus
+    from test_codeops import RS17_CASES
+    F17 = Field(17)
+    for n, k in RS17_CASES:
+        yield rs_make(F17, random.Random(n * 100 + k).sample(range(17), n), k)
+    for code, _ in lemma_corpus():
+        if code.n <= code.field.q:
+            yield rs_make(code.field, range(code.n), code.k)
+    for field, p_poly, l in FIBRE_CASES:
+        yield lrcrs_make(field, p_poly, l)
+    yield rs_make(GF256, range(256), 16)
+    yield lrcrs_make(Field(3, 2), [0, 0, 1], [])
+
+
+def test_every_corpus_spec_spans_its_k_and_builds_its_code_once(monkeypatch):
+    # the construction fixes k, so neither rs_make nor lrcrs_make reduces
+    # its rows; this is the check they no longer make
+    specs = list(corpus_specs())
+    assert len(specs) > 100 and "code" not in specs[0].__dict__
+    calls = []
+    build = codeops.code_from_rows
+    monkeypatch.setattr(codeops, "code_from_rows",
+                        lambda *args: calls.append(args) or build(*args))
+    assert any(spec.k == 0 for spec in specs)
+    for spec in specs:
+        code = build(spec.field, spec.eval_rows, spec.n)
+        assert code.k == spec.k, (spec.field, spec.n, spec.k)
+        assert spec.code == code and spec.code is spec.code
+        assert calls == [(spec.field, spec.eval_rows, spec.n)]
+        calls.clear()
+
+
+SIM_RS14 = {"field": {"p": 17}, "construction": "rs",
+            "points": list(range(14)), "k": 6}
+SIM_FIBRE = {"field": {"p": 13}, "construction": "lrcrs",
+             "p_poly": [0, 0, 0, 0, 1], "l": [2, 2]}
+
+
+def test_specs_encode_plan_repair_and_simulate_without_reducing(monkeypatch):
+    # only certify and the plan_linear fallbacks read a spec's LinearCode
+    def refuse(*args):
+        raise AssertionError("code_from_rows called")
+
+    configs = [storagesim.ClusterConfig(code=desc, t=1, trials=500, seed=2018,
+                                        channel=storagesim.ExactErrors(e))
+               for desc in (SIM_FIBRE, SIM_RS14) for e in (1, 2)]
+    with monkeypatch.context() as patch:
+        patch.setattr(codeops, "code_from_rows", refuse)
+        patch.setattr(descriptor, "_bundles", {})
+        patch.setattr(storagesim, "_plan_cache", localrepair.PlanCache())
+        bundles = [descriptor.build_code(d) for d in (SIM_FIBRE, SIM_RS14)]
+        for bundle in bundles:
+            spec = bundle.spec
+            word = encode(spec, list(range(1, spec.k + 1))).symbols
+            for t in range(spec.t_cap + 1):
+                for target in range(spec.n):
+                    plan = localrepair.plan_for(bundle, target, t)
+                    values = [word[c] for c in plan.helpers]
+                    assert localrepair.repair(plan, values).value == word[target]
+        reports = [storagesim.run_sim(config) for config in configs]
+        assert all("code" not in bundle.spec.__dict__ for bundle in bundles)
+    with monkeypatch.context() as patch:
+        patch.setattr(descriptor, "_bundles", {})
+        patch.setattr(storagesim, "_plan_cache", localrepair.PlanCache())
+        assert [storagesim.run_sim(config) for config in configs] == reports
+    for bundle in bundles:
+        spec = bundle.spec
+        built = codeops.code_from_rows(spec.field, spec.eval_rows, spec.n)
+        assert bundle.code == built and bundle.code is spec.code
+        assert (codeops.certify(bundle.code, 1, spec).to_dict()
+                == codeops.certify(built, 1, spec).to_dict())
+    cert = codeops.certify(bundles[0].code, 1, bundles[0].spec)
+    assert (cert.distance, cert.locality.r_t, cert.t_optimal) == (3, 3, True)
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +518,30 @@ def test_interpolating_a_corrupted_word_is_wrong():
     word[2] = F13.add(word[2], 4)
     recovered = interpolate(spec, [0, 2, 5], [word[c] for c in (0, 2, 5)])
     assert recovered != message
+
+
+def test_interpolate_refuses_dependent_positions_of_a_piecewise_rs_code():
+    # positions 0..5 hold all four points of fibre 0, where every codeword
+    # is an RS word of dimension 2, so their columns have rank 4 < 6
+    spec = example_code()
+    word = encode(spec, [3, 1, 4, 1, 5, 9]).symbols
+    for values in (word[:6], [1, 2, 3, 4, 5, 6]):
+        with pytest.raises(ValueError, match=r"positions \[0, 1, 2, 3, 4, 5\] "
+                                             r"are dependent"):
+            interpolate(spec, range(6), values)
+
+
+def test_interpolate_recovers_the_message_on_an_information_set():
+    spec = example_code()
+    info = spec.code.pivots
+    assert len(info) == spec.k
+    rng = random.Random(2018)
+    for _ in range(20):
+        message = [rng.randrange(13) for _ in range(spec.k)]
+        word = encode(spec, message).symbols
+        for positions in (info, info[::-1]):
+            values = [word[c] for c in positions]
+            assert interpolate(spec, positions, values) == message
 
 
 def test_interpolate_validation():
