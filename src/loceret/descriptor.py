@@ -76,6 +76,11 @@ def descriptor_digest(desc: dict) -> str:
     return sha256(_canonical(desc).encode("utf-8")).hexdigest()
 
 
+# The writer of the canonical text, built once: json.dumps with these
+# options builds a new encoder on every call.
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _canonical(desc: dict) -> str:
     """The JSON text descriptor_digest hashes: sorted keys, no spaces, the
     default-valued field keys dropped."""
@@ -87,7 +92,7 @@ def _canonical(desc: dict) -> str:
                          and (value is None or _is_default_modulus(frag)))}
         desc = {**desc, "field": frag}
     try:
-        return json.dumps(desc, sort_keys=True, separators=(",", ":"))
+        return _CANONICAL_JSON.encode(desc)
     except (TypeError, ValueError) as exc:
         raise DescriptorError(f"descriptor: not a JSON document: {exc}") from None
 
@@ -136,7 +141,8 @@ def build_field(desc: dict) -> Field:
         raise DescriptorError(f"field: {exc}") from None
 
 
-# Every bundle shared_bundle built in this process, by descriptor digest.
+# Every bundle shared_bundle built in this process, by the canonical text
+# of its descriptor, which the digest hashes.
 _bundles: dict = {}
 
 
@@ -145,15 +151,15 @@ def shared_bundle(desc: dict) -> CodeBundle:
     build one code many times (the simulator's campaigns).  Descriptors of
     one digest share one bundle, built from the JSON text the digest
     hashes, so it is the same whichever spelling came first and whatever
-    the caller later does to its dict.  A descriptor that fails to build
-    raises every time and is not kept."""
+    the caller later does to its dict.  The bundles are kept by that text,
+    so only a build hashes it.  A descriptor that fails to build raises
+    every time and is not kept."""
     if not isinstance(desc, dict):
         raise DescriptorError("descriptor: expected an object")
     text = _canonical(desc)
-    digest = sha256(text.encode("utf-8")).hexdigest()
-    bundle = _bundles.get(digest)
+    bundle = _bundles.get(text)
     if bundle is None:
-        bundle = _bundles.setdefault(digest, build_code(json.loads(text)))
+        bundle = _bundles.setdefault(text, build_code(json.loads(text)))
     return bundle
 
 

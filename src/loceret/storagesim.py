@@ -11,7 +11,12 @@ Every draw is a pure hash of (seed, trial, draw index), so reports are
 bit-identical however trials are sliced.  Slices of trials run as numpy
 array operations, one row per helper slot and one column per trial; an
 exact-error trial carries only its corrupted slots, and only trials with a
-corrupted slot draw error values.
+corrupted slot draw error values.  What does not depend on the seed is
+built once per (code, t) in bounded tables that every slice of every
+campaign reads by slicing: the trial offsets of the streams and, for
+round-robin targets, a periodic run of targets, helper counts and live
+slots.  Remainders by a scalar are taken by floor division, which numpy
+runs faster than its %.
 
 Also hosts the byte ingestion pipeline: a byte stream is cut into m-bit
 symbols of GF(2^m) and grouped into k-symbol messages, with reversible
@@ -156,10 +161,10 @@ def config_from_dict(obj: dict) -> ClusterConfig:
 # all mod 2^64, with mix the SplitMix64 finaliser and G its golden-ratio
 # increment, so a trial's draws are the SplitMix64 sequence started at its
 # stream value.  The seed's key mix(seed + G) + G is computed in Python
-# ints, and the offsets (index + 1) G once per (code, t).  Draws 0..k-1
-# give the message (only trial_records needs it) and draw k the uniform
-# target.  For a plan with r helpers, a Bernoulli trial reads the
-# corruption key of helper j at draw k+1+j, an ExactErrors(e) trial picks
+# ints once per campaign, and the offsets (index + 1) G once per (code, t).
+# Draws 0..k-1 give the message (only trial_records needs it) and draw k
+# the uniform target.  For a plan with r helpers, a Bernoulli trial reads
+# the corruption key of helper j at draw k+1+j, an ExactErrors(e) trial picks
 # its e slots with draws k+1..k+e (_exact_slots), and draw k+1+r+j is the
 # error value of helper j.  A uniform value below `bound` is the draw mod
 # bound; the bias is below 2^-43 for the field sizes in scope.
@@ -183,13 +188,19 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _streams(seed: int, trials: np.ndarray) -> np.ndarray:
-    """stream(seed, trial) for a uint64 array of trial indices."""
+def _seed_key(seed: int) -> int:
+    """mix(seed + G) + G mod 2^64, in Python ints: stream(seed, trial) is
+    the mix of the key plus trial G."""
     z = (seed + _GAMMA) % _SCALE
     z = (z ^ (z >> 30)) * _MUL1 % _SCALE
     z = (z ^ (z >> 27)) * _MUL2 % _SCALE
     key = (z ^ (z >> 31)) + _GAMMA
-    return _mix64(trials * _G + np.uint64(key % _SCALE))
+    return key % _SCALE
+
+
+def _streams(seed: int, trials: np.ndarray) -> np.ndarray:
+    """stream(seed, trial) for a uint64 array of trial indices."""
+    return _mix64(trials * _G + np.uint64(_seed_key(seed)))
 
 
 def _offsets(index) -> np.ndarray:
@@ -283,17 +294,25 @@ def build_plans(bundle: descriptor.CodeBundle, t: int) -> list:
 
 class _CodeArrays:
     """Per-(code, t) engine state: the generator columns and every
-    coordinate's plan, padded to the widest plan and stored slot by slot:
-    coeffs[j, c] holds helper slot j of coordinate c's plan, its recovery
-    coefficient first and then its detection coefficients.  Inner products
-    then run along the first axis, an elementwise sum of whole
-    (trials x rows) planes rather than many short rows.
+    coordinate's plan, padded to the widest plan and stored row by row:
+    coeffs[i, j, c] holds helper slot j of row i of coordinate c's plan, the
+    recovery row first and then the detection rows.  A slice gathers them
+    into (rows, slots, trials) and takes its inner products along the slot
+    axis, over whole runs of trials rather than many short rows.
 
     Padding slots of a plan with fewer helpers point at coordinate 0 with
     zero check and recovery coefficients, so they add nothing to any inner
     product, and the channel corrupts only slots below the plan's helper
     count r.  Building proves every plan on the generator, so no plan
     reaches a trial unproven.
+
+    It also holds the read-only tables that every slice of every campaign
+    reads instead of computing, each of at most width x (n + _CHUNK_TRIALS)
+    entries: ramp[i] = i G, the stream offset of the i-th trial of a slice,
+    an all-hit plane for exact channels, and, for round-robin targets,
+    _CHUNK_TRIALS + n trials' worth of the periodic targets, helper counts
+    r and live-slot masks, so that a slice starting at trial `start` reads
+    its entries from start mod n on.
     """
 
     def __init__(self, bundle: descriptor.CodeBundle, t: int):
@@ -310,14 +329,13 @@ class _CodeArrays:
         self.fewest, width = int(self.r.min()), int(self.r.max())
         depth = max(len(plan.check_rows) for plan in plans)
         helpers = np.zeros((self.n, width), dtype=np.int64)
-        self.coeffs = np.zeros((width, self.n, 1 + depth), dtype=np.int64)
+        self.coeffs = np.zeros((1 + depth, width, self.n), dtype=np.int64)
         for coord, plan in enumerate(plans):
             r = len(plan.helpers)
             helpers[coord, :r] = plan.helpers
-            self.coeffs[:r, coord, 0] = plan.recovery_row
+            self.coeffs[0, :r, coord] = plan.recovery_row
             if plan.check_rows:
-                self.coeffs[:r, coord, 1:1 + len(plan.check_rows)] = np.transpose(
-                    plan.check_rows)
+                self.coeffs[1:1 + len(plan.check_rows), :r, coord] = plan.check_rows
         self._prove(helpers)
         # uint64 constants of the draws: offsets[i] is the offset of draw
         # index k + i (the uniform target, then channel draw i - 1), and
@@ -327,13 +345,22 @@ class _CodeArrays:
         self.slots = np.arange(width, dtype=np.uint64)[:, None]
         self.offsets = _offsets(np.arange(self.k, self.k + 1 + width))
         self.error_offsets = _offsets(self.k + 1 + self.r + self.slots)  # (width, n)
+        self.ramp = np.arange(_CHUNK_TRIALS, dtype=np.uint64) * _G
+        self.all_hit = np.ones(_CHUNK_TRIALS, dtype=bool)
+        cycle = np.arange(_CHUNK_TRIALS + self.n) % self.n
+        self.cycle_targets, self.cycle_r = cycle, self.r[cycle]
+        self.cycle_live = self.slots < self.cycle_r  # (width, _CHUNK_TRIALS + n)
+        for table in (self.ramp, self.all_hit, self.cycle_targets,
+                      self.cycle_r, self.cycle_live):
+            table.flags.writeable = False        # slices hand out views
 
     def _prove(self, helpers: np.ndarray):
         """Raise unless every recovery row maps the helpers' generator rows
         to the target's and every detection row maps them to zero: then, by
         linearity, every plan recovers every clean codeword and flags none."""
         basis = self.columns[helpers.T]                         # (width, n, k)
-        images = self.field.dot_array(self.coeffs[:, :, :, None],
+        coeffs = self.coeffs.transpose(1, 2, 0)                 # (width, n, 1+depth)
+        images = self.field.dot_array(coeffs[:, :, :, None],
                                       basis[:, :, None, :], axis=0)  # (n, 1+depth, k)
         wrong = images != 0
         wrong[:, 0] = images[:, 0] != self.columns
@@ -347,9 +374,10 @@ class _CodeArrays:
 
 class _SimContext:
     """One campaign: its config, its code's digest and the cached arrays of
-    its code, plus what every slice of the campaign reuses: the offsets of
-    the draws a slice makes at once (the target under uniform-random, then
-    the channel's keys or slot picks) and the Bernoulli threshold."""
+    its code, plus what every slice of the campaign reuses: the seed's key,
+    the offsets of the draws a slice makes at once (the target under
+    uniform-random, then the channel's keys or slot picks) and the
+    Bernoulli threshold."""
 
     def __init__(self, config: ClusterConfig):
         bundle = descriptor.shared_bundle(config.code)
@@ -357,12 +385,13 @@ class _SimContext:
         arr = self.arrays = _plan_cache.get_or_build(
             (bundle.digest, config.t), lambda: _CodeArrays(bundle, config.t))
         self.config = config
+        self.key = _seed_key(config.seed)
         channel = config.channel
         self.exact = isinstance(channel, ExactErrors)
         if self.exact and channel.errors > arr.fewest:
             raise ValueError(f"channel injects {channel.errors} errors but "
                              f"only {arr.fewest} helpers exist")
-        width, _, rows = arr.coeffs.shape
+        rows, width, _ = arr.coeffs.shape
         carried = channel.errors if self.exact else width
         self.slice_trials = max(1, min(_CHUNK_TRIALS,
                                        _SLICE_ENTRIES // max(1, carried * rows)))
@@ -375,8 +404,10 @@ class _SimContext:
 
 class _Slice(NamedTuple):
     """Outcomes of the trials [start, stop): one entry per trial, and one
-    column per trial in corrupted."""
-    trials: np.ndarray             # trial indices
+    column per trial in corrupted.  Entries may be views of the read-only
+    tables of _CodeArrays."""
+    trials: range                  # trial indices
+    streams: np.ndarray            # stream(seed, trial)
     targets: np.ndarray
     corrupted: np.ndarray          # slot-major: ExactErrors(e) slices hold the
                                    # (e, trials) chosen slots, Bernoulli slices
@@ -386,12 +417,12 @@ class _Slice(NamedTuple):
     detected: np.ndarray           # bool
 
 
-def _exact_slots(draws: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _exact_slots(draws: np.ndarray, r: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Distinct slots below each trial's uint64 helper count r, drawn
     uniformly without replacement, one row per row of draws: row j picks the
-    (draw mod (r - j))-th slot that no earlier row took."""
-    rows = np.arange(len(draws), dtype=np.uint64)[:, None]
-    slots = (draws % (r - rows)).astype(np.int64)
+    (draw mod (r - j))-th slot that no earlier row took.  rows is the uint64
+    column 0, 1, ..., at least one entry per row of draws."""
+    slots = (draws % (r - rows[:len(draws)])).view(np.int64)
     for j in range(1, len(slots)):
         # step over the taken slots, smallest first (one row needs no sort)
         for taken in np.sort(slots[:j], axis=0) if j > 1 else slots[:j]:
@@ -400,15 +431,17 @@ def _exact_slots(draws: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _error_values(arr: _CodeArrays, sums: np.ndarray) -> np.ndarray:
-    """Uniform nonzero error values from stream-plus-offset sums."""
-    return 1 + (_mix64(sums) % arr.nonzero).astype(np.int64)
+    """Uniform nonzero error values from stream-plus-offset sums: 1 plus the
+    draw mod q - 1."""
+    draws = _mix64(sums)
+    return (draws - draws // arr.nonzero * arr.nonzero).view(np.int64) + 1
 
 
 def _images(field, coeffs: np.ndarray, errors: np.ndarray):
-    """Naive shifts and detection flags: the slot-major plan coefficients
-    (slots, trials, 1+depth) times the (slots, trials) error values."""
-    images = field.dot_array(coeffs, errors[:, :, None], axis=0)
-    return images[:, 0], (images[:, 1:] != 0).any(axis=1)
+    """Naive shifts and detection flags: the plan coefficients
+    (1+depth, slots, trials) times the (slots, trials) error values."""
+    images = field.dot_array(coeffs, errors, axis=1)           # (1+depth, trials)
+    return images[0], images[1:].any(axis=0)
 
 
 def _run_slice(context: _SimContext, start: int, stop: int) -> _Slice:
@@ -418,40 +451,47 @@ def _run_slice(context: _SimContext, start: int, stop: int) -> _Slice:
     are proven on clean words, so a clean trial's naive value is right
     (shift 0) and nothing is detected."""
     arr = context.arrays
-    trials = np.arange(start, stop, dtype=np.uint64)
-    streams = _streams(context.config.seed, trials)
+    count = stop - start
+    streams = _mix64(arr.ramp[:count]
+                     + np.uint64((context.key + start * _GAMMA) % _SCALE))
     draws = _mix64(streams + context.draw_offsets)
     if context.uniform:
-        targets, draws = draws[0] % arr.n64, draws[1:]
+        first, draws = draws[0], draws[1:]
+        targets = (first - first // arr.n64 * arr.n64).view(np.int64)
+        r = arr.r[targets]
+        live_slots = None
     else:
-        targets = trials % arr.n64
-    targets = targets.astype(np.int64)
-    r = arr.r[targets]
+        at = start % arr.n
+        targets = arr.cycle_targets[at:at + count]
+        r = arr.cycle_r[at:at + count]
+        live_slots = arr.cycle_live[:, at:at + count]
 
     if context.exact:
         # every trial is hit, and only its e chosen slots carry an error
-        corrupted = _exact_slots(draws, r)                      # (e, trials)
-        hit = np.full(len(trials), len(corrupted) > 0)
+        corrupted = _exact_slots(draws, r, arr.slots)           # (e, trials)
+        hit = (arr.all_hit[:count] if len(corrupted)
+               else np.zeros(count, dtype=bool))
         index = corrupted * arr.n + targets                     # into (width, n)
         errors = _error_values(arr, streams + np.take(arr.error_offsets, index))
-        coeffs = np.take(arr.coeffs.reshape(-1, arr.coeffs.shape[2]),
-                         index, axis=0)                         # (e, trials, 1+depth)
+        coeffs = np.take(arr.coeffs.reshape(len(arr.coeffs), -1),
+                         index, axis=1)                         # (1+depth, e, trials)
         shift, detected = _images(arr.field, coeffs, errors)
     else:
-        corrupted = arr.slots < r                               # (width, trials)
+        corrupted = arr.slots < r if live_slots is None else live_slots
         if context.threshold is not None:
-            corrupted &= draws < context.threshold
+            corrupted = corrupted & (draws < context.threshold)
         hit = corrupted.any(axis=0)
         live = np.flatnonzero(hit)
         columns = targets[live]
         errors = _error_values(arr, streams[live] + np.take(
             arr.error_offsets, columns, axis=1))                # (width, hits)
         errors *= corrupted[:, live]                            # clean slots add 0
-        coeffs = np.take(arr.coeffs, columns, axis=1)           # (width, hits, 1+depth)
-        shift = np.zeros(len(trials), dtype=np.int64)
-        detected = np.zeros(len(trials), dtype=bool)
+        coeffs = np.take(arr.coeffs, columns, axis=2)           # (1+depth, width, hits)
+        shift = np.zeros(count, dtype=np.int64)
+        detected = np.zeros(count, dtype=bool)
         shift[live], detected[live] = _images(arr.field, coeffs, errors)
-    return _Slice(trials, targets, corrupted, hit, shift, detected)
+    return _Slice(range(start, stop), streams, targets, corrupted, hit, shift,
+                  detected)
 
 
 def _spans(context: _SimContext, start: int, stop: int):
@@ -470,8 +510,7 @@ def trial_records(config: ClusterConfig, start: int = 0, stop: int | None = None
     field = arr.field
     for span in _spans(context, start, config.trials if stop is None else stop):
         out = _run_slice(context, *span)
-        streams = _streams(config.seed, out.trials)
-        message = (_draws(streams[:, None], np.arange(arr.k))
+        message = (_draws(out.streams[:, None], np.arange(arr.k))
                    % np.uint64(field.q)).astype(np.int64)
         truths = field.dot_array(message, arr.columns[out.targets])
         if context.exact:
@@ -480,7 +519,7 @@ def trial_records(config: ClusterConfig, start: int = 0, stop: int | None = None
             corrupted = [[j for j, h in enumerate(mask) if h]
                          for mask in out.corrupted.T.tolist()]
         for trial, target, slots, truth, naive, detected in zip(
-                out.trials.tolist(), out.targets.tolist(), corrupted,
+                out.trials, out.targets.tolist(), corrupted,
                 truths.tolist(), field.add_array(truths, out.shift).tolist(),
                 out.detected.tolist()):
             yield TrialRecord(

@@ -45,6 +45,7 @@ MIN_DISTANCE_TESTS = ("tests/test_codeops.py", "-k", "min_distance")
 ENCODE_TESTS = ("tests/test_rscodes.py", "-k", "encode")
 CORPUS_TEST = ("tests/test_rscodes.py::"
                "test_every_corpus_spec_spans_its_k_and_builds_its_code_once")
+OFFSET_TEST = "tests/test_simengine.py::test_an_offset_range_matches_the_reference"
 ONE_RULE_TESTS = ("tests/test_localrepair.py", "-k",
                   "local_k_plus_t or spec_capacity")
 
@@ -104,9 +105,18 @@ ROWS = (
            "key = z ^ (z >> 31)",
            ("tests/test_simengine.py::test_array_draws_equal_the_scalar_draw",)),
     Mutant("pick exact slots mod r instead of r - j", "storagesim.py",
-           "slots = (draws % (r - rows)).astype(np.int64)",
-           "slots = (draws % r).astype(np.int64)",
+           "slots = (draws % (r - rows[:len(draws)])).view(np.int64)",
+           "slots = (draws % r).view(np.int64)",
            ("tests/test_simengine.py", "-k", "loop_reference and exact")),
+    # slices read the per-(code, t) tables at their own offset
+    Mutant("read the round-robin tables from start, not start mod n", "storagesim.py",
+           "at = start % arr.n",
+           "at = start",
+           (OFFSET_TEST,)),
+    Mutant("offset a slice's trials by (start + 1) G", "storagesim.py",
+           "context.key + start * _GAMMA",
+           "context.key + (start + 1) * _GAMMA",
+           (OFFSET_TEST,)),
     # the one plan rule of RS and piecewise-RS codes
     Mutant("read local_k + t + 1 fibre mates", "localrepair.py",
            "need = spec.local_k + t\n",

@@ -85,7 +85,7 @@ def test_descriptors_of_one_digest_share_one_bundle(monkeypatch):
     assert descriptor.shared_bundle({"field": {"p": 13, "m": 1},
                                      "construction": "rs", "points": "all",
                                      "k": 4}) is bundle
-    assert list(descriptor._bundles) == [bundle.digest]
+    assert list(descriptor._bundles.values()) == [bundle]
     # build_code itself builds on every call
     assert build_code(desc) is not build_code(desc)
 
@@ -136,7 +136,7 @@ def test_a_shared_bundle_does_not_depend_on_earlier_calls(monkeypatch, first):
             descriptor.shared_bundle(bad)
         with pytest.raises(DescriptorError, match="not a JSON document"):
             descriptor_digest(bad)
-    assert list(descriptor._bundles) == [bundles[0].digest]
+    assert list(descriptor._bundles.values()) == [bundles[0]]
 
 
 @pytest.mark.parametrize("field", [{"p": 2305843009213693951},

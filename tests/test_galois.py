@@ -11,8 +11,7 @@ import pytest
 from loceret import codeops, descriptor, galois, rscodes, storagesim
 from loceret.galois import (CountingField, DivisionByZeroError, Field,
                             FieldTooLargeError, NotIrreducibleError,
-                            NotPrimeError, find_irreducible, is_prime,
-                            poly_eval)
+                            NotPrimeError, find_irreducible, is_prime)
 
 AES_MODULUS = (1, 1, 0, 1, 1, 0, 0, 0, 1)     # 1 + x + x^3 + x^4 + x^8
 
@@ -22,8 +21,19 @@ SMALL_FIELDS = [Field(2), Field(3), Field(13), Field(2, 2), Field(2, 3),
 
 # Polynomials over a field as coefficient tuples (lowest degree first, no
 # trailing zeros; the zero polynomial is () with degree -inf): test-only
-# oracles for poly_eval, which must map sums and products to sums and
-# products of values.
+# oracles.  poly_eval is the scalar oracle of the array evaluations in
+# rscodes, and must map sums and products to sums and products of values.
+
+def poly_eval(field, coeffs, x: int) -> int:
+    """Horner evaluation of a coefficient sequence at x: the coefficients
+    and x are checked once, and the loop runs on the field's kernels."""
+    field._check_all((*coeffs, x))
+    add, mul = field._add, field._mul
+    acc = 0
+    for c in reversed(coeffs):
+        acc = add(mul(acc, x), c)
+    return acc
+
 
 def poly_trim(coeffs):
     c = list(coeffs)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from loceret import codeops, descriptor, localrepair, storagesim
-from loceret.galois import Field, poly_eval
+from loceret.galois import Field
 from loceret.rscodes import (BadDimensionError, BadLVectorError,
                              BadMessageLengthError,
                              DegreeOverflowError, DuplicatePointsError,
@@ -17,6 +17,7 @@ from loceret.rscodes import (BadDimensionError, BadLVectorError,
                              WrongCountError, encode, interpolate,
                              lrcrs_make, parse_codeword_line, rs_make,
                              suggest_p_poly)
+from test_galois import poly_eval
 
 F7 = Field(7)
 F13 = Field(13)

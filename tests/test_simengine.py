@@ -222,6 +222,49 @@ def test_an_offset_range_matches_the_reference():
     start, stop = 700, 700 + storagesim._CHUNK_TRIALS + 33
     assert (list(trial_records(config, start, stop))
             == list(reference_records(config, start, stop)))
+    # round-robin slices read their targets, helper counts and live slots
+    # from periodic tables at start mod n, and their stream offsets from a
+    # ramp shifted by start G: ranges that start past 0, wrap around n, and
+    # cross a slice boundary (the second slice starts at 700 + 2048)
+    for desc in (FIBRE, RS_GF9, GENERATOR):
+        n = descriptor.shared_bundle(desc).code.n
+        for channel in (Bernoulli(0.3), ExactErrors(2)):
+            config = ClusterConfig(code=desc, t=1, channel=channel, trials=3000,
+                                   seed=-5, target_policy="round-robin")
+            for start, stop in ((1, 40), (n - 1, n + 40), (700, 760),
+                                (700, 700 + storagesim._CHUNK_TRIALS + 33)):
+                assert (list(trial_records(config, start, stop))
+                        == list(reference_records(config, start, stop))), (
+                            desc, channel, start)
+
+
+def test_a_long_campaign_grows_no_table_or_cache_after_its_first_slice(monkeypatch):
+    # the per-(code, t) arrays, the plan cache and the bundles are built by
+    # the first slice of the first campaign and serve every later slice and
+    # campaign as they are: nothing is kept per slice
+    monkeypatch.setattr(descriptor, "_bundles", {})
+    monkeypatch.setattr(storagesim, "_plan_cache", localrepair.PlanCache())
+    real_run_slice = storagesim._run_slice
+    sizes = []
+
+    def sized_slice(context, start, stop):
+        out = real_run_slice(context, start, stop)
+        arrays = {name: value.shape if isinstance(value, np.ndarray)
+                  else len(value) if hasattr(value, "__len__") else None
+                  for name, value in vars(context.arrays).items()}
+        sizes.append((arrays, len(storagesim._plan_cache),
+                      len(descriptor._bundles)))
+        return out
+    monkeypatch.setattr(storagesim, "_run_slice", sized_slice)
+    trials = 3 * storagesim._CHUNK_TRIALS
+    for policy in ("round-robin", "uniform-random"):
+        for seed, channel in enumerate((Bernoulli(0.1), ExactErrors(2))):
+            storagesim.run_sim(ClusterConfig(code=FIBRE, t=1, channel=channel,
+                                             trials=trials, seed=seed,
+                                             target_policy=policy))
+    assert len(sizes) == 4 * 3
+    assert all(size == sizes[0] for size in sizes)
+    assert sizes[0][1:] == (12 + 1, 1)      # 12 plans and the arrays; one bundle
 
 
 def test_array_draws_equal_the_scalar_draw():
