@@ -167,8 +167,7 @@ def cmd_simulate(args) -> tuple[dict, int]:
     config = storagesim.config_from_dict(raw)
     policies = raw.get("policies")
     sweep = raw.get("sweep")
-    rows = storagesim.compare_policies(config, policies, sweep,
-                                       workers=args.workers)
+    rows = storagesim.compare_policies(config, policies, sweep)
     doc = _base_report("simulate")
     if policies or sweep:
         doc["runs"] = [{"policy": row["policy"], "channel": row["channel"],

@@ -7,16 +7,17 @@ repair with detection.  The recovery and detection rows are dual codewords,
 so on stored helpers c + e they give the true symbol plus recovery . e and
 the syndromes check . e, whatever the message: once every plan is proven on
 the generator, a trial needs its error pattern e alone and encodes nothing.
-Every draw is a pure hash of (seed, trial, draw index), so reports are
-bit-identical however trials are sliced.  Slices of trials run as numpy
-array operations, one row per helper slot and one column per trial; an
-exact-error trial carries only its corrupted slots, and only trials with a
-corrupted slot draw error values.  What does not depend on the seed is
-built once per (code, t) in bounded tables that every slice of every
-campaign reads by slicing: the trial offsets of the streams and, for
-round-robin targets, a periodic run of targets, helper counts and live
-slots.  Remainders by a scalar are taken by floor division, which numpy
-runs faster than its %.
+Every draw is a pure hash of (seed, trial, draw index), formed only by
+_streams and _draws, so reports are bit-identical however trials are
+sliced.  Slices of trials run as numpy array operations, one row per helper
+slot and one column per trial; an exact-error trial carries only its
+corrupted slots, and only trials with a corrupted slot draw error values.
+Each slice returns an 8-bin outcome histogram (_tally_range), and run_sim
+maps the campaign's sum to report cells once (_outcome_cells).  What does
+not depend on the seed is built once per (code, t) in bounded tables that
+every slice of every campaign reads by slicing: the trial offsets of the
+streams and, for round-robin targets, a periodic run of targets, helper
+counts and live slots.
 
 Also hosts the byte ingestion pipeline: a byte stream is cut into m-bit
 symbols of GF(2^m) and grouped into k-symbol messages, with reversible
@@ -35,8 +36,6 @@ import numpy as np
 from . import codeops, descriptor, localrepair
 from .galois import _checked_int, _is_int
 
-_COUNT_CELLS = ("clean_correct", "naive_wrong", "naive_right_under_error",
-                "detected", "missed_wrong", "missed_right")
 CSV_CELLS = ("clean_correct", "naive_wrong", "detected",
              "missed_wrong", "missed_right")
 
@@ -71,6 +70,8 @@ class Bernoulli:
         if (not (_is_int(eps) or isinstance(eps, float))
                 or not 0.0 <= eps <= 1.0):
             raise ValueError(f"epsilon must lie in [0, 1], got {eps!r}")
+        # a float, so Bernoulli(1) and Bernoulli(1.0) write the same bytes
+        object.__setattr__(self, "epsilon", float(eps))
 
     def to_dict(self):
         return {"kind": "bernoulli", "epsilon": self.epsilon}
@@ -100,7 +101,7 @@ def _config_value(obj, key: str, where: str, kinds=int, default=None):
 def channel_from_dict(obj: dict, where: str = "channel"):
     kind = _config_value(obj, "kind", where, str)
     if kind == "bernoulli":
-        return Bernoulli(float(_config_value(obj, "epsilon", where, (int, float))))
+        return Bernoulli(_config_value(obj, "epsilon", where, (int, float)))
     if kind == "exact":
         return ExactErrors(_config_value(obj, "errors", where))
     raise ValueError(f"{where}.kind: unknown channel kind {kind!r}")
@@ -121,6 +122,9 @@ class ClusterConfig:
             raise ValueError(f"trials must be positive, got {self.trials}")
         codeops._checked_t(self.t)
         _checked_int("seed", self.seed)
+        if not isinstance(self.channel, (Bernoulli, ExactErrors)):
+            raise ValueError("channel must be a Bernoulli or an ExactErrors, "
+                             f"got {self.channel!r}")
         if self.target_policy not in ("round-robin", "uniform-random"):
             raise ValueError(f"unknown target policy {self.target_policy!r}")
         if self.error_value_model != "uniform-nonzero":
@@ -160,14 +164,16 @@ def config_from_dict(obj: dict) -> ClusterConfig:
 #
 # all mod 2^64, with mix the SplitMix64 finaliser and G its golden-ratio
 # increment, so a trial's draws are the SplitMix64 sequence started at its
-# stream value.  The seed's key mix(seed + G) + G is computed in Python
-# ints once per campaign, and the offsets (index + 1) G once per (code, t).
+# stream value.  One function holds each rule, and the engine, trial_records
+# and the tests all call it: _seed_key (the key mix(seed + G) + G, in Python
+# ints), _streams (a run of trials from the key, its first trial and a ramp
+# of i G), _offsets ((index + 1) G), _draws (stream plus offset, mixed) and
+# _below (a draw mod a bound: bias below 2^-43 for the fields in scope).
 # Draws 0..k-1 give the message (only trial_records needs it) and draw k
 # the uniform target.  For a plan with r helpers, a Bernoulli trial reads
 # the corruption key of helper j at draw k+1+j, an ExactErrors(e) trial picks
 # its e slots with draws k+1..k+e (_exact_slots), and draw k+1+r+j is the
-# error value of helper j.  A uniform value below `bound` is the draw mod
-# bound; the bias is below 2^-43 for the field sizes in scope.
+# error value of helper j.
 # ---------------------------------------------------------------------------
 
 RNG = "splitmix64-counter/2"
@@ -198,9 +204,10 @@ def _seed_key(seed: int) -> int:
     return key % _SCALE
 
 
-def _streams(seed: int, trials: np.ndarray) -> np.ndarray:
-    """stream(seed, trial) for a uint64 array of trial indices."""
-    return _mix64(trials * _G + np.uint64(_seed_key(seed)))
+def _streams(key: int, start: int, ramp: np.ndarray) -> np.ndarray:
+    """stream(seed, trial) of the trials start, start + 1, ...: key is
+    _seed_key(seed) and ramp[i] = i G, one entry per trial."""
+    return _mix64(ramp + np.uint64((key + start * _GAMMA) % _SCALE))
 
 
 def _offsets(index) -> np.ndarray:
@@ -209,11 +216,16 @@ def _offsets(index) -> np.ndarray:
     return (np.asarray(index, dtype=np.uint64) + np.uint64(1)) * _G
 
 
-def _draws(streams: np.ndarray, index) -> np.ndarray:
-    """draw(seed, trial, index) with one column per trial: index is an
-    integer array broadcast against the trials' streams, so a column of
-    indices gives one row per draw index."""
-    return _mix64(streams + _offsets(index))
+def _draws(streams: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """draw(seed, trial, index) from the trials' streams and the _offsets of
+    the draw indices, broadcast against each other."""
+    return _mix64(streams + offsets)
+
+
+def _below(draws: np.ndarray, bound: np.uint64) -> np.ndarray:
+    """draws mod bound as int64, by floor division, which numpy runs faster
+    than its % by a scalar."""
+    return (draws - draws // bound * bound).view(np.int64)
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -241,9 +253,9 @@ class SimReport:
     @property
     def rates(self) -> dict:
         out = {}
-        for cell in _COUNT_CELLS:
-            lo, hi = wilson_interval(self.counts[cell], self.trials)
-            out[cell] = {"rate": self.counts[cell] / self.trials,
+        for cell, count in self.counts.items():
+            lo, hi = wilson_interval(count, self.trials)
+            out[cell] = {"rate": count / self.trials,
                          "ci_low": lo, "ci_high": hi}
         return out
 
@@ -406,7 +418,6 @@ class _Slice(NamedTuple):
     """Outcomes of the trials [start, stop): one entry per trial, and one
     column per trial in corrupted.  Entries may be views of the read-only
     tables of _CodeArrays."""
-    trials: range                  # trial indices
     streams: np.ndarray            # stream(seed, trial)
     targets: np.ndarray
     corrupted: np.ndarray          # slot-major: ExactErrors(e) slices hold the
@@ -430,13 +441,6 @@ def _exact_slots(draws: np.ndarray, r: np.ndarray, rows: np.ndarray) -> np.ndarr
     return slots
 
 
-def _error_values(arr: _CodeArrays, sums: np.ndarray) -> np.ndarray:
-    """Uniform nonzero error values from stream-plus-offset sums: 1 plus the
-    draw mod q - 1."""
-    draws = _mix64(sums)
-    return (draws - draws // arr.nonzero * arr.nonzero).view(np.int64) + 1
-
-
 def _images(field, coeffs: np.ndarray, errors: np.ndarray):
     """Naive shifts and detection flags: the plan coefficients
     (1+depth, slots, trials) times the (slots, trials) error values."""
@@ -452,12 +456,11 @@ def _run_slice(context: _SimContext, start: int, stop: int) -> _Slice:
     (shift 0) and nothing is detected."""
     arr = context.arrays
     count = stop - start
-    streams = _mix64(arr.ramp[:count]
-                     + np.uint64((context.key + start * _GAMMA) % _SCALE))
-    draws = _mix64(streams + context.draw_offsets)
+    streams = _streams(context.key, start, arr.ramp[:count])
+    draws = _draws(streams, context.draw_offsets)
     if context.uniform:
         first, draws = draws[0], draws[1:]
-        targets = (first - first // arr.n64 * arr.n64).view(np.int64)
+        targets = _below(first, arr.n64)
         r = arr.r[targets]
         live_slots = None
     else:
@@ -472,7 +475,8 @@ def _run_slice(context: _SimContext, start: int, stop: int) -> _Slice:
         hit = (arr.all_hit[:count] if len(corrupted)
                else np.zeros(count, dtype=bool))
         index = corrupted * arr.n + targets                     # into (width, n)
-        errors = _error_values(arr, streams + np.take(arr.error_offsets, index))
+        errors = 1 + _below(_draws(streams, np.take(arr.error_offsets, index)),
+                            arr.nonzero)
         coeffs = np.take(arr.coeffs.reshape(len(arr.coeffs), -1),
                          index, axis=1)                         # (1+depth, e, trials)
         shift, detected = _images(arr.field, coeffs, errors)
@@ -483,15 +487,14 @@ def _run_slice(context: _SimContext, start: int, stop: int) -> _Slice:
         hit = corrupted.any(axis=0)
         live = np.flatnonzero(hit)
         columns = targets[live]
-        errors = _error_values(arr, streams[live] + np.take(
-            arr.error_offsets, columns, axis=1))                # (width, hits)
+        errors = 1 + _below(_draws(streams[live], np.take(
+            arr.error_offsets, columns, axis=1)), arr.nonzero)  # (width, hits)
         errors *= corrupted[:, live]                            # clean slots add 0
         coeffs = np.take(arr.coeffs, columns, axis=2)           # (1+depth, width, hits)
         shift = np.zeros(count, dtype=np.int64)
         detected = np.zeros(count, dtype=bool)
         shift[live], detected[live] = _images(arr.field, coeffs, errors)
-    return _Slice(range(start, stop), streams, targets, corrupted, hit, shift,
-                  detected)
+    return _Slice(streams, targets, corrupted, hit, shift, detected)
 
 
 def _spans(context: _SimContext, start: int, stop: int):
@@ -501,17 +504,22 @@ def _spans(context: _SimContext, start: int, stop: int):
 
 
 def trial_records(config: ClusterConfig, start: int = 0, stop: int | None = None):
-    """Trial-level view of a campaign, for paired-policy comparisons and
-    diagnostics; run_sim tallies exactly these trials.  Each trial's true
+    """The trials [start, stop) of a campaign, for paired-policy comparisons
+    and diagnostics; run_sim tallies exactly these trials.  Each trial's true
     symbol is its message times the target's generator column, the columns
     the engine proves its plans on, so no encoding is built."""
+    stop = config.trials if stop is None else stop
+    for name, value, low in (("start", start, 0), ("stop", stop, start)):
+        if not low <= _checked_int(name, value) <= config.trials:
+            raise ValueError(
+                f"{name} must lie in [{low}, {config.trials}], got {value}")
     context = _SimContext(config)
     arr = context.arrays
     field = arr.field
-    for span in _spans(context, start, config.trials if stop is None else stop):
+    message_offsets, q = _offsets(np.arange(arr.k)), np.uint64(field.q)
+    for span in _spans(context, start, stop):
         out = _run_slice(context, *span)
-        message = (_draws(out.streams[:, None], np.arange(arr.k))
-                   % np.uint64(field.q)).astype(np.int64)
+        message = _below(_draws(out.streams[:, None], message_offsets), q)
         truths = field.dot_array(message, arr.columns[out.targets])
         if context.exact:
             corrupted = np.sort(out.corrupted, axis=0).T.tolist()
@@ -519,7 +527,7 @@ def trial_records(config: ClusterConfig, start: int = 0, stop: int | None = None
             corrupted = [[j for j, h in enumerate(mask) if h]
                          for mask in out.corrupted.T.tolist()]
         for trial, target, slots, truth, naive, detected in zip(
-                out.trials, out.targets.tolist(), corrupted,
+                range(*span), out.targets.tolist(), corrupted,
                 truths.tolist(), field.add_array(truths, out.shift).tolist(),
                 out.detected.tolist()):
             yield TrialRecord(
@@ -527,15 +535,20 @@ def trial_records(config: ClusterConfig, start: int = 0, stop: int | None = None
                 naive, localrepair.RepairOutcome(None if detected else naive))
 
 
-def _tally_range(context: _SimContext, start: int, stop: int) -> dict:
-    """The report cells of the trials [start, stop): one outcome code per
-    trial, 4 hit + 2 detected + 1 naive-right, counted by one bincount."""
+def _tally_range(context: _SimContext, start: int, stop: int) -> np.ndarray:
+    """The outcome histogram of the trials [start, stop): each trial's
+    outcome code 4 hit + 2 detected + naive-right, counted in 8 bins."""
     out = _run_slice(context, start, stop)
-    code = out.hit * 4 + out.detected * 2 + (out.shift == 0)
-    cells = np.bincount(code, minlength=8).tolist()
-    missed_wrong, missed_right, caught_wrong, caught_right = cells[4:]
-    return {"clean_correct": sum(cells[:4]),
-            "corrupted_trials": sum(cells[4:]),
+    return np.bincount(out.hit * 4 + out.detected * 2 + (out.shift == 0),
+                       minlength=8)
+
+
+def _outcome_cells(histogram: np.ndarray) -> dict:
+    """The report cells of an outcome histogram, corrupted_trials too."""
+    bins = histogram.tolist()
+    missed_wrong, missed_right, caught_wrong, caught_right = bins[4:]
+    return {"clean_correct": sum(bins[:4]),
+            "corrupted_trials": sum(bins[4:]),
             "naive_wrong": missed_wrong + caught_wrong,
             "naive_right_under_error": missed_right + caught_right,
             "detected": caught_wrong + caught_right,
@@ -546,26 +559,22 @@ def _tally_range(context: _SimContext, start: int, stop: int) -> dict:
 def run_sim(config: ClusterConfig, workers: int = 1) -> SimReport:
     """Run the campaign; identical (config, seed) gives a bit-identical
     report, because trial outcomes are pure in the trial index and the
-    slice tallies merge by addition.
+    slice histograms merge by addition.
 
-    workers is accepted for compatibility only: the campaign runs on the
-    calling thread, so neither the report nor the speed depends on it.
+    workers is kept only for the benchmark harness, which passes it: the
+    campaign runs on the calling thread, whatever its value.
     """
     context = _SimContext(config)
-    counts = dict.fromkeys(_COUNT_CELLS, 0)
-    corrupted = 0
-    for span in _spans(context, 0, config.trials):
-        part = _tally_range(context, *span)
-        corrupted += part["corrupted_trials"]
-        for cell in _COUNT_CELLS:
-            counts[cell] += part[cell]
+    counts = _outcome_cells(sum(_tally_range(context, *span)
+                                for span in _spans(context, 0, config.trials)))
+    corrupted = counts.pop("corrupted_trials")
     return SimReport(trials=config.trials, seed=config.seed,
                      config=config.to_dict(context.digest), counts=counts,
                      corrupted_trials=corrupted)
 
 
-def compare_policies(config: ClusterConfig, policies=None, sweep=None,
-                     workers: int = 1) -> list[dict]:
+def compare_policies(config: ClusterConfig, policies=None,
+                     sweep=None) -> list[dict]:
     """One run per (policy, channel point), all with the same seed so aligned
     draw streams see identical fault patterns.  The runs share one build of
     the code (descriptor.shared_bundle) and of its plans (the plan cache).
@@ -593,7 +602,7 @@ def compare_policies(config: ClusterConfig, policies=None, sweep=None,
                                       seed=config.seed, **overrides))
                  for channel in channels]
     return [{"policy": name, "channel": cfg.channel.to_dict(),
-             "report": run_sim(cfg, workers=workers)} for name, cfg in runs]
+             "report": run_sim(cfg)} for name, cfg in runs]
 
 
 def sweep_csv(rows: list[dict]) -> str:

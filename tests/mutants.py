@@ -97,8 +97,12 @@ ROWS = (
            "        pass",
            ("tests/test_simengine.py", "-k", "loop_reference and bernoulli")),
     Mutant("swap the detected and naive-right bits of the outcome code", "storagesim.py",
-           "code = out.hit * 4 + out.detected * 2 + (out.shift == 0)",
-           "code = out.hit * 4 + out.detected + (out.shift == 0) * 2",
+           "np.bincount(out.hit * 4 + out.detected * 2 + (out.shift == 0),",
+           "np.bincount(out.hit * 4 + out.detected + (out.shift == 0) * 2,",
+           ("tests/test_simengine.py", "-k", "tally")),
+    Mutant("swap missed_wrong and missed_right in the cell mapping", "storagesim.py",
+           "missed_wrong, missed_right, caught_wrong, caught_right = bins[4:]",
+           "missed_right, missed_wrong, caught_wrong, caught_right = bins[4:]",
            ("tests/test_simengine.py", "-k", "tally")),
     Mutant("key the seed without + G", "storagesim.py",
            "key = (z ^ (z >> 31)) + _GAMMA",
@@ -114,9 +118,22 @@ ROWS = (
            "at = start",
            (OFFSET_TEST,)),
     Mutant("offset a slice's trials by (start + 1) G", "storagesim.py",
-           "context.key + start * _GAMMA",
-           "context.key + (start + 1) * _GAMMA",
+           "key + start * _GAMMA",
+           "key + (start + 1) * _GAMMA",
            (OFFSET_TEST,)),
+    # configs and trial ranges are checked where they enter
+    Mutant("accept a channel of any type", "storagesim.py",
+           "if not isinstance(self.channel, (Bernoulli, ExactErrors)):",
+           "if False:",
+           ("tests/test_storagesim.py", "-k", "channel_of_another_type")),
+    Mutant("keep an integer epsilon as it was given", "storagesim.py",
+           'object.__setattr__(self, "epsilon", float(eps))',
+           'object.__setattr__(self, "epsilon", eps)',
+           ("tests/test_storagesim.py", "-k", "integer_epsilon")),
+    Mutant("check trial ranges against trials only", "storagesim.py",
+           "if not low <= _checked_int(name, value) <= config.trials:",
+           "if not _checked_int(name, value) <= config.trials:",
+           ("tests/test_storagesim.py", "-k", "range_outside")),
     # the one plan rule of RS and piecewise-RS codes
     Mutant("read local_k + t + 1 fibre mates", "localrepair.py",
            "need = spec.local_k + t\n",

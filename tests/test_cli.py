@@ -556,9 +556,9 @@ def test_simulate_clean_channel(tmp_path, monkeypatch):
     calls = []
     driver = cli.storagesim.compare_policies
 
-    def spy(config, policies=None, sweep=None, workers=1):
+    def spy(config, policies=None, sweep=None):
         calls.append((policies, sweep))
-        return driver(config, policies, sweep, workers=workers)
+        return driver(config, policies, sweep)
     monkeypatch.setattr(cli.storagesim, "compare_policies", spy)
     cfg = simulate_config(tmp_path)
     out = tmp_path / "report.json"

@@ -191,7 +191,8 @@ def test_tally_range_counts_the_trial_records_cell_by_cell(desc, t, channel,
                            seed=seed, target_policy=policy)
     start = trials // 5          # one slice over an offset span
     context = storagesim._SimContext(config)
-    assert (storagesim._tally_range(context, start, trials)
+    histogram = storagesim._tally_range(context, start, trials)
+    assert (storagesim._outcome_cells(histogram)
             == tally_records(trial_records(config, start, trials)))
 
 
@@ -268,18 +269,26 @@ def test_a_long_campaign_grows_no_table_or_cache_after_its_first_slice(monkeypat
 
 
 def test_array_draws_equal_the_scalar_draw():
-    trials = [0, 1, 2, 511, 512, 10**6, (1 << 40) + 3]
+    # the stream and draw functions that _run_slice calls: three trials from
+    # each first trial, on a ramp of trial offsets i G
+    ramp = np.arange(3, dtype=np.uint64) * storagesim._G
+    offsets = storagesim._offsets(np.arange(20))
     for seed in (0, 2, -1, 1 << 63, (1 << 64) + 9):
-        streams = storagesim._streams(seed, np.array(trials, dtype=np.uint64))
-        got = storagesim._draws(streams[:, None], np.arange(20)).tolist()
-        assert got == [[draw(seed, t, i) for i in range(20)] for t in trials]
+        key = storagesim._seed_key(seed)
+        for start in (0, 1, 2, 511, 512, 10**6, (1 << 40) + 3):
+            streams = storagesim._streams(key, start, ramp)
+            got = storagesim._draws(streams[:, None], offsets).tolist()
+            assert got == [[draw(seed, trial, i) for i in range(20)]
+                           for trial in range(start, start + 3)]
 
 
 def test_uniform_draws_pass_a_13_bin_chi_square():
     # 10^4 trials x 10 draw indices = 10^5 draws reduced mod 13
-    streams = storagesim._streams(2, np.arange(10_000, dtype=np.uint64))
-    values = storagesim._draws(streams[:, None], np.arange(10)) % np.uint64(13)
-    observed = np.bincount(values.ravel().astype(np.int64), minlength=13)
+    ramp = np.arange(10_000, dtype=np.uint64) * storagesim._G
+    streams = storagesim._streams(storagesim._seed_key(2), 0, ramp)
+    draws = storagesim._draws(streams[:, None], storagesim._offsets(np.arange(10)))
+    values = storagesim._below(draws, np.uint64(13))
+    observed = np.bincount(values.ravel(), minlength=13)
     expected = values.size / 13
     chi2 = float(((observed - expected) ** 2 / expected).sum())
     assert chi2 < 32.909          # 0.999 quantile of chi-square, 12 dof

@@ -440,11 +440,13 @@ def test_reports_do_not_depend_on_the_slice_size(monkeypatch, channel, policy):
                for code in (EXAMPLE_DESC, PADDED_GENERATOR)]
     reports = set()
     # the last pair cuts slices by gathered coefficients: 10 and 8 trials
-    # for Bernoulli (every slot), 16 for exact-2 (two slots)
+    # for Bernoulli (every slot), 16 for exact-2 (two slots).  The cached
+    # tables are as long as a slice, so each size builds its own.
     for size, entries in ((1, 1 << 15), (7, 1 << 15), (512, 1 << 15),
                           (2048, 1 << 15), (2048, 64)):
         monkeypatch.setattr(storagesim, "_CHUNK_TRIALS", size)
         monkeypatch.setattr(storagesim, "_SLICE_ENTRIES", entries)
+        monkeypatch.setattr(storagesim, "_plan_cache", localrepair.PlanCache())
         reports.add(tuple(run_sim(cfg).to_json() for cfg in configs))
     assert len(reports) == 1
 
@@ -556,6 +558,46 @@ def test_config_validation():
         example_config(target_policy="everywhere")
     with pytest.raises(ValueError):
         example_config(error_value_model="burst")
+
+
+@pytest.mark.parametrize("channel", ["bernoulli", {"kind": "exact", "errors": 1},
+                                     None], ids=["str", "dict", "none"])
+def test_cluster_config_refuses_a_channel_of_another_type(channel):
+    # a channel that is not a Bernoulli or an ExactErrors fails where it
+    # enters, naming the field, not with an AttributeError inside run_sim
+    with pytest.raises(ValueError, match="^channel must be a Bernoulli or an "
+                                         "ExactErrors, got "):
+        example_config(channel=channel)
+
+
+@pytest.mark.parametrize("whole", [0, 1])
+def test_an_integer_epsilon_writes_the_bytes_of_its_float(whole):
+    # Bernoulli keeps epsilon as a float, so equal channels give equal
+    # reports and tables, as the JSON config path always did
+    configs = [example_config(channel=Bernoulli(eps), trials=300, seed=4)
+               for eps in (whole, float(whole))]
+    assert configs[0] == configs[1]
+    reports = [run_sim(cfg).to_json() for cfg in configs]
+    tables = [sweep_csv(compare_policies(cfg)) for cfg in configs]
+    assert reports[0] == reports[1] and tables[0] == tables[1]
+    assert f'"epsilon": {float(whole)}' in reports[0]
+
+
+@pytest.mark.parametrize("start, stop, message", [
+    (-3, 2, "start must lie in [0, 100], got -3"),
+    (101, None, "start must lie in [0, 100], got 101"),
+    (5, 4, "stop must lie in [5, 100], got 4"),
+    (0, 101, "stop must lie in [0, 100], got 101"),
+    (1.0, 5, "start must be an integer, got 1.0"),
+    (0, True, "stop must be an integer, got True"),
+], ids=["negative-start", "start-past-trials", "stop-before-start",
+        "stop-past-trials", "float-start", "bool-stop"])
+def test_trial_records_refuses_a_range_outside_the_campaign(start, stop, message):
+    cfg = example_config(channel=Bernoulli(0.1))        # 100 trials
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        next(trial_records(cfg, start, stop))
+    assert list(trial_records(cfg, 100, 100)) == []
+    assert [rec.trial for rec in trial_records(cfg, 98)] == [98, 99]
 
 
 @pytest.mark.parametrize("overrides, message", [
