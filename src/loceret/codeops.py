@@ -17,7 +17,7 @@ import numpy as np
 
 from .galois import _checked_int, _is_int
 
-DEFAULT_ENUM_CAP = 1 << 26
+DEFAULT_ENUM_CAP = 1 << 26  # words, supports or column sets a search may touch
 DEFAULT_EXHAUSTIVE_N = 20
 
 _CHUNK_ELEMS = 1 << 18     # comparisons or products per min_distance step
@@ -239,31 +239,41 @@ def min_distance(code: LinearCode) -> int:
     0..j - 1 and weight w - 1 on the rest, every codeword not yet seen has
     weight at least j (w + 1) + (m - j) w on the sets alone, and the search
     stops when that reaches the least weight found.  Weight k on one set
-    covers every message.  m is chosen from the least row weight by
-    _set_count; m = 1 is the full projective enumeration.  DEFAULT_ENUM_CAP,
-    read at each call, still bounds q^k, the size of the full enumeration.
-    Each set keeps one level of words, those of the weight-(w - 1)
+    covers every message.  m is chosen from the least row weight U by
+    _set_count; m = 1 is the full projective enumeration.
+
+    The search's own plan is its only cost gate: m sets stop by weight
+    W(m) = min(k, ceil(U/m) - 1), so they reach at most m words[W(m)]
+    projective messages, words[w] counting those of weight at most w.
+    TooLargeToEnumerateError is raised when that reach exceeds
+    DEFAULT_ENUM_CAP, read at each call: once for the planned m, before
+    any information set is eliminated, and again for the sets actually
+    built when the columns left over run out early.  The planned reach is
+    at most words[W(1)] < q^k (see _set_count), so every code with
+    q^k <= DEFAULT_ENUM_CAP passes the first check with the m sets it
+    planned under a q^k gate; only the second check, where fewer sets are
+    built than planned, can refuse such a code.  Each set keeps one level of words, those of the weight-(w - 1)
     messages on its n - k outside columns (_least_weights), and forms the
-    next one only when the next weight is asked for, so peak memory grows
-    with the two largest levels a set holds at once, fewer than
-    q^(k - 1) / (q - 1) words of n - k symbols (29.5 MiB for the binary
-    [47,24,11] quadratic-residue code, which counts through weight 10 on
-    one set).  The rows' q - 1 multiples are kept only once a set forms a
-    level (k >= 3, so q <= 406 under the cap); weight 2 reads them in
-    steps of about _CHUNK_ELEMS products.
+    next one only when the next weight w <= W(m) is asked for, so the levels
+    the m sets hold at once, two per set at most, are fewer than
+    m words[W(m)] <= DEFAULT_ENUM_CAP words of n - k symbols (29.5 MiB for
+    the binary [47,24,11] quadratic-residue code, which counts through
+    weight 10 on one set).  The rows' q - 1 multiples are kept only once a
+    set forms a level, when weight 3 is reached, and then
+    C(k, 3) (q - 1)^2 <= words[3] <= DEFAULT_ENUM_CAP; weight 2 reads them
+    in steps of about _CHUNK_ELEMS products.
     """
     if code.k == 0:
         raise ZeroCodeError("the zero code has no nonzero codeword")
     field = code.field
-    q = field.q
-    if q ** code.k > DEFAULT_ENUM_CAP:
-        raise TooLargeToEnumerateError(
-            f"q^k = {q ** code.k} exceeds the enumeration cap {DEFAULT_ENUM_CAP}")
     k, n = code.k, code.n
     G = np.array(code.gen, dtype=np.int64)
     best = int(np.count_nonzero(G, axis=1).min())
-    searches = [_least_weights(field, gen, columns) for gen, columns
-                in _information_sets(code, G, _set_count(q, k, n, best))]
+    m, reach = _set_count(field.q, k, n, best)
+    _within_cap(m, reach)
+    sets = _information_sets(code, G, m)
+    _within_cap(len(sets), reach)
+    searches = [_least_weights(field, gen, columns) for gen, columns in sets]
     for w in range(1, k + 1):
         for j, search in enumerate(searches):
             if j * (w + 1) + (len(searches) - j) * w >= best:
@@ -274,22 +284,37 @@ def min_distance(code: LinearCode) -> int:
     return best
 
 
-def _set_count(q: int, k: int, n: int, least_row: int) -> int:
-    """The number m of information sets to search on, at most n // k.
+def _set_count(q: int, k: int, n: int, least_row: int):
+    """(m, reach): the number m of information sets to search on, at most
+    n // k, and reach(j), the projective messages that j sets can reach
+    before the stop rule fires.
 
-    With m sets the search stops by weight W(m) = min(k, ceil(U/m) - 1) at
-    the latest, U the least row weight, since m (W + 1) >= U; m minimises
-    m (words of weight at most W(m) + _SET_COST).  Only 1 and the fewest
-    sets that stop by each weight need comparing: any other m costs at
-    least as much as one of them."""
+    With j sets the search stops by weight W(j) = min(k, ceil(U/j) - 1) at
+    the latest, U the least row weight, since j (W + 1) >= U; reach(j) is
+    j words[W(j)], words[w] the messages of weight at most w.  m minimises
+    m (words[W(m)] + _SET_COST), so m words[W(m)] <= words[W(1)] <=
+    (q^k - 1) / (q - 1) < q^k.  Only 1 and the fewest sets that stop by
+    each weight need comparing: any other m costs at least as much as one
+    of them."""
     words = list(itertools.accumulate(
         (math.comb(k, w) * (q - 1) ** (w - 1) for w in range(1, k + 1)),
         initial=0))
 
-    def cost(m):
-        return m * (words[min(k, -(-least_row // m) - 1)] + _SET_COST)
+    def reach(j):
+        return j * words[min(k, -(-least_row // j) - 1)]
     counts = {1} | {-(-least_row // (top + 1)) for top in range(k + 1)}
-    return min(sorted(m for m in counts if m <= n // k), key=cost)
+    m = min(sorted(j for j in counts if j <= n // k),
+            key=lambda j: reach(j) + j * _SET_COST)
+    return m, reach
+
+
+def _within_cap(m: int, reach) -> None:
+    """Refuse a search on m information sets that can reach more than
+    DEFAULT_ENUM_CAP words."""
+    if reach(m) > DEFAULT_ENUM_CAP:
+        raise TooLargeToEnumerateError(
+            f"the distance search on {m} information sets reaches "
+            f"{reach(m)} words, past the cap {DEFAULT_ENUM_CAP}")
 
 
 def _information_sets(code: LinearCode, G: np.ndarray, m: int) -> list:
@@ -814,10 +839,11 @@ class Certificate:
 
 def certify(code: LinearCode, t: int, spec=None,
             greedy: bool = False) -> Certificate:
-    """Certify the code at detection level t.  The distance is exact within
-    min_distance's cap, else the spec's distance_bound, else unavailable; it
-    settles d_{t+1}(dual), the locality search's floor, where Wei's duality
-    applies.  A search too large to run falls back to greedy mode."""
+    """Certify the code at detection level t.  The distance is exact where
+    min_distance's planned search fits its cap, else the spec's
+    distance_bound, else unavailable; it settles d_{t+1}(dual), the
+    locality search's floor, where Wei's duality applies.  A search too
+    large to run falls back to greedy mode."""
     _checked_t(t)
     try:
         d, distance_kind = min_distance(code), "exact"

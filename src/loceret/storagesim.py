@@ -405,7 +405,9 @@ class _SimContext:
                              f"only {arr.fewest} helpers exist")
         rows, width, _ = arr.coeffs.shape
         carried = channel.errors if self.exact else width
-        self.slice_trials = max(1, min(_CHUNK_TRIALS,
+        # the arrays' tables hold len(arr.ramp) trials, whatever
+        # _CHUNK_TRIALS holds now: a longer slice would read past them
+        self.slice_trials = max(1, min(len(arr.ramp),
                                        _SLICE_ENTRIES // max(1, carried * rows)))
         self.uniform = config.target_policy == "uniform-random"
         self.draw_offsets = arr.offsets[0 if self.uniform else 1:1 + carried, None]

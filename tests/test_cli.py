@@ -15,6 +15,7 @@ from loceret.descriptor import (DescriptorError, build_code, build_field,
                                 parse_descriptor)
 from loceret.galois import Field
 from loceret.localrepair import plan_linear
+from loceret.rscodes import rs_make
 
 EXAMPLE_DESC = {"field": {"p": 13, "m": 1}, "construction": "lrcrs",
               "p_poly": [0, 0, 0, 0, 1], "l": [2, 2]}
@@ -331,16 +332,20 @@ def test_analyze_zero_column_code_with_detection(tmp_path):
         [(size, None if R is None else list(R)) for size, R in expected[1:]]
 
 
-@pytest.mark.parametrize("rows, kind", [
-    ([[0] * 5], "zero_code"),
-    # q^k = 13^8 is past the enumeration cap and no spec gives a bound
-    ([[int(i == j) for j in range(8)] + [(3 * i + j + 1) % 13 for j in range(2)]
-      for i in range(8)], "unavailable"),
+# the rows of RS[40,7]/GF(3^5) as a generator code: its distance search
+# would reach ~2.9e13 words, past the cap, and no spec gives a bound
+RS40_GF243_ROWS = [list(row) for row in
+                   rs_make(Field(3, 5), range(40), 7).eval_rows]
+
+
+@pytest.mark.parametrize("field, rows, kind", [
+    ({"p": 13}, [[0] * 5], "zero_code"),
+    ({"p": 3, "m": 5}, RS40_GF243_ROWS, "unavailable"),
 ], ids=["zero_code", "unavailable"])
-def test_analyze_summary_says_when_no_distance_is_known(rows, kind, tmp_path,
-                                                        capsys):
+def test_analyze_summary_says_when_no_distance_is_known(field, rows, kind,
+                                                        tmp_path, capsys):
     desc = write_json(tmp_path / "code.json",
-                      {"field": {"p": 13}, "construction": "generator",
+                      {"field": field, "construction": "generator",
                        "rows": rows})
     out = tmp_path / "report.json"
     assert cli.main(["analyze", desc, "--t", "0", "--out", str(out)]) == 0
@@ -348,7 +353,24 @@ def test_analyze_summary_says_when_no_distance_is_known(rows, kind, tmp_path,
                                                        "kind": kind}
     summary = capsys.readouterr().out.splitlines()[0]
     n, k = len(rows[0]), (0 if kind == "zero_code" else len(rows))
-    assert summary == f"[{n},{k}] code over GF(13), no distance known ({kind})"
+    q = field["p"] ** field.get("m", 1)
+    assert summary == f"[{n},{k}] code over GF({q}), no distance known ({kind})"
+
+
+def test_analyze_finds_the_distance_past_q_to_the_k(tmp_path, capsys):
+    # [10,8]/GF(13): q^k = 13^8 is past the enumeration cap, but the
+    # search reaches 8 words on one set
+    rows = [[int(i == j) for j in range(8)] + [(3 * i + j + 1) % 13 for j in range(2)]
+            for i in range(8)]
+    desc = write_json(tmp_path / "code.json",
+                      {"field": {"p": 13}, "construction": "generator",
+                       "rows": rows})
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", desc, "--t", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["distance"] == {"value": 2,
+                                                       "kind": "exact"}
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert summary == "[10,8] code over GF(13), d = 2 (exact)"
 
 
 def test_analyze_with_t_at_least_the_dual_dimension(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 import tracemalloc
@@ -657,6 +658,7 @@ def test_min_distance_matches_the_oracle_on_every_set_count(field, monkeypatch):
     # every m from 1 to n // k, so the bound j(w + 1) + (m - j)w stops the
     # search at every place; zero and repeated columns leave a partial set
     found = record_information_sets(monkeypatch)
+    set_count = codeops._set_count
     rng = random.Random(field.q * 7)
     for _ in range(40):
         k = rng.randrange(1, 4)
@@ -666,7 +668,8 @@ def test_min_distance_matches_the_oracle_on_every_set_count(field, monkeypatch):
             continue
         want = oracle_min_distance(code)
         for m in range(1, code.n // code.k + 1):
-            monkeypatch.setattr(codeops, "_set_count", lambda *_, m=m: m)
+            monkeypatch.setattr(codeops, "_set_count",
+                                lambda *args, m=m: (m, set_count(*args)[1]))
             assert min_distance(code) == want, (code, m)
     assert {1, 2, 3, 4} <= set(found)
 
@@ -782,12 +785,83 @@ def test_min_distance_symbols_past_256():
     assert min_distance(line) == 4
 
 
+# codes whose distance search would reach more words than the cap: the
+# planned sets and their reach (None: too long to pin)
+REFUSED_SPECS = {
+    "RS[40,7]/GF(3^5)": (lambda: rscodes.rs_make(GF243, range(40), 7),
+                         5, 29412528932745),
+    "[255,15]/GF(2^8)": (lambda: rscodes.lrcrs_make(GF256, [0, 0, 0, 0, 0, 1],
+                                                    [4, 4, 4]), 17, None),
+    "RS[256,16]/GF(2^8)": (lambda: rscodes.rs_make(GF256, range(256), 16),
+                           16, None),
+}
+
+
 def test_min_distance_errors():
     with pytest.raises(ZeroCodeError):
         min_distance(code_from_rows(F3, [], 4))
-    big = rscodes.rs_make(F13, range(13), 9).code      # 13^9 > 2^26
-    with pytest.raises(TooLargeToEnumerateError):
-        min_distance(big)
+    # 13^9 > 2^26, but one set reaches 230,265 words: no longer refused
+    assert min_distance(rscodes.rs_make(F13, range(13), 9).code) == 5
+
+
+@pytest.mark.parametrize("name", REFUSED_SPECS)
+def test_min_distance_refuses_past_its_reach_before_any_elimination(
+        name, monkeypatch):
+    make, m, reach = REFUSED_SPECS[name]
+    code = make().code
+
+    def no_sets(*args):
+        raise AssertionError("information sets built for a refused search")
+    monkeypatch.setattr(codeops, "_information_sets", no_sets)
+    monkeypatch.setattr(codeops, "rref", no_sets)
+    words = "[0-9]+" if reach is None else str(reach)
+    with pytest.raises(TooLargeToEnumerateError,
+                       match=f"on {m} information sets reaches {words} words, "
+                             f"past the cap {1 << 26}$"):
+        min_distance(code)
+
+
+def test_min_distance_checks_the_reach_of_the_sets_actually_built(monkeypatch):
+    # [18,6]/GF(3), systematic on columns 0..5, whose other columns all sum
+    # to zero: they have rank 5, so a plan of 3 sets builds one, and one
+    # set reaches more words than three would
+    rng = random.Random(5)
+    while True:
+        outside = [[rng.randrange(3) for _ in range(5)] for _ in range(12)]
+        for col in outside:
+            col.append(-sum(col) % 3)
+        rows = [[int(i == j) for j in range(6)] + [col[i] for col in outside]
+                for i in range(6)]
+        if min(map(np.count_nonzero, rows)) >= 7:
+            break
+    code = code_from_rows(F3, rows)
+    G = np.array(code.gen, dtype=np.int64)
+    assert len(codeops._information_sets(code, G, 3)) == 1
+    set_count = codeops._set_count
+    _, reach = set_count(3, 6, 18, int(np.count_nonzero(G, axis=1).min()))
+    assert reach(3) < reach(1)
+    monkeypatch.setattr(codeops, "_set_count",
+                        lambda *args: (3, set_count(*args)[1]))
+    monkeypatch.setattr(codeops, "DEFAULT_ENUM_CAP", reach(1) - 1)
+    with pytest.raises(TooLargeToEnumerateError,
+                       match=f"on 1 information sets reaches {reach(1)} words"):
+        min_distance(code)
+    monkeypatch.setattr(codeops, "DEFAULT_ENUM_CAP", reach(1))
+    assert min_distance(code) == oracle_min_distance(code)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 13, 17, 25, 256])
+def test_set_count_plans_within_q_to_the_k(q):
+    # m minimises m (words[W(m)] + _SET_COST), so the planned reach is at
+    # most one set's, words[W(1)] < q^k: every code a q^k gate admitted
+    # passes the check on its planned m
+    for k in range(1, 13):
+        for n in range(k, 5 * k + 1, max(1, k // 3)):
+            for least in range(1, n - k + 2):
+                m, reach = codeops._set_count(q, k, n, least)
+                assert 1 <= m <= n // k
+                assert reach(m) + m * codeops._SET_COST <= reach(1) + codeops._SET_COST
+                assert reach(1) < q ** k
 
 
 def test_ghw_at_s1_equals_min_distance():
@@ -1340,16 +1414,29 @@ def test_certify_the_example_code_from_the_library():
     assert cert.t_optimal is True and not cert.violation
 
 
-# q^k above the enumeration cap in every case but the zero code
+GF243_DESC = {"p": 3, "m": 5}
+
+
+# the first three have q^k above the enumeration cap, but their searches
+# reach at most 230,265 words; the next three reach past the cap
 @pytest.mark.parametrize("desc, value, kind", [
-    ({"construction": "rs", "points": "all", "k": 9}, 5, "mds_formula"),
+    ({"construction": "rs", "points": "all", "k": 9}, 5, "exact"),
     ({"construction": "lrcrs", "field": {"p": 17}, "p_poly": [0, 0, 0, 0, 1],
-      "l": [3, 2]}, 4, "goppa_lower_bound"),
+      "l": [3, 2]}, 4, "exact"),
     ({"construction": "generator",
       "rows": [[int(i == j) for j in range(8)] + [1, 2, 3, i + 4]
-               for i in range(8)]}, None, "unavailable"),
+               for i in range(8)]}, 3, "exact"),
+    ({"construction": "rs", "field": GF243_DESC, "points": list(range(40)), "k": 7},
+     34, "mds_formula"),
+    ({"construction": "lrcrs", "field": {"p": 2, "m": 8},
+      "p_poly": [0, 0, 0, 0, 0, 1], "l": [4, 4, 4]}, 233, "goppa_lower_bound"),
+    ({"construction": "generator", "field": GF243_DESC,
+      "rows": [list(row) for row in
+               rscodes.rs_make(GF243, range(40), 7).eval_rows]},
+     None, "unavailable"),
     ({"construction": "generator", "rows": [[0] * 5]}, None, "zero_code"),
-], ids=["rs13-9", "lrc17-32", "gen12-8", "zero"])
+], ids=["rs13-9", "lrc17-32", "gen12-8", "rs40-7", "lrc255-15", "gen40-7",
+        "zero"])
 def test_certify_labels_each_distance_kind(desc, value, kind):
     bundle = build_code({"field": {"p": 13}, **desc})
     cert = certify(bundle.code, 0, bundle.spec, greedy=True)
@@ -1359,6 +1446,36 @@ def test_certify_labels_each_distance_kind(desc, value, kind):
     doc = cert.to_dict()
     assert doc["distance"] == {"value": value, "kind": kind}
     assert doc["exact_search"] is False and doc["downgraded_to_greedy"] is False
+
+
+@pytest.mark.parametrize("t, dual_weight, r_t, t_optimal", [
+    (0, 5, 4, False), (1, 6, 5, True)])
+def test_certify_an_exact_distance_above_the_goppa_bound(t, dual_weight, r_t,
+                                                         t_optimal):
+    # [18,10]/GF(19), y = x^6, l = [1, 2, 2, 1]: q^k = 19^10 is past the
+    # cap, but one set reaches 1,264,420 words and gives d = 5, one above
+    # the Goppa bound; with d exact the t = 1 bound is met with equality
+    spec = rscodes.lrcrs_make(Field(19), [0, 0, 0, 0, 0, 0, 1], [1, 2, 2, 1])
+    assert (spec.n, spec.k, spec.distance_bound) == (18, 10, (4, "goppa_lower_bound"))
+    cert = certify(spec.code, t, spec)
+    assert (cert.distance, cert.distance_kind) == (5, "exact")
+    assert (cert.dual_ghw, cert.locality.r_t) == (dual_weight, r_t)
+    assert cert.locality.mode == "exhaustive" and cert.t_optimal is t_optimal
+
+
+def test_the_committed_certify_grid_recomputes_on_its_small_fields():
+    # every row of BENCH_certify_grid.json with q <= 13 and t <= 1, field by
+    # field, but the process seconds
+    import certify_grid
+    committed = json.loads(certify_grid.OUT.read_text(encoding="utf-8"))
+    want = [{key: value for key, value in row.items() if key != "seconds"}
+            for row in committed["rows"] if row["q"] <= 13 and row["t"] <= 1]
+    got = [{key: value for key, value in certify_grid.row(desc, t).items()
+            if key != "seconds"}
+           for desc in certify_grid.grid()
+           if desc["field"]["p"] ** desc["field"]["m"] <= 13 for t in (0, 1)]
+    assert len(got) == 84
+    assert got == want
 
 
 def test_certify_downgrades_an_oversized_search_and_checks_t():

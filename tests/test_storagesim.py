@@ -451,6 +451,27 @@ def test_reports_do_not_depend_on_the_slice_size(monkeypatch, channel, policy):
     assert len(reports) == 1
 
 
+@pytest.mark.parametrize("channel", [Bernoulli(0.15), ExactErrors(2)],
+                         ids=["bernoulli", "exact2"])
+@pytest.mark.parametrize("policy", ["round-robin", "uniform-random"])
+def test_arrays_built_for_short_slices_serve_a_longer_chunk_setting(
+        monkeypatch, channel, policy):
+    # the tables cached per (code, t) are as long as _CHUNK_TRIALS was when
+    # they were built: campaigns run after it grows cut their slices to the
+    # tables and write the bytes of a fresh cache
+    configs = [ClusterConfig(code=code, t=1, channel=channel, trials=2100,
+                             seed=17, target_policy=policy)
+               for code in (EXAMPLE_DESC, PADDED_GENERATOR)]
+    monkeypatch.setattr(storagesim, "_plan_cache", localrepair.PlanCache())
+    monkeypatch.setattr(storagesim, "_CHUNK_TRIALS", 7)
+    for cfg in configs:
+        run_sim(dataclasses.replace(cfg, trials=10))
+    monkeypatch.setattr(storagesim, "_CHUNK_TRIALS", 2048)
+    reused = [run_sim(cfg).to_json() for cfg in configs]
+    monkeypatch.setattr(storagesim, "_plan_cache", localrepair.PlanCache())
+    assert reused == [run_sim(cfg).to_json() for cfg in configs]
+
+
 # SHA-256 of run_sim(...).to_json() under rng splitmix64-counter/2.  The
 # Bernoulli reports equal those of /1 apart from the rng id; the exact-e
 # ones draw their e slots without replacement, so their counts differ.
