@@ -132,10 +132,11 @@ class LinearCode:
     """A length-n, dimension-k code held as a reduced-row-echelon generator.
 
     Two instances with the same row space over the same field compare equal.
-    Instances are immutable; construct through code_from_rows.
+    Instances are immutable; construct through code_from_rows.  _witnesses
+    keeps t_locality's scans by (t, floor), outside pickles, == and hash.
     """
 
-    __slots__ = ("field", "n", "k", "gen", "pivots")
+    __slots__ = ("field", "n", "k", "gen", "pivots", "_witnesses")
 
     def __init__(self, field, n, gen, pivots):
         object.__setattr__(self, "field", field)
@@ -143,6 +144,7 @@ class LinearCode:
         object.__setattr__(self, "gen", gen)
         object.__setattr__(self, "pivots", pivots)
         object.__setattr__(self, "k", len(gen))
+        object.__setattr__(self, "_witnesses", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearCode is immutable")
@@ -692,11 +694,12 @@ class LocalityReport:
         }
 
 
-def _shared_scan(code, t, coords, floor, ranks) -> dict:
-    """The first t-edr set in exhaustive order of each of the given
-    coordinates that has one, as {coordinate: helpers}.  A zero column gets
-    the empty set; the others share one pass per size over the supports S
-    of [n] of more than floor columns, in lexicographic order.
+def _shared_scan(code, t, floor) -> dict:
+    """The first t-edr set in exhaustive order of each coordinate that has
+    one, as {coordinate: helpers}, a function of (code, t, floor) alone.  A
+    zero column gets the empty set; the others share one pass per size over
+    the supports S of [n] of more than floor columns, in lexicographic
+    order, with column ranks memoised for the pass.
 
     The verdict belongs to S alone, and inserting i into the lexicographic
     order of the helper sets R keeps it, so the first S containing i that
@@ -709,10 +712,11 @@ def _shared_scan(code, t, coords, floor, ranks) -> dict:
         raise TooLargeToEnumerateError(
             f"n = {n} exceeds the exhaustive-search limit {DEFAULT_EXHAUSTIVE_N} "
             "of the witness search; pass explicit helpers")
-    found = {i: () for i in coords if not any(row[i] for row in code.gen)}
-    pending = set(coords) - found.keys()
+    found = {i: () for i in range(n) if not any(row[i] for row in code.gen)}
+    pending = set(range(n)) - found.keys()
     if not pending:
         return found
+    ranks = {}
     for size in range(floor + 1, n + 1):
         for S in itertools.combinations(range(n), size):
             if pending.isdisjoint(S) or not _detects(code, S, t, ranks):
@@ -732,22 +736,28 @@ def t_locality(code: LinearCode, t: int, mode: str = "exhaustive",
     Exhaustive mode keeps each coordinate's first witness in the order of
     cardinality then lexicographic order, so results are deterministic and
     minimal; one pass over the supports serves every coordinate
-    (_shared_scan).  A support holding a nonzero column detects only if its
-    dual words span t + 1 dimensions (Singleton), so it has at least
-    d_{t+1}(dual) columns (Wei); the scan starts past t + 1 columns, or past
-    dual_ghw - 1 when the caller passes dual_ghw = d_{t+1}(dual), and a dual
-    of dimension at most t leaves nothing to scan; the scan refuses codes
-    longer than DEFAULT_EXHAUSTIVE_N.  Greedy mode tests, for each
-    coordinate, only the lowest-index helpers of each size and yields upper
-    bounds, flagged through the report's mode field.
-    Column ranks are memoised for the duration of the call.
+    (_shared_scan), kept on the code by (t, floor).  A support holding a
+    nonzero column detects only if its dual words span t + 1 dimensions
+    (Singleton), so it has at least d_{t+1}(dual) columns (Wei); the scan
+    starts past t + 1 columns, or past dual_ghw - 1 when the caller passes
+    dual_ghw = d_{t+1}(dual) or a lower bound on it, an integer no larger
+    than k + t + 1 (generalized Singleton), and a dual of dimension at most
+    t leaves nothing to scan; the scan refuses codes longer than
+    DEFAULT_EXHAUSTIVE_N.  Greedy mode tests, for each coordinate, only the
+    lowest-index helpers of each size and yields upper bounds, flagged
+    through the report's mode field.
     """
     if mode not in ("exhaustive", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
     _checked_t(t)
     n = code.n
-    ranks = {}
+    if dual_ghw is not None and not (_is_int(dual_ghw)
+                                     and dual_ghw <= code.k + t + 1):
+        raise ValueError(
+            f"dual_ghw must be an integer no larger than k + t + 1 = "
+            f"{code.k + t + 1}, got {dual_ghw!r}")
     if mode == "greedy":
+        ranks = {}
         found = {}
         for i in range(n):
             others = [j for j in range(n) if j != i]
@@ -758,8 +768,11 @@ def t_locality(code: LinearCode, t: int, mode: str = "exhaustive",
                     break
     else:
         floor = (n if n - code.k <= t
-                 else t + 1 if dual_ghw is None else dual_ghw - 1)
-        found = _shared_scan(code, t, range(n), floor, ranks)
+                 else t + 1 if dual_ghw is None else max(t + 1, dual_ghw - 1))
+        key = (t, floor)
+        found = code._witnesses.get(key)
+        if found is None:
+            found = code._witnesses[key] = _shared_scan(code, t, floor)
     per = []
     for i in range(n):
         R = found.get(i)

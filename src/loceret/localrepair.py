@@ -190,15 +190,15 @@ def plan_linear(code: codeops.LinearCode, target: int, t: int,
     helpers; the recovery word is the first canonical row on helpers +
     target that is nonzero at the target, and may be zero elsewhere, unlike
     in the RS constructions.  Default helpers are the target's first t-edr
-    set in exhaustive order, the witness t_locality reports: the shared
-    support scan run for the target alone, from t + 2 columns as t_locality
-    without a floor (fewer never detect unless the target's column is zero,
-    which gets no helpers).  Like exhaustive t_locality, that scan is only
-    run up to n = DEFAULT_EXHAUSTIVE_N; a longer code needs explicit helpers.
+    set in exhaustive order: its witness in codeops.t_locality(code, t),
+    whose one scan the code keeps, so the plans of every coordinate at t
+    share it (a zero column gets no helpers).  Like exhaustive t_locality,
+    that scan is only run up to n = DEFAULT_EXHAUSTIVE_N; a longer code
+    needs explicit helpers.
     """
     if helpers is None:
         codeops._checked_helpers(code.n, target, t=t)
-        helpers = codeops._shared_scan(code, t, (target,), t + 1, {}).get(target)
+        helpers = codeops.t_locality(code, t).per_coord[target].witness
         if helpers is None:
             raise HelpersNotEdrError(
                 f"coordinate {target} admits no {t}-error-detecting recovery set")

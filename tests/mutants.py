@@ -188,6 +188,31 @@ ROWS = (
            "if pivots != tuple(range(spec.k)):",
            "if False:",
            ("tests/test_rscodes.py", "-k", "dependent_positions")),
+    # one witness scan per (code, t, floor), kept on the LinearCode and read
+    # by plan_linear
+    Mutant("key the witness memo without the floor", "src/loceret/codeops.py",
+           "key = (t, floor)",
+           "key = t",
+           ("tests/test_codeops.py", "-k", "witness_memo_keeps")),
+    Mutant("key the witness memo without t", "src/loceret/codeops.py",
+           "key = (t, floor)",
+           "key = floor",
+           ("tests/test_codeops.py", "-k", "witness_memo_keeps")),
+    Mutant("plan_linear reads the next coordinate's witness", "src/loceret/localrepair.py",
+           "t_locality(code, t).per_coord[target].witness",
+           "t_locality(code, t).per_coord[(target + 1) % code.n].witness",
+           ("tests/test_localrepair.py", "-k", "high_dual_ghw_floor")),
+    # plan_linear's rows are every dual word on the plan's coordinates
+    Mutant("_dual_words keeps only its first row", "src/loceret/codeops.py",
+           "return rref(field, _kernel(field, red, pivots, len(coords)))[0]",
+           "return rref(field, _kernel(field, red, pivots, len(coords)))[0][:1]",
+           ("tests/test_localrepair.py", "-k", "zero_columns")),
+    # mult_count tallies a subtraction as an addition
+    Mutant("CountingField._sub without its count", "src/loceret/galois.py",
+           "    def _sub(self, a, b):\n"
+           "        self.add_count += 1\n",
+           "    def _sub(self, a, b):\n",
+           ("tests/test_localrepair.py", "-k", "plan_build_tallies_are_pinned")),
     # the control: an identity edit must leave every named test passing
     Mutant("identity edit (must survive)", "src/loceret/codeops.py",
            "outside = G[:, keep]",

@@ -1,5 +1,6 @@
 import itertools
 import json
+import pickle
 import random
 import re
 import tracemalloc
@@ -1307,6 +1308,50 @@ def test_supplied_dual_ghw_gives_the_same_report():
     code = rscodes.rs_make(F13, range(10), 4).code
     floor = ghw(dual(code), 2)
     assert t_locality(code, 1, dual_ghw=floor) == t_locality(code, 1)
+
+
+@pytest.mark.parametrize("floor", [7, "6", 6.0, True], ids=repr)
+def test_dual_ghw_is_checked_where_it_enters(floor):
+    # RS[10,4]/GF(13) at t = 1: d_2(dual) = k + t + 1 = 6, the generalized
+    # Singleton bound, so 7 is no lower bound (it once gave locality 6 for 5)
+    code = rscodes.rs_make(F13, range(10), 4).code
+    for mode in ("exhaustive", "greedy"):
+        with pytest.raises(ValueError, match=r"^dual_ghw must be an integer "
+                           r"no larger than k \+ t \+ 1 = 6, got"):
+            t_locality(code, 1, mode, dual_ghw=floor)
+    assert code._witnesses == {}
+    assert t_locality(code, 1, dual_ghw=6).r_t == 5
+    assert t_locality(code, 1, dual_ghw=0) == t_locality(code, 1)
+
+
+def fresh_copy(code):
+    """The same code with nothing kept from earlier searches."""
+    return code_from_rows(code.field, code.gen, code.n)
+
+
+def test_the_witness_memo_keeps_t_and_the_floor_apart():
+    # the paper's [12,6]/GF(13) code is not MDS: d_2(dual) = 4 against
+    # k + t + 1 = 8 at t = 1, so the allowed floor 8 skips every witness of
+    # size 3; t = 2 without a floor and t = 1 with dual_ghw = 4 both scan
+    # past 3 columns; each call must report what it reports on a fresh code
+    code = example_code().code
+    calls = [(2, None), (1, 4), (1, 8), (1, None), (2, 7)]
+    got = [t_locality(code, t, dual_ghw=floor) for t, floor in calls]
+    assert got == [t_locality(fresh_copy(code), t, dual_ghw=floor)
+                   for t, floor in calls]
+    assert len({tuple(report.per_coord) for report in got}) == 3
+    assert sorted(code._witnesses) == [(1, 2), (1, 3), (1, 7), (2, 3), (2, 6)]
+
+
+def test_a_filled_witness_memo_stays_out_of_pickles_equality_and_hash():
+    code = example_code().code
+    fresh = fresh_copy(code)
+    t_locality(code, 1)
+    t_locality(code, 2)
+    assert code._witnesses and not fresh._witnesses
+    assert pickle.dumps(code) == pickle.dumps(fresh)
+    assert code == fresh and hash(code) == hash(fresh)
+    assert pickle.loads(pickle.dumps(code))._witnesses == {}
 
 
 def test_search_computes_each_column_rank_once(monkeypatch):

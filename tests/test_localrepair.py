@@ -271,19 +271,22 @@ def oracle_linear_rows(dual_code, plan):
 
 def assert_default_helpers_are_the_witnesses(code):
     """plan_linear's own helpers for every coordinate at t = 0, 1, 2 are
-    the witnesses t_locality reports, a coordinate without one has no
-    plan, and every plan's rows are the dual oracle's."""
+    the witnesses of the per-coordinate oracle scan, which t_locality
+    reports too, a coordinate without one has no plan, and every plan's
+    rows are the dual oracle's."""
+    from test_codeops import oracle_scan
     dual_code = codeops.dual(code)
     for t in (0, 1, 2):
         report = t_locality(code, t)
-        for entry in report.per_coord:
+        for entry, (_, witness) in zip(report.per_coord, oracle_scan(code, t)):
             c = entry.coord
-            if entry.witness is None:
+            assert entry.witness == witness, (code, c, t)
+            if witness is None:
                 with pytest.raises(HelpersNotEdrError):
                     plan_linear(code, c, t)
                 continue
             plan = plan_linear(code, c, t)
-            assert plan.helpers == entry.witness, (code, c, t)
+            assert plan.helpers == witness, (code, c, t)
             assert (plan.weights, plan.check_rows) == oracle_linear_rows(
                 dual_code, plan), (code, c, t)
             if not any(row[c] for row in code.gen):
@@ -334,6 +337,19 @@ def test_explicit_linear_plans_match_the_oracle_on_the_gf256_fibre_code():
         cases += [(target, mates, 1), (target, mates, 0),
                   (target, mates[:3], 0), (target, mates[1:], 0)]
     assert assert_explicit_linear_plans_match_the_oracle(spec.code, cases)
+
+
+def test_a_high_dual_ghw_floor_leaves_later_witnesses_and_plans_alone():
+    # on the non-MDS [12,6]/GF(13) code d_2(dual) = 4, while the allowed
+    # floor k + t + 1 = 8 at t = 1 skips every witness of size 3
+    from test_codeops import fresh_copy, oracle_scan
+    code = example_code().code
+    fresh = fresh_copy(code)
+    high = t_locality(code, 1, dual_ghw=8)
+    assert high.r_t == 7 and t_locality(fresh, 1).r_t == 3
+    assert t_locality(code, 1) == t_locality(fresh, 1)
+    witnesses = [witness for _, witness in oracle_scan(code, 1)]
+    assert [plan_linear(code, c, 1).helpers for c in range(code.n)] == witnesses
 
 
 STORE255_DESC = {"field": {"p": 2, "m": 8}, "construction": "lrcrs",

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from loceret import descriptor, localrepair, storagesim
+from loceret import codeops, descriptor, localrepair, storagesim
 from loceret.galois import Field
 from loceret.storagesim import (RNG, Bernoulli, ClusterConfig, ExactErrors,
                                 PlanUnavailableError, UnsupportedFieldError,
@@ -364,6 +364,35 @@ def test_campaigns_of_a_sweep_share_one_code_build(monkeypatch):
                             {"kind": "bernoulli", "epsilon": 0.2}])
     run_sim(cfg)
     assert len(builds) == 1
+
+
+LRC16_4_DESC = {"field": {"p": 17}, "construction": "lrcrs",
+                "p_poly": [0, 0, 0, 0, 1], "l": [1, 1]}
+GENERATOR_12_6 = {"field": {"p": 13}, "construction": "generator", "rows": [
+    [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 3, 3, 3, 3, 9, 9, 9, 9],
+    [1, 1, 1, 1, 9, 9, 9, 9, 3, 3, 3, 3], [1, 5, 8, 12, 2, 3, 10, 11, 4, 6, 7, 9],
+    [1, 5, 8, 12, 6, 9, 4, 7, 10, 2, 11, 3], [1, 5, 8, 12, 5, 1, 12, 8, 12, 5, 8, 1]]}
+
+
+# [16,4]/GF(17) at t = 2, past its fibres' capacity, and the paper's [12,6]
+# code written as a generator code: every coordinate plans by plan_linear
+@pytest.mark.parametrize("desc, t", [(LRC16_4_DESC, 2), (GENERATOR_12_6, 1)],
+                         ids=["lrc16-4", "generator-12-6"])
+def test_build_plans_runs_one_witness_scan_per_code_and_t(monkeypatch, desc, t):
+    scans = []
+    real_scan = codeops._shared_scan
+
+    def counting_scan(code, t, floor):
+        scans.append((t, floor))
+        return real_scan(code, t, floor)
+    monkeypatch.setattr(codeops, "_shared_scan", counting_scan)
+    monkeypatch.setattr(storagesim, "_plan_cache", localrepair.PlanCache())
+    bundle = descriptor.build_code(desc)
+    plans = storagesim.build_plans(bundle, t)
+    assert scans == [(t, t + 1)]
+    report = codeops.t_locality(bundle.code, t)
+    assert [plan.helpers for plan in plans] == [c.witness for c in report.per_coord]
+    assert len(plans) == bundle.code.n and len(scans) == 1
 
 
 # ---------------------------------------------------------------------------
