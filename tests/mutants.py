@@ -89,11 +89,6 @@ ROWS = (
            '        "r_t": cert.distance,',
            ("tests/test_codeops.py::"
             "test_the_committed_certify_grid_recomputes_on_its_small_fields",)),
-    # shared_bundle's memo of bundles by descriptor digest
-    Mutant("build the shared bundle from the caller's dict", "src/loceret/descriptor.py",
-           "build_code(json.loads(text))",
-           "build_code(desc)",
-           ("tests/test_cli.py", "-k", "bundle")),
     # characteristic-2 encode by packed rows
     Mutant("pack the encode rows big-endian", "src/loceret/galois.py",
            'int.from_bytes(block[i:i + n], "little")',
@@ -131,6 +126,11 @@ ROWS = (
            "slots = (draws % (r - rows[:len(draws)])).view(np.int64)",
            "slots = (draws % r).view(np.int64)",
            ("tests/test_simengine.py", "-k", "loop_reference and exact")),
+    # the simulator's one cache keeps a bundle per canonical descriptor text
+    Mutant("build the shared bundle from the caller's dict", "src/loceret/storagesim.py",
+           "descriptor.build_code(json.loads(text))",
+           "descriptor.build_code(config.code)",
+           ("tests/test_storagesim.py", "-k", "bundle or callers_descriptor")),
     # slices read the per-(code, t) tables at their own offset
     Mutant("read the round-robin tables from start, not start mod n", "src/loceret/storagesim.py",
            "at = start % arr.n",
@@ -145,6 +145,18 @@ ROWS = (
            "self.slice_trials = max(1, min(_CHUNK_TRIALS,",
            ("tests/test_storagesim.py", "-k", "short_slices")),
     # configs and trial ranges are checked where they enter
+    Mutant("accept a code of any type", "src/loceret/storagesim.py",
+           "if not isinstance(self.code, dict):",
+           "if False:",
+           ("tests/test_storagesim.py", "-k", "code_that_is_not")),
+    Mutant("accept unknown config keys", "src/loceret/storagesim.py",
+           '_refuse_unknown_keys(obj, _CONFIG_KEYS, "config")',
+           "pass",
+           ("tests/test_cli.py", "-k", "malformed_config")),
+    Mutant("accept unknown policy keys", "src/loceret/storagesim.py",
+           "_refuse_unknown_keys(policy, _POLICY_KEYS, where)",
+           "pass",
+           ("tests/test_storagesim.py", "-k", "every_entry_before")),
     Mutant("accept a channel of any type", "src/loceret/storagesim.py",
            "if not isinstance(self.channel, (Bernoulli, ExactErrors)):",
            "if False:",

@@ -6,10 +6,9 @@ import subprocess
 import sys
 import time
 
-import numpy as np
 import pytest
 
-from loceret import cli, codeops, descriptor, galois
+from loceret import cli, codeops, galois
 from loceret.descriptor import (DescriptorError, build_code, build_field,
                                 descriptor_digest, load_descriptor,
                                 parse_descriptor)
@@ -77,67 +76,6 @@ def test_descriptor_parse_errors_carry_diagnostics():
     with pytest.raises(DescriptorError) as err:
         build_code({"field": {"p": 13}, "construction": "rs", "points": "all"})
     assert "k" in str(err.value)
-
-
-def test_descriptors_of_one_digest_share_one_bundle(monkeypatch):
-    monkeypatch.setattr(descriptor, "_bundles", {})
-    desc = {"field": {"p": 13}, "construction": "rs", "points": "all", "k": 4}
-    bundle = descriptor.shared_bundle(desc)
-    assert descriptor.shared_bundle({"field": {"p": 13, "m": 1},
-                                     "construction": "rs", "points": "all",
-                                     "k": 4}) is bundle
-    assert list(descriptor._bundles.values()) == [bundle]
-    # build_code itself builds on every call
-    assert build_code(desc) is not build_code(desc)
-
-
-def test_a_failed_build_raises_every_time_and_caches_nothing(monkeypatch):
-    monkeypatch.setattr(descriptor, "_bundles", {})
-    bad = {"field": {"p": 13}, "construction": "rs", "points": "all", "k": 14}
-    messages = []
-    for _ in range(2):
-        with pytest.raises(DescriptorError) as err:
-            descriptor.shared_bundle(bad)
-        messages.append(str(err.value))
-    assert messages == ["rs: k must lie in [1, 13], got 14"] * 2
-    assert descriptor._bundles == {}
-
-
-def test_the_shared_bundle_keeps_its_own_descriptor(monkeypatch):
-    monkeypatch.setattr(descriptor, "_bundles", {})
-    desc = {"field": {"p": 13}, "construction": "rs",
-            "points": [0, 1, 2, 3], "k": 2}
-    original = json.loads(json.dumps(desc))
-    bundle = descriptor.shared_bundle(desc)
-    desc["field"]["p"] = 11
-    desc["points"].append(4)
-    desc["k"] = 3
-    assert bundle.descriptor == original
-    assert descriptor.shared_bundle(original) is bundle
-    assert (bundle.field.q, bundle.code.n, bundle.code.k) == (13, 4, 2)
-
-
-@pytest.mark.parametrize("first", ["list", "tuple"])
-def test_a_shared_bundle_does_not_depend_on_earlier_calls(monkeypatch, first):
-    # a tuple is JSON's list, so both spellings share one bundle whichever
-    # is built first; values JSON cannot write fail as descriptor errors
-    monkeypatch.setattr(descriptor, "_bundles", {})
-    spelled = {"list": [0, 1, 2, 3], "tuple": (0, 1, 2, 3)}
-    order = [first, ({"list", "tuple"} - {first}).pop()]
-    bundles = [descriptor.shared_bundle({"field": {"p": 13}, "construction": "rs",
-                                         "points": spelled[name], "k": 2})
-               for name in order]
-    assert bundles[0] is bundles[1]
-    assert bundles[0].descriptor["points"] == [0, 1, 2, 3]
-    for bad in ({"field": {"p": 13}, "construction": "rs",
-                 "points": [0, 1, 2, 3], "k": np.int64(2)},
-                {"field": {"p": 13}, "construction": "rs",
-                 "points": range(4), "k": 2}):
-        with pytest.raises(DescriptorError, match="not a JSON document"):
-            descriptor.shared_bundle(bad)
-        with pytest.raises(DescriptorError, match="not a JSON document"):
-            descriptor_digest(bad)
-    assert list(descriptor._bundles.values()) == [bundles[0]]
 
 
 @pytest.mark.parametrize("field", [{"p": 2305843009213693951},
@@ -675,6 +613,17 @@ BAD_SIMULATE_CONFIGS = {  # id -> (config overrides, start of the message)
         {"sweep": [{"kind": "exact", "errors": 1},
                    {"kind": "bernoulli", "epsilon": True}]},
         "sweep[1].epsilon: unexpected type bool"),
+    # a key nothing reads would leave its campaign on the defaults
+    "misspelt-key": ({"target_polcy": "uniform-random"},
+                     "config: unknown field 'target_polcy'"),
+    "two-unknown-keys": ({"sedd": 5, "comment": "x"},
+                         "config: unknown field 'sedd', 'comment'"),
+    "policy-seed": ({"policies": [{"name": "a", "seed": 5}]},
+                    "policies[0]: unknown field 'seed'"),
+    "code-and-code-file": ({"code_file": "code.json"},
+                           "config.code_file: unread when code is given"),
+    "error-value-model": ({"error_value_model": "burst"},
+                          "config.error_value_model: unsupported model 'burst'"),
 }
 
 

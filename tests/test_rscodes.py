@@ -463,7 +463,6 @@ def test_specs_encode_plan_repair_and_simulate_without_reducing(monkeypatch):
                for desc in (SIM_FIBRE, SIM_RS14) for e in (1, 2)]
     with monkeypatch.context() as patch:
         patch.setattr(codeops, "code_from_rows", refuse)
-        patch.setattr(descriptor, "_bundles", {})
         patch.setattr(storagesim, "_plan_cache", localrepair.PlanCache())
         bundles = [descriptor.build_code(d) for d in (SIM_FIBRE, SIM_RS14)]
         for bundle in bundles:
@@ -477,7 +476,6 @@ def test_specs_encode_plan_repair_and_simulate_without_reducing(monkeypatch):
         reports = [storagesim.run_sim(config) for config in configs]
         assert all("code" not in bundle.spec.__dict__ for bundle in bundles)
     with monkeypatch.context() as patch:
-        patch.setattr(descriptor, "_bundles", {})
         patch.setattr(storagesim, "_plan_cache", localrepair.PlanCache())
         assert [storagesim.run_sim(config) for config in configs] == reports
     for bundle in bundles:

@@ -152,7 +152,7 @@ def test_channel_edges_match_the_loop_reference(desc, t, channel, policy,
     if isinstance(channel, ExactErrors) or channel.epsilon == 0.0:
         assert not hits
     elif channel.epsilon == 1.0:
-        plans = storagesim.build_plans(descriptor.shared_bundle(desc), t)
+        plans = storagesim.build_plans(descriptor.build_code(desc), t)
         assert all(rec.corrupted == tuple(range(len(plans[rec.target].helpers)))
                    for rec in engine)
     else:
@@ -210,7 +210,6 @@ def test_trial_records_build_no_encode_table(monkeypatch):
 
     def no_encoding(*args):
         raise AssertionError("the simulator encoded")
-    monkeypatch.setattr(descriptor, "_bundles", {})
     monkeypatch.setattr(storagesim, "_plan_cache", localrepair.PlanCache())
     monkeypatch.setattr(Field, "encoding", no_encoding)
     monkeypatch.setattr(Field, "encode_word", no_encoding)
@@ -228,7 +227,7 @@ def test_an_offset_range_matches_the_reference():
     # ramp shifted by start G: ranges that start past 0, wrap around n, and
     # cross a slice boundary (the second slice starts at 700 + 2048)
     for desc in (FIBRE, RS_GF9, GENERATOR):
-        n = descriptor.shared_bundle(desc).code.n
+        n = descriptor.build_code(desc).code.n
         for channel in (Bernoulli(0.3), ExactErrors(2)):
             config = ClusterConfig(code=desc, t=1, channel=channel, trials=3000,
                                    seed=-5, target_policy="round-robin")
@@ -240,10 +239,9 @@ def test_an_offset_range_matches_the_reference():
 
 
 def test_a_long_campaign_grows_no_table_or_cache_after_its_first_slice(monkeypatch):
-    # the per-(code, t) arrays, the plan cache and the bundles are built by
-    # the first slice of the first campaign and serve every later slice and
-    # campaign as they are: nothing is kept per slice
-    monkeypatch.setattr(descriptor, "_bundles", {})
+    # the bundle, the per-(code, t) arrays and the plans in the one cache are
+    # built by the first slice of the first campaign and serve every later
+    # slice and campaign as they are: nothing is kept per slice
     monkeypatch.setattr(storagesim, "_plan_cache", localrepair.PlanCache())
     real_run_slice = storagesim._run_slice
     sizes = []
@@ -253,8 +251,7 @@ def test_a_long_campaign_grows_no_table_or_cache_after_its_first_slice(monkeypat
         arrays = {name: value.shape if isinstance(value, np.ndarray)
                   else len(value) if hasattr(value, "__len__") else None
                   for name, value in vars(context.arrays).items()}
-        sizes.append((arrays, len(storagesim._plan_cache),
-                      len(descriptor._bundles)))
+        sizes.append((arrays, len(storagesim._plan_cache)))
         return out
     monkeypatch.setattr(storagesim, "_run_slice", sized_slice)
     trials = 3 * storagesim._CHUNK_TRIALS
@@ -265,7 +262,7 @@ def test_a_long_campaign_grows_no_table_or_cache_after_its_first_slice(monkeypat
                                              target_policy=policy))
     assert len(sizes) == 4 * 3
     assert all(size == sizes[0] for size in sizes)
-    assert sizes[0][1:] == (12 + 1, 1)      # 12 plans and the arrays; one bundle
+    assert sizes[0][1] == 12 + 1 + 1        # 12 plans, the arrays and the bundle
 
 
 def test_array_draws_equal_the_scalar_draw():

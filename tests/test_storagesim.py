@@ -282,6 +282,12 @@ def test_compare_policies_checks_every_entry_before_the_first_run(monkeypatch):
     with pytest.raises(ValueError, match=r"sweep\[1\]: missing field 'epsilon'"):
         compare_policies(cfg, sweep=[{"kind": "exact", "errors": 1},
                                      {"kind": "bernoulli"}])
+    # a policy may override t, trials and target_policy, and nothing else:
+    # its seed would be ignored and it would run on the base seed
+    with pytest.raises(ValueError, match=r"^policies\[1\]: unknown field "
+                                         r"'seed', 'channel'$"):
+        compare_policies(cfg, policies=[{"name": "a"}, {"name": "b", "seed": 5,
+                                                        "channel": "exact"}])
     assert runs == []
 
 
@@ -354,7 +360,7 @@ def test_campaigns_of_a_sweep_share_one_code_build(monkeypatch):
     def counting_build(desc):
         builds.append(desc)
         return real_build(desc)
-    monkeypatch.setattr(descriptor, "_bundles", {})     # count from no bundle
+    monkeypatch.setattr(storagesim, "_plan_cache", localrepair.PlanCache())
     monkeypatch.setattr(descriptor, "build_code", counting_build)
     desc = {"field": {"p": 11}, "construction": "rs",
             "points": [0, 1, 2, 3, 4, 5, 6, 7, 8], "k": 3}
@@ -364,6 +370,84 @@ def test_campaigns_of_a_sweep_share_one_code_build(monkeypatch):
                             {"kind": "bernoulli", "epsilon": 0.2}])
     run_sim(cfg)
     assert len(builds) == 1
+
+
+def _counted_builds(monkeypatch) -> list:
+    """Serve campaigns from a fresh cache; the list collects the descriptor
+    of every code build."""
+    builds = []
+    real_build = descriptor.build_code
+
+    def counting_build(desc):
+        builds.append(desc)
+        return real_build(desc)
+    monkeypatch.setattr(storagesim, "_plan_cache", localrepair.PlanCache())
+    monkeypatch.setattr(descriptor, "build_code", counting_build)
+    return builds
+
+
+def _campaign(desc, t=1):
+    return run_sim(ClusterConfig(code=desc, t=t, channel=ExactErrors(1),
+                                 trials=30, seed=2)).to_json()
+
+
+def test_descriptors_of_one_digest_share_one_bundle(monkeypatch):
+    builds = _counted_builds(monkeypatch)
+    desc = {"field": {"p": 13}, "construction": "rs", "points": "all", "k": 4}
+    report = _campaign(desc)
+    assert _campaign({"field": {"p": 13, "m": 1}, "construction": "rs",
+                      "points": "all", "k": 4}) == report
+    # one bundle, the arrays and 13 plans; build_code builds on every call
+    assert len(builds) == 1 and len(storagesim._plan_cache) == 1 + 1 + 13
+    assert descriptor.build_code(desc) is not descriptor.build_code(desc)
+
+
+@pytest.mark.parametrize("first", ["list", "tuple"])
+def test_a_bundle_does_not_depend_on_earlier_campaigns(monkeypatch, first):
+    # a tuple is JSON's list, so both spellings share one bundle whichever
+    # is built first; values JSON cannot write fail as descriptor errors
+    builds = _counted_builds(monkeypatch)
+    spelled = {"list": [0, 1, 2, 3], "tuple": (0, 1, 2, 3)}
+    order = [first, ({"list", "tuple"} - {first}).pop()]
+    reports = [_campaign({"field": {"p": 13}, "construction": "rs",
+                          "points": spelled[name], "k": 2}) for name in order]
+    assert reports[0] == reports[1]
+    assert [desc["points"] for desc in builds] == [[0, 1, 2, 3]]
+    cached = len(storagesim._plan_cache)
+    for bad in ({"field": {"p": 13}, "construction": "rs",
+                 "points": [0, 1, 2, 3], "k": np.int64(2)},
+                {"field": {"p": 13}, "construction": "rs",
+                 "points": range(4), "k": 2}):
+        with pytest.raises(descriptor.DescriptorError, match="not a JSON document"):
+            _campaign(bad)
+        with pytest.raises(descriptor.DescriptorError, match="not a JSON document"):
+            descriptor.descriptor_digest(bad)
+    assert len(builds) == 1 and len(storagesim._plan_cache) == cached
+
+
+def test_a_failed_build_raises_every_time_and_caches_nothing(monkeypatch):
+    builds = _counted_builds(monkeypatch)
+    bad = {"field": {"p": 13}, "construction": "rs", "points": "all", "k": 14}
+    messages = []
+    for _ in range(2):
+        with pytest.raises(descriptor.DescriptorError) as err:
+            _campaign(bad)
+        messages.append(str(err.value))
+    assert messages == ["rs: k must lie in [1, 13], got 14"] * 2
+    assert len(builds) == 2 and len(storagesim._plan_cache) == 0
+
+
+def test_editing_the_callers_descriptor_changes_no_later_report(monkeypatch):
+    builds = _counted_builds(monkeypatch)
+    desc = {"field": {"p": 13}, "construction": "rs",
+            "points": [0, 1, 2, 3], "k": 2}
+    original = json.loads(json.dumps(desc))
+    report = _campaign(desc)
+    desc["field"]["p"] = 11
+    desc["points"].append(4)
+    desc["k"] = 3
+    assert _campaign(original) == report and len(builds) == 1
+    assert builds == [original]
 
 
 LRC16_4_DESC = {"field": {"p": 17}, "construction": "lrcrs",
@@ -400,9 +484,8 @@ def test_build_plans_runs_one_witness_scan_per_code_and_t(monkeypatch, desc, t):
 # ---------------------------------------------------------------------------
 
 def _mangled_plans(monkeypatch, coord, mangle):
-    """Serve bundles and plans from fresh caches, with coordinate coord's
+    """Serve bundles and plans from a fresh cache, with coordinate coord's
     plan replaced by mangle(plan)."""
-    monkeypatch.setattr(descriptor, "_bundles", {})
     monkeypatch.setattr(storagesim, "_plan_cache", localrepair.PlanCache())
     real_plan_for = localrepair.plan_for
 
@@ -606,8 +689,25 @@ def test_config_validation():
         example_config(trials=0)
     with pytest.raises(ValueError):
         example_config(target_policy="everywhere")
-    with pytest.raises(ValueError):
-        example_config(error_value_model="burst")
+    # one error value model exists: the report writes it, and a config
+    # may name it but no other
+    base = {"code": EXAMPLE_DESC, "channel": {"kind": "exact", "errors": 1},
+            "trials": 10, "seed": 7}
+    for model in ("uniform-nonzero", None):
+        obj = base if model is None else {**base, "error_value_model": model}
+        report = run_sim(storagesim.config_from_dict(obj))
+        assert report.config["error_value_model"] == "uniform-nonzero"
+    with pytest.raises(ValueError, match=r"^config\.error_value_model: "
+                                         "unsupported model 'burst'$"):
+        storagesim.config_from_dict({**base, "error_value_model": "burst"})
+
+
+@pytest.mark.parametrize("code", ["x", [EXAMPLE_DESC], None],
+                         ids=["str", "list", "none"])
+def test_cluster_config_refuses_a_code_that_is_not_a_json_object(code):
+    # refused where it enters, naming the field, not when a campaign runs
+    with pytest.raises(ValueError, match="^code must be a JSON object, got "):
+        example_config(code=code)
 
 
 @pytest.mark.parametrize("channel", ["bernoulli", {"kind": "exact", "errors": 1},
