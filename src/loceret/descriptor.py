@@ -11,7 +11,8 @@ lrcrs:     "p_poly": [ints, lowest degree first], "l": [ints]
 generator: "rows": [[ints], ...]
 
 Integer symbols may be negative; they are normalized into the field.  JSON
-booleans are rejected wherever an integer is expected.
+booleans are rejected wherever an integer is expected, and a key that
+nothing reads, in the descriptor or its field, is refused by name.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ except ImportError:
         from hashlib import sha256
 
 from . import codeops, rscodes
-from .galois import DEFAULT_MAX_ORDER, Field, _is_int, find_irreducible, is_prime
+from .galois import Field, _checked_order, _is_int, find_irreducible
 
 
 class DescriptorError(ValueError):
@@ -99,40 +100,61 @@ def _is_default_modulus(frag: dict) -> bool:
     """True when the fragment's modulus, reduced mod p, is the irreducible
     Field picks without one; False for any fragment Field would reject."""
     p, m, modulus = frag.get("p"), frag.get("m"), frag["modulus"]
-    return (_is_int(p) and _is_int(m) and 1 < m < DEFAULT_MAX_ORDER.bit_length()
-            and 1 < p ** m <= DEFAULT_MAX_ORDER and is_prime(p)
-            and isinstance(modulus, list) and all(_is_int(c) for c in modulus)
+    try:
+        _checked_order(p, m)
+    except ValueError:
+        return False
+    return (m > 1 and isinstance(modulus, list) and all(_is_int(c) for c in modulus)
             and tuple(c % p for c in modulus) == find_irreducible(p, m))
 
 
-def _require(desc: dict, key: str, kinds, where: str):
-    if not isinstance(desc, dict):
+def _require(obj: dict, key: str, kinds, where: str, default=...):
+    """obj[key], type-checked against kinds (JSON booleans never pass), or the
+    default, when one is given, for a missing key: the one field reader."""
+    if not isinstance(obj, dict):
         raise DescriptorError(f"{where}: expected an object")
-    if key not in desc:
+    if key not in obj:
+        if default is not ...:
+            return default
         raise DescriptorError(f"{where}: missing field {key!r}")
-    value = desc[key]
-    if kinds is not None and (isinstance(value, bool) or not isinstance(value, kinds)):
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, kinds):
         raise DescriptorError(f"{where}.{key}: unexpected type {type(value).__name__}")
     return value
 
 
-def _int_list(values: list, where: str) -> list:
+def _refuse_unknown_keys(obj, known: tuple, where: str):
+    """Raise a DescriptorError naming every key of obj outside known, which
+    nothing would read; an obj that is not an object is left to _require."""
+    if isinstance(obj, dict):
+        unknown = ", ".join(repr(key) for key in obj if key not in known)
+        if unknown:
+            raise DescriptorError(f"{where}: unknown field {unknown}")
+
+
+def _integers(values, where: str, field: Field | None = None) -> list:
+    """values, a list of integers, normalized into field when one is given."""
+    if not isinstance(values, list):
+        raise DescriptorError(f"{where}: expected a list of integers")
     for v in values:
         if not _is_int(v):
             raise DescriptorError(f"{where}: expected integers, got {json.dumps(v)}")
-    return values
+    if field is None:
+        return values
+    try:
+        return [field.normalize(v) for v in values]
+    except ValueError as exc:
+        raise DescriptorError(f"{where}: {exc}") from None
 
 
 def build_field(desc: dict) -> Field:
     frag = _require(desc, "field", dict, "descriptor")
+    _refuse_unknown_keys(frag, ("p", "m", "modulus"), "field")
     p = _require(frag, "p", int, "field")
-    m = frag.get("m", 1)
-    if not _is_int(m):
-        raise DescriptorError("field.m: must be an integer")
-    modulus = frag.get("modulus")
+    m = _require(frag, "m", int, "field", 1)
+    modulus = _require(frag, "modulus", (list, type(None)), "field", None)
     if modulus is not None:
-        if not isinstance(modulus, list) or not all(_is_int(c) for c in modulus):
-            raise DescriptorError("field.modulus: must be a list of integers")
+        _integers(modulus, "field.modulus")
     try:
         return Field(p, m, modulus)
     except ValueError as exc:
@@ -140,47 +162,35 @@ def build_field(desc: dict) -> Field:
 
 
 def build_code(desc: dict) -> CodeBundle:
-    """Construct the field and code a descriptor describes."""
-    field = build_field(desc)
+    """Construct the field and code a descriptor describes, refusing any key
+    its construction does not read before building anything."""
     kind = _require(desc, "construction", str, "descriptor")
+    keys = {"rs": ("points", "k"), "lrcrs": ("p_poly", "l"),
+            "generator": ("rows",)}.get(kind)
+    if keys is None:
+        raise DescriptorError(f"construction: unknown kind {kind!r}")
+    _refuse_unknown_keys(desc, ("field", "construction", *keys), "descriptor")
+    field = build_field(desc)
     digest = descriptor_digest(desc)
     if kind == "rs":
         points = _require(desc, "points", (list, str), "rs")
-        if points == "all":
-            points = list(field.elements())
-        elif isinstance(points, str):
+        if isinstance(points, str) and points != "all":
             raise DescriptorError('rs.points: expected a list or "all"')
-        else:
-            _int_list(points, "rs.points")
-            try:
-                points = [field.normalize(v) for v in points]
-            except ValueError as exc:
-                raise DescriptorError(f"rs.points: {exc}") from None
-        k = _require(desc, "k", int, "rs")
-        try:
-            spec = rscodes.rs_make(field, points, k)
-        except ValueError as exc:
-            raise DescriptorError(f"rs: {exc}") from None
-        return CodeBundle(digest, field, kind, spec)
-    if kind == "lrcrs":
-        p_poly = _int_list(_require(desc, "p_poly", list, "lrcrs"), "lrcrs.p_poly")
-        l = _int_list(_require(desc, "l", list, "lrcrs"), "lrcrs.l")
-        try:
-            p_poly = [field.normalize(v) for v in p_poly]
-            spec = rscodes.lrcrs_make(field, p_poly, l)
-        except ValueError as exc:
-            raise DescriptorError(f"lrcrs: {exc}") from None
-        return CodeBundle(digest, field, kind, spec)
+        points = (list(field.elements()) if points == "all"
+                  else _integers(points, "rs.points", field))
+        make, args = rscodes.rs_make, (points, _require(desc, "k", int, "rs"))
+    elif kind == "lrcrs":
+        p_poly = _integers(_require(desc, "p_poly", list, "lrcrs"), "lrcrs.p_poly", field)
+        l = _integers(_require(desc, "l", list, "lrcrs"), "lrcrs.l")
+        make, args = rscodes.lrcrs_make, (p_poly, l)
+    else:
+        rows = [_integers(row, "generator.rows", field)
+                for row in _require(desc, "rows", list, "generator")]
+        make, args = codeops.code_from_rows, (rows,)
+    try:
+        built = make(field, *args)
+    except ValueError as exc:
+        raise DescriptorError(f"{kind}: {exc}") from None
     if kind == "generator":
-        rows = _require(desc, "rows", list, "generator")
-        for row in rows:
-            if not isinstance(row, list):
-                raise DescriptorError("generator.rows: each row must be a list")
-            _int_list(row, "generator.rows")
-        try:
-            rows = [[field.normalize(v) for v in row] for row in rows]
-            code = codeops.code_from_rows(field, rows)
-        except ValueError as exc:
-            raise DescriptorError(f"generator: {exc}") from None
-        return CodeBundle(digest, field, kind, None, code)
-    raise DescriptorError(f"construction: unknown kind {kind!r}")
+        return CodeBundle(digest, field, kind, None, built)
+    return CodeBundle(digest, field, kind, built)

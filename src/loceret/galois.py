@@ -167,6 +167,22 @@ def find_irreducible(p: int, m: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+def _checked_order(p, m) -> int:
+    """p^m, or Field's error for p and m: p prime, m >= 1, p^m <= the cap."""
+    cap = DEFAULT_MAX_ORDER
+    # before is_prime and p ** m, which run for too long on a large p or m
+    if _is_int(p) and p > cap:
+        raise FieldTooLargeError(f"p = {p} exceeds the cap {cap}")
+    if not is_prime(p):
+        raise NotPrimeError(f"p = {p} is not prime")
+    if not _is_int(m) or m < 1:
+        raise ValueError(f"extension degree must be a positive integer, got {m}")
+    # p^m >= 2^m > cap once m reaches the cap's bit length
+    if m >= cap.bit_length() or p ** m > cap:
+        raise FieldTooLargeError(f"p^m = {p}^{m} exceeds the cap {cap}")
+    return p ** m
+
+
 class Field:
     """Finite field GF(p^m) with canonical integer element encoding.
 
@@ -175,18 +191,7 @@ class Field:
     """
 
     def __init__(self, p: int, m: int = 1, modulus=None):
-        cap = DEFAULT_MAX_ORDER
-        # before is_prime and p ** m, which run for too long on a large p or m
-        if _is_int(p) and p > cap:
-            raise FieldTooLargeError(f"p = {p} exceeds the cap {cap}")
-        if not is_prime(p):
-            raise NotPrimeError(f"p = {p} is not prime")
-        if not _is_int(m) or m < 1:
-            raise ValueError(f"extension degree must be a positive integer, got {m}")
-        # p^m >= 2^m > cap once m reaches the cap's bit length
-        if m >= cap.bit_length() or p ** m > cap:
-            raise FieldTooLargeError(f"p^m = {p}^{m} exceeds the cap {cap}")
-        q = p ** m
+        q = _checked_order(p, m)
         self.p = p
         self.m = m
         self.q = q

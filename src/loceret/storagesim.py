@@ -90,21 +90,15 @@ class ExactErrors:
         return {"kind": "exact", "errors": self.errors}
 
 
-def _config_value(obj, key: str, where: str, kinds=int, default=None):
-    """obj[key], type-checked as descriptor fields are (JSON booleans never
-    pass), or the default, when one is given, for a missing key."""
-    if default is not None and isinstance(obj, dict) and key not in obj:
-        return default
-    return descriptor._require(obj, key, kinds, where)
-
-
 def channel_from_dict(obj: dict, where: str = "channel"):
-    kind = _config_value(obj, "kind", where, str)
+    kind = descriptor._require(obj, "kind", str, where)
+    if kind not in ("bernoulli", "exact"):
+        raise ValueError(f"{where}.kind: unknown channel kind {kind!r}")
+    key = "epsilon" if kind == "bernoulli" else "errors"
+    descriptor._refuse_unknown_keys(obj, ("kind", key), where)
     if kind == "bernoulli":
-        return Bernoulli(_config_value(obj, "epsilon", where, (int, float)))
-    if kind == "exact":
-        return ExactErrors(_config_value(obj, "errors", where))
-    raise ValueError(f"{where}.kind: unknown channel kind {kind!r}")
+        return Bernoulli(descriptor._require(obj, key, (int, float), where))
+    return ExactErrors(descriptor._require(obj, key, int, where))
 
 
 @dataclass(frozen=True)
@@ -145,32 +139,23 @@ _CONFIG_KEYS = ("code", "code_file", "t", "channel", "trials", "seed",
 _POLICY_KEYS = ("name", "t", "trials", "target_policy")
 
 
-def _refuse_unknown_keys(obj, known: tuple, where: str):
-    """Raise a ValueError naming every key of obj outside known; an obj that
-    is not an object is left to the field checks."""
-    if isinstance(obj, dict):
-        unknown = ", ".join(repr(key) for key in obj if key not in known)
-        if unknown:
-            raise ValueError(f"{where}: unknown field {unknown}")
-
-
 def config_from_dict(obj: dict) -> ClusterConfig:
     """A ClusterConfig from its JSON form, rejecting unknown and missing
     fields and values of the wrong type with a ValueError that names the
     field."""
-    _refuse_unknown_keys(obj, _CONFIG_KEYS, "config")
-    model = _config_value(obj, "error_value_model", "config", str,
-                          "uniform-nonzero")
+    descriptor._refuse_unknown_keys(obj, _CONFIG_KEYS, "config")
+    model = descriptor._require(obj, "error_value_model", str, "config",
+                                "uniform-nonzero")
     if model != "uniform-nonzero":
         raise ValueError(f"config.error_value_model: unsupported model {model!r}")
     return ClusterConfig(
-        code=_config_value(obj, "code", "config", dict),
-        t=_config_value(obj, "t", "config", default=1),
-        channel=channel_from_dict(_config_value(obj, "channel", "config", dict)),
-        trials=_config_value(obj, "trials", "config"),
-        seed=_config_value(obj, "seed", "config"),
-        target_policy=_config_value(obj, "target_policy", "config", str,
-                                    "round-robin"))
+        code=descriptor._require(obj, "code", dict, "config"),
+        t=descriptor._require(obj, "t", int, "config", 1),
+        channel=channel_from_dict(descriptor._require(obj, "channel", dict, "config")),
+        trials=descriptor._require(obj, "trials", int, "config"),
+        seed=descriptor._require(obj, "seed", int, "config"),
+        target_policy=descriptor._require(obj, "target_policy", str, "config",
+                                          "round-robin"))
 
 
 # ---------------------------------------------------------------------------
@@ -614,23 +599,23 @@ def compare_policies(config: ClusterConfig, policies=None,
     "target_policy"}, refusing any other key; sweep: list of channel
     objects or dicts replacing the base channel per point.
     """
-    policies, sweep = policies or [{"name": "default"}], sweep or []
     for where, values in (("policies", policies), ("sweep", sweep)):
-        if not isinstance(values, (list, tuple)):
+        if values is not None and not isinstance(values, (list, tuple)):
             raise ValueError(f"{where}: expected a list")
+    policies, sweep = policies or [{"name": "default"}], sweep or []
     channels = [ch if isinstance(ch, (Bernoulli, ExactErrors))
                 else channel_from_dict(ch, f"sweep[{idx}]")
                 for idx, ch in enumerate(sweep)] or [config.channel]
     runs = []    # every policy is checked before the first run
     for idx, policy in enumerate(policies):
         where = f"policies[{idx}]"
-        _refuse_unknown_keys(policy, _POLICY_KEYS, where)
-        name = _config_value(policy, "name", where, str, "default")
+        descriptor._refuse_unknown_keys(policy, _POLICY_KEYS, where)
+        name = descriptor._require(policy, "name", str, where, "default")
         overrides = dict(
-            t=_config_value(policy, "t", where, default=config.t),
-            trials=_config_value(policy, "trials", where, default=config.trials),
-            target_policy=_config_value(policy, "target_policy", where, str,
-                                        config.target_policy))
+            t=descriptor._require(policy, "t", int, where, config.t),
+            trials=descriptor._require(policy, "trials", int, where, config.trials),
+            target_policy=descriptor._require(policy, "target_policy", str, where,
+                                              config.target_policy))
         runs += [(name, ClusterConfig(code=config.code, channel=channel,
                                       seed=config.seed, **overrides))
                  for channel in channels]

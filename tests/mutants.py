@@ -144,19 +144,31 @@ ROWS = (
            "self.slice_trials = max(1, min(len(arr.ramp),",
            "self.slice_trials = max(1, min(_CHUNK_TRIALS,",
            ("tests/test_storagesim.py", "-k", "short_slices")),
-    # configs and trial ranges are checked where they enter
+    # configs, descriptors and trial ranges are checked where they enter
     Mutant("accept a code of any type", "src/loceret/storagesim.py",
            "if not isinstance(self.code, dict):",
            "if False:",
            ("tests/test_storagesim.py", "-k", "code_that_is_not")),
     Mutant("accept unknown config keys", "src/loceret/storagesim.py",
-           '_refuse_unknown_keys(obj, _CONFIG_KEYS, "config")',
+           'descriptor._refuse_unknown_keys(obj, _CONFIG_KEYS, "config")',
            "pass",
            ("tests/test_cli.py", "-k", "malformed_config")),
     Mutant("accept unknown policy keys", "src/loceret/storagesim.py",
-           "_refuse_unknown_keys(policy, _POLICY_KEYS, where)",
+           "descriptor._refuse_unknown_keys(policy, _POLICY_KEYS, where)",
            "pass",
            ("tests/test_storagesim.py", "-k", "every_entry_before")),
+    Mutant("accept unknown channel keys", "src/loceret/storagesim.py",
+           'descriptor._refuse_unknown_keys(obj, ("kind", key), where)',
+           "pass",
+           ("tests/test_cli.py", "-k", "malformed_config")),
+    Mutant("accept unknown field fragment keys", "src/loceret/descriptor.py",
+           '_refuse_unknown_keys(frag, ("p", "m", "modulus"), "field")',
+           "pass",
+           ("tests/test_cli.py", "-k", "malformed_config")),
+    Mutant("accept unknown descriptor keys", "src/loceret/descriptor.py",
+           '_refuse_unknown_keys(desc, ("field", "construction", *keys), "descriptor")',
+           "pass",
+           ("tests/test_cli.py", "-k", "malformed_config")),
     Mutant("accept a channel of any type", "src/loceret/storagesim.py",
            "if not isinstance(self.channel, (Bernoulli, ExactErrors)):",
            "if False:",

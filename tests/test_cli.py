@@ -607,6 +607,8 @@ BAD_SIMULATE_CONFIGS = {  # id -> (config overrides, start of the message)
                             "policies[0].trials: unexpected type float"),
     "policies-object": ({"policies": {"name": "a", "t": 0}},
                         "policies: expected a list"),
+    "policies-false": ({"policies": False}, "policies: expected a list"),
+    "sweep-empty-object": ({"sweep": {}}, "sweep: expected a list"),
     "sweep-missing-errors": ({"sweep": [{"kind": "exact"}]},
                              "sweep[0]: missing field 'errors'"),
     "sweep-epsilon-bool": (
@@ -620,6 +622,29 @@ BAD_SIMULATE_CONFIGS = {  # id -> (config overrides, start of the message)
                          "config: unknown field 'sedd', 'comment'"),
     "policy-seed": ({"policies": [{"name": "a", "seed": 5}]},
                     "policies[0]: unknown field 'seed'"),
+    "exact-epsilon": ({"channel": {"kind": "exact", "errors": 1, "epsilon": 0.1}},
+                      "channel: unknown field 'epsilon'"),
+    "bernoulli-errors": ({"channel": {"kind": "bernoulli", "epsilon": 0.1,
+                                      "errors": 2}},
+                         "channel: unknown field 'errors'"),
+    "sweep-seed": ({"sweep": [{"kind": "bernoulli", "epsilon": 0.1, "seed": 3}]},
+                   "sweep[0]: unknown field 'seed'"),
+    # a descriptor key nothing reads would build another code: without its
+    # modulus, GF(2^8) falls back to the default 0x11B field
+    "field-modulos": ({"code": {"field": {"p": 2, "m": 8,
+                                          "modulos": [1, 0, 1, 1, 1, 0, 0, 0, 1]},
+                                "construction": "lrcrs",
+                                "p_poly": [0, 0, 0, 0, 0, 1], "l": [4, 4, 4]}},
+                      "field: unknown field 'modulos'"),
+    "rs-l": ({"code": {"field": {"p": 13}, "construction": "rs",
+                       "points": "all", "k": 4, "l": [2, 2]}},
+             "descriptor: unknown field 'l'"),
+    "lrcrs-k": ({"code": {**EXAMPLE_DESC, "k": 6}},
+                "descriptor: unknown field 'k'"),
+    "generator-points": ({"code": {"field": {"p": 13}, "construction": "generator",
+                                   "rows": [[1, 1, 1, 1], [0, 1, 2, 3]],
+                                   "points": [0, 1, 2, 3]}},
+                         "descriptor: unknown field 'points'"),
     "code-and-code-file": ({"code_file": "code.json"},
                            "config.code_file: unread when code is given"),
     "error-value-model": ({"error_value_model": "burst"},
