@@ -133,7 +133,7 @@ class LinearCode:
 
     Two instances with the same row space over the same field compare equal.
     Instances are immutable; construct through code_from_rows.  _witnesses
-    keeps t_locality's scans by (t, floor), outside pickles, == and hash.
+    keeps _scan_witnesses' scans by t, outside pickles, == and hash.
     """
 
     __slots__ = ("field", "n", "k", "gen", "pivots", "_witnesses")
@@ -729,33 +729,39 @@ def _shared_scan(code, t, floor) -> dict:
     return found
 
 
-def t_locality(code: LinearCode, t: int, mode: str = "exhaustive",
-               dual_ghw: int | None = None) -> LocalityReport:
+def _scan_witnesses(code, t, weight=None) -> dict:
+    """code._witnesses[t], filled by _shared_scan on first use, so that the
+    supports are scanned once per (code, t).  A support holding a nonzero
+    column detects only if its dual words span t + 1 dimensions
+    (Singleton), so it has at least d_{t+1}(dual) columns (Wei): the scan
+    starts past t + 1 columns, or past weight - 1 when certify passes the
+    weight = d_{t+1}(dual) that it computed, and a dual of dimension at
+    most t leaves nothing to scan."""
+    n = code.n
+    floor = (n if n - code.k <= t
+             else t + 1 if weight is None else max(t + 1, weight - 1))
+    found = code._witnesses.get(t)
+    if found is None:
+        found = code._witnesses[t] = _shared_scan(code, t, floor)
+    return found
+
+
+def t_locality(code: LinearCode, t: int,
+               mode: str = "exhaustive") -> LocalityReport:
     """Minimum t-edr set size per coordinate and the maximum over them.
 
     Exhaustive mode keeps each coordinate's first witness in the order of
     cardinality then lexicographic order, so results are deterministic and
     minimal; one pass over the supports serves every coordinate
-    (_shared_scan), kept on the code by (t, floor).  A support holding a
-    nonzero column detects only if its dual words span t + 1 dimensions
-    (Singleton), so it has at least d_{t+1}(dual) columns (Wei); the scan
-    starts past t + 1 columns, or past dual_ghw - 1 when the caller passes
-    dual_ghw = d_{t+1}(dual) or a lower bound on it, an integer no larger
-    than k + t + 1 (generalized Singleton), and a dual of dimension at most
-    t leaves nothing to scan; the scan refuses codes longer than
-    DEFAULT_EXHAUSTIVE_N.  Greedy mode tests, for each coordinate, only the
-    lowest-index helpers of each size and yields upper bounds, flagged
-    through the report's mode field.
+    (_shared_scan), kept on the code by t (_scan_witnesses); the scan
+    refuses codes longer than DEFAULT_EXHAUSTIVE_N.  Greedy mode tests, for
+    each coordinate, only the lowest-index helpers of each size and yields
+    upper bounds, flagged through the report's mode field.
     """
     if mode not in ("exhaustive", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
     _checked_t(t)
     n = code.n
-    if dual_ghw is not None and not (_is_int(dual_ghw)
-                                     and dual_ghw <= code.k + t + 1):
-        raise ValueError(
-            f"dual_ghw must be an integer no larger than k + t + 1 = "
-            f"{code.k + t + 1}, got {dual_ghw!r}")
     if mode == "greedy":
         ranks = {}
         found = {}
@@ -767,12 +773,7 @@ def t_locality(code: LinearCode, t: int, mode: str = "exhaustive",
                     found[i] = R
                     break
     else:
-        floor = (n if n - code.k <= t
-                 else t + 1 if dual_ghw is None else max(t + 1, dual_ghw - 1))
-        key = (t, floor)
-        found = code._witnesses.get(key)
-        if found is None:
-            found = code._witnesses[key] = _shared_scan(code, t, floor)
+        found = _scan_witnesses(code, t)
     per = []
     for i in range(n):
         R = found.get(i)
@@ -871,7 +872,9 @@ def certify(code: LinearCode, t: int, spec=None,
         except TooLargeToEnumerateError:
             pass
     try:
-        report = t_locality(code, t, "greedy" if greedy else "exhaustive", weight)
+        if not greedy:
+            _scan_witnesses(code, t, weight)
+        report = t_locality(code, t, "greedy" if greedy else "exhaustive")
     except TooLargeToEnumerateError:
         report = t_locality(code, t, mode="greedy")
     downgraded = not greedy and report.mode == "greedy"

@@ -7,16 +7,17 @@ and 1 the multiplicative identity in every field.  Every extension field
 precomputes log/antilog tables, built in numpy, for O(1) products.  Its
 sums XOR when p = 2; odd-p fields add by one lookup in a table of Zech's
 logarithm, log(1 + g^i), so base-p digits appear only while the tables are
-built.  Prime fields use plain modular arithmetic.  The array kernels
-(mul_array, add_array, sum_array, dot_array) apply the same arithmetic
-elementwise to numpy arrays of canonical elements, with one path per field
-kind.  The unchecked scalar kernels _add, _sub, _neg, _mul, _inv and _pow,
-the scalar inner product _dot and the elimination step _clear_column are
-likewise chosen once per field kind, when the field is built.  So is the
-encode kernel (encoding, encode_word), which only rscodes.encode calls:
-fields of characteristic 2 with at most 256 elements XOR k per-code rows,
-each a whole codeword packed one byte per symbol into a Python int, and
-every other field multiplies through dot_array.
+built.  Prime fields use plain modular arithmetic.  One builder per field
+kind, run once when the field is built, sets every kernel on the field as a
+closure: the unchecked scalar kernels _add, _sub, _neg, _mul, _inv and _pow,
+the scalar inner product _dot, the elimination step _clear_column, and the
+array kernels mul_array, add_array, sum_array and dot_array, which apply the
+same arithmetic elementwise to numpy arrays of canonical elements.  The
+encode kernel (encoding, encode_word), which only rscodes.encode calls, is
+chosen once per field kind too: fields of characteristic 2 with at most 256
+elements XOR k per-code rows, each a whole codeword packed one byte per
+symbol into a Python int, and every other field multiplies through
+dot_array.
 
 The public add, sub, neg, mul, inv and pow are _check plus the kernel.
 _check and _check_all (a sequence, in one loop) are the one place where
@@ -199,6 +200,7 @@ class Field:
             if modulus is not None:
                 raise ValueError("modulus only applies to extension fields (m > 1)")
             self.modulus = None
+            self._build_prime_kernels()
         else:
             if modulus is None:
                 modulus = find_irreducible(p, m)
@@ -211,10 +213,7 @@ class Field:
                 raise NotIrreducibleError(f"modulus {list(modulus)} is reducible over GF({p})")
             self.modulus = modulus
             self._build_tables()
-        (self._add, self._sub, self._neg,
-         self._mul, self._inv, self._pow) = self._scalar_kernels()
-        self._clear_column = self._column_clearer()
-        self._dot = self._scalar_dot()
+            self._build_extension_kernels()
         self._encodes_by_rows = p == 2 and q <= ENCODE_TABLE_MAX_Q
 
     # -- construction helpers ------------------------------------------------
@@ -300,119 +299,93 @@ class Field:
             zech[n:3 * n] = np.tile(log[one_plus], 2)   # index j: offset j - 2n
             self._zech_arr, self._zech = zech, scalar(zech)
 
-    def _scalar_kernels(self):
-        """The unchecked scalar arithmetic (add, sub, neg, mul, inv, pow),
-        chosen once per field kind like _clear_column: the public operations
-        are _check plus these, and internal loops over checked elements call
-        them directly.  Prime fields inline the arithmetic mod p.  Sums of
-        extension fields XOR when p = 2 and read Zech's logarithm otherwise,
-        where -a = a * g^(n/2); their products read the log/exp tables,
-        where a zero operand's log lands in the zero tail.  inv takes a
-        nonzero element and pow a nonnegative exponent."""
-        p, m, order = self.p, self.m, self.q - 1
-        if m == 1:
-            def add(a, b):
-                return (a + b) % p
+    def _build_prime_kernels(self):
+        """Every kernel of GF(p), set on the field and closed over p: the
+        integers' arithmetic mod p.  The scalar kernels _add, _sub, _neg,
+        _mul, _inv and _pow are unchecked: the public operations are _check
+        plus these, and internal loops over checked elements call them
+        directly; inv takes a nonzero element and pow a nonnegative
+        exponent.  _mul is mul_array too, as numpy broadcasts it, and its
+        products stay exact in int64 for q up to DEFAULT_MAX_ORDER.  _dot and
+        sum_array reduce one integer sum mod p; sum_array takes any
+        nonnegative integers and takes the remainder by floor division,
+        which numpy runs faster than its % by a scalar, and dot_array
+        reduces once, after the sum.  add_array subtracts p where the
+        integer sum reaches it, in the operands' common dtype, which must
+        hold 2(q - 1).  The row operation takes the pivot's inverse once a
+        row needs it."""
+        p = self.p
 
-            def sub(a, b):
-                return (a - b) % p
+        def add(a, b):
+            return (a + b) % p
 
-            def neg(a):
-                return -a % p
+        def sub(a, b):
+            return (a - b) % p
 
-            def mul(a, b):
-                return a * b % p
-
-            def inv(a):
-                return pow(a, p - 2, p)
-
-            def power(a, e):
-                return pow(a, e, p)
-            return add, sub, neg, mul, inv, power
-
-        log, exp = self._log, self._exp
-        if p == 2:
-            add = sub = operator.xor
-            neg = operator.pos           # -a = a in characteristic 2
-        else:
-            zech, two_n, half = self._zech, 2 * order, order // 2
-
-            def add(a, b):
-                log_a = log[a]
-                return exp[log_a + zech[log[b] - log_a + two_n]]
-
-            def neg(a):
-                return exp[log[a] + half]
-
-            def sub(a, b):
-                return add(a, neg(b))
+        def neg(a):
+            return -a % p
 
         def mul(a, b):
-            return exp[log[a] + log[b]]
+            return a * b % p
 
         def inv(a):
-            return exp[order - log[a]]
+            return pow(a, p - 2, p)
 
         def power(a, e):
-            if a:
-                return exp[log[a] * e % order]
-            return 0 if e else 1
-        return add, sub, neg, mul, inv, power
+            return pow(a, e, p)
 
-    def _column_clearer(self):
-        """The row operation of Gaussian elimination, chosen once per field
-        kind: clear_column(prow, c, rows) subtracts from each row list in
-        rows, in place, the multiple of the pivot row prow (zero left of
-        column c) that zeroes its entry in column c.  Prime fields inline
-        the arithmetic mod p.  Extension fields add, to each entry, the
-        pivot row's entry times -row[c] / prow[c], from log/exp lookups: the
-        pivot's log is shifted by log(-1), which is 0 when p = 2 and n/2
-        otherwise (n = q - 1)."""
-        if self.m == 1:
-            p = self.p
+        def dot(xs, ys):
+            return sum(map(operator.mul, xs, ys)) % p
 
-            def clear_column(prow, c, rows):
-                inv = None               # computed once a row needs it
-                cols = range(c, len(prow))
-                for row in rows:
-                    f = row[c]
-                    if f:
-                        if inv is None:
-                            inv = pow(prow[c], p - 2, p)
-                        g = f * inv % p
-                        for j in cols:
-                            row[j] = (row[j] - g * prow[j]) % p
-        else:
-            order, log, exp, add = self.q - 1, self._log, self._exp, self._add
-            log_minus_one = 0 if self.p == 2 else order // 2
+        def clear_column(prow, c, rows):
+            pivot_inv = None
+            cols = range(c, len(prow))
+            for row in rows:
+                f = row[c]
+                if f:
+                    if pivot_inv is None:
+                        pivot_inv = inv(prow[c])
+                    g = f * pivot_inv % p
+                    for j in cols:
+                        row[j] = (row[j] - g * prow[j]) % p
 
-            def clear_column(prow, c, rows):
-                terms = None             # built once a row needs them
-                for row in rows:
-                    if row[c]:
-                        if terms is None:
-                            log_pivot = log[prow[c]] + log_minus_one
-                            terms = [(j, log[prow[j]])
-                                     for j in range(c, len(prow)) if prow[j]]
-                        log_g = (log[row[c]] - log_pivot) % order
-                        for j, log_y in terms:
-                            row[j] = add(row[j], exp[log_g + log_y])
-        return clear_column
+        def add_array(a, b):
+            total = np.add(a, b)
+            total -= np.multiply(total >= p, p, dtype=total.dtype)
+            return total
 
-    def _scalar_dot(self):
-        """The inner product of two sequences of canonical elements, chosen
-        once per field kind like _clear_column: dot(xs, ys) sums x*y over
-        zip(xs, ys).  Operands are not validated; a caller checks them where
-        they enter.  Prime fields reduce one integer sum mod p, GF(2^m) XORs
-        log/exp lookups, and odd-p extension fields use the scalar
-        kernels."""
-        if self.m == 1:
-            p = self.p
+        def sum_array(a, axis):
+            total = a.sum(axis=axis)
+            return total - total // p * p
 
-            def dot(xs, ys):
-                return sum(map(operator.mul, xs, ys)) % p
-        elif self.p == 2:
-            log, exp = self._log, self._exp
+        def dot_array(a, b, axis=-1):
+            return sum_array(a * b, axis=axis)
+
+        self._add, self._sub, self._neg = add, sub, neg
+        self._mul, self._inv, self._pow = mul, inv, power
+        self._dot, self._clear_column = dot, clear_column
+        self.mul_array, self.add_array = mul, add_array
+        self.sum_array, self.dot_array = sum_array, dot_array
+
+    def _build_extension_kernels(self):
+        """Every kernel of GF(p^m), set on the field and closed over its
+        tables, with the same contracts as GF(p)'s; array operands are
+        canonical elements of any integer dtype.  Products read the log/exp
+        tables, where a zero operand's log lands in the zero tail.  p is
+        tested once, here.  When p = 2, sums XOR and sum_array XOR-reduces,
+        -a = a, and _dot XORs log/exp lookups.  Otherwise sums read Zech's
+        logarithm, sum_array folds add_array along the axis from zeros, and
+        _dot is _kernel_dot on the scalar kernels.  The shift log(-1) is 0
+        when p = 2 and n/2 otherwise (n = q - 1): _neg adds it to log a, and
+        the row operation to the pivot's log, adding to each entry the pivot
+        row's entry times -row[c] / prow[c]."""
+        n, log, exp = self.q - 1, self._log, self._exp
+        log_arr, exp_arr = self._log_arr, self._exp_arr
+        if self.p == 2:
+            log_minus_one = 0
+            add = sub = operator.xor
+            neg = operator.pos
+            add_array, sum_array = np.bitwise_xor, np.bitwise_xor.reduce
 
             def dot(xs, ys):
                 acc = 0
@@ -420,8 +393,64 @@ class Field:
                     acc ^= exp[log[x] + log[y]]
                 return acc
         else:
+            log_minus_one = n // 2
+            zech, zech_arr, two_n = self._zech, self._zech_arr, 2 * n
+
+            def add(a, b):
+                log_a = log[a]
+                return exp[log_a + zech[log[b] - log_a + two_n]]
+
+            def neg(a):
+                return exp[log[a] + log_minus_one]
+
+            def sub(a, b):
+                return add(a, neg(b))
+
+            def add_array(a, b):
+                log_a = log_arr[a]
+                return exp_arr[log_a + zech_arr[log_arr[b] - log_a + two_n]]
+
+            def sum_array(a, axis):
+                a = np.moveaxis(a, axis, 0)
+                return functools.reduce(add_array, a,
+                                        np.zeros(a.shape[1:], dtype=np.int64))
+
             dot = functools.partial(_kernel_dot, self)
-        return dot
+
+        def mul(a, b):
+            return exp[log[a] + log[b]]
+
+        def inv(a):
+            return exp[n - log[a]]
+
+        def power(a, e):
+            if a:
+                return exp[log[a] * e % n]
+            return 0 if e else 1
+
+        def clear_column(prow, c, rows):
+            terms = None             # built once a row needs them
+            for row in rows:
+                if row[c]:
+                    if terms is None:
+                        log_pivot = log[prow[c]] + log_minus_one
+                        terms = [(j, log[prow[j]])
+                                 for j in range(c, len(prow)) if prow[j]]
+                    log_g = (log[row[c]] - log_pivot) % n
+                    for j, log_y in terms:
+                        row[j] = add(row[j], exp[log_g + log_y])
+
+        def mul_array(a, b):
+            return exp_arr[log_arr[a] + log_arr[b]]
+
+        def dot_array(a, b, axis=-1):
+            return sum_array(mul_array(a, b), axis=axis)
+
+        self._add, self._sub, self._neg = add, sub, neg
+        self._mul, self._inv, self._pow = mul, inv, power
+        self._dot, self._clear_column = dot, clear_column
+        self.mul_array, self.add_array = mul_array, add_array
+        self.sum_array, self.dot_array = sum_array, dot_array
 
     # -- element validation --------------------------------------------------
 
@@ -482,55 +511,6 @@ class Field:
             return self._pow(self.inv(a), -e)
         return self._pow(a, e)
 
-    # -- array kernels ----------------------------------------------------------
-    # Operands are int64 arrays (or anything numpy broadcasts) of canonical
-    # elements; they are not validated.  Prime-field products stay exact in
-    # int64 for q up to DEFAULT_MAX_ORDER.
-
-    def mul_array(self, a, b) -> np.ndarray:
-        """Elementwise product."""
-        if self.m == 1:
-            return a * b % self.p
-        return self._exp_arr[self._log_arr[a] + self._log_arr[b]]
-
-    def add_array(self, a, b) -> np.ndarray:
-        """Elementwise sum: prime fields subtract p where the integer sum
-        reaches it, in the operands' common dtype, which must hold 2(q - 1);
-        GF(2^m) XORs, and odd-p extension fields gather the scalar kernel's
-        Zech lookup."""
-        if self.m == 1:
-            total = np.add(a, b)
-            total -= np.multiply(total >= self.p, self.p, dtype=total.dtype)
-            return total
-        if self.p == 2:
-            return np.bitwise_xor(a, b)
-        log_a = self._log_arr[a]
-        return self._exp_arr[log_a + self._zech_arr[self._log_arr[b] - log_a
-                                                    + 2 * (self.q - 1)]]
-
-    def dot_array(self, a, b, axis: int = -1) -> np.ndarray:
-        """Inner products along one axis (the last by default), after
-        broadcasting a and b."""
-        if self.m == 1:
-            return self.sum_array(a * b, axis=axis)   # reduced once, after the sum
-        return self.sum_array(self.mul_array(a, b), axis=axis)
-
-    def sum_array(self, a, axis: int) -> np.ndarray:
-        """Field sum along one axis: an integer sum mod p in prime fields, an
-        XOR reduction when p = 2 and otherwise add_array folded along the
-        axis, from zeros.  Prime fields take any nonnegative integers,
-        extension fields canonical elements of any integer dtype.  The
-        remainder mod p is taken by floor division, which numpy runs faster
-        than its % by a scalar."""
-        if self.m == 1:
-            total = a.sum(axis=axis)
-            return total - total // self.p * self.p
-        if self.p == 2:
-            return np.bitwise_xor.reduce(a, axis=axis)
-        a = np.moveaxis(a, axis, 0)
-        return functools.reduce(self.add_array, a,
-                                np.zeros(a.shape[1:], dtype=np.int64))
-
     # -- encoding ---------------------------------------------------------------
     # One kernel per field kind, chosen by _encodes_by_rows: fields of
     # characteristic 2 with at most ENCODE_TABLE_MAX_Q elements XOR packed
@@ -590,7 +570,7 @@ class Field:
         return hash((self.p, self.m, self.modulus))
 
     def __reduce__(self):
-        # pickled by its parameters: the row operation is a closure
+        # pickled by its parameters: __init__ rebuilds the kernel closures
         return Field, (self.p, self.m, self.modulus)
 
     def __repr__(self):

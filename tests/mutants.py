@@ -49,6 +49,7 @@ ENCODE_TESTS = ("tests/test_rscodes.py", "-k", "encode")
 CORPUS_TEST = ("tests/test_rscodes.py::"
                "test_every_corpus_spec_spans_its_k_and_builds_its_code_once")
 OFFSET_TEST = "tests/test_simengine.py::test_an_offset_range_matches_the_reference"
+GALOIS_TESTS = ("tests/test_galois.py",)
 ONE_RULE_TESTS = ("tests/test_localrepair.py", "-k",
                   "local_k_plus_t or spec_capacity")
 
@@ -212,25 +213,62 @@ ROWS = (
            "if pivots != tuple(range(spec.k)):",
            "if False:",
            ("tests/test_rscodes.py", "-k", "dependent_positions")),
-    # one witness scan per (code, t, floor), kept on the LinearCode and read
-    # by plan_linear
-    Mutant("key the witness memo without the floor", "src/loceret/codeops.py",
-           "key = (t, floor)",
-           "key = t",
-           ("tests/test_codeops.py", "-k", "witness_memo_keeps")),
+    # one witness scan per (code, t), kept on the LinearCode and read by
+    # plan_linear; only certify passes a floor, d_{t+1}(dual) - 1
+    Mutant("certify's floor one column too high", "src/loceret/codeops.py",
+           "max(t + 1, weight - 1)",
+           "max(t + 1, weight)",
+           ("tests/test_codeops.py", "-k", "certify")),
     Mutant("key the witness memo without t", "src/loceret/codeops.py",
-           "key = (t, floor)",
-           "key = floor",
+           "    found = code._witnesses.get(t)\n"
+           "    if found is None:\n"
+           "        found = code._witnesses[t] = _shared_scan(code, t, floor)\n",
+           "    found = code._witnesses.get(None)\n"
+           "    if found is None:\n"
+           "        found = code._witnesses[None] = _shared_scan(code, t, floor)\n",
            ("tests/test_codeops.py", "-k", "witness_memo_keeps")),
     Mutant("plan_linear reads the next coordinate's witness", "src/loceret/localrepair.py",
            "t_locality(code, t).per_coord[target].witness",
            "t_locality(code, t).per_coord[(target + 1) % code.n].witness",
-           ("tests/test_localrepair.py", "-k", "high_dual_ghw_floor")),
+           ("tests/test_localrepair.py", "-k",
+            "locality_witnesses_on_the_lemma_corpus")),
     # plan_linear's rows are every dual word on the plan's coordinates
     Mutant("_dual_words keeps only its first row", "src/loceret/codeops.py",
            "return rref(field, _kernel(field, red, pivots, len(coords)))[0]",
            "return rref(field, _kernel(field, red, pivots, len(coords)))[0][:1]",
            ("tests/test_localrepair.py", "-k", "zero_columns")),
+    # one kernel builder per field kind: GF(p) reduces mod p, odd-p
+    # extension fields add by Zech's logarithm read at offset 2n (n = q - 1)
+    # and shift logs by log(-1) = n/2
+    Mutant("read Zech's logarithm at offset n in _add", "src/loceret/galois.py",
+           "zech[log[b] - log_a + two_n]",
+           "zech[log[b] - log_a + n]",
+           GALOIS_TESTS),
+    Mutant("read Zech's logarithm at offset n in add_array", "src/loceret/galois.py",
+           "zech_arr[log_arr[b] - log_a + two_n]",
+           "zech_arr[log_arr[b] - log_a + n]",
+           GALOIS_TESTS),
+    Mutant("GF(p) add_array reduces above p, not from p", "src/loceret/galois.py",
+           "np.multiply(total >= p, p, dtype=total.dtype)",
+           "np.multiply(total > p, p, dtype=total.dtype)",
+           GALOIS_TESTS),
+    Mutant("GF(p) sum_array without the * p", "src/loceret/galois.py",
+           "return total - total // p * p",
+           "return total - total // p",
+           GALOIS_TESTS),
+    Mutant("odd-p log(-1) set to 0", "src/loceret/galois.py",
+           "log_minus_one = n // 2",
+           "log_minus_one = 0",
+           GALOIS_TESTS),
+    Mutant("odd-p sum_array folds from ones", "src/loceret/galois.py",
+           "np.zeros(a.shape[1:], dtype=np.int64)",
+           "np.ones(a.shape[1:], dtype=np.int64)",
+           GALOIS_TESTS),
+    # survives tests/test_galois.py: only the reads' inner products kill it
+    Mutant("GF(2^m) _dot assigns in place of XOR-accumulating", "src/loceret/galois.py",
+           "acc ^= exp[log[x] + log[y]]",
+           "acc = exp[log[x] + log[y]]",
+           ("tests/test_localrepair.py", "-k", "dot or reads")),
     # mult_count tallies a subtraction as an addition
     Mutant("CountingField._sub without its count", "src/loceret/galois.py",
            "    def _sub(self, a, b):\n"

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from loceret import codeops, rscodes
+from loceret import codeops, localrepair, rscodes
 from loceret.codeops import (BadRankError, EmptySetError,
                              InconsistentLengthError, TooLargeToEnumerateError,
                              ZeroCodeError, certify, check_bounds,
@@ -1305,23 +1305,10 @@ def test_small_dual_leaves_nonzero_columns_without_a_set():
 
 
 def test_supplied_dual_ghw_gives_the_same_report():
-    code = rscodes.rs_make(F13, range(10), 4).code
-    floor = ghw(dual(code), 2)
-    assert t_locality(code, 1, dual_ghw=floor) == t_locality(code, 1)
-
-
-@pytest.mark.parametrize("floor", [7, "6", 6.0, True], ids=repr)
-def test_dual_ghw_is_checked_where_it_enters(floor):
-    # RS[10,4]/GF(13) at t = 1: d_2(dual) = k + t + 1 = 6, the generalized
-    # Singleton bound, so 7 is no lower bound (it once gave locality 6 for 5)
-    code = rscodes.rs_make(F13, range(10), 4).code
-    for mode in ("exhaustive", "greedy"):
-        with pytest.raises(ValueError, match=r"^dual_ghw must be an integer "
-                           r"no larger than k \+ t \+ 1 = 6, got"):
-            t_locality(code, 1, mode, dual_ghw=floor)
-    assert code._witnesses == {}
-    assert t_locality(code, 1, dual_ghw=6).r_t == 5
-    assert t_locality(code, 1, dual_ghw=0) == t_locality(code, 1)
+    # certify scans past d_{t+1}(dual) - 1 columns: 5 on the MDS RS[10,4]
+    # and 3 on the paper's non-MDS [12,6]/GF(13) code at t = 1
+    for code in (rscodes.rs_make(F13, range(10), 4).code, example_code().code):
+        assert certify(code, 1).locality == t_locality(fresh_copy(code), 1)
 
 
 def fresh_copy(code):
@@ -1329,18 +1316,28 @@ def fresh_copy(code):
     return code_from_rows(code.field, code.gen, code.n)
 
 
-def test_the_witness_memo_keeps_t_and_the_floor_apart():
-    # the paper's [12,6]/GF(13) code is not MDS: d_2(dual) = 4 against
-    # k + t + 1 = 8 at t = 1, so the allowed floor 8 skips every witness of
-    # size 3; t = 2 without a floor and t = 1 with dual_ghw = 4 both scan
-    # past 3 columns; each call must report what it reports on a fresh code
-    code = example_code().code
-    calls = [(2, None), (1, 4), (1, 8), (1, None), (2, 7)]
-    got = [t_locality(code, t, dual_ghw=floor) for t, floor in calls]
-    assert got == [t_locality(fresh_copy(code), t, dual_ghw=floor)
-                   for t, floor in calls]
-    assert len({tuple(report.per_coord) for report in got}) == 3
-    assert sorted(code._witnesses) == [(1, 2), (1, 3), (1, 7), (2, 3), (2, 6)]
+def test_the_witness_memo_keeps_t_and_the_floor_apart(monkeypatch):
+    # on the paper's [12,6]/GF(13) code d_2(dual) = 4, so certify scans at
+    # t = 1 past 3 columns; plan_linear and t_locality read that scan, where
+    # each once ran its own from 2 columns; t = 2 gets one scan of its own
+    spec = example_code()
+    code = spec.code
+    scans = []
+    real_scan = codeops._shared_scan
+
+    def counting_scan(code, t, floor):
+        scans.append((t, floor))
+        return real_scan(code, t, floor)
+    monkeypatch.setattr(codeops, "_shared_scan", counting_scan)
+    cert = certify(code, 1, spec)
+    helpers = [localrepair.plan_linear(code, c, 1).helpers for c in range(code.n)]
+    assert scans == [(1, 3)]
+    assert helpers == [c.witness for c in cert.locality.per_coord]
+    got = [t_locality(code, t) for t in (2, 1, 2)]
+    assert scans == [(1, 3), (2, 3)]
+    assert sorted(code._witnesses) == [1, 2]
+    assert got == [t_locality(fresh_copy(code), t) for t in (2, 1, 2)]
+    assert got[1] == cert.locality
 
 
 def test_a_filled_witness_memo_stays_out_of_pickles_equality_and_hash():

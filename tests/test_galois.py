@@ -84,11 +84,26 @@ def test_f13_has_13_elements():
 
 def test_fields_survive_pickle_and_deepcopy():
     # GF(2^17) and GF(3^11) index their tables through memoryviews, which
-    # do not pickle: a field pickles by its parameters
+    # do not pickle: a field pickles by its parameters, and the copy builds
+    # its kernels, closures set on the field, again
+    def kernel_results(field, a, b):
+        rows = b.tolist()
+        field._clear_column(a[0].tolist(), 0, rows)
+        return (field.mul_array(a, b).tolist(), field.add_array(a, b).tolist(),
+                field.dot_array(a, b).tolist(),
+                field.sum_array(a, axis=0).tolist(),
+                field._dot(a[0].tolist(), b[0].tolist()), rows)
+
     for field in (Field(13), Field(2, 8), Field(3, 2), Field(2, 17), Field(3, 11)):
+        rng = np.random.default_rng(field.q)
+        a, b = rng.integers(0, field.q, size=(2, 4, 6))
+        a[0, 0] = rng.integers(1, field.q)          # the row operation's pivot
+        want = kernel_results(field, a, b)
+        assert all(row[0] == 0 for row in want[-1])
         for copied in (pickle.loads(pickle.dumps(field)), copy.deepcopy(field)):
             assert copied == field
             assert copied.mul(5, 7) == field.mul(5, 7)
+            assert kernel_results(copied, a, b) == want
 
 
 def test_composite_characteristic_rejected():

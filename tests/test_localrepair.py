@@ -339,19 +339,6 @@ def test_explicit_linear_plans_match_the_oracle_on_the_gf256_fibre_code():
     assert assert_explicit_linear_plans_match_the_oracle(spec.code, cases)
 
 
-def test_a_high_dual_ghw_floor_leaves_later_witnesses_and_plans_alone():
-    # on the non-MDS [12,6]/GF(13) code d_2(dual) = 4, while the allowed
-    # floor k + t + 1 = 8 at t = 1 skips every witness of size 3
-    from test_codeops import fresh_copy, oracle_scan
-    code = example_code().code
-    fresh = fresh_copy(code)
-    high = t_locality(code, 1, dual_ghw=8)
-    assert high.r_t == 7 and t_locality(fresh, 1).r_t == 3
-    assert t_locality(code, 1) == t_locality(fresh, 1)
-    witnesses = [witness for _, witness in oracle_scan(code, 1)]
-    assert [plan_linear(code, c, 1).helpers for c in range(code.n)] == witnesses
-
-
 STORE255_DESC = {"field": {"p": 2, "m": 8}, "construction": "lrcrs",
                  "p_poly": [0, 0, 0, 0, 0, 1], "l": [4, 4, 4]}
 
