@@ -10,14 +10,23 @@ logarithm, log(1 + g^i), so base-p digits appear only while the tables are
 built.  Prime fields use plain modular arithmetic.  One builder per field
 kind, run once when the field is built, sets every kernel on the field as a
 closure: the unchecked scalar kernels _add, _sub, _neg, _mul, _inv and _pow,
-the scalar inner product _dot, the elimination step _clear_column, and the
-array kernels mul_array, add_array, sum_array and dot_array, which apply the
-same arithmetic elementwise to numpy arrays of canonical elements.  The
-encode kernel (encoding, encode_word), which only rscodes.encode calls, is
-chosen once per field kind too: fields of characteristic 2 with at most 256
-elements XOR k per-code rows, each a whole codeword packed one byte per
-symbol into a Python int, and every other field multiplies through
-dot_array.
+the read kernel _reader, the elimination step _clear_column, and the array
+kernels mul_array, add_array, sum_array and dot_array, which apply the same
+arithmetic elementwise to numpy arrays of canonical elements.
+
+_reader(check_rows, recovery_row) takes a recovery plan's rows once and
+returns its read, a closure over them: given the helper symbols, None when
+some check row meets them in a nonzero inner product, else the recovery
+row's.  Prime fields sum integer products and reduce mod p once per row;
+odd-p extension fields, and GF(2^m) past 256 elements, take an inner
+product per row on their scalar kernels.  Fields of characteristic 2 with
+at most 256 elements (ENCODE_TABLE_MAX_Q) build their q x q product table
+once (_build_product_kernels), and both their kernels read it: a read holds
+each plan row as its coefficients' product rows, one list read and one XOR
+per term, and the encode kernel (encoding, encode_word), which only
+rscodes.encode calls, XORs k per-code rows cut from it, each a whole
+codeword packed one byte per symbol into a Python int.  Every other field
+encodes through dot_array.
 
 The public add, sub, neg, mul, inv and pow are _check plus the kernel.
 _check and _check_all (a sequence, in one loop) are the one place where
@@ -33,9 +42,9 @@ import operator
 import numpy as np
 
 DEFAULT_MAX_ORDER = 1 << 20
-# Largest field of characteristic 2 that encodes by packed rows: each symbol
-# fits one byte of a row, and the rows (q bytes per generator entry) stay
-# small.
+# Largest field of characteristic 2 that keeps a q x q product table, which
+# its encode and read kernels read: each symbol fits one byte of a packed
+# encode row, and the table (q lists of q products) stays small.
 ENCODE_TABLE_MAX_Q = 1 << 8
 
 
@@ -214,7 +223,9 @@ class Field:
             self.modulus = modulus
             self._build_tables()
             self._build_extension_kernels()
-        self._encodes_by_rows = p == 2 and q <= ENCODE_TABLE_MAX_Q
+        self._products = None
+        if p == 2 and q <= ENCODE_TABLE_MAX_Q:
+            self._build_product_kernels()
 
     # -- construction helpers ------------------------------------------------
 
@@ -306,11 +317,11 @@ class Field:
         plus these, and internal loops over checked elements call them
         directly; inv takes a nonzero element and pow a nonnegative
         exponent.  _mul is mul_array too, as numpy broadcasts it, and its
-        products stay exact in int64 for q up to DEFAULT_MAX_ORDER.  _dot and
-        sum_array reduce one integer sum mod p; sum_array takes any
-        nonnegative integers and takes the remainder by floor division,
-        which numpy runs faster than its % by a scalar, and dot_array
-        reduces once, after the sum.  add_array subtracts p where the
+        products stay exact in int64 for q up to DEFAULT_MAX_ORDER.  The read
+        kernel's rows and sum_array reduce one integer sum mod p; sum_array
+        takes any nonnegative integers and takes the remainder by floor
+        division, which numpy runs faster than its % by a scalar, and
+        dot_array reduces once, after the sum.  add_array subtracts p where the
         integer sum reaches it, in the operands' common dtype, which must
         hold 2(q - 1).  The row operation takes the pivot's inverse once a
         row needs it."""
@@ -334,8 +345,15 @@ class Field:
         def power(a, e):
             return pow(a, e, p)
 
-        def dot(xs, ys):
-            return sum(map(operator.mul, xs, ys)) % p
+        times = operator.mul
+
+        def reader(check_rows, recovery_row):
+            def read(values):
+                for row in check_rows:
+                    if sum(map(times, row, values)) % p:
+                        return None
+                return sum(map(times, recovery_row, values)) % p
+            return read
 
         def clear_column(prow, c, rows):
             pivot_inv = None
@@ -363,7 +381,7 @@ class Field:
 
         self._add, self._sub, self._neg = add, sub, neg
         self._mul, self._inv, self._pow = mul, inv, power
-        self._dot, self._clear_column = dot, clear_column
+        self._reader, self._clear_column = reader, clear_column
         self.mul_array, self.add_array = mul, add_array
         self.sum_array, self.dot_array = sum_array, dot_array
 
@@ -373,9 +391,11 @@ class Field:
         canonical elements of any integer dtype.  Products read the log/exp
         tables, where a zero operand's log lands in the zero tail.  p is
         tested once, here.  When p = 2, sums XOR and sum_array XOR-reduces,
-        -a = a, and _dot XORs log/exp lookups.  Otherwise sums read Zech's
-        logarithm, sum_array folds add_array along the axis from zeros, and
-        _dot is _kernel_dot on the scalar kernels.  The shift log(-1) is 0
+        -a = a, and a row of the read kernel XORs log/exp lookups; fields of
+        at most ENCODE_TABLE_MAX_Q elements then read by their product table
+        (_build_product_kernels).  Otherwise sums read Zech's logarithm,
+        sum_array folds add_array along the axis from zeros, and a row of the
+        read kernel is _kernel_dot on the scalar kernels.  The shift log(-1) is 0
         when p = 2 and n/2 otherwise (n = q - 1): _neg adds it to log a, and
         the row operation to the pivot's log, adding to each entry the pivot
         row's entry times -row[c] / prow[c]."""
@@ -416,6 +436,7 @@ class Field:
                                         np.zeros(a.shape[1:], dtype=np.int64))
 
             dot = functools.partial(_kernel_dot, self)
+        reader = functools.partial(_row_reader, dot)
 
         def mul(a, b):
             return exp[log[a] + log[b]]
@@ -448,9 +469,51 @@ class Field:
 
         self._add, self._sub, self._neg = add, sub, neg
         self._mul, self._inv, self._pow = mul, inv, power
-        self._dot, self._clear_column = dot, clear_column
+        self._reader, self._clear_column = reader, clear_column
         self.mul_array, self.add_array = mul_array, add_array
         self.sum_array, self.dot_array = sum_array, dot_array
+
+    def _build_product_kernels(self):
+        """The kernels of a field of characteristic 2 with at most
+        ENCODE_TABLE_MAX_Q elements that read its q x q product table, built
+        here, once, by mul_array: row a holds a * b at b.  encoding cuts its
+        blocks from the table's uint8 copy.  The read kernel replaces the one
+        of the field's kind: it holds each plan row as the tuple of its
+        coefficients' product rows, so a term is one list read and one XOR.
+        One pass over the helpers accumulates the recovery row and the first
+        check row together (a plan with no check rows reads the zero row
+        products[0] there), and a loop then takes check rows 2..t."""
+        # 16 rows at a time: the whole table at once, in int64, would raise
+        # the peak memory by 1 MB for GF(2^8)
+        symbols = np.arange(self.q)
+        self._products = np.empty((self.q, self.q), dtype=np.uint8)
+        for a in range(0, self.q, 16):
+            self._products[a:a + 16] = self.mul_array(symbols[a:a + 16, None],
+                                                      symbols)
+        products = self._products.tolist()
+
+        def reader(check_rows, recovery_row):
+            recovery = tuple(map(products.__getitem__, recovery_row))
+            rows = [tuple(map(products.__getitem__, row)) for row in check_rows]
+            first = rows[0] if rows else (products[0],) * len(recovery)
+            rest = rows[1:]
+
+            def read(values):
+                acc = check = 0
+                for times_w, times_h, v in zip(recovery, first, values):
+                    acc ^= times_w[v]
+                    check ^= times_h[v]
+                if check:
+                    return None
+                for row in rest:
+                    for times_h, v in zip(row, values):
+                        check ^= times_h[v]
+                    if check:
+                        return None
+                return acc
+            return read
+
+        self._reader = reader
 
     # -- element validation --------------------------------------------------
 
@@ -512,9 +575,9 @@ class Field:
         return self._pow(a, e)
 
     # -- encoding ---------------------------------------------------------------
-    # One kernel per field kind, chosen by _encodes_by_rows: fields of
-    # characteristic 2 with at most ENCODE_TABLE_MAX_Q elements XOR packed
-    # rows, every other field multiplies through dot_array.
+    # One kernel per field kind: fields with a product table (characteristic
+    # 2, at most ENCODE_TABLE_MAX_Q elements) XOR packed rows, every other
+    # field multiplies through dot_array.
 
     def encoding(self, generator):
         """What encode_word takes for a code with the (n, k) generator (one
@@ -523,17 +586,15 @@ class Field:
         With rows it is a tuple of k*q Python ints, one packed codeword per
         (message position, symbol): byte c of row j*q + s, little-endian, is
         s * generator[c, j].  Each generator column's q x n block is cut
-        from the field's q x q uint8 multiplication table, so nothing of
-        k*q x n is held beside the rows.  Otherwise it is the generator
-        itself."""
-        if not self._encodes_by_rows:
+        from the field's q x q uint8 product table, built once with the
+        field, so nothing of k*q x n is held beside the rows.  Otherwise it
+        is the generator itself."""
+        if self._products is None:
             return generator
         q, n = self.q, generator.shape[0]
-        symbols = np.arange(q, dtype=np.int64)
-        products = self.mul_array(symbols[:, None], symbols).astype(np.uint8)
         rows = []
         for column in generator.T:
-            block = products[:, column].tobytes()         # row s: s * column
+            block = self._products[:, column].tobytes()   # row s: s * column
             rows.extend(int.from_bytes(block[i:i + n], "little")
                         for i in range(0, q * n, n))
         return tuple(rows)
@@ -542,7 +603,7 @@ class Field:
         """The length-n codeword of a sequence of canonical elements, as a
         tuple of Python ints: with rows, the XOR of the k rows
         j*q + message[j], unpacked byte by byte."""
-        if not self._encodes_by_rows:
+        if self._products is None:
             word = self.dot_array(np.array(message, dtype=np.int64), encoding)
             return tuple(word.tolist())
         acc, row, q = 0, 0, self.q
@@ -581,13 +642,26 @@ class Field:
 
 def _kernel_dot(field, xs, ys) -> int:
     """Inner product through field._add and field._mul, one call of each
-    per term: the kernel of odd-p extension fields, and CountingField's
+    per term: a read row of odd-p extension fields, and CountingField's
     counted one."""
     add, mul = field._add, field._mul
     acc = 0
     for x, y in zip(xs, ys):
         acc = add(acc, mul(x, y))
     return acc
+
+
+def _row_reader(dot, check_rows, recovery_row):
+    """The read kernel as one inner product per plan row: None when a check
+    row meets the helper symbols in a nonzero value, else the recovery row's
+    value.  The reads of odd-p extension fields, of GF(2^m) past
+    ENCODE_TABLE_MAX_Q elements and of CountingField."""
+    def read(values):
+        for row in check_rows:
+            if dot(row, values):
+                return None
+        return dot(recovery_row, values)
+    return read
 
 
 class CountingField:
@@ -601,7 +675,12 @@ class CountingField:
 
     add, sub, neg, mul, inv, pow = (Field.add, Field.sub, Field.neg,
                                     Field.mul, Field.inv, Field.pow)
-    _dot = _kernel_dot           # one counted mul and add per term
+
+    def _reader(self, check_rows, recovery_row):
+        # a row at a time, one counted mul and add per term: a read that
+        # takes every row counts (t + 1) * r of each
+        return _row_reader(functools.partial(_kernel_dot, self),
+                           check_rows, recovery_row)
 
     def __init__(self, field: Field):
         self.field = field

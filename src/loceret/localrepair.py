@@ -9,10 +9,14 @@ symbol is a fixed linear combination of the helpers.  With at most t
 corrupted helpers the verdict is guaranteed: either corruption is flagged or
 the returned value is correct.  No polynomial interpolation is involved.
 
-Every inner product of a read goes through Field._dot, the scalar kernel
-chosen once per field kind, on unchecked canonical ints; detect, recover and
-repair check the helper count and each helper symbol once, where the symbols
-enter, so no check runs inside the kernel.
+Each plan carries its read kernel, built once with the plan by the field's
+Field._reader over its check rows and recovery row; repair and detect call
+it once per read.  recover, which reads no check row, builds a kernel over
+the recovery row alone at each call.  Kernels run on unchecked canonical
+ints; detect, recover and repair check the helper count and each helper
+symbol once, where the symbols enter, so no check runs inside a kernel.
+CountingField's kernel takes a row at a time through its counted _add and
+_mul, so a clean repair counts (t + 1) * r multiplications.
 
 RS and piecewise-RS codes share one builder, plan_rs (also bound as
 plan_lrcrs), and one rule: the helpers are the spec.local_k + t lowest other
@@ -29,6 +33,7 @@ CountingField counts those kernel calls, which is what mult_count tallies.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -70,6 +75,19 @@ class RecoveryPlan:
     check_rows: tuple[tuple[int, ...], ...]
     recovery_row: tuple[int, ...]
     t: int
+    # the field's read kernel over check_rows and recovery_row, built with
+    # the plan (replace builds it again); no part of ==, hash or repr
+    _read: object = dataclasses.field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_read", self.field._reader(
+            self.check_rows, self.recovery_row))
+
+    def __reduce__(self):
+        # by the init fields, so a copy or an unpickled plan builds its
+        # kernel on its own field
+        return RecoveryPlan, tuple(getattr(self, f.name)
+                                   for f in dataclasses.fields(self) if f.init)
 
 
 class RepairOutcome(NamedTuple):
@@ -256,10 +274,8 @@ def _checked(plan: RecoveryPlan, helper_values):
 
 def detect(plan: RecoveryPlan, helper_values) -> bool:
     """True when the helper symbols are provably corrupted (some detection
-    row has a nonzero inner product with them)."""
-    values = _checked(plan, helper_values)
-    dot = plan.field._dot
-    return any(dot(row, values) for row in plan.check_rows)
+    row has a nonzero inner product with them): exactly when repair flags."""
+    return plan._read(_checked(plan, helper_values)) is None
 
 
 def recover(plan: RecoveryPlan, helper_values) -> int:
@@ -268,7 +284,8 @@ def recover(plan: RecoveryPlan, helper_values) -> int:
     Correct whenever the helpers are clean; performs no error checking (see
     repair for the safe path) and no interpolation.
     """
-    return plan.field._dot(plan.recovery_row, _checked(plan, helper_values))
+    values = _checked(plan, helper_values)
+    return plan.field._reader((), plan.recovery_row)(values)
 
 
 def repair(plan: RecoveryPlan, helper_values) -> RepairOutcome:
@@ -277,12 +294,8 @@ def repair(plan: RecoveryPlan, helper_values) -> RepairOutcome:
     With at most t corrupted helpers the outcome is guaranteed sound: either
     corruption is flagged or the recovered value is the true symbol.
     """
-    values = _checked(plan, helper_values)
-    dot = plan.field._dot
-    for row in plan.check_rows:
-        if dot(row, values):
-            return _DETECTED
-    return RepairOutcome(dot(plan.recovery_row, values))
+    value = plan._read(_checked(plan, helper_values))
+    return _DETECTED if value is None else RepairOutcome(value)
 
 
 def mult_count(spec, target: int, t: int = 1, helpers=None,

@@ -11,8 +11,10 @@ old text occurs exactly once in its file, writes the new text in its place,
 and runs the named tests of that copy on it (PYTHONPATH points at its src/).
 A row is killed when pytest reports failing tests (exit status 1) and
 survives when they all pass; any other status (a collection error, no test
-selected) is an error.  The script exits 0 only when every row with
-killed=True is killed and every row with killed=False survives.  The one
+selected) is an error.  Rows run two at a time (fewer on a machine with
+one CPU), each in its own copy and its own pytest process, and print in
+table order.  The script exits 0 only when every row with killed=True is
+killed and every row with killed=False survives.  The one
 row that must survive leaves its file unchanged, so a run that cannot tell
 a broken copy from a working one fails.  The file is not named test_*.py,
 so pytest does not collect it.
@@ -26,6 +28,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -264,11 +267,24 @@ ROWS = (
            "np.zeros(a.shape[1:], dtype=np.int64)",
            "np.ones(a.shape[1:], dtype=np.int64)",
            GALOIS_TESTS),
-    # survives tests/test_galois.py: only the reads' inner products kill it
-    Mutant("GF(2^m) _dot assigns in place of XOR-accumulating", "src/loceret/galois.py",
+    # the read kernels: a row of GF(2^m) past the product table, and the
+    # product table's fused first pass and its loop over check rows 2..t
+    Mutant("GF(2^m) read row assigns in place of XOR-accumulating", "src/loceret/galois.py",
            "acc ^= exp[log[x] + log[y]]",
            "acc = exp[log[x] + log[y]]",
            ("tests/test_localrepair.py", "-k", "dot or reads")),
+    Mutant("table read kernel without its loop over check rows 2..t", "src/loceret/galois.py",
+           "                for row in rest:\n"
+           "                    for times_h, v in zip(row, values):\n"
+           "                        check ^= times_h[v]\n"
+           "                    if check:\n"
+           "                        return None\n",
+           "",
+           ("tests/test_galois.py", "-k", "read_kernel")),
+    Mutant("table read kernel checks a t = 0 plan by its recovery row", "src/loceret/galois.py",
+           "first = rows[0] if rows else (products[0],) * len(recovery)",
+           "first = rows[0] if rows else recovery",
+           ("tests/test_localrepair.py", "-k", "reads_match")),
     # mult_count tallies a subtraction as an addition
     Mutant("CountingField._sub without its count", "src/loceret/galois.py",
            "    def _sub(self, a, b):\n"
@@ -303,18 +319,23 @@ def run(row: Mutant, scratch: Path) -> str:
     return {0: "survived", 1: "killed"}.get(status, f"pytest exit status {status}")
 
 
+def timed_run(row: Mutant) -> tuple[str, float]:
+    """run's verdict on a fresh scratch directory, and its wall time."""
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as scratch:
+        result = run(row, Path(scratch))
+    return result, time.perf_counter() - start
+
+
 def main() -> int:
     failures = 0
-    for row in ROWS:
-        start = time.perf_counter()
-        with tempfile.TemporaryDirectory() as scratch:
-            result = run(row, Path(scratch))
-        expected = "killed" if row.killed else "survived"
-        ok = result == expected
-        failures += not ok
-        print(f"{'ok  ' if ok else 'FAIL'} {row.name}: {result} "
-              f"(expected {expected}, {time.perf_counter() - start:.1f} s)",
-              flush=True)
+    with ThreadPoolExecutor(min(2, os.cpu_count() or 1)) as pool:
+        for row, (result, seconds) in zip(ROWS, pool.map(timed_run, ROWS)):
+            expected = "killed" if row.killed else "survived"
+            ok = result == expected
+            failures += not ok
+            print(f"{'ok  ' if ok else 'FAIL'} {row.name}: {result} "
+                  f"(expected {expected}, {seconds:.1f} s)", flush=True)
     print(f"{len(ROWS) - failures} of {len(ROWS)} rows as expected")
     return 1 if failures else 0
 

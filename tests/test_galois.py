@@ -92,7 +92,7 @@ def test_fields_survive_pickle_and_deepcopy():
         return (field.mul_array(a, b).tolist(), field.add_array(a, b).tolist(),
                 field.dot_array(a, b).tolist(),
                 field.sum_array(a, axis=0).tolist(),
-                field._dot(a[0].tolist(), b[0].tolist()), rows)
+                field._reader((), a[0].tolist())(b[0].tolist()), rows)
 
     for field in (Field(13), Field(2, 8), Field(3, 2), Field(2, 17), Field(3, 11)):
         rng = np.random.default_rng(field.q)
@@ -326,6 +326,44 @@ def test_every_public_op_checks_its_operands(field):
                      lambda: Field(field.p, True)):
         with pytest.raises(ValueError, match="True"):
             bad_call()
+
+
+# one field per read-kernel path: prime, product table (GF(2), GF(16),
+# GF(2^8)), odd-p extension, GF(2^m) past the table
+@pytest.mark.parametrize("field", KIND_FIELDS + [Field(2), Field(2, 4)], ids=repr)
+def test_read_kernel_takes_every_row_in_order(field):
+    # None when some check row meets the values in a nonzero inner product,
+    # else the recovery row's; a zeroed first row leaves the verdict to rows
+    # 2..t, and t = 0 returns the recovery row's value, zero or not
+    def dot(xs, ys):
+        return reduce(field.add, map(field.mul, xs, ys), 0)
+
+    rng = random.Random(field.q + 7)
+    edges = [0, 1, field.q - 1]
+
+    def symbols(r):
+        return [rng.choice(edges) if rng.random() < 0.3 else rng.randrange(field.q)
+                for _ in range(r)]
+
+    verdicts = set()
+    for r in (0, 1, 5, 17):
+        for t in range(4):
+            for case in range(12):
+                values, recovery = symbols(r), symbols(r)
+                rows = [symbols(r) for _ in range(t)]
+                if rows and case % 3 == 1:
+                    rows[0] = [0] * r
+                elif case % 3 == 2:
+                    rows = [[0] * r for _ in rows]
+                flagged = [bool(dot(row, values)) for row in rows]
+                want = None if any(flagged) else dot(recovery, values)
+                got = field._reader(tuple(map(tuple, rows)), tuple(recovery))(values)
+                assert got == want and type(got) in (int, type(None))
+                verdicts.add((t, flagged.index(True) if any(flagged) else None,
+                              bool(want)))
+    # every verdict the kernel's branches give was reached
+    assert {(0, None, True), (1, 0, False), (2, 1, False), (3, 1, False),
+            (3, None, True)} <= verdicts
 
 
 def test_one_integer_rule_lives_in_galois():

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import re
 import threading
@@ -25,8 +27,8 @@ def example_code():
 
 
 def oracle_dot(field, xs, ys):
-    """The checked scalar loop that Field._dot replaces: one validated mul
-    and add per term."""
+    """The checked scalar loop that the field's read kernel replaces: one
+    validated mul and add per term."""
     acc = 0
     for x, y in zip(xs, ys):
         acc = field.add(acc, field.mul(x, y))
@@ -743,7 +745,7 @@ def test_repair_cost_on_the_gf256_fibre_code():
 
 
 # ---------------------------------------------------------------------------
-# the scalar kernel and the read boundary
+# the read kernel and the read boundary
 # ---------------------------------------------------------------------------
 
 KERNEL_FIELDS = [Field(13), Field(17), Field(2, 4), GF256, Field(3, 5),
@@ -752,6 +754,7 @@ KERNEL_FIELDS = [Field(13), Field(17), Field(2, 4), GF256, Field(3, 5),
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
 def test_field_dot_matches_the_checked_oracle(field):
+    # the read kernel with no check rows is the recovery row's inner product
     rng = random.Random(field.q)
     edges = [0, 1, field.q - 1]
     for length in range(21):
@@ -760,7 +763,7 @@ def test_field_dot_matches_the_checked_oracle(field):
                   for _ in range(length)]
             ys = [rng.choice(edges) if rng.random() < 0.3 else rng.randrange(field.q)
                   for _ in range(length)]
-            got = field._dot(xs, ys)
+            got = field._reader((), xs)(ys)
             assert got == oracle_dot(field, xs, ys)
             assert type(got) is int
 
@@ -783,6 +786,12 @@ def oracle_cases():
                     (rs_make(gf16, list(range(12)), 5), 1),
                     (rs_make(gf243, list(range(0, 200, 5)), 7), 2)):
         specs.append(([plan_rs(spec, c, t) for c in range(spec.n)], spec))
+    # every read kernel at t = 0 (no check row: the table kernel's zero first
+    # row), 1 and 2 (the second row after the first)
+    for field in KERNEL_FIELDS:
+        spec = rs_make(field, list(range(10)), 4)
+        for t in (0, 1, 2):
+            specs.append(([plan_rs(spec, c, t) for c in (0, 9)], spec))
     for plans, spec in specs:
         yield plans, lambda rng, spec=spec: encode(
             spec, [rng.randrange(spec.field.q) for _ in range(spec.k)]).symbols
@@ -819,6 +828,49 @@ def test_reads_match_the_checked_oracle_on_every_plan():
                 assert recover(plan, values) == oracle_dot(
                     field, plan.recovery_row, values)
             assert repair(plan, clean).value == word[plan.target]
+
+
+def test_the_read_kernel_takes_the_second_check_row_and_truncation_drops_it():
+    # two errors that the first check row of a t = 2 plan on RS[256,16] does
+    # not see: the second row flags them, and the plan truncated to t = 1
+    # returns the recovery row's (wrong) value
+    spec = rs_make(GF256, list(range(256)), 16)
+    plan = plan_rs(spec, 200, 2)
+    clean, symbol = codeword_values(spec, plan, 3)
+    first, second = plan.check_rows
+    errors = [0] * len(clean)
+    errors[0], errors[1] = 1, GF256.div(first[0], first[1])   # -x = x in GF(2^8)
+    values = [GF256.add(v, e) for v, e in zip(clean, errors)]
+    assert oracle_dot(GF256, first, values) == 0
+    assert oracle_dot(GF256, second, values) != 0
+    assert repair(plan, values).detected and detect(plan, values)
+    truncated = truncate_detection(plan, 1)
+    assert truncated.check_rows == (first,)
+    wrong = oracle_dot(GF256, plan.recovery_row, values)
+    assert wrong != symbol
+    assert not detect(truncated, values)
+    assert repair(truncated, values).value == recover(truncated, values) == wrong
+    assert repair(truncated, clean).value == symbol
+
+
+def test_plan_copies_compare_equal_and_read_alike():
+    # a copy or an unpickled plan builds its read kernel on its own field
+    for spec, t in ((example_code(), 1), (rs_make(GF256, list(range(256)), 16), 2),
+                    (rs_make(Field(2, 4), list(range(12)), 5), 0),
+                    (rs_make(Field(3, 5), list(range(0, 200, 5)), 7), 2)):
+        plan = plan_rs(spec, 1, t)
+        clean, symbol = codeword_values(spec, plan, 17)
+        bad = [spec.field.add(clean[0], 1)] + clean[1:]
+        for copied in (copy.deepcopy(plan), copy.copy(plan),
+                       pickle.loads(pickle.dumps(plan))):
+            assert copied == plan and hash(copied) == hash(plan)
+            assert copied._read is not plan._read
+            assert repr(copied) == repr(plan) and "_read" not in repr(plan)
+            assert repair(copied, clean).value == symbol
+            for values in (clean, bad):
+                assert repair(copied, values) == repair(plan, values)
+                assert detect(copied, values) == detect(plan, values)
+                assert recover(copied, values) == recover(plan, values)
 
 
 @pytest.mark.parametrize("field", [F13, GF256, Field(3, 5), Field(2, 17)],
