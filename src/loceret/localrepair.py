@@ -9,14 +9,17 @@ symbol is a fixed linear combination of the helpers.  With at most t
 corrupted helpers the verdict is guaranteed: either corruption is flagged or
 the returned value is correct.  No polynomial interpolation is involved.
 
-Each plan carries its read kernel, built once with the plan by the field's
-Field._reader over its check rows and recovery row; repair and detect call
-it once per read.  recover, which reads no check row, builds a kernel over
-the recovery row alone at each call.  Kernels run on unchecked canonical
-ints; detect, recover and repair check the helper count and each helper
-symbol once, where the symbols enter, so no check runs inside a kernel.
-CountingField's kernel takes a row at a time through its counted _add and
-_mul, so a clean repair counts (t + 1) * r multiplications.
+Each plan carries its read (_checked_read), built once with the plan: a
+closure that checks the helper count, then each helper symbol in one loop,
+where the symbols enter, then calls the field's read kernel over the plan's
+check rows and recovery row (Field._reader) and returns the shared
+_DETECTED or the value's RepairOutcome.  repair is one call of it, and
+detect one call compared with _DETECTED.  recover, which reads no check row,
+passes the read a kernel over the recovery row alone, built at each call.
+So every read checks its symbols once, and no check runs inside a kernel,
+which runs on canonical ints.  CountingField's kernel takes a row at a time
+through its counted _add and _mul, so a clean repair counts (t + 1) * r
+multiplications.
 
 RS and piecewise-RS codes share one builder, plan_rs (also bound as
 plan_lrcrs), and one rule: the helpers are the spec.local_k + t lowest other
@@ -75,13 +78,15 @@ class RecoveryPlan:
     check_rows: tuple[tuple[int, ...], ...]
     recovery_row: tuple[int, ...]
     t: int
-    # the field's read kernel over check_rows and recovery_row, built with
-    # the plan (replace builds it again); no part of ==, hash or repr
+    # the plan's read (_checked_read over the field's read kernel of
+    # check_rows and recovery_row), built with the plan (replace builds it
+    # again); no part of ==, hash or repr
     _read: object = dataclasses.field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_read", self.field._reader(
-            self.check_rows, self.recovery_row))
+        object.__setattr__(self, "_read", _checked_read(
+            self.field, len(self.helpers),
+            self.field._reader(self.check_rows, self.recovery_row)))
 
     def __reduce__(self):
         # by the init fields, so a copy or an unpickled plan builds its
@@ -91,8 +96,13 @@ class RecoveryPlan:
 
 
 class RepairOutcome(NamedTuple):
-    """Either a recovered symbol or a detection verdict, never both.  A
-    named tuple, because every degraded read builds one."""
+    """Either a recovered symbol or a detection verdict, never both.
+
+    Reads build none through the named tuple's Python-level __new__: a
+    flagged read returns the shared _DETECTED, and a clean read over a field
+    of at most 256 elements the value's shared entry of _OUTCOMES.  Over a
+    larger field a clean read builds one by tuple.__new__.  Outcomes compare,
+    hash and pickle as any RepairOutcome(value) does."""
     value: int | None
 
     @property
@@ -101,6 +111,48 @@ class RepairOutcome(NamedTuple):
 
 
 _DETECTED = RepairOutcome(None)
+# RepairOutcome(v) for each v in 0..255, shared by the reads of every field
+# of at most 256 elements
+_OUTCOMES = tuple(RepairOutcome(v) for v in range(256))
+
+
+def _outcome_maker(q: int):
+    """RepairOutcome(v) for the symbols v of a field of q elements, chosen
+    once per field: an index into _OUTCOMES when it holds them all, else one
+    tuple.__new__ a call."""
+    if q <= len(_OUTCOMES):
+        return _OUTCOMES.__getitem__
+    new = tuple.__new__
+
+    def outcome(value):
+        return new(RepairOutcome, (value,))
+    return outcome
+
+
+def _checked_read(field, count: int, kernel):
+    """A plan's read through `field`'s read kernel `kernel`: given `count`
+    helper symbols, _DETECTED when the kernel flags them, else the value's
+    RepairOutcome.  A call may pass another kernel of the field over the
+    same helpers, as recover does.
+
+    The read checks the count, then each symbol in one loop, before the
+    kernel runs: the kernel indexes tables with them, so a negative symbol
+    would read a table from its end and give a wrong answer, and False
+    would pass as 0.  A bad symbol raises Field._check's ValueError, which
+    names it.  The loop is Field._check_all's, inline: one call more costs
+    as much as the loop over a handful of helpers."""
+    q, check, outcome = field.q, field._check, _outcome_maker(field.q)
+
+    def read(values, kernel=kernel):
+        if len(values) != count:
+            raise WrongLengthError(
+                f"expected {count} helper symbols, got {len(values)}")
+        for a in values:
+            if type(a) is not int or not 0 <= a < q:
+                check(a)
+        value = kernel(values)
+        return _DETECTED if value is None else outcome(value)
+    return read
 
 
 def recovery_weight(field, support_points, alpha: int) -> int:
@@ -261,21 +313,10 @@ def plan_for(bundle, target: int, t: int, helpers=None) -> RecoveryPlan:
     return plan_linear(bundle.code, target, t, helpers=helpers)
 
 
-def _checked(plan: RecoveryPlan, helper_values):
-    """The one check of a read's symbols, where they enter: one per helper,
-    each a canonical element of the plan's field (Field._check_all).
-    The kernel after it indexes tables with them, so a negative symbol
-    would read a table from its end and give a wrong answer."""
-    if len(helper_values) != len(plan.helpers):
-        raise WrongLengthError(
-            f"expected {len(plan.helpers)} helper symbols, got {len(helper_values)}")
-    return plan.field._check_all(helper_values)
-
-
 def detect(plan: RecoveryPlan, helper_values) -> bool:
     """True when the helper symbols are provably corrupted (some detection
     row has a nonzero inner product with them): exactly when repair flags."""
-    return plan._read(_checked(plan, helper_values)) is None
+    return plan._read(helper_values) is _DETECTED
 
 
 def recover(plan: RecoveryPlan, helper_values) -> int:
@@ -284,8 +325,8 @@ def recover(plan: RecoveryPlan, helper_values) -> int:
     Correct whenever the helpers are clean; performs no error checking (see
     repair for the safe path) and no interpolation.
     """
-    values = _checked(plan, helper_values)
-    return plan.field._reader((), plan.recovery_row)(values)
+    return plan._read(helper_values,
+                      plan.field._reader((), plan.recovery_row)).value
 
 
 def repair(plan: RecoveryPlan, helper_values) -> RepairOutcome:
@@ -294,8 +335,7 @@ def repair(plan: RecoveryPlan, helper_values) -> RepairOutcome:
     With at most t corrupted helpers the outcome is guaranteed sound: either
     corruption is flagged or the recovered value is the true symbol.
     """
-    value = plan._read(_checked(plan, helper_values))
-    return _DETECTED if value is None else RepairOutcome(value)
+    return plan._read(helper_values)
 
 
 def mult_count(spec, target: int, t: int = 1, helpers=None,

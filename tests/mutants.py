@@ -285,6 +285,24 @@ ROWS = (
            "first = rows[0] if rows else (products[0],) * len(recovery)",
            "first = rows[0] if rows else recovery",
            ("tests/test_localrepair.py", "-k", "reads_match")),
+    # the plan's read: its count and symbol checks before the kernel, and the
+    # shared outcomes it returns
+    Mutant("plan read without its helper count check", "src/loceret/localrepair.py",
+           "        if len(values) != count:\n"
+           "            raise WrongLengthError(\n"
+           "                f\"expected {count} helper symbols, got {len(values)}\")\n",
+           "",
+           ("tests/test_localrepair.py", "-k", "wrong_helper_count")),
+    Mutant("plan read without its symbol check", "src/loceret/localrepair.py",
+           "        for a in values:\n"
+           "            if type(a) is not int or not 0 <= a < q:\n"
+           "                check(a)\n",
+           "",
+           ("tests/test_localrepair.py", "-k", "reads_reject_non_canonical")),
+    Mutant("shared outcome table off by one", "src/loceret/localrepair.py",
+           "_OUTCOMES = tuple(RepairOutcome(v) for v in range(256))",
+           "_OUTCOMES = tuple(RepairOutcome(v + 1) for v in range(256))",
+           ("tests/test_localrepair.py", "-k", "reads_match")),
     # mult_count tallies a subtraction as an addition
     Mutant("CountingField._sub without its count", "src/loceret/galois.py",
            "    def _sub(self, a, b):\n"

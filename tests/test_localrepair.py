@@ -12,7 +12,7 @@ from loceret.codeops import t_locality
 from loceret.galois import CountingField, Field
 from loceret.localrepair import (AlphaNotInSetError, HelpersNotEdrError,
                                  NotEnoughCoordinatesError, PlanCache,
-                                 WrongLengthError, detect,
+                                 RepairOutcome, WrongLengthError, detect,
                                  mult_count, plan_for, plan_linear, plan_lrcrs,
                                  plan_rs, recover, recovery_weight, repair,
                                  truncate_detection)
@@ -457,11 +457,19 @@ def test_single_error_always_detected_and_naive_always_wrong():
 
 
 def test_wrong_helper_count_rejected():
-    plan = plan_lrcrs(example_code(), 0)
-    with pytest.raises(WrongLengthError):
-        detect(plan, (1, 2))
-    with pytest.raises(WrongLengthError):
-        recover(plan, (1, 2, 3, 4))
+    # every read checks the count before its kernel, whose zip would read a
+    # short vector's symbols against the wrong row entries; on every kernel
+    # kind
+    for field in (F13, Field(2, 4), GF256, Field(3, 5), Field(2, 17)):
+        spec = rs_make(field, list(range(8)), 3)
+        plan = plan_rs(spec, 0, 1)
+        clean, _ = codeword_values(spec, plan, 7)
+        r = len(clean)
+        for values in (clean[:-1], clean + [1]):
+            for read in (detect, recover, repair):
+                with pytest.raises(WrongLengthError, match=(
+                        rf"^expected {r} helper symbols, got {len(values)}$")):
+                    read(plan, values)
 
 
 def test_truncate_detection():
@@ -871,6 +879,30 @@ def test_plan_copies_compare_equal_and_read_alike():
                 assert repair(copied, values) == repair(plan, values)
                 assert detect(copied, values) == detect(plan, values)
                 assert recover(copied, values) == recover(plan, values)
+
+
+@pytest.mark.parametrize("field", [F13, GF256, Field(3, 5), Field(2, 17)],
+                         ids=repr)
+def test_read_outcomes_equal_fresh_outcomes(field):
+    # clean reads share their outcomes below 257 elements and build them past
+    # that (GF(2^17) reads values above 255); each equals, hashes and pickles
+    # as RepairOutcome(value), and every flagged read as RepairOutcome(None)
+    spec = rs_make(field, list(range(8)), 3)
+    values_read = set()
+    for target in range(spec.n):
+        plan = plan_rs(spec, target, 1)
+        for seed in range(8):
+            clean, symbol = codeword_values(spec, plan, seed)
+            bad = [field.add(clean[0], 1)] + clean[1:]
+            for values, expected in ((clean, RepairOutcome(symbol)),
+                                     (bad, RepairOutcome(None))):
+                outcome = repair(plan, values)
+                assert outcome == expected and hash(outcome) == hash(expected)
+                assert type(outcome) is RepairOutcome
+                assert outcome.detected == expected.detected
+                assert pickle.loads(pickle.dumps(outcome)) == expected
+            values_read.add(symbol)
+    assert max(values_read) > 255 or field.q <= 256
 
 
 @pytest.mark.parametrize("field", [F13, GF256, Field(3, 5), Field(2, 17)],
