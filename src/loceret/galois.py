@@ -30,9 +30,8 @@ encodes through dot_array.
 
 The public add, sub, neg, mul, inv and pow are _check plus the kernel.
 _check and _check_all (a sequence, in one loop) are the one place where
-symbols are checked, and _is_int the one integer rule; a recovery plan's
-read runs _check_all's loop inline and raises through _check.  Code and
-plan construction call the kernels on elements checked where they entered.
+symbols are checked, and _is_int the one integer rule; code and plan
+construction call the kernels on elements checked where they entered.
 """
 
 from __future__ import annotations

@@ -10,16 +10,16 @@ corrupted helpers the verdict is guaranteed: either corruption is flagged or
 the returned value is correct.  No polynomial interpolation is involved.
 
 Each plan carries its read (_checked_read), built once with the plan: a
-closure that checks the helper count, then each helper symbol in one loop,
-where the symbols enter, then calls the field's read kernel over the plan's
-check rows and recovery row (Field._reader) and returns the shared
-_DETECTED or the value's RepairOutcome.  repair is one call of it, and
-detect one call compared with _DETECTED.  recover, which reads no check row,
-passes the read a kernel over the recovery row alone, built at each call.
-So every read checks its symbols once, and no check runs inside a kernel,
-which runs on canonical ints.  CountingField's kernel takes a row at a time
-through its counted _add and _mul, so a clean repair counts (t + 1) * r
-multiplications.
+closure that checks the helper count, then each helper symbol
+(Field._check_all), where the symbols enter, then calls the field's read
+kernel over the plan's check rows and recovery row (Field._reader) and
+returns the shared _DETECTED or the value's RepairOutcome.  repair is one
+call of it, and detect one call compared with _DETECTED.  recover, which
+reads no check row, passes the read a kernel over the recovery row alone,
+built at each call.  So every read checks its symbols once, and no check
+runs inside a kernel, which runs on canonical ints.  CountingField's kernel
+takes a row at a time through its counted _add and _mul, so a clean repair
+counts (t + 1) * r multiplications.
 
 RS and piecewise-RS codes share one builder, plan_rs (also bound as
 plan_lrcrs), and one rule: the helpers are the spec.local_k + t lowest other
@@ -135,22 +135,17 @@ def _checked_read(field, count: int, kernel):
     RepairOutcome.  A call may pass another kernel of the field over the
     same helpers, as recover does.
 
-    The read checks the count, then each symbol in one loop, before the
-    kernel runs: the kernel indexes tables with them, so a negative symbol
-    would read a table from its end and give a wrong answer, and False
-    would pass as 0.  A bad symbol raises Field._check's ValueError, which
-    names it.  The loop is Field._check_all's, inline: one call more costs
-    as much as the loop over a handful of helpers."""
-    q, check, outcome = field.q, field._check, _outcome_maker(field.q)
+    The read checks the count, then each symbol (Field._check_all), before
+    the kernel runs: the kernel indexes tables with them, so a negative
+    symbol would read a table from its end and give a wrong answer, and
+    False would pass as 0."""
+    check_all, outcome = field._check_all, _outcome_maker(field.q)
 
     def read(values, kernel=kernel):
         if len(values) != count:
             raise WrongLengthError(
                 f"expected {count} helper symbols, got {len(values)}")
-        for a in values:
-            if type(a) is not int or not 0 <= a < q:
-                check(a)
-        value = kernel(values)
+        value = kernel(check_all(values))
         return _DETECTED if value is None else outcome(value)
     return read
 

@@ -533,7 +533,6 @@ def trial_records(config: ClusterConfig, start: int = 0, stop: int | None = None
     arr = context.arrays
     field = arr.field
     message_offsets, q = _offsets(np.arange(arr.k)), np.uint64(field.q)
-    outcome = localrepair._outcome_maker(field.q)
     for span in _spans(context, start, stop):
         out = _run_slice(context, *span)
         message = _below(_draws(out.streams[:, None], message_offsets), q)
@@ -548,8 +547,8 @@ def trial_records(config: ClusterConfig, start: int = 0, stop: int | None = None
                 truths.tolist(), field.add_array(truths, out.shift).tolist(),
                 out.detected.tolist()):
             yield TrialRecord(
-                trial, target, tuple(slots), truth, naive,
-                localrepair._DETECTED if detected else outcome(naive))
+                trial, target, tuple(slots), truth,
+                naive, localrepair.RepairOutcome(None if detected else naive))
 
 
 def _tally_range(context: _SimContext, start: int, stop: int) -> np.ndarray:

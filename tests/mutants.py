@@ -294,10 +294,8 @@ ROWS = (
            "",
            ("tests/test_localrepair.py", "-k", "wrong_helper_count")),
     Mutant("plan read without its symbol check", "src/loceret/localrepair.py",
-           "        for a in values:\n"
-           "            if type(a) is not int or not 0 <= a < q:\n"
-           "                check(a)\n",
-           "",
+           "value = kernel(check_all(values))",
+           "value = kernel(values)",
            ("tests/test_localrepair.py", "-k", "reads_reject_non_canonical")),
     Mutant("shared outcome table off by one", "src/loceret/localrepair.py",
            "_OUTCOMES = tuple(RepairOutcome(v) for v in range(256))",
