@@ -17,6 +17,7 @@ import sys
 from . import codeops, localrepair, rscodes, storagesim
 from .descriptor import DescriptorError, build_code, load_descriptor
 from .galois import Field
+from .reportjson import dumps
 
 SCHEMA_VERSION = 1
 
@@ -30,7 +31,8 @@ class MultipleErasuresError(ValueError):
 
 
 def emit_report(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """json.dumps(doc, sort_keys=True, indent=2) + "\\n" (reportjson.dumps)."""
+    return dumps(doc)
 
 
 def _base_report(command: str, digest: str | None = None) -> dict:

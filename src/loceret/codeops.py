@@ -694,7 +694,7 @@ class LocalityReport:
         }
 
 
-def _shared_scan(code, t, floor) -> dict:
+def _shared_scan(code, t, floor, d) -> dict:
     """The first t-edr set in exhaustive order of each coordinate that has
     one, as {coordinate: helpers}, a function of (code, t, floor) alone.  A
     zero column gets the empty set; the others share one pass per size over
@@ -705,8 +705,13 @@ def _shared_scan(code, t, floor) -> dict:
     order of the helper sets R keeps it, so the first S containing i that
     detects is R + {i} for i's first witness R.  Each S is tested once, and
     only while some member lacks a witness; every such member gets S - {i}.
-    The pass stops once every coordinate has one.  Codes longer than
-    DEFAULT_EXHAUSTIVE_N raise TooLargeToEnumerateError before any test."""
+    The pass stops once every coordinate has one.  d, when given, is the
+    minimum distance of the code or a lower bound on it.  Puncturing the
+    n - |S| columns outside S lowers a weight by at most n - |S|, so every
+    S of n - d + t + 2 or more columns has d(C[S]) >= t + 2 and detects
+    without a test (the puncturing rule): it changes no verdict, only who
+    decides it.  Codes longer than DEFAULT_EXHAUSTIVE_N raise
+    TooLargeToEnumerateError before any test."""
     n = code.n
     if n > DEFAULT_EXHAUSTIVE_N:
         raise TooLargeToEnumerateError(
@@ -716,10 +721,12 @@ def _shared_scan(code, t, floor) -> dict:
     pending = set(range(n)) - found.keys()
     if not pending:
         return found
+    sure = n + 1 if d is None else n - d + t + 2
     ranks = {}
     for size in range(floor + 1, n + 1):
         for S in itertools.combinations(range(n), size):
-            if pending.isdisjoint(S) or not _detects(code, S, t, ranks):
+            if pending.isdisjoint(S) or (
+                    size < sure and not _detects(code, S, t, ranks)):
                 continue
             for i in pending.intersection(S):
                 found[i] = tuple(c for c in S if c != i)
@@ -729,20 +736,23 @@ def _shared_scan(code, t, floor) -> dict:
     return found
 
 
-def _scan_witnesses(code, t, weight=None) -> dict:
+def _scan_witnesses(code, t, weight=None, d=None) -> dict:
     """code._witnesses[t], filled by _shared_scan on first use, so that the
     supports are scanned once per (code, t).  A support holding a nonzero
     column detects only if its dual words span t + 1 dimensions
     (Singleton), so it has at least d_{t+1}(dual) columns (Wei): the scan
     starts past t + 1 columns, or past weight - 1 when certify passes the
     weight = d_{t+1}(dual) that it computed, and a dual of dimension at
-    most t leaves nothing to scan."""
+    most t leaves nothing to scan.  certify also passes its distance d,
+    exact or a construction's lower bound, for the puncturing rule of
+    _shared_scan; neither changes a witness, so the memo holds whichever
+    call came first."""
     n = code.n
     floor = (n if n - code.k <= t
              else t + 1 if weight is None else max(t + 1, weight - 1))
     found = code._witnesses.get(t)
     if found is None:
-        found = code._witnesses[t] = _shared_scan(code, t, floor)
+        found = code._witnesses[t] = _shared_scan(code, t, floor, d)
     return found
 
 
@@ -856,8 +866,11 @@ def certify(code: LinearCode, t: int, spec=None,
     """Certify the code at detection level t.  The distance is exact where
     min_distance's planned search fits its cap, else the spec's
     distance_bound, else unavailable; it settles d_{t+1}(dual), the
-    locality search's floor, where Wei's duality applies.  A search too
-    large to run falls back to greedy mode."""
+    locality search's floor, where Wei's duality applies, and by the
+    puncturing rule every support of n - d + t + 2 or more columns detects
+    without a test (_shared_scan).  On an MDS code the scan starts at
+    d_{t+1}(dual) = k + t + 1 = n - d + t + 2, so it runs no elimination.
+    A search too large to run falls back to greedy mode."""
     _checked_t(t)
     try:
         d, distance_kind = min_distance(code), "exact"
@@ -873,7 +886,7 @@ def certify(code: LinearCode, t: int, spec=None,
             pass
     try:
         if not greedy:
-            _scan_witnesses(code, t, weight)
+            _scan_witnesses(code, t, weight, d)
         report = t_locality(code, t, "greedy" if greedy else "exhaustive")
     except TooLargeToEnumerateError:
         report = t_locality(code, t, mode="greedy")

@@ -35,6 +35,7 @@ import numpy as np
 
 from . import codeops, descriptor, localrepair
 from .galois import _checked_int, _is_int
+from .reportjson import dumps
 
 CSV_CELLS = ("clean_correct", "naive_wrong", "detected",
              "missed_wrong", "missed_right")
@@ -272,7 +273,7 @@ class SimReport:
                 "rates": self.rates}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return dumps(self.to_dict())
 
 
 class TrialRecord(NamedTuple):

@@ -217,7 +217,7 @@ ROWS = (
            "if False:",
            ("tests/test_rscodes.py", "-k", "dependent_positions")),
     # one witness scan per (code, t), kept on the LinearCode and read by
-    # plan_linear; only certify passes a floor, d_{t+1}(dual) - 1
+    # plan_linear; only certify passes a floor, d_{t+1}(dual) - 1, and a distance
     Mutant("certify's floor one column too high", "src/loceret/codeops.py",
            "max(t + 1, weight - 1)",
            "max(t + 1, weight)",
@@ -225,11 +225,17 @@ ROWS = (
     Mutant("key the witness memo without t", "src/loceret/codeops.py",
            "    found = code._witnesses.get(t)\n"
            "    if found is None:\n"
-           "        found = code._witnesses[t] = _shared_scan(code, t, floor)\n",
+           "        found = code._witnesses[t] = _shared_scan(code, t, floor, d)\n",
            "    found = code._witnesses.get(None)\n"
            "    if found is None:\n"
-           "        found = code._witnesses[None] = _shared_scan(code, t, floor)\n",
+           "        found = code._witnesses[None] = _shared_scan(code, t, floor, d)\n",
            ("tests/test_codeops.py", "-k", "witness_memo_keeps")),
+    # certify's scan takes every support of n - d + t + 2 or more columns
+    # as detecting (the puncturing rule); one column earlier is wrong
+    Mutant("the puncturing rule one column early", "src/loceret/codeops.py",
+           "sure = n + 1 if d is None else n - d + t + 2",
+           "sure = n + 1 if d is None else n - d + t + 1",
+           ("tests/test_codeops.py", "-k", "puncturing_rule")),
     Mutant("plan_linear reads the next coordinate's witness", "src/loceret/localrepair.py",
            "t_locality(code, t).per_coord[target].witness",
            "t_locality(code, t).per_coord[(target + 1) % code.n].witness",
@@ -301,6 +307,11 @@ ROWS = (
            "_OUTCOMES = tuple(RepairOutcome(v) for v in range(256))",
            "_OUTCOMES = tuple(RepairOutcome(v + 1) for v in range(256))",
            ("tests/test_localrepair.py", "-k", "reads_match")),
+    # one report writer, byte for byte json.dumps(doc, sort_keys=True, indent=2)
+    Mutant("report writer leaves dict keys unsorted", "src/loceret/reportjson.py",
+           "for key, value in sorted(o.items()):",
+           "for key, value in o.items():",
+           ("tests/test_reportjson.py", "-k", "random")),
     # mult_count tallies a subtraction as an addition
     Mutant("CountingField._sub without its count", "src/loceret/galois.py",
            "    def _sub(self, a, b):\n"

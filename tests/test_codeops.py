@@ -1318,23 +1318,24 @@ def fresh_copy(code):
 
 def test_the_witness_memo_keeps_t_and_the_floor_apart(monkeypatch):
     # on the paper's [12,6]/GF(13) code d_2(dual) = 4, so certify scans at
-    # t = 1 past 3 columns; plan_linear and t_locality read that scan, where
-    # each once ran its own from 2 columns; t = 2 gets one scan of its own
+    # t = 1 past 3 columns, with its distance d = 3 for the puncturing rule;
+    # plan_linear and t_locality read that scan, where each once ran its own
+    # from 2 columns; t = 2 gets one scan of its own, with no distance
     spec = example_code()
     code = spec.code
     scans = []
     real_scan = codeops._shared_scan
 
-    def counting_scan(code, t, floor):
-        scans.append((t, floor))
-        return real_scan(code, t, floor)
+    def counting_scan(code, t, floor, d):
+        scans.append((t, floor, d))
+        return real_scan(code, t, floor, d)
     monkeypatch.setattr(codeops, "_shared_scan", counting_scan)
     cert = certify(code, 1, spec)
     helpers = [localrepair.plan_linear(code, c, 1).helpers for c in range(code.n)]
-    assert scans == [(1, 3)]
+    assert scans == [(1, 3, 3)]
     assert helpers == [c.witness for c in cert.locality.per_coord]
     got = [t_locality(code, t) for t in (2, 1, 2)]
-    assert scans == [(1, 3), (2, 3)]
+    assert scans == [(1, 3, 3), (2, 3, None)]
     assert sorted(code._witnesses) == [1, 2]
     assert got == [t_locality(fresh_copy(code), t) for t in (2, 1, 2)]
     assert got[1] == cert.locality
@@ -1349,6 +1350,103 @@ def test_a_filled_witness_memo_stays_out_of_pickles_equality_and_hash():
     assert pickle.dumps(code) == pickle.dumps(fresh)
     assert code == fresh and hash(code) == hash(fresh)
     assert pickle.loads(pickle.dumps(code))._witnesses == {}
+
+
+# ---------------------------------------------------------------------------
+# the puncturing rule: with d(C) >= d, every support of n - d + t + 2 or
+# more columns detects, so certify's scan decides it without a test
+# ---------------------------------------------------------------------------
+
+def rule_corpus():
+    """Fresh codes: the lemma corpus, RS17_CASES, the example code and the
+    certify grid's tier-1 slice (q <= 13)."""
+    import certify_grid
+    from test_acceptance import lemma_corpus
+    codes = [fresh_copy(code) for code, _ in lemma_corpus()]
+    for n, k in RS17_CASES:
+        points = random.Random(n * 100 + k).sample(range(17), n)
+        codes.append(rscodes.rs_make(F17, points, k).code)
+    codes.append(example_code().code)
+    codes += [build_code(desc).code for desc in certify_grid.grid()
+              if desc["field"]["p"] ** desc["field"]["m"] <= 13]
+    return codes
+
+
+def refuse_detects(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"_detects ran on {args[1]}")
+    monkeypatch.setattr(codeops, "_detects", refuse)
+
+
+@pytest.mark.parametrize("t", [0, 1, 2])
+def test_the_puncturing_rule_keeps_every_witness_on_the_corpus(monkeypatch, t):
+    # the scan given the distance finds the plain scan's witnesses with
+    # fewer tests, and certify's locality is the plain scan's
+    tested = []
+    real_detects = codeops._detects
+
+    def counting_detects(code, S, t, ranks=None):
+        tested.append(S)
+        return real_detects(code, S, t, ranks)
+    monkeypatch.setattr(codeops, "_detects", counting_detects)
+    plain_tests = ruled_tests = 0
+    for code in rule_corpus():
+        d = min_distance(code)
+        tested.clear()
+        plain = codeops._shared_scan(code, t, t + 1, None)
+        plain_tests += len(tested)
+        tested.clear()
+        ruled = codeops._shared_scan(code, t, t + 1, d)
+        ruled_tests += len(tested)
+        assert ruled == plain, (code, t)
+        assert certify(fresh_copy(code), t).locality == t_locality(code, t), (code, t)
+    assert ruled_tests < plain_tests
+
+
+@pytest.mark.parametrize("q, n, k, t, d", [(17, 14, 6, 1, 9), (23, 20, 6, 10, 15)],
+                         ids=["rs14-6-t1", "rs20-6-t10"])
+def test_the_puncturing_rule_certifies_rs_codes_without_a_test(
+        monkeypatch, q, n, k, t, d):
+    # d_{t+1}(dual) = k + t + 1 = n - d + t + 2: the scan starts at the rule
+    spec = rscodes.rs_make(Field(q), range(n), k)
+    refuse_detects(monkeypatch)
+    cert = certify(spec.code, t, spec)
+    assert (cert.distance, cert.distance_kind, cert.dual_ghw) == (d, "exact", k + t + 1)
+    assert cert.locality.r_t == k + t and cert.t_optimal is True
+    assert [c.witness for c in cert.locality.per_coord] == [
+        tuple(j for j in range(n) if j != i)[:k + t] for i in range(n)]
+
+
+@pytest.mark.parametrize("n, k", RS17_CASES, ids=str)
+def test_the_puncturing_rule_certifies_rs_codes_at_every_t_without_a_test(
+        monkeypatch, n, k):
+    # any k + t + 1 coordinates of an MDS code detect t errors and fewer do
+    # not, so each witness is the first k + t other coordinates, for t up
+    # to n - k - 1; from t = n - k on no coordinate has a set
+    points = random.Random(n * 100 + k).sample(range(17), n)
+    code = rscodes.rs_make(F17, points, k).code
+    refuse_detects(monkeypatch)
+    for t in range(n - k + 1):
+        report = certify(fresh_copy(code), t).locality
+        assert [c.witness for c in report.per_coord] == [
+            tuple(j for j in range(n) if j != i)[:k + t] if t < n - k else None
+            for i in range(n)], t
+
+
+@pytest.mark.parametrize("desc, n, k, d, r_2", [
+    ({"field": {"p": 3, "m": 2}, "construction": "lrcrs",
+      "p_poly": [0, 0, 0, 0, 1], "l": [0, 1]}, 8, 3, 4, 7),
+    ({"field": {"p": 13}, "construction": "lrcrs",
+      "p_poly": [0, 0, 0, 0, 1], "l": [1, 2]}, 12, 5, 4, 11),
+], ids=["gf9-l01", "gf13-l12"])
+def test_the_puncturing_rule_starts_at_n_minus_d_plus_t_plus_2(desc, n, k, d, r_2):
+    # at t = 2 the rule starts at n columns; the supports of n - 1 columns
+    # still need their test, and fail, so r_2 = n - 1
+    bundle = build_code(desc)
+    cert = certify(bundle.code, 2, bundle.spec)
+    assert (bundle.code.n, bundle.code.k, cert.distance) == (n, k, d)
+    assert cert.locality.r_t == r_2
+    assert cert.locality == t_locality(fresh_copy(bundle.code), 2)
 
 
 def test_search_computes_each_column_rank_once(monkeypatch):

@@ -466,14 +466,14 @@ def test_build_plans_runs_one_witness_scan_per_code_and_t(monkeypatch, desc, t):
     scans = []
     real_scan = codeops._shared_scan
 
-    def counting_scan(code, t, floor):
-        scans.append((t, floor))
-        return real_scan(code, t, floor)
+    def counting_scan(code, t, floor, d):
+        scans.append((t, floor, d))
+        return real_scan(code, t, floor, d)
     monkeypatch.setattr(codeops, "_shared_scan", counting_scan)
     monkeypatch.setattr(storagesim, "_plan_cache", localrepair.PlanCache())
     bundle = descriptor.build_code(desc)
     plans = storagesim.build_plans(bundle, t)
-    assert scans == [(t, t + 1)]
+    assert scans == [(t, t + 1, None)]
     report = codeops.t_locality(bundle.code, t)
     assert [plan.helpers for plan in plans] == [c.witness for c in report.per_coord]
     assert len(plans) == bundle.code.n and len(scans) == 1
