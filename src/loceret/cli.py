@@ -17,7 +17,6 @@ import sys
 from . import codeops, localrepair, rscodes, storagesim
 from .descriptor import DescriptorError, build_code, load_descriptor
 from .galois import Field
-from .reportjson import dumps
 
 SCHEMA_VERSION = 1
 
@@ -31,8 +30,7 @@ class MultipleErasuresError(ValueError):
 
 
 def emit_report(doc: dict) -> str:
-    """json.dumps(doc, sort_keys=True, indent=2) + "\\n" (reportjson.dumps)."""
-    return dumps(doc)
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _base_report(command: str, digest: str | None = None) -> dict:

@@ -35,7 +35,6 @@ import numpy as np
 
 from . import codeops, descriptor, localrepair
 from .galois import _checked_int, _is_int
-from .reportjson import dumps
 
 CSV_CELLS = ("clean_correct", "naive_wrong", "detected",
              "missed_wrong", "missed_right")
@@ -273,7 +272,7 @@ class SimReport:
                 "rates": self.rates}
 
     def to_json(self) -> str:
-        return dumps(self.to_dict())
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 class TrialRecord(NamedTuple):

@@ -307,11 +307,6 @@ ROWS = (
            "_OUTCOMES = tuple(RepairOutcome(v) for v in range(256))",
            "_OUTCOMES = tuple(RepairOutcome(v + 1) for v in range(256))",
            ("tests/test_localrepair.py", "-k", "reads_match")),
-    # one report writer, byte for byte json.dumps(doc, sort_keys=True, indent=2)
-    Mutant("report writer leaves dict keys unsorted", "src/loceret/reportjson.py",
-           "for key, value in sorted(o.items()):",
-           "for key, value in o.items():",
-           ("tests/test_reportjson.py", "-k", "random")),
     # mult_count tallies a subtraction as an addition
     Mutant("CountingField._sub without its count", "src/loceret/galois.py",
            "    def _sub(self, a, b):\n"
