@@ -1,10 +1,10 @@
 """Generic linear-code calculus over explicit generator matrices.
 
 Codes are held in reduced row echelon form, which makes equality of row
-spaces a tuple comparison.  Minimum distance and generalized Hamming weights
-are certified exhaustively, within the enumeration cap DEFAULT_ENUM_CAP;
-recovery-set and error-detecting-set checks reduce to column-rank
-computations, so they stay cheap even where codeword enumeration would not.
+spaces a tuple comparison.  Distance, generalized Hamming weights and
+locality are certified exhaustively, within the enumeration cap
+DEFAULT_ENUM_CAP; recovery-set and error-detecting-set checks reduce to
+column-rank computations, cheap even where codeword enumeration is not.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ import numpy as np
 
 from .galois import _checked_int, _is_int
 
-DEFAULT_ENUM_CAP = 1 << 26  # words, supports or column sets a search may touch
-DEFAULT_EXHAUSTIVE_N = 20
+DEFAULT_ENUM_CAP = 1 << 26  # words, k x supports or column sets per search
 
 _CHUNK_ELEMS = 1 << 18     # comparisons or products per min_distance step
 _SET_COST = 1 << 12       # words one more information set costs, in min_distance
@@ -251,13 +250,11 @@ def min_distance(code: LinearCode) -> int:
     DEFAULT_ENUM_CAP, read at each call: once for the planned m, before
     any information set is eliminated, and again for the sets actually
     built when the columns left over run out early.  The planned reach is
-    at most words[W(1)] < q^k (see _set_count), so every code with
-    q^k <= DEFAULT_ENUM_CAP passes the first check with the m sets it
-    planned under a q^k gate; only the second check, where fewer sets are
-    built than planned, can refuse such a code.  Each set keeps one level of words, those of the weight-(w - 1)
-    messages on its n - k outside columns (_least_weights), and forms the
-    next one only when the next weight w <= W(m) is asked for, so the levels
-    the m sets hold at once, two per set at most, are fewer than
+    below q^k (see _set_count).  Each set keeps one level of words, those
+    of the weight-(w - 1) messages on its n - k outside columns
+    (_least_weights), and forms the next one only when the next weight
+    w <= W(m) is asked for, so the levels the m sets hold at once, two per
+    set at most, are fewer than
     m words[W(m)] <= DEFAULT_ENUM_CAP words of n - k symbols (29.5 MiB for
     the binary [47,24,11] quadratic-residue code, which counts through
     weight 10 on one set).  The rows' q - 1 multiples are kept only once a
@@ -456,8 +453,6 @@ def ghw(code: LinearCode, s: int) -> int:
     s-dimensional subcodes, computed as dual_ghw of the dual code."""
     if code.k == 0:
         raise ZeroCodeError("the zero code has no subcodes")
-    if not _is_int(s) or not 1 <= s <= code.k:
-        raise BadRankError(f"s must lie in [1, {code.k}], got {s}")
     return dual_ghw(dual(code), s)
 
 
@@ -467,29 +462,37 @@ def dual_ghw(code: LinearCode, s: int, d: int | None = None) -> int:
 
     The dual words supported inside a set S are the linear dependencies among
     the generator columns in S, a space of dimension |S| - rank(S), so d_s is
-    the least |S| with that nullity at least s.  Supports are scanned by size
-    and then lexicographically from size s; any k + s columns have nullity at
+    the least |S| with that nullity at least s.  The supports of s to
+    k + s - 1 columns are walked (_walk); any k + s columns have nullity at
     least s (the generalized Singleton bound), so k + s is returned untested
-    when no smaller support qualifies.  d, when given, is the minimum distance
-    of the code or any lower bound on it; by Wei's duality theorem ({d_r(C)}
-    and {n + 1 - d_s(dual)} partition 1..n) every s >= n - k - d + 2 has
-    d_s(dual) = k + s, which is returned without a search.  A code with
-    2^n above DEFAULT_ENUM_CAP, read at each call, raises
-    TooLargeToEnumerateError before anything else, d or not.
+    when no smaller support qualifies.  d, when given, is the minimum
+    distance of the code or any lower bound on it; by Wei's duality theorem
+    ({d_r(C)} and {n + 1 - d_s(dual)} partition 1..n) every
+    s >= n - k - d + 2 has d_s(dual) = k + s, which is returned unwalked.
     """
     n, k = code.n, code.k
-    if 2 ** n > DEFAULT_ENUM_CAP:
-        raise TooLargeToEnumerateError(
-            f"2^{n} supports exceed the cap {DEFAULT_ENUM_CAP}")
     if not _is_int(s) or not 1 <= s <= n - k:
         raise BadRankError(f"s must lie in [1, {n - k}], got {s}")
     if d is not None and s >= n - k - d + 2:
         return k + s
-    for size in range(s, k + s):
-        for support in itertools.combinations(range(n), size):
-            if size - _rank_cols(code, support) >= s:
-                return size
+    for support in _walk(code, range(s, k + s)):
+        if len(support) - _rank_cols(code, support) >= s:
+            return len(support)
     return k + s
+
+
+def _walk(code: LinearCode, sizes: range):
+    """The supports of the given sizes, by size and then lexicographically.
+    Each costs about one elimination of k rows, so TooLargeToEnumerateError
+    is raised first when k times their number exceeds DEFAULT_ENUM_CAP,
+    read at each call."""
+    n, k = code.n, code.k
+    if k * sum(math.comb(n, size) for size in sizes) > DEFAULT_ENUM_CAP:
+        raise TooLargeToEnumerateError(
+            f"k = {k} times the supports of {sizes[0]} to {sizes[-1]} of "
+            f"{n} columns exceeds the cap {DEFAULT_ENUM_CAP}")
+    return itertools.chain.from_iterable(
+        itertools.combinations(range(n), size) for size in sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -697,42 +700,36 @@ class LocalityReport:
 def _shared_scan(code, t, floor, d) -> dict:
     """The first t-edr set in exhaustive order of each coordinate that has
     one, as {coordinate: helpers}, a function of (code, t, floor) alone.  A
-    zero column gets the empty set; the others share one pass per size over
-    the supports S of [n] of more than floor columns, in lexicographic
-    order, with column ranks memoised for the pass.
+    zero column gets the empty set; the others share one walk (_walk) over
+    the supports S of more than floor columns, with column ranks memoised.
 
     The verdict belongs to S alone, and inserting i into the lexicographic
     order of the helper sets R keeps it, so the first S containing i that
     detects is R + {i} for i's first witness R.  Each S is tested once, and
     only while some member lacks a witness; every such member gets S - {i}.
-    The pass stops once every coordinate has one.  d, when given, is the
+    The walk stops once every coordinate has one.  d, when given, is the
     minimum distance of the code or a lower bound on it.  Puncturing the
     n - |S| columns outside S lowers a weight by at most n - |S|, so every
     S of n - d + t + 2 or more columns has d(C[S]) >= t + 2 and detects
-    without a test (the puncturing rule): it changes no verdict, only who
-    decides it.  Codes longer than DEFAULT_EXHAUSTIVE_N raise
-    TooLargeToEnumerateError before any test."""
+    (the puncturing rule).  So only smaller sizes are walked, and then each
+    coordinate i still pending gets the first S of the first size m left:
+    the m - 1 lowest columns other than i."""
     n = code.n
-    if n > DEFAULT_EXHAUSTIVE_N:
-        raise TooLargeToEnumerateError(
-            f"n = {n} exceeds the exhaustive-search limit {DEFAULT_EXHAUSTIVE_N} "
-            "of the witness search; pass explicit helpers")
+    first = n + 1 if d is None else max(floor + 1, n - d + t + 2)
     found = {i: () for i in range(n) if not any(row[i] for row in code.gen)}
     pending = set(range(n)) - found.keys()
-    if not pending:
-        return found
-    sure = n + 1 if d is None else n - d + t + 2
     ranks = {}
-    for size in range(floor + 1, n + 1):
-        for S in itertools.combinations(range(n), size):
-            if pending.isdisjoint(S) or (
-                    size < sure and not _detects(code, S, t, ranks)):
-                continue
-            for i in pending.intersection(S):
-                found[i] = tuple(c for c in S if c != i)
-            pending.difference_update(S)
-            if not pending:
-                return found
+    for S in _walk(code, range(floor + 1, min(first, n + 1))):
+        if not pending:
+            break
+        if pending.isdisjoint(S) or not _detects(code, S, t, ranks):
+            continue
+        for i in pending.intersection(S):
+            found[i] = tuple(c for c in S if c != i)
+        pending.difference_update(S)
+    if first <= n:
+        for i in pending:
+            found[i] = tuple(c for c in range(first) if c != i)[:first - 1]
     return found
 
 
@@ -764,7 +761,7 @@ def t_locality(code: LinearCode, t: int,
     cardinality then lexicographic order, so results are deterministic and
     minimal; one pass over the supports serves every coordinate
     (_shared_scan), kept on the code by t (_scan_witnesses); the scan
-    refuses codes longer than DEFAULT_EXHAUSTIVE_N.  Greedy mode tests, for
+    refuses a walk past DEFAULT_ENUM_CAP (_walk).  Greedy mode tests, for
     each coordinate, only the lowest-index helpers of each size and yields
     upper bounds, flagged through the report's mode field.
     """
@@ -870,7 +867,7 @@ def certify(code: LinearCode, t: int, spec=None,
     puncturing rule every support of n - d + t + 2 or more columns detects
     without a test (_shared_scan).  On an MDS code the scan starts at
     d_{t+1}(dual) = k + t + 1 = n - d + t + 2, so it runs no elimination.
-    A search too large to run falls back to greedy mode."""
+    Walks past the cap leave dual_ghw null and the locality greedy."""
     _checked_t(t)
     try:
         d, distance_kind = min_distance(code), "exact"

@@ -257,13 +257,16 @@ def plan_linear(code: codeops.LinearCode, target: int, t: int,
     in the RS constructions.  Default helpers are the target's first t-edr
     set in exhaustive order: its witness in codeops.t_locality(code, t),
     whose one scan the code keeps, so the plans of every coordinate at t
-    share it (a zero column gets no helpers).  Like exhaustive t_locality,
-    that scan is only run up to n = DEFAULT_EXHAUSTIVE_N; a longer code
-    needs explicit helpers.
+    share it (a zero column gets no helpers).  A scan past its walk's cap
+    (codeops._walk) raises TooLargeToEnumerateError asking for helpers.
     """
     if helpers is None:
         codeops._checked_helpers(code.n, target, t=t)
-        helpers = codeops.t_locality(code, t).per_coord[target].witness
+        try:
+            helpers = codeops.t_locality(code, t).per_coord[target].witness
+        except codeops.TooLargeToEnumerateError as exc:
+            raise codeops.TooLargeToEnumerateError(
+                f"{exc}; pass explicit helpers") from None
         if helpers is None:
             raise HelpersNotEdrError(
                 f"coordinate {target} admits no {t}-error-detecting recovery set")

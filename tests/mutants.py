@@ -93,6 +93,14 @@ ROWS = (
            '        "r_t": cert.distance,',
            ("tests/test_codeops.py::"
             "test_the_committed_certify_grid_recomputes_on_its_small_fields",)),
+    # analyze reports keep their bytes on the CI descriptors
+    Mutant("report distance and dual_ghw swapped", "src/loceret/codeops.py",
+           '{"distance": {"value": self.distance, "kind": self.distance_kind},\n'
+           '                "dual_ghw": self.dual_ghw,',
+           '{"distance": {"value": self.dual_ghw, "kind": self.distance_kind},\n'
+           '                "dual_ghw": self.distance,',
+           ("tests/test_cli.py::"
+            "test_analyze_reports_of_the_ci_descriptors_keep_their_bytes",)),
     # characteristic-2 encode by packed rows
     Mutant("pack the encode rows big-endian", "src/loceret/galois.py",
            'int.from_bytes(block[i:i + n], "little")',
@@ -233,9 +241,29 @@ ROWS = (
     # certify's scan takes every support of n - d + t + 2 or more columns
     # as detecting (the puncturing rule); one column earlier is wrong
     Mutant("the puncturing rule one column early", "src/loceret/codeops.py",
-           "sure = n + 1 if d is None else n - d + t + 2",
-           "sure = n + 1 if d is None else n - d + t + 1",
+           "first = n + 1 if d is None else max(floor + 1, n - d + t + 2)",
+           "first = n + 1 if d is None else max(floor + 1, n - d + t + 1)",
            ("tests/test_codeops.py", "-k", "puncturing_rule")),
+    # both support walks are refused by k times the supports they would
+    # visit, and only where a walk is needed
+    Mutant("the walk's reach without the factor k", "src/loceret/codeops.py",
+           "    if k * sum(math.comb(n, size) for size in sizes) > DEFAULT_ENUM_CAP:\n",
+           "    if sum(math.comb(n, size) for size in sizes) > DEFAULT_ENUM_CAP:\n",
+           ("tests/test_codeops.py::test_dual_ghw_argument_validation",)),
+    Mutant("the witness walk counts the sizes the puncturing rule decides",
+           "src/loceret/codeops.py",
+           "_walk(code, range(floor + 1, min(first, n + 1)))",
+           "_walk(code, range(floor + 1, n + 1))",
+           ("tests/test_codeops.py", "-k", "long_rs_codes")),
+    Mutant("dual_ghw checks its walk before Wei's duality", "src/loceret/codeops.py",
+           "    if d is not None and s >= n - k - d + 2:\n"
+           "        return k + s\n"
+           "    for support in _walk(code, range(s, k + s)):\n",
+           "    supports = _walk(code, range(s, k + s))\n"
+           "    if d is not None and s >= n - k - d + 2:\n"
+           "        return k + s\n"
+           "    for support in supports:\n",
+           ("tests/test_codeops.py", "-k", "long_rs_codes")),
     Mutant("plan_linear reads the next coordinate's witness", "src/loceret/localrepair.py",
            "t_locality(code, t).per_coord[target].witness",
            "t_locality(code, t).per_coord[(target + 1) % code.n].witness",

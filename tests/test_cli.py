@@ -325,17 +325,95 @@ def test_analyze_with_t_at_least_the_dual_dimension(tmp_path):
     assert doc["not_t_lredc"] == list(range(8))
 
 
-def test_analyze_downgrades_to_greedy_on_oversized_codes(tmp_path):
-    desc = write_json(tmp_path / "code.json",
-                      {"field": {"p": 29, "m": 1}, "construction": "rs",
-                       "points": "all", "k": 3})
+def test_analyze_downgrades_to_greedy_on_oversized_codes(tmp_path, monkeypatch):
+    # RS[40,7]/GF(3^5) as a generator code: no distance is known, so both
+    # support walks would visit more than the cap, 7 times their supports,
+    # and each is refused before any column test
+    from test_codeops import refuse_column_tests
+    generator = {"field": {"p": 3, "m": 5}, "construction": "generator",
+                 "rows": RS40_GF243_ROWS}
+    desc = write_json(tmp_path / "code.json", generator)
     out = tmp_path / "report.json"
     assert cli.main(["analyze", desc, "--t", "0", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["downgraded_to_greedy"] is True
     assert doc["mode"] == "greedy"
-    assert doc["locality"] == 3             # greedy still finds the witness
-    assert doc["distance"] == {"value": 27, "kind": "exact"}
+    assert doc["locality"] == 7             # greedy still finds the witness
+    assert doc["distance"] == {"value": None, "kind": "unavailable"}
+    assert doc["dual_ghw"] is None
+    code = build_code(generator).code
+    refuse_column_tests(monkeypatch)
+    with pytest.raises(codeops.TooLargeToEnumerateError):
+        codeops.dual_ghw(code, 1)
+    with pytest.raises(codeops.TooLargeToEnumerateError):
+        codeops.t_locality(code, 0)
+
+
+# the CI workflow's descriptors with n <= 20, each with the SHA-256 of its
+# `analyze --out` report at t = 0, 1 and 2, taken before the support walks
+# shared one cost rule; [18,10] and [18,4] at t = 2 (about 4 and 2 s) are
+# left out to keep the test near a second
+CI_REPORT_DIGESTS = {
+    "zero-column": ({"field": {"p": 5}, "construction": "generator",
+                    "rows": [[0, 1, 2, 3], [0, 1, 1, 1]]}, (
+        "3d97cf96ac101babfd7746ad0354a10ca6d89a19c863982012bf75acdc73e30f",
+        "ffcec58767c678d6f7a9a330c9f8173d612ebe1763b9a3bf2002cfd3d4584608",
+        "6eb99f2dde0c9ba8a0ce97321bacd8e7c80fbefedc5475e0585223cd6a122908")),
+    "rs16-7": ({"field": {"p": 17}, "construction": "rs",
+               "points": list(range(16)), "k": 7}, (
+        "17660963f535289ef704a21aa6bf4dcff6d5d62f627f166b3da5418534d52f79",
+        "f6b9e227c11be710d0a7aa9e284bd0a2a1c7455153567a4c48da8613d921fbca",
+        "d60e0db95c12e889efd8f7cb89b7c0b1b33728447bd83467fbad7bba7dcada80")),
+    "rs20-6": ({"field": {"p": 23}, "construction": "rs",
+               "points": list(range(20)), "k": 6}, (
+        "c7277b9ff7066efd1bdd895fae253070af101604ce73dc3d186803a9a83e6aa5",
+        "b37f7cd62d7fd333922ce9da7b43174cf0ace0cbce33b8e978d52bdcc706bd70",
+        "ebec6ca380252cd6d31ae4eee2fa72d3be3143adcee5f058f7fd3b11e967d87e")),
+    "lrc18-10": ({"field": {"p": 19}, "construction": "lrcrs",
+                 "p_poly": [0, 0, 0, 0, 0, 0, 1], "l": [1, 2, 2, 1]}, (
+        "a6065eaf4f0b8e1099971fc550ecdcfded2a72fdc42f1de1dddba81ed03726a8",
+        "428cfc9e60180ee5d7c9752d692db86d6dcb756dda2c5b48443fa8219963ee97")),
+    "fibre": ({"field": {"p": 13}, "construction": "lrcrs",
+              "p_poly": [0, 0, 0, 0, 1], "l": [2, 2]}, (
+        "d51a9d5ccc618f321100195d3f96fcae58dbc5836cdfe272df27612c93f94bb4",
+        "fa6a1d12a97577d768f83ff4460f2790383bee397547a26d49c6bbb12164239c",
+        "83a30b1f822af6f27e51677019098da708a710ccc0798618451a49eb1fd63886")),
+    "rs14-6": ({"field": {"p": 17}, "construction": "rs",
+               "points": list(range(14)), "k": 6}, (
+        "d392cce8c793533958d1da9ed08ba20346312262ab3a53e60d1a5b3bd7ab0274",
+        "866cea6a10a368201e1b988c94bdbeca803ac6be082949c43e49b940eaf6ba45",
+        "65c89afbecd1fdd4514c153c3b4759aa3ebf81f117523d7f9fdecf4689628364")),
+    "rs13-7": ({"field": {"p": 13}, "construction": "rs", "points": "all", "k": 7}, (
+        "f77c22c9e5fdb9f0c277c36ba8b5f24583ea6194487f4acf96634f9d8feed6ae",
+        "6a6876b1920596b760162a7710b97c1f7573c8b788d72a4ea61636fbf6b152c9",
+        "2e546890e2169c6a0bd0a053b08ee5342f423f0cf82138ab3cafec0a6fa9cc21")),
+    "lrc16-4": ({"field": {"p": 17}, "construction": "lrcrs",
+                "p_poly": [0, 0, 0, 0, 1], "l": [1, 1]}, (
+        "4baf76ab1a65500fa88f0c905254ddfa76db823b26851373bf5eda6593e49ca4",
+        "bb19e9d2579712cfd2054a005e420418e3c26c10bc53c1e1c2d9b20862142e45",
+        "9b521eef92c0289ed79cf1f79e97e1e6f7db3635bb86f3ebf1d117b2b8c44963")),
+    "gen12": ({"field": {"p": 13}, "construction": "generator", "rows": [
+        [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 3, 3, 3, 3, 9, 9, 9, 9],
+        [1, 1, 1, 1, 9, 9, 9, 9, 3, 3, 3, 3], [1, 5, 8, 12, 2, 3, 10, 11, 4, 6, 7, 9],
+        [1, 5, 8, 12, 6, 9, 4, 7, 10, 2, 11, 3], [1, 5, 8, 12, 5, 1, 12, 8, 12, 5, 8, 1]]}, (
+        "25cd4c2b3480b37212982dc0e72da5645cba0aa1d6b8c0a6519ea7e6623664d3",
+        "e85a73d1277f8eb14f28515a41fc9bda1bfe2dc51587874101013ada466e897a",
+        "431f8d296ed8be01a623584fcf9e8650851f3ee5342cc2a709784ed92ba50f22")),
+    "lrc18-4": ({"field": {"p": 19}, "construction": "lrcrs",
+                "p_poly": [0, 0, 0, 1], "l": [3]}, (
+        "1c6bc2a6f7bd2bc47bb7e1a7c7c4c8862a010e8280c0e5700ee3de9822979697",
+        "82f6aec0f93cbad1824b6ba5998a8845dc51abc5d72200139640ba6efa4761c7")),
+}
+
+
+def test_analyze_reports_of_the_ci_descriptors_keep_their_bytes(tmp_path):
+    out = tmp_path / "report.json"
+    for name, (desc, digests) in CI_REPORT_DIGESTS.items():
+        path = write_json(tmp_path / f"{name}.json", desc)
+        for t, digest in enumerate(digests):
+            assert cli.main(["analyze", path, "--t", str(t),
+                             "--out", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (name, t)
 
 
 def test_analyze_greedy_flag_labels_the_report(tmp_path):
@@ -380,14 +458,18 @@ def test_plan_rejects_an_undersized_helper_set(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_plan_without_helpers_on_a_long_code_fails_at_once(tmp_path, capsys):
-    # [255,15]/GF(2^8) fibre code at t = 2: no default helper search past n = 20
+def test_plan_without_helpers_on_a_long_code_fails_at_once(tmp_path, capsys,
+                                                          monkeypatch):
+    # [255,15]/GF(2^8) fibre code at t = 2: the default helper search would
+    # walk 15 times the supports of 4 to 255 columns, so it runs no test
+    from test_codeops import refuse_column_tests
     desc = write_json(tmp_path / "code.json", {
         "field": {"p": 2, "m": 8}, "construction": "lrcrs",
         "p_poly": [0, 0, 0, 0, 0, 1], "l": [4, 4, 4]})
+    refuse_column_tests(monkeypatch)
     assert cli.main(["plan", desc, "--target", "0", "--t", "2"]) == 1
     err = capsys.readouterr().err
-    assert f"exhaustive-search limit {codeops.DEFAULT_EXHAUSTIVE_N}" in err
+    assert "the supports of 4 to 255 of 255 columns exceeds the cap" in err
     assert "pass explicit helpers" in err
     assert "greedy" not in err                 # plan has no greedy mode
 

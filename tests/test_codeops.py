@@ -988,19 +988,37 @@ def test_dual_ghw_from_the_distance_needs_no_rank(monkeypatch):
     assert dual_ghw(code, 4, d=3) == oracle_ghw(dual(code), 4) and seen
 
 
+RS40_GF243_WALK = "k = 7 times the supports of 1 to 7 of 40 columns"
+
+
 def test_dual_ghw_argument_validation(monkeypatch):
+    # s is checked first and Wei's duality next, so neither needs a walk;
+    # the walk over sizes s .. k + s - 1 is refused by k times its
+    # supports, read from DEFAULT_ENUM_CAP at each call, before any rank
     code = rscodes.rs_make(F13, range(8), 3).code
+    monkeypatch.setattr(codeops, "DEFAULT_ENUM_CAP", 0)
+    refuse_column_tests(monkeypatch)
     for s in (0, 6, 1.0, True):
         with pytest.raises(BadRankError):
             dual_ghw(code, s)
-    # the support cap is checked first, even where d would settle the value
-    monkeypatch.setattr(codeops, "DEFAULT_ENUM_CAP", 255)
-    with pytest.raises(TooLargeToEnumerateError):
-        dual_ghw(code, 0)
-    with pytest.raises(TooLargeToEnumerateError):
-        dual_ghw(code, 2, d=6)
-    monkeypatch.setattr(codeops, "DEFAULT_ENUM_CAP", 256)
     assert dual_ghw(code, 2, d=6) == 5
+    # sizes 2..4 of 8 columns: 3 x (28 + 56 + 70) = 462
+    monkeypatch.setattr(codeops, "DEFAULT_ENUM_CAP", 461)
+    with pytest.raises(TooLargeToEnumerateError,
+                       match="^k = 3 times the supports of 2 to 4 of 8 columns "
+                             "exceeds the cap 461$"):
+        dual_ghw(code, 2)
+    monkeypatch.undo()
+    monkeypatch.setattr(codeops, "DEFAULT_ENUM_CAP", 462)
+    assert dual_ghw(code, 2) == 5
+    # RS[40,7]/GF(3^5) at the real cap: its 23,242,038 supports of 1 to 7
+    # columns fit the cap, but 7 times them do not; d = 34 settles s = 1
+    monkeypatch.undo()
+    code = rscodes.rs_make(GF243, range(40), 7).code
+    refuse_column_tests(monkeypatch)
+    with pytest.raises(TooLargeToEnumerateError, match=f"^{RS40_GF243_WALK} "):
+        dual_ghw(code, 1)
+    assert dual_ghw(code, 1, d=34) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -1133,10 +1151,16 @@ def test_greedy_witnesses_match_the_oracle_with_zero_and_repeated_columns(
         assert_greedy_matches_oracle(code, t)
 
 
-def test_exhaustive_mode_refuses_oversized_codes():
-    code = code_from_rows(F2, [[1] * 25], 25)
-    with pytest.raises(TooLargeToEnumerateError):
-        t_locality(code, 0)
+def test_exhaustive_mode_refuses_oversized_codes(monkeypatch):
+    # the all-ones [n,1]/GF(2) code: t_locality has no distance, so its
+    # walk covers the 2^n - n - 1 supports of 2 to n columns, which fit
+    # the cap 2^26 at n = 26 but not at n = 27
+    assert t_locality(code_from_rows(F2, [[1] * 26], 26), 0).r_t == 1
+    refuse_column_tests(monkeypatch)
+    with pytest.raises(TooLargeToEnumerateError,
+                       match=f"^k = 1 times the supports of 2 to 27 of 27 "
+                             f"columns exceeds the cap {1 << 26}$"):
+        t_locality(code_from_rows(F2, [[1] * 27], 27), 0)
 
 
 def test_zero_detection_locality_matches_rank_only_search():
@@ -1376,6 +1400,14 @@ def refuse_detects(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"_detects ran on {args[1]}")
     monkeypatch.setattr(codeops, "_detects", refuse)
+
+
+def refuse_column_tests(monkeypatch):
+    """Fail on any later _detects or _rank_cols call."""
+    def refuse(*args):
+        raise AssertionError(f"_rank_cols ran on {args[1]}")
+    refuse_detects(monkeypatch)
+    monkeypatch.setattr(codeops, "_rank_cols", refuse)
 
 
 @pytest.mark.parametrize("t", [0, 1, 2])
@@ -1618,14 +1650,55 @@ def test_the_committed_certify_grid_recomputes_on_its_small_fields():
     assert got == want
 
 
-def test_certify_downgrades_an_oversized_search_and_checks_t():
-    spec = rscodes.rs_make(Field(29), range(29), 3)
-    cert = certify(spec.code, 0, spec)
+def test_certify_downgrades_an_oversized_search_and_checks_t(monkeypatch):
+    # RS[40,7]/GF(3^5) with no spec: no distance is known, so d_1(dual)
+    # needs its walk and the witness scan walks every size from 2; both
+    # walks are refused before any test, and greedy mode takes over
+    code = rscodes.rs_make(GF243, range(40), 7).code
+    cert = certify(code, 0)
+    assert (cert.distance_kind, cert.dual_ghw) == ("unavailable", None)
     assert cert.downgraded and cert.locality.mode == "greedy"
+    assert cert.locality.r_t == 7
     assert cert.t_optimal is None and cert.to_dict()["downgraded_to_greedy"]
+    refuse_column_tests(monkeypatch)
+    with pytest.raises(TooLargeToEnumerateError, match=f"^{RS40_GF243_WALK} "):
+        dual_ghw(code, 1)
+    with pytest.raises(TooLargeToEnumerateError,
+                       match="^k = 7 times the supports of 2 to 40 of 40 columns"):
+        t_locality(code, 0)
     for t in (-1, True, 1.0):
         with pytest.raises(ValueError, match="^t must be"):
-            certify(spec.code, t, spec)
+            certify(code, t)
+
+
+@pytest.mark.parametrize("field, n, k, t", [
+    (Field(29), 29, 3, 0), (GF243, 40, 7, 0), (GF256, 256, 16, 1)],
+    ids=["rs29-3", "rs40-7", "rs256-16"])
+def test_the_walk_certifies_long_rs_codes_without_a_test(monkeypatch, field,
+                                                         n, k, t):
+    # past n = 20 the walk's cost, not n, decides: the distance or its MDS
+    # bound gives d_{t+1}(dual) = k + t + 1 by Wei's duality, and the
+    # puncturing rule leaves no size to walk
+    spec = rscodes.rs_make(field, range(n), k)
+    refuse_detects(monkeypatch)
+    cert = certify(spec.code, t, spec)
+    assert cert.distance == n - k + 1 and cert.dual_ghw == k + t + 1
+    assert cert.locality.mode == "exhaustive" and not cert.downgraded
+    assert cert.locality.r_t == k + t
+    assert [c.witness for c in cert.locality.per_coord] == [
+        tuple(j for j in range(n) if j != i)[:k + t] for i in range(n)]
+
+
+@pytest.mark.parametrize("t, dual_weight, r_t, t_optimal", [
+    (0, 3, 2, False), (1, 4, 3, True)])
+def test_the_paper_24_6_code_is_exact_at_t0_and_t1(t, dual_weight, r_t, t_optimal):
+    # [24,6]/GF(25), y = x^4, l = [2, 2]: n = 24, and its walks fit the cap
+    spec = rscodes.lrcrs_make(Field(5, 2), [0, 0, 0, 0, 1], [2, 2])
+    cert = certify(spec.code, t, spec)
+    assert (cert.distance, cert.distance_kind) == (15, "exact")
+    assert (cert.dual_ghw, cert.locality.r_t) == (dual_weight, r_t)
+    assert cert.locality.mode == "exhaustive" and not cert.downgraded
+    assert cert.t_optimal is t_optimal
 
 
 # ---------------------------------------------------------------------------

@@ -345,15 +345,19 @@ STORE255_DESC = {"field": {"p": 2, "m": 8}, "construction": "lrcrs",
                  "p_poly": [0, 0, 0, 0, 0, 1], "l": [4, 4, 4]}
 
 
-def test_default_linear_helpers_stop_at_the_exhaustive_limit():
+def test_default_linear_helpers_stop_at_the_exhaustive_limit(monkeypatch):
     # t = 2 is past the fibre plans' capacity, so plan_for falls back to
-    # plan_linear, whose default helpers come from the exhaustive scan
+    # plan_linear, whose default helpers come from the exhaustive scan; with
+    # no distance it would walk every support of 4 to 255 columns, so it is
+    # refused before any test
+    from test_codeops import refuse_column_tests
     bundle = descriptor.build_code(STORE255_DESC)
-    limit = f"exhaustive-search limit {codeops.DEFAULT_EXHAUSTIVE_N}"
+    refuse_column_tests(monkeypatch)
+    walk = f"k = 15 times the supports of 4 to 255 of 255 columns exceeds the cap {1 << 26}"
     with pytest.raises(codeops.TooLargeToEnumerateError,
-                       match=f"n = 255 exceeds the {limit}.*pass explicit helpers"):
+                       match=f"^{walk}; pass explicit helpers$"):
         plan_for(bundle, 0, 2)
-    with pytest.raises(storagesim.PlanUnavailableError, match=limit):
+    with pytest.raises(storagesim.PlanUnavailableError, match=walk):
         storagesim.build_plans(bundle, 2)
 
 
