@@ -17,7 +17,7 @@ import numpy as np
 
 from .galois import _checked_int, _is_int
 
-DEFAULT_ENUM_CAP = 1 << 26  # words, k x supports or column sets per search
+DEFAULT_ENUM_CAP = 1 << 26  # words, k x supports, column sets or 64 x memo ranks
 
 _CHUNK_ELEMS = 1 << 18     # comparisons or products per min_distance step
 _SET_COST = 1 << 12       # words one more information set costs, in min_distance
@@ -468,8 +468,7 @@ def dual_ghw(code: LinearCode, s: int, d: int | None = None) -> int:
     when no smaller support qualifies.  d, when given, is the minimum
     distance of the code or any lower bound on it; by Wei's duality theorem
     ({d_r(C)} and {n + 1 - d_s(dual)} partition 1..n) every
-    s >= n - k - d + 2 has d_s(dual) = k + s, which is returned unwalked.
-    """
+    s >= n - k - d + 2 has d_s(dual) = k + s, which is returned unwalked."""
     n, k = code.n, code.k
     if not _is_int(s) or not 1 <= s <= n - k:
         raise BadRankError(f"s must lie in [1, {n - k}], got {s}")
@@ -482,10 +481,9 @@ def dual_ghw(code: LinearCode, s: int, d: int | None = None) -> int:
 
 
 def _walk(code: LinearCode, sizes: range):
-    """The supports of the given sizes, by size and then lexicographically.
-    Each costs about one elimination of k rows, so TooLargeToEnumerateError
-    is raised first when k times their number exceeds DEFAULT_ENUM_CAP,
-    read at each call."""
+    """The supports of the given sizes, by size and then lexicographically,
+    after TooLargeToEnumerateError if k times their number (an elimination
+    of k rows each) exceeds DEFAULT_ENUM_CAP, read at each call."""
     n, k = code.n, code.k
     if k * sum(math.comb(n, size) for size in sizes) > DEFAULT_ENUM_CAP:
         raise TooLargeToEnumerateError(
@@ -622,11 +620,14 @@ def _independent(clear_column, vectors, w) -> bool:
 def _memo_rank(code, cols, ranks):
     """_rank_cols(code, cols), looked up in the memo ranks when one is given.
     A set whose prefix cols[:-1] is memoised at rank k has rank k too: rank
-    never falls as columns are added and never exceeds k."""
+    never falls as columns are added and never exceeds k.  It empties at
+    DEFAULT_ENUM_CAP >> 6 ranks, read at each call, to bound a walk's memory."""
     if ranks is None:
         return _rank_cols(code, cols)
     rank = ranks.get(cols)
     if rank is None:
+        if len(ranks) >= DEFAULT_ENUM_CAP >> 6:
+            ranks.clear()
         if ranks.get(cols[:-1]) == code.k:
             rank = ranks[cols] = code.k
         else:
@@ -707,13 +708,12 @@ def _shared_scan(code, t, floor, d) -> dict:
     order of the helper sets R keeps it, so the first S containing i that
     detects is R + {i} for i's first witness R.  Each S is tested once, and
     only while some member lacks a witness; every such member gets S - {i}.
-    The walk stops once every coordinate has one.  d, when given, is the
-    minimum distance of the code or a lower bound on it.  Puncturing the
-    n - |S| columns outside S lowers a weight by at most n - |S|, so every
-    S of n - d + t + 2 or more columns has d(C[S]) >= t + 2 and detects
-    (the puncturing rule).  So only smaller sizes are walked, and then each
-    coordinate i still pending gets the first S of the first size m left:
-    the m - 1 lowest columns other than i."""
+    d, when given, is the minimum distance of the code or a lower bound on
+    it.  Puncturing the n - |S| columns outside S lowers a weight by at
+    most n - |S|, so every S of n - d + t + 2 or more columns has
+    d(C[S]) >= t + 2 and detects (the puncturing rule): only smaller sizes
+    are walked, and each coordinate i still pending then gets the first S
+    of the first size m left, the m - 1 lowest columns other than i."""
     n = code.n
     first = n + 1 if d is None else max(floor + 1, n - d + t + 2)
     found = {i: () for i in range(n) if not any(row[i] for row in code.gen)}
@@ -727,9 +727,8 @@ def _shared_scan(code, t, floor, d) -> dict:
         for i in pending.intersection(S):
             found[i] = tuple(c for c in S if c != i)
         pending.difference_update(S)
-    if first <= n:
-        for i in pending:
-            found[i] = tuple(c for c in range(first) if c != i)[:first - 1]
+    for i in pending if first <= n else ():
+        found[i] = tuple(c for c in range(first) if c != i)[:first - 1]
     return found
 
 
@@ -761,7 +760,8 @@ def t_locality(code: LinearCode, t: int,
     cardinality then lexicographic order, so results are deterministic and
     minimal; one pass over the supports serves every coordinate
     (_shared_scan), kept on the code by t (_scan_witnesses); the scan
-    refuses a walk past DEFAULT_ENUM_CAP (_walk).  Greedy mode tests, for
+    refuses a walk past DEFAULT_ENUM_CAP (_walk), here every size past t + 1
+    (certify's d and d_{t+1}(dual) narrow it).  Greedy mode tests, for
     each coordinate, only the lowest-index helpers of each size and yields
     upper bounds, flagged through the report's mode field.
     """

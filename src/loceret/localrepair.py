@@ -257,8 +257,8 @@ def plan_linear(code: codeops.LinearCode, target: int, t: int,
     in the RS constructions.  Default helpers are the target's first t-edr
     set in exhaustive order: its witness in codeops.t_locality(code, t),
     whose one scan the code keeps, so the plans of every coordinate at t
-    share it (a zero column gets no helpers).  A scan past its walk's cap
-    (codeops._walk) raises TooLargeToEnumerateError asking for helpers.
+    share it (a zero column gets no helpers).  The scan has no distance, so
+    a walk past its cap (codeops._walk) asks for helpers where certify's fits.
     """
     if helpers is None:
         codeops._checked_helpers(code.n, target, t=t)

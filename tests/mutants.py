@@ -250,6 +250,11 @@ ROWS = (
            "    if k * sum(math.comb(n, size) for size in sizes) > DEFAULT_ENUM_CAP:\n",
            "    if sum(math.comb(n, size) for size in sizes) > DEFAULT_ENUM_CAP:\n",
            ("tests/test_codeops.py::test_dual_ghw_argument_validation",)),
+    Mutant("the rank memo is never emptied", "src/loceret/codeops.py",
+           "        if len(ranks) >= DEFAULT_ENUM_CAP >> 6:\n"
+           "            ranks.clear()\n",
+           "",
+           ("tests/test_codeops.py", "-k", "rank_memo_bounded")),
     Mutant("the witness walk counts the sizes the puncturing rule decides",
            "src/loceret/codeops.py",
            "_walk(code, range(floor + 1, min(first, n + 1)))",

@@ -1163,6 +1163,27 @@ def test_exhaustive_mode_refuses_oversized_codes(monkeypatch):
         t_locality(code_from_rows(F2, [[1] * 27], 27), 0)
 
 
+def test_the_witness_walk_keeps_its_rank_memo_bounded(monkeypatch):
+    # [n,1]/GF(2) with one nonzero column: at t = 0 no support recovers it
+    # from zero columns, so the walk visits all 2^n - n - 1 supports of 2
+    # to n columns and ranks those holding column 0.  The cap admits that
+    # walk at n = 26; here n = 14 under a cap of 2^14, where the memo holds
+    # at most 2^14 >> 6 = 256 ranks (160 kB traced; 1.1 MB with the
+    # 2^13 and more it would hold unbounded)
+    n = 14
+    monkeypatch.setattr(codeops, "DEFAULT_ENUM_CAP", 1 << n)
+    code = code_from_rows(F2, [[1] + [0] * (n - 1)], n)
+    tracemalloc.start()
+    try:
+        report = t_locality(code, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.not_t_lredc == (0,)
+    assert [c.witness for c in report.per_coord[1:]] == [()] * (n - 1)
+    assert peak < 400_000, peak
+
+
 def test_zero_detection_locality_matches_rank_only_search():
     # independent path: scan helper sets with the oracle elimination only
     rng = random.Random(37)
@@ -1699,6 +1720,23 @@ def test_the_paper_24_6_code_is_exact_at_t0_and_t1(t, dual_weight, r_t, t_optima
     assert (cert.dual_ghw, cert.locality.r_t) == (dual_weight, r_t)
     assert cert.locality.mode == "exhaustive" and not cert.downgraded
     assert cert.t_optimal is t_optimal
+
+
+def test_the_24_13_code_reports_no_dual_ghw(monkeypatch):
+    # [24,13]/GF(25), y = x^6, l = [3, 3, 0, 3], with the Goppa bound
+    # d >= 3: Wei's duality settles d_1(dual) only from s = n - k - d + 2
+    # = 10, and the walk over supports of 1 to 13 of 24 columns is past the
+    # cap, so dual_ghw is null and the dual_weight_hierarchy bound is left
+    # out (the former 2^n gate walked it, finding d_1(dual) = 5)
+    spec = rscodes.lrcrs_make(Field(5, 2), [0, 0, 0, 0, 0, 0, 1], [3, 3, 0, 3])
+    cert = certify(spec.code, 0, spec)
+    assert cert.to_dict()["dual_ghw"] is None
+    assert "dual_weight_hierarchy" not in cert.bounds.statuses
+    refuse_column_tests(monkeypatch)
+    with pytest.raises(TooLargeToEnumerateError,
+                       match=f"^k = 13 times the supports of 1 to 13 of 24 "
+                             f"columns exceeds the cap {1 << 26}$"):
+        dual_ghw(spec.code, 1, 3)
 
 
 # ---------------------------------------------------------------------------

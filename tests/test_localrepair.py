@@ -361,6 +361,24 @@ def test_default_linear_helpers_stop_at_the_exhaustive_limit(monkeypatch):
         storagesim.build_plans(bundle, 2)
 
 
+def test_the_plan_path_walks_with_no_distance(monkeypatch):
+    # the paper's [24,6]/GF(25) code at t = 2, past its fibres' capacity 1:
+    # plan_linear's scan has neither d = 15 nor d_3(dual) = 7, so it would
+    # walk every support of 4 to 24 columns and is refused, although the
+    # walk certify makes, over 7 to 12 columns, fits the cap (analyze
+    # certifies r_2 = 8)
+    from test_codeops import refuse_column_tests
+    bundle = descriptor.build_code({"field": {"p": 5, "m": 2}, "construction": "lrcrs",
+                                    "p_poly": [0, 0, 0, 0, 1], "l": [2, 2]})
+    code = bundle.code
+    refuse_column_tests(monkeypatch)
+    with pytest.raises(codeops.TooLargeToEnumerateError,
+                       match=f"^k = 6 times the supports of 4 to 24 of 24 columns "
+                             f"exceeds the cap {1 << 26}; pass explicit helpers$"):
+        plan_for(bundle, 0, 2)
+    codeops._walk(code, range(7, 13))
+
+
 def test_explicit_linear_plans_match_the_oracle_on_rs256():
     code = rs_make(GF256, list(range(256)), 16).code
     rng = random.Random(256)
